@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from .bounds import (
     evaluate,
     r0_upper_estimate,
 )
+from .linalg import ConvergenceError
 from .problems import (
     ProblemFormatError,
     compute_constants,
@@ -55,22 +58,43 @@ from .solvers import (
 from .verify import all_asserted_pass, report_lines, reports_to_csv
 
 
+# Run labels name output files inside --out: no path separators, no
+# leading dot (so neither "." nor ".." nor hidden files).  plan_schema.json
+# carries the same pattern.
+LABEL_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+
+
 class PlanError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_plan(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            plan = json.load(fh)
+            plan = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise PlanError("$", f"cannot read plan: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise PlanError("$", f"not valid JSON ({exc})")
     if not isinstance(plan, dict):
         raise PlanError("$", "top level must be an object")
     return plan
+
+
+def _finite_number(value) -> float | None:
+    """``value`` as a float when it is a finite number (not a bool), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
 
 
 def _parse_order(raw, path: str, global_seed: int) -> BlockOrder:
@@ -125,12 +149,15 @@ def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
         max_cycles = raw.get("max_cycles", 100)
         if isinstance(max_cycles, bool) or not isinstance(max_cycles, int) or max_cycles < 1:
             raise PlanError(f"{path}.max_cycles", "expected a positive integer")
-        gap_tolerance = raw.get("gap_tolerance", 0.0)
-        if not isinstance(gap_tolerance, (int, float)) or gap_tolerance < 0:
-            raise PlanError(f"{path}.gap_tolerance", "expected a nonnegative number")
+        gap_tolerance = _finite_number(raw.get("gap_tolerance", 0.0))
+        if gap_tolerance is None or gap_tolerance < 0:
+            raise PlanError(f"{path}.gap_tolerance",
+                            "expected a finite nonnegative number")
         label = raw.get("label", f"run{i}_{algorithm}")
-        if not isinstance(label, str) or not label:
-            raise PlanError(f"{path}.label", "expected a nonempty string")
+        if not isinstance(label, str) or not LABEL_PATTERN.fullmatch(label):
+            raise PlanError(f"{path}.label",
+                            "expected letters, digits, '_', '-' or '.', "
+                            "not starting with '.'")
         if label in labels:
             raise PlanError(f"{path}.label", f"duplicate label {label!r}")
         labels.add(label)
@@ -139,7 +166,7 @@ def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
             order=_parse_order(raw.get("order"), f"{path}.order", global_seed),
             stepsizes=_parse_stepsizes(raw.get("stepsizes"), f"{path}.stepsizes"),
             max_cycles=max_cycles,
-            gap_tolerance=float(gap_tolerance),
+            gap_tolerance=gap_tolerance,
             record_intermediates=bool(raw.get("record_intermediates", False)),
         )
         runs.append((label, run))
@@ -165,6 +192,9 @@ def _parse_bounds(plan: dict, runs) -> list[tuple[str, str, str | None, float]]:
             raise PlanError(path, "expected a kind string or an object")
         if kind not in BOUND_KINDS:
             raise PlanError(f"{path}.kind", f"unknown bound kind {kind!r}")
+        c_prior = _finite_number(c_prior)
+        if c_prior is None or c_prior <= 0:
+            raise PlanError(f"{path}.c_prior", "expected a finite positive number")
         if against is not None:
             if against not in run_algorithms:
                 raise PlanError(f"{path}.against", f"no run labeled {against!r}")
@@ -177,7 +207,7 @@ def _parse_bounds(plan: dict, runs) -> list[tuple[str, str, str | None, float]]:
         label = kind if against is None else f"{kind}@{against}"
         if any(label == existing for existing, *_ in out):
             raise PlanError(path, f"duplicate bound entry {label!r}")
-        out.append((label, kind, against, float(c_prior)))
+        out.append((label, kind, against, c_prior))
     return out
 
 
@@ -414,7 +444,7 @@ def main(argv=None) -> int:
     except (PlanError, ProblemFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -285,7 +285,12 @@ def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
 
     L = lambda_max(A^T A); per block L_k = lambda_max(A_k^T A_k),
     sigma_k^2 = lambda_min(A_k^T A_k), gamma_k^2 = lambda_min(A_k A_k^T).
-    The rank case is classified with the relative threshold RANK_RTOL.
+    Structural zeros are written exactly: when A_k has more rows m than
+    columns N its m x m row Gram has rank at most N < m, so gamma_k = 0 and
+    that Gram is never formed; when m < N, sigma_k = 0 likewise.  (An
+    eigensolver returns roundoff of either sign for such an eigenvalue, and
+    sqrt(1e-16 L_k) would pass the rank threshold.)  The rank case is
+    classified with the relative threshold RANK_RTOL.
     """
     k_count = p.partition.block_count
     full = p.full_matrix()
@@ -298,11 +303,15 @@ def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
     for k in range(k_count):
         a = p.a_blocks[k]
         low_c, high = sym_eig_extremes(a.T @ a)
-        low_r, _ = sym_eig_extremes(a @ a.T)
         l_k[k] = high
         smax = math.sqrt(max(high, 0.0))
-        sigma_k[k] = math.sqrt(max(low_c, 0.0))
-        gamma_k[k] = math.sqrt(max(low_r, 0.0))
+        rows, cols = a.shape
+        sigma_k[k] = 0.0 if rows < cols else math.sqrt(max(low_c, 0.0))
+        if rows > cols:
+            gamma_k[k] = 0.0
+        else:
+            low_r, _ = sym_eig_extremes(a @ a.T)
+            gamma_k[k] = math.sqrt(max(low_r, 0.0))
         col_rank_ok = col_rank_ok and sigma_k[k] > RANK_RTOL * smax and smax > 0
         row_rank_ok = row_rank_ok and gamma_k[k] > RANK_RTOL * smax and smax > 0
     if col_rank_ok:

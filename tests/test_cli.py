@@ -1,11 +1,18 @@
 """Tests for the command-line harness."""
 
 import json
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
+from blockcd import cli
 from blockcd.cli import main
+from blockcd.linalg import ConvergenceError
+
+SCHEMA = json.loads(
+    Path(cli.__file__).with_name("plan_schema.json").read_text(encoding="utf-8"))
 
 
 def write_plan(tmp_path, plan, name="plan.json"):
@@ -105,6 +112,102 @@ class TestRun:
         first = rows[1].split(",")
         # prior/new ratio = 1 + K at the first cycle (stepsizes P_k = L)
         assert float(first[2]) / float(first[1]) == pytest.approx(6.0, rel=1e-12)
+
+
+class TestToeplitzK300:
+    # power iteration exhausts its cap on beta_estimate's strict-lower norm
+    # at this size, so set-up relies on the dense path
+    def test_bounds_and_run_succeed(self, tmp_path):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"kind": "toeplitz", "block_count": 300}))
+        assert cli.cmd_bounds(str(problem), 10, str(tmp_path / "bounds")) == 0
+        plan = dict(BASIC_PLAN, problem=str(problem))
+        plan["runs"] = [dict(plan["runs"][0], max_cycles=3)]
+        path = write_plan(tmp_path, plan)
+        assert cli.cmd_run(path, str(tmp_path / "run"), None) == 0
+        assert (tmp_path / "run" / "bounds.csv").exists()
+
+
+class TestErrors:
+    def _assert_one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        plan = write_plan(tmp_path, BASIC_PLAN)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert main(["run", "--plan", plan, "--out", str(taken)]) == 2
+        self._assert_one_line_error(capsys)
+
+    def test_convergence_error(self, tmp_path, capsys, monkeypatch):
+        def fail(problem):
+            raise ConvergenceError("did not converge")
+
+        monkeypatch.setattr(cli, "compute_constants", fail)
+        plan = write_plan(tmp_path, BASIC_PLAN)
+        assert main(["run", "--plan", plan, "--out", str(tmp_path / "o")]) == 2
+        self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("label", ["../escaped", "..", ".hidden", "a/b", ""])
+    def test_label_cannot_leave_out_dir(self, tmp_path, capsys, label):
+        plan = dict(BASIC_PLAN)
+        plan["runs"] = [dict(plan["runs"][0], label=label)]
+        path = write_plan(tmp_path, plan)
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "out"
+        assert main(["run", "--plan", path, "--out", str(out)]) == 2
+        assert "$.runs[0].label" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+def _plan_text(field: str, value_text: str) -> str:
+    run = {"label": "bcd", "algorithm": "bcpg", "max_cycles": 5}
+    bound = {"kind": "thm1_blockwise"}
+    if field != "label":
+        bound["against"] = "bcd"
+    body = {"problem": {"kind": "toeplitz", "block_count": 5},
+            "runs": [run], "bounds": [bound]}
+    holder = bound if field == "c_prior" else run
+    holder[field] = "@VALUE@"
+    return json.dumps(body).replace('"@VALUE@"', value_text)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+NUMBER_TEXTS = ["0", "-0.0", "1e-300", "0.5", "2", "1e308", "-1", "-5",
+                "1e400", "-1e400", "NaN", "Infinity", "-Infinity", "true",
+                "false", "null", '"1"', "[1]"]
+LABEL_TEXTS = ['"ok-1.2_x"', '"_a"', '"-a"', '"a..b"', '"../escaped"', '".."',
+               '".hidden"', '"a/b"', '"a b"', '""', '"\u00e9"', "7"]
+
+
+@pytest.mark.parametrize("field, value_text",
+                         [("gap_tolerance", t) for t in NUMBER_TEXTS]
+                         + [("c_prior", t) for t in NUMBER_TEXTS]
+                         + [("label", t) for t in LABEL_TEXTS])
+def test_parser_and_schema_agree(tmp_path, field, value_text):
+    text = _plan_text(field, value_text)
+    # RFC 8259 JSON has no NaN or Infinity; a document holding them is not
+    # JSON, so no schema accepts it
+    try:
+        document = json.loads(text, parse_constant=_reject_constant)
+        jsonschema.validate(document, SCHEMA)
+        schema_accepts = True
+    except (ValueError, jsonschema.ValidationError):
+        schema_accepts = False
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    try:
+        plan = cli._load_plan(str(path))
+        cli._parse_bounds(plan, cli._parse_runs(plan, 0))
+        parser_accepts = True
+    except cli.PlanError:
+        parser_accepts = False
+    assert parser_accepts == schema_accepts
 
 
 class TestTable1Plan:

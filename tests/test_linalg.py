@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from blockcd.bounds import beta_estimate
 from blockcd.linalg import (
+    DENSE_CUTOFF,
     ConvergenceError,
     least_squares_min_norm,
     power_iteration_norm,
@@ -14,7 +16,11 @@ from blockcd.linalg import (
     sym_eig_extremes,
     triangular_truncate,
 )
-from blockcd.problems import toeplitz_matrix
+from blockcd.problems import (
+    make_toeplitz_instance,
+    oracle_from_quadratic,
+    toeplitz_matrix,
+)
 
 
 class TestSpectralNorm:
@@ -58,11 +64,24 @@ class TestSpectralNorm:
 
     def test_large_matrix_uses_power_iteration(self):
         rng = np.random.default_rng(2)
-        m = rng.normal(size=(80, 70))
+        m = rng.normal(size=(DENSE_CUTOFF + 16, 70))
         result = spectral_norm(m)
         assert result.iterations >= 1
         dense = float(np.linalg.svd(m, compute_uv=False)[0])
         assert result.value == pytest.approx(dense, rel=1e-8)
+
+    @pytest.mark.parametrize("k", [260, 280, 300])
+    def test_strict_lower_toeplitz_hessian_uses_dense_path(self, k):
+        # power iteration does not converge on these within
+        # MAX_POWER_ITERATIONS: their top singular values cluster
+        oracle = oracle_from_quadratic(make_toeplitz_instance(k)[0])
+        lower = strict_lower_truncate(oracle.hessian)
+        result = spectral_norm(lower)
+        dense = float(np.linalg.svd(lower, compute_uv=False)[0])
+        assert result.iterations == 0
+        assert result.value == pytest.approx(dense, rel=1e-12)
+        beta = beta_estimate(oracle)
+        assert beta.exact <= beta.estimate
 
     def test_nonconvergence_raises_not_silent(self):
         # 70x70 diagonal with a 1e-6 relative gap between the two largest

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcd.problems import (
     BlockPartition,
@@ -28,7 +30,8 @@ from blockcd.problems import (
     toeplitz_matrix,
     toeplitz_start,
 )
-from blockcd.linalg import sym_eig_extremes
+from blockcd.battery import get_instance
+from blockcd.linalg import RANK_RTOL, sym_eig_extremes
 from blockcd.rng import SplitMix64
 
 
@@ -285,6 +288,60 @@ class TestConstants:
                 blkdiag[k * n:(k + 1) * n, k * n:(k + 1) * n] = blk
             low, _ = sym_eig_extremes(k_count * blkdiag - full.T @ full)
             assert low >= -1e-9
+
+    def test_gamma_is_exactly_zero_when_rows_exceed_block_size(self):
+        for p in (make_toeplitz_instance(12)[0],
+                  make_lasso_instance(10, 5, 0.1, seed=3)[0],
+                  get_instance("thm2_case1").problem):
+            assert p.rows > p.partition.block_size
+            c = compute_constants(p)
+            assert np.all(c.gamma_k == 0.0)
+            assert c.gamma_min == 0.0
+
+    def test_gamma_from_row_gram_when_rows_at_most_block_size(self):
+        for p in (get_instance("thm2_case2").problem, make_table1_full_qp(7, 2.0)):
+            assert p.rows <= p.partition.block_size
+            c = compute_constants(p)
+            for k, a in enumerate(p.a_blocks):
+                low, _ = sym_eig_extremes(a @ a.T)
+                assert c.gamma_k[k] == math.sqrt(max(low, 0.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_count=st.integers(1, 6), block_size=st.integers(1, 4),
+           rows=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_constants_match_svd_definitions(self, block_count, block_size,
+                                             rows, seed):
+        rng = np.random.default_rng(seed)
+        blocks = tuple(rng.normal(size=(rows, block_size))
+                       for _ in range(block_count))
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(block_count, block_size), a_blocks=blocks,
+            b=np.zeros(rows), h=(NonsmoothTerm.zero(),) * block_count)
+        c = compute_constants(p)
+        top = np.linalg.svd(p.full_matrix(), compute_uv=False)[0]
+        assert c.L == pytest.approx(top ** 2, rel=1e-10)
+        column_full = row_full = True
+        for k, a in enumerate(blocks):
+            s = np.linalg.svd(a, compute_uv=False)
+            assert c.L_k[k] == pytest.approx(s[0] ** 2, rel=1e-10)
+            # sigma_k^2 and gamma_k^2 are the smallest eigenvalues of the
+            # N x N and m x m Grams; the ones beyond min(m, N) are zero.
+            # Square roots of roundoff-sized eigenvalues carry sqrt(eps)
+            # error, so they compare as squares on the scale of L_k.
+            sigma_sq = s[-1] ** 2 if rows >= block_size else 0.0
+            gamma_sq = s[-1] ** 2 if rows <= block_size else 0.0
+            scale = 1e-10 * c.L_k[k]
+            assert c.sigma_k[k] ** 2 == pytest.approx(sigma_sq, rel=1e-10, abs=scale)
+            assert c.gamma_k[k] ** 2 == pytest.approx(gamma_sq, rel=1e-10, abs=scale)
+            if rows < block_size:
+                assert c.sigma_k[k] == 0.0
+            if rows > block_size:
+                assert c.gamma_k[k] == 0.0
+            column_full &= rows >= block_size and s[-1] > RANK_RTOL * s[0]
+            row_full &= rows <= block_size and s[-1] > RANK_RTOL * s[0]
+        expected = ("full_column" if column_full
+                    else "full_row" if row_full else "neither")
+        assert c.rank_case == expected
 
 
 class TestGenerators:
