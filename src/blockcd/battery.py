@@ -230,6 +230,8 @@ def _order(order_kind: str, order_seed: int) -> BlockOrder:
 def get_trajectory(name: str, algorithm: str, policy_kind: str,
                    order_kind: str = "cyclic", order_seed: int = 0,
                    cycles: int = 100) -> Trajectory:
+    """Cached trajectory of a battery instance, with its gap attached; the
+    arrays are read-only because every caller shares them."""
     instance = get_instance(name)
     policy = StepsizePolicy(policy_kind)
     run = SolverRun(algorithm=algorithm, order=_order(order_kind, order_seed),
@@ -247,7 +249,11 @@ def get_trajectory(name: str, algorithm: str, policy_kind: str,
         t = run_gd(target, run, instance.x0)
     else:
         raise ValueError(algorithm)
-    return t.with_gap(instance.reference.f_star)
+    t.with_gap(instance.reference.f_star)
+    for values in (t.xs, t.f, t.gap, t.weighted_movement, t.stepsizes, t.grad_norm):
+        if values is not None:
+            values.flags.writeable = False
+    return t
 
 
 def _certified(instance: Instance) -> bool:

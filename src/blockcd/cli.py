@@ -59,9 +59,10 @@ from .verify import all_asserted_pass, report_lines, reports_to_csv
 
 
 # Run labels name output files inside --out: no path separators, no
-# leading dot (so neither "." nor ".." nor hidden files).  plan_schema.json
-# carries the same pattern.
+# leading dot (so neither "." nor ".." nor hidden files), and not the stem
+# of the bound table bounds.csv.  plan_schema.json carries the same rules.
 LABEL_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+RESERVED_LABEL = "bounds"
 
 
 class PlanError(ValueError):
@@ -158,6 +159,9 @@ def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
             raise PlanError(f"{path}.label",
                             "expected letters, digits, '_', '-' or '.', "
                             "not starting with '.'")
+        if label == RESERVED_LABEL:
+            raise PlanError(f"{path}.label",
+                            f"{label!r} is reserved for the bound table")
         if label in labels:
             raise PlanError(f"{path}.label", f"duplicate label {label!r}")
         labels.add(label)
@@ -211,7 +215,17 @@ def _parse_bounds(plan: dict, runs) -> list[tuple[str, str, str | None, float]]:
     return out
 
 
-def _execute_run(loaded, label: str, run: SolverRun, constants, reference):
+def _smooth_oracle(loaded, constants):
+    """The problem's smooth-oracle view, or None when it has none (nonsmooth
+    terms or blocks of size N > 1)."""
+    problem = loaded.problem
+    if loaded.oracle is None and problem.is_smooth() \
+            and problem.partition.block_size == 1:
+        return oracle_from_quadratic(problem, constants)
+    return loaded.oracle
+
+
+def _execute_run(loaded, oracle, label: str, run: SolverRun, constants, reference):
     problem = loaded.problem
     if run.algorithm == "bcpg":
         t = run_bcpg(problem, run, loaded.x0, constants=constants,
@@ -220,16 +234,12 @@ def _execute_run(loaded, label: str, run: SolverRun, constants, reference):
         t = run_bcd_exact(problem, run, loaded.x0, constants=constants,
                           f_star=reference.f_star)
     elif run.algorithm == "cgd":
-        oracle = loaded.oracle
         if oracle is None:
-            if problem is None or not problem.is_smooth() \
-                    or problem.partition.block_size != 1:
-                raise PlanError(f"$.runs[{label}]",
-                                "cgd needs a smooth scalar-block problem")
-            oracle = oracle_from_quadratic(problem)
+            raise PlanError(f"$.runs[{label}]",
+                            "cgd needs a smooth scalar-block problem")
         t = run_cgd(oracle, run, loaded.x0, f_star=reference.f_star)
     else:
-        target = loaded.oracle if loaded.oracle is not None else problem
+        target = oracle if oracle is not None else problem
         t = run_gd(target, run, loaded.x0, f_star=reference.f_star)
     return t.with_gap(reference.f_star)
 
@@ -267,17 +277,12 @@ def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
         delta0 = float(loaded.oracle.value(loaded.x0)) - reference.f_star
     delta0 = max(0.0, delta0)
 
-    beta = None
-    oracle = loaded.oracle
-    if oracle is None and loaded.problem is not None \
-            and loaded.problem.is_smooth() and loaded.problem.partition.block_size == 1:
-        oracle = oracle_from_quadratic(loaded.problem)
-    if oracle is not None:
-        beta = beta_estimate(oracle).estimate
+    oracle = _smooth_oracle(loaded, constants)
+    beta = None if oracle is None else beta_estimate(oracle).estimate
 
     trajectories = {}
     for label, run in runs:
-        t = _execute_run(loaded, label, run, constants, reference)
+        t = _execute_run(loaded, oracle, label, run, constants, reference)
         trajectories[label] = t
         trajectory_to_csv(t, str(out / f"{label}.csv"))
 
@@ -355,7 +360,7 @@ def cmd_bounds(problem_path: str, r_max: int, out_dir: str | None) -> int:
     else:
         constants = constants_from_oracle(loaded.oracle)
         target = loaded.oracle
-    reference = reference_optimum(target)
+    reference = reference_optimum(target, constants=constants)
     r0 = r0_upper_estimate(target, loaded.x0, reference.x_star,
                            f_star=reference.f_star)
     if loaded.problem is not None:
@@ -363,13 +368,8 @@ def cmd_bounds(problem_path: str, r_max: int, out_dir: str | None) -> int:
     else:
         delta0 = max(0.0, float(loaded.oracle.value(loaded.x0)) - reference.f_star)
 
-    beta = None
-    oracle = loaded.oracle
-    if oracle is None and loaded.problem.is_smooth() \
-            and loaded.problem.partition.block_size == 1:
-        oracle = oracle_from_quadratic(loaded.problem)
-    if oracle is not None:
-        beta = beta_estimate(oracle).estimate
+    oracle = _smooth_oracle(loaded, constants)
+    beta = None if oracle is None else beta_estimate(oracle).estimate
 
     specs = []
     for kind in BOUND_KINDS:

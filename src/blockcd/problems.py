@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +117,51 @@ def prox(term: NonsmoothTerm, v: np.ndarray, step: float) -> np.ndarray:
     return np.clip(v, term.lo, term.hi)
 
 
+def prox_scalar(term: NonsmoothTerm, v: float, step: float) -> float:
+    """prox for a scalar block on plain floats; same arithmetic as prox."""
+    kind = term.kind
+    if kind == "l1":
+        threshold = term.weight * step
+        return v - threshold if v > threshold else (v + threshold if v < -threshold else 0.0)
+    if kind == "group_l2":
+        shrink = term.weight * step
+        norm = math.sqrt(v * v)  # np.linalg.norm's arithmetic: 0 when v * v underflows
+        return 0.0 if norm <= shrink else (1.0 - shrink / norm) * v
+    if kind == "box":
+        return min(max(v, term.lo), term.hi)
+    return v
+
+
 def is_feasible(term: NonsmoothTerm, v: np.ndarray) -> bool:
     return nonsmooth_value(term, v) < math.inf
+
+
+class _TermsByKind(NamedTuple):
+    """Block indices and parameters of the nonsmooth terms grouped by kind,
+    so that nonsmooth_total evaluates each kind with one array expression.
+    Box limits already include nonsmooth_value's feasibility slack."""
+
+    l1: np.ndarray
+    l1_weight: np.ndarray
+    group: np.ndarray
+    group_weight: np.ndarray
+    box: np.ndarray
+    box_lo: np.ndarray
+    box_hi: np.ndarray
+
+    @staticmethod
+    def of(terms) -> "_TermsByKind":
+        def pick(kind):
+            return [k for k, term in enumerate(terms) if term.kind == kind]
+
+        l1, group, box = pick("l1"), pick("group_l2"), pick("box")
+        slack = [_FEAS_RTOL * max(1.0, abs(terms[k].lo), abs(terms[k].hi)) for k in box]
+        return _TermsByKind(
+            np.array(l1, dtype=np.intp), np.array([terms[k].weight for k in l1]),
+            np.array(group, dtype=np.intp), np.array([terms[k].weight for k in group]),
+            np.array(box, dtype=np.intp),
+            np.array([terms[k].lo - s for k, s in zip(box, slack)]).reshape(-1, 1),
+            np.array([terms[k].hi + s for k, s in zip(box, slack)]).reshape(-1, 1))
 
 
 @dataclass(frozen=True)
@@ -159,6 +203,7 @@ class CompositeQuadraticProblem:
         full = np.hstack(blocks)
         full.flags.writeable = False
         object.__setattr__(self, "_full", full)
+        object.__setattr__(self, "_terms_by_kind", _TermsByKind.of(self.h))
 
     @property
     def rows(self) -> int:
@@ -197,12 +242,18 @@ def smooth_value(p: CompositeQuadraticProblem, x) -> float:
 
 
 def nonsmooth_total(p: CompositeQuadraticProblem, x) -> float:
-    x = _check_dimension(p, x)
-    total = 0.0
-    for k, term in enumerate(p.h):
-        total += nonsmooth_value(term, p.block_of(x, k))
-        if total == math.inf:
+    """sum_k h_k(x_k); +inf outside a box, with nonsmooth_value's slack."""
+    x = _check_dimension(p, x).reshape(p.partition.block_count, -1)
+    by_kind = p._terms_by_kind
+    if by_kind.box.size:
+        v = x[by_kind.box]
+        if not ((v >= by_kind.box_lo).all() and (v <= by_kind.box_hi).all()):
             return math.inf
+    total = 0.0
+    if by_kind.l1.size:
+        total += float(by_kind.l1_weight @ np.abs(x[by_kind.l1]).sum(axis=1))
+    if by_kind.group.size:
+        total += float(by_kind.group_weight @ np.linalg.norm(x[by_kind.group], axis=1))
     return total
 
 def eval_objective(p: CompositeQuadraticProblem, x) -> float:
@@ -488,14 +539,16 @@ def make_lasso_instance(rows: int, block_count: int, weight: float, seed: int):
     return problem, np.zeros(block_count)
 
 
-def oracle_from_quadratic(p: CompositeQuadraticProblem) -> SmoothProblemOracle:
-    """Smooth-oracle view of a scalar-block problem with no nonsmooth terms."""
+def oracle_from_quadratic(p: CompositeQuadraticProblem,
+                          constants: ProblemConstants | None = None) -> SmoothProblemOracle:
+    """Smooth-oracle view of a scalar-block problem with no nonsmooth terms.
+    ``constants``, when given, must be compute_constants(p)."""
     if not p.is_smooth():
         raise ValueError("oracle view requires all nonsmooth terms to be zero")
     if p.partition.block_size != 1:
         raise ValueError("oracle view requires scalar blocks")
     full = p.full_matrix()
-    constants = compute_constants(p)
+    constants = constants or compute_constants(p)
     hessian = full.T @ full
     b = p.b
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .problems import (
     eval_objective,
     nonsmooth_total,
     prox,
+    prox_scalar,
 )
 from .rng import SplitMix64
 
@@ -231,6 +233,137 @@ def _should_stop(run: SolverRun, f_value: float, f_star) -> bool:
             and f_value - f_star <= run.gap_tolerance)
 
 
+def _record_cycles(algorithm: str, run: SolverRun, x: np.ndarray,
+                   stepsizes: np.ndarray, sweep, measure, f_star) -> Trajectory:
+    """Run up to run.max_cycles cycles of ``sweep`` on x and record them.
+
+    ``sweep(order, cycle, steps)`` visits the blocks of ``order`` once,
+    updating x in place, appends one BlockStep per visit to ``steps`` when
+    that is a list, and returns sum_k P_k ||x_k^new - x_k^old||^2.
+    ``measure()`` returns f(x) and the gradient norm (or None) at x.
+    """
+    f_value, grad_norm = measure()
+    xs, f_values, movements, orders_seen = [x.copy()], [f_value], [], []
+    grad_norms = None if grad_norm is None else [grad_norm]
+    steps_record = [] if run.record_intermediates else None
+    order_stream = run.order.stream(stepsizes.shape[0])
+    for cycle in range(run.max_cycles):
+        order = next(order_stream)
+        orders_seen.append(list(order))
+        cycle_steps = [] if steps_record is not None else None
+        movements.append(math.sqrt(sweep(order, cycle, cycle_steps)))
+        xs.append(x.copy())
+        f_value, grad_norm = measure()
+        f_values.append(f_value)
+        if grad_norms is not None:
+            grad_norms.append(grad_norm)
+        if steps_record is not None:
+            steps_record.append(cycle_steps)
+        if _should_stop(run, f_value, f_star):
+            break
+    return Trajectory(
+        algorithm=algorithm,
+        xs=np.array(xs),
+        f=np.array(f_values),
+        weighted_movement=np.array(movements),
+        stepsizes=stepsizes,
+        orders=orders_seen,
+        grad_norm=None if grad_norms is None else np.array(grad_norms),
+        intermediates=steps_record,
+    )
+
+
+def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
+                  stepsizes: np.ndarray, exact: bool, order, cycle, steps) -> float:
+    """One cycle on scalar blocks in the covariance-update form.
+
+    g = A^T r is computed once from a fresh residual, then kept current
+    through the Gram matrix G = A^T A: a visit reads g_k, takes the prox
+    step in plain floats, and adds (x_k^new - x_k^old) G[k] to g.  bcpg
+    steps from x_k - g_k / P_k with step 1/P_k; exact minimization from
+    x_k - g_k / G_kk with step 1/G_kk, or from 0 with step 1 when column k
+    is zero (the minimum-norm choice).  A recorded step carries g_k before
+    a bcpg step and after an exact one.
+    """
+    g = p.full_matrix().T @ p.residual(x)
+    weights = stepsizes.tolist()
+    curvature = np.diagonal(gram).tolist()
+    move_sq = 0.0
+    for k in order:
+        g_k, old, p_k = float(g[k]), float(x[k]), weights[k]
+        if not exact:
+            new = prox_scalar(p.h[k], old - g_k / p_k, 1.0 / p_k)
+        elif curvature[k] > 0.0:
+            new = prox_scalar(p.h[k], old - g_k / curvature[k], 1.0 / curvature[k])
+        else:
+            new = prox_scalar(p.h[k], 0.0, 1.0)
+        delta = new - old
+        if delta != 0.0:
+            x[k] = new
+            g += delta * gram[k]
+        move_sq += p_k * (delta * delta)
+        if steps is not None:
+            steps.append(BlockStep(k, np.array([float(g[k]) if exact else g_k]),
+                                   np.array([old]), np.array([new])))
+    return move_sq
+
+
+def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarray,
+                 lipschitz, order, cycle, steps) -> float:
+    """One cycle on blocks of any size from a fresh residual: a proximal
+    step per visit, or an exact block minimization when ``lipschitz``
+    holds the block constants L_k."""
+    res = p.residual(x)
+    move_sq = 0.0
+    for k in order:
+        sl = p.block_slice(k)
+        a_k = p.a_blocks[k]
+        old = x[sl].copy()
+        if lipschitz is None:
+            grad = a_k.T @ res
+            new = prox(p.h[k], old - grad / stepsizes[k], 1.0 / stepsizes[k])
+            res = res + a_k @ (new - old)
+        else:
+            rest = res - a_k @ old
+            new = _exact_block_minimize(p, k, rest, old, lipschitz[k], cycle)
+            res = rest + a_k @ new
+        x[sl] = new
+        move_sq += stepsizes[k] * float((new - old) @ (new - old))
+        if steps is not None:
+            grad = grad.copy() if lipschitz is None else a_k.T @ res
+            steps.append(BlockStep(k, grad, old, new.copy()))
+    return move_sq
+
+
+def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarray,
+                lipschitz=None):
+    """``sweep(order, cycle, steps)`` of bcpg on x, or of exact BCD when
+    ``lipschitz`` holds the block constants L_k; scalar blocks take the
+    Gram kernel, formed here once per run."""
+    if p.partition.block_size == 1:
+        full = p.full_matrix()
+        return partial(_scalar_sweep, p, full.T @ full, x, stepsizes, lipschitz is not None)
+    return partial(_block_sweep, p, x, stepsizes, lipschitz)
+
+
+def _run_blocks(p: CompositeQuadraticProblem, run: SolverRun, x0,
+                constants: ProblemConstants | None, f_star) -> Trajectory:
+    """Trajectory of run.algorithm, bcpg or exact_bcd, on p."""
+    constants = constants or compute_constants(p)
+    stepsizes = run.stepsizes.realize(constants)
+    x = _check_start(p, x0)
+    full = p.full_matrix()
+    smooth = p.is_smooth()
+
+    def measure():
+        grad_norm = float(np.linalg.norm(full.T @ p.residual(x))) if smooth else None
+        return _objective(p, x), grad_norm
+
+    exact = run.algorithm == "exact_bcd"
+    sweep = _make_sweep(p, x, stepsizes, constants.L_k if exact else None)
+    return _record_cycles(run.algorithm, run, x, stepsizes, sweep, measure, f_star)
+
+
 def run_bcpg(p: CompositeQuadraticProblem, run: SolverRun, x0,
              constants: ProblemConstants | None = None,
              f_star: float | None = None) -> Trajectory:
@@ -242,68 +375,18 @@ def run_bcpg(p: CompositeQuadraticProblem, run: SolverRun, x0,
     """
     if run.algorithm != "bcpg":
         raise ValueError("run.algorithm must be 'bcpg'")
-    constants = constants or compute_constants(p)
-    stepsizes = run.stepsizes.realize(constants)
-    x = _check_start(p, x0)
-    n = p.partition.block_size
-    k_count = p.partition.block_count
-
-    xs = [x.copy()]
-    f_values = [_objective(p, x)]
-    movements = []
-    grad_norms = [] if p.is_smooth() else None
-    orders_seen = []
-    steps_record = [] if run.record_intermediates else None
-    if grad_norms is not None:
-        grad_norms.append(float(np.linalg.norm(p.full_matrix().T @ p.residual(x))))
-
-    order_stream = run.order.stream(k_count)
-    for _ in range(run.max_cycles):
-        order = next(order_stream)
-        orders_seen.append(list(order))
-        res = p.residual(x)
-        move_sq = 0.0
-        cycle_steps = [] if steps_record is not None else None
-        for k in order:
-            sl = p.block_slice(k)
-            a_k = p.a_blocks[k]
-            grad = a_k.T @ res
-            old = x[sl].copy()
-            new = prox(p.h[k], old - grad / stepsizes[k], 1.0 / stepsizes[k])
-            res = res + a_k @ (new - old)
-            x[sl] = new
-            move_sq += stepsizes[k] * float((new - old) @ (new - old))
-            if cycle_steps is not None:
-                cycle_steps.append(BlockStep(k, grad.copy(), old, new.copy()))
-        xs.append(x.copy())
-        f_values.append(_objective(p, x))
-        movements.append(math.sqrt(move_sq))
-        if grad_norms is not None:
-            grad_norms.append(float(np.linalg.norm(p.full_matrix().T @ p.residual(x))))
-        if steps_record is not None:
-            steps_record.append(cycle_steps)
-        if _should_stop(run, f_values[-1], f_star):
-            break
-    return Trajectory(
-        algorithm="bcpg",
-        xs=np.array(xs),
-        f=np.array(f_values),
-        weighted_movement=np.array(movements),
-        stepsizes=stepsizes,
-        orders=orders_seen,
-        grad_norm=None if grad_norms is None else np.array(grad_norms),
-        intermediates=steps_record,
-    )
+    return _run_blocks(p, run, x0, constants, f_star)
 
 
 def _exact_block_minimize(p: CompositeQuadraticProblem, k: int,
                           rest: np.ndarray, current: np.ndarray,
                           block_lipschitz: float, cycle: int) -> np.ndarray:
-    """Exact minimizer of 1/2 ||A_k z + rest||^2 + h_k(z).
+    """Exact minimizer of 1/2 ||A_k z + rest||^2 + h_k(z) for a block of
+    size N > 1.
 
-    Closed form for nonsmooth-free blocks (minimum-norm when singular) and
-    for scalar blocks; otherwise an inner proximal-gradient loop run until
-    its weighted movement falls below INNER_MOVEMENT_TOL.
+    Closed form for nonsmooth-free blocks (minimum-norm when singular);
+    otherwise an inner proximal-gradient loop run until its weighted
+    movement falls below INNER_MOVEMENT_TOL.
     """
     a_k = p.a_blocks[k]
     term = p.h[k]
@@ -314,9 +397,6 @@ def _exact_block_minimize(p: CompositeQuadraticProblem, k: int,
     if norm_sq == 0.0:
         # objective reduces to h_k(z); pick the feasible point closest to 0
         return prox(term, np.zeros(n), 1.0)
-    if n == 1:
-        t = -float(a_k[:, 0] @ rest) / norm_sq
-        return prox(term, np.array([t]), 1.0 / norm_sq)
     step = 1.0 / block_lipschitz
     z = current.copy()
     for _ in range(INNER_STEP_CAP):
@@ -341,57 +421,31 @@ def run_bcd_exact(p: CompositeQuadraticProblem, run: SolverRun, x0,
     """
     if run.algorithm != "exact_bcd":
         raise ValueError("run.algorithm must be 'exact_bcd'")
-    constants = constants or compute_constants(p)
-    stepsizes = run.stepsizes.realize(constants)
-    x = _check_start(p, x0)
-    k_count = p.partition.block_count
+    return _run_blocks(p, run, x0, constants, f_star)
 
-    xs = [x.copy()]
-    f_values = [_objective(p, x)]
-    movements = []
-    grad_norms = [] if p.is_smooth() else None
-    orders_seen = []
-    steps_record = [] if run.record_intermediates else None
-    if grad_norms is not None:
-        grad_norms.append(float(np.linalg.norm(p.full_matrix().T @ p.residual(x))))
 
-    order_stream = run.order.stream(k_count)
-    for cycle in range(run.max_cycles):
-        order = next(order_stream)
-        orders_seen.append(list(order))
-        res = p.residual(x)
-        move_sq = 0.0
-        cycle_steps = [] if steps_record is not None else None
-        for k in order:
-            sl = p.block_slice(k)
-            a_k = p.a_blocks[k]
-            old = x[sl].copy()
-            rest = res - a_k @ old
-            new = _exact_block_minimize(p, k, rest, old, constants.L_k[k], cycle)
-            res = rest + a_k @ new
-            x[sl] = new
-            move_sq += stepsizes[k] * float((new - old) @ (new - old))
-            if cycle_steps is not None:
-                cycle_steps.append(BlockStep(k, a_k.T @ res, old, new.copy()))
-        xs.append(x.copy())
-        f_values.append(_objective(p, x))
-        movements.append(math.sqrt(move_sq))
-        if grad_norms is not None:
-            grad_norms.append(float(np.linalg.norm(p.full_matrix().T @ p.residual(x))))
-        if steps_record is not None:
-            steps_record.append(cycle_steps)
-        if _should_stop(run, f_values[-1], f_star):
-            break
-    return Trajectory(
-        algorithm="exact_bcd",
-        xs=np.array(xs),
-        f=np.array(f_values),
-        weighted_movement=np.array(movements),
-        stepsizes=stepsizes,
-        orders=orders_seen,
-        grad_norm=None if grad_norms is None else np.array(grad_norms),
-        intermediates=steps_record,
-    )
+def _coordinate_sweep(o: SmoothProblemOracle, columns, g: np.ndarray, x: np.ndarray,
+                      stepsizes: np.ndarray, order, cycle, steps) -> float:
+    """One cgd cycle.  With the Hessian's ``columns`` the gradient g, exact
+    at x on entry, is kept current by g += (x_k^new - x_k^old) H[:, k];
+    without them every visit asks the oracle."""
+    weights = stepsizes.tolist()
+    move_sq = 0.0
+    for k in order:
+        d_k = float(g[k]) if columns is not None else o.coordinate_gradient(k, x)
+        if not math.isfinite(d_k):
+            raise ValueError(f"non-finite coordinate gradient at block {k}")
+        old = float(x[k])
+        new = old - d_k / weights[k]
+        delta = new - old
+        if delta != 0.0:
+            x[k] = new
+            if columns is not None:
+                g += delta * columns[k]
+        move_sq += weights[k] * delta ** 2
+        if steps is not None:
+            steps.append(BlockStep(k, np.array([d_k]), np.array([old]), np.array([new])))
+    return move_sq
 
 
 def run_cgd(o: SmoothProblemOracle, run: SolverRun, x0,
@@ -399,7 +453,9 @@ def run_cgd(o: SmoothProblemOracle, run: SolverRun, x0,
     """Coordinate gradient descent over scalar blocks.
 
     Within a cycle the iterate moves along the chain w <- w - (d_k / P_k) e_k
-    with d_k the coordinate gradient at the current chain point.
+    with d_k the coordinate gradient at the current chain point.  With a
+    constant Hessian H the gradient is evaluated once per cycle and kept
+    current through g <- g + (w_k^new - w_k^old) H[:, k].
     """
     if run.algorithm != "cgd":
         raise ValueError("run.algorithm must be 'cgd'")
@@ -408,48 +464,15 @@ def run_cgd(o: SmoothProblemOracle, run: SolverRun, x0,
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     if x.shape[0] != o.dimension:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {o.dimension}")
+    grad = np.empty(o.dimension)
+    columns = None if o.hessian is None else np.ascontiguousarray(o.hessian.T)
 
-    xs = [x.copy()]
-    f_values = [float(o.value(x))]
-    grad_norms = [float(np.linalg.norm(o.gradient(x)))]
-    movements = []
-    orders_seen = []
-    steps_record = [] if run.record_intermediates else None
+    def measure():
+        grad[:] = o.gradient(x)
+        return float(o.value(x)), float(np.linalg.norm(grad))
 
-    order_stream = run.order.stream(o.dimension)
-    for _ in range(run.max_cycles):
-        order = next(order_stream)
-        orders_seen.append(list(order))
-        move_sq = 0.0
-        cycle_steps = [] if steps_record is not None else None
-        for k in order:
-            d_k = o.coordinate_gradient(k, x)
-            if not math.isfinite(d_k):
-                raise ValueError(f"non-finite coordinate gradient at block {k}")
-            old = x[k]
-            x[k] = old - d_k / stepsizes[k]
-            move_sq += stepsizes[k] * (x[k] - old) ** 2
-            if cycle_steps is not None:
-                cycle_steps.append(BlockStep(k, np.array([d_k]),
-                                             np.array([old]), np.array([x[k]])))
-        xs.append(x.copy())
-        f_values.append(float(o.value(x)))
-        grad_norms.append(float(np.linalg.norm(o.gradient(x))))
-        movements.append(math.sqrt(move_sq))
-        if steps_record is not None:
-            steps_record.append(cycle_steps)
-        if _should_stop(run, f_values[-1], f_star):
-            break
-    return Trajectory(
-        algorithm="cgd",
-        xs=np.array(xs),
-        f=np.array(f_values),
-        weighted_movement=np.array(movements),
-        stepsizes=stepsizes,
-        orders=orders_seen,
-        grad_norm=np.array(grad_norms),
-        intermediates=steps_record,
-    )
+    sweep = partial(_coordinate_sweep, o, columns, grad, x, stepsizes)
+    return _record_cycles("cgd", run, x, stepsizes, sweep, measure, f_star)
 
 
 def _smooth_view(target):
@@ -560,23 +583,12 @@ def reference_optimum(target, constants: ProblemConstants | None = None,
     x = np.zeros(p.partition.dimension)
     for k in range(k_count):
         x[p.block_slice(k)] = prox(p.h[k], x[p.block_slice(k)], 1.0)
-    res = p.residual(x)
+    sweep = _make_sweep(p, x, stepsizes)
     movement = math.inf
     cycles_done = 0
     while cycles_done < max_cycles and movement > 1e-13:
-        move_sq = 0.0
-        for k in range(k_count):
-            sl = p.block_slice(k)
-            a_k = p.a_blocks[k]
-            old = x[sl].copy()
-            new = prox(p.h[k], old - (a_k.T @ res) / stepsizes[k], 1.0 / stepsizes[k])
-            res = res + a_k @ (new - old)
-            x[sl] = new
-            move_sq += stepsizes[k] * float((new - old) @ (new - old))
-        movement = math.sqrt(move_sq)
+        movement = math.sqrt(sweep(range(k_count), cycles_done, None))
         cycles_done += 1
-        if cycles_done % 256 == 0:
-            res = p.residual(x)  # shed incremental rounding drift
     f_star = _objective(p, x)
     certified = movement <= 1e-10
     note = (f"block-proximal reference: {cycles_done} cycles, final weighted "

@@ -81,21 +81,25 @@ def check_descent_bcpg(t: Trajectory, p: CompositeQuadraticProblem,
                    notes="normalized by max(1, |f|)")
 
 
+def _image_movement_sq(t: Trajectory, p: CompositeQuadraticProblem, r: int) -> float:
+    """sum_k ||A_k (x_k^(r+1) - x_k^(r))||^2, one einsum over the blocks
+    stacked as an (m, K, N) view of [A_1, ..., A_K]."""
+    k_count, n = p.partition.block_count, p.partition.block_size
+    d = (t.xs[r + 1] - t.xs[r]).reshape(k_count, n)
+    steps = np.einsum("mkn,kn->km", p.full_matrix().reshape(p.rows, k_count, n), d)
+    return float(np.sum(steps * steps))
+
+
 def check_descent_bcd(t: Trajectory, p: CompositeQuadraticProblem,
                       name: str = "descent_bcd") -> CheckReport:
     """Per-cycle sufficient descent of exact block minimization:
     f(x^r) - f(x^(r+1)) >= 1/2 sum_k ||A_k (x_k^(r+1) - x_k^(r))||^2."""
     if t.algorithm != "exact_bcd":
         raise ValueError("descent_bcd expects an exact_bcd trajectory")
-    n = p.partition.block_size
     violations = []
     for r in range(t.cycles):
         lhs = t.f[r] - t.f[r + 1]
-        d = (t.xs[r + 1] - t.xs[r]).reshape(-1, n)
-        rhs = 0.0
-        for k in range(p.partition.block_count):
-            step = p.a_blocks[k] @ d[k]
-            rhs += 0.5 * float(step @ step)
+        rhs = 0.5 * _image_movement_sq(t, p, r)
         violations.append((rhs - lhs) / max(1.0, abs(t.f[r])))
     return _report(name, violations, LEMMA_TOL,
                    notes="normalized by max(1, |f|)")
@@ -154,12 +158,7 @@ def check_costtogo_bcd(t: Trajectory, p: CompositeQuadraticProblem,
         return math.sqrt(float(np.sum((constants.sigma_k * moves) ** 2)))
 
     def image_movement(r):
-        d = (t.xs[r + 1] - t.xs[r]).reshape(-1, n)
-        total_sq = 0.0
-        for k in range(constants.block_count):
-            step = p.a_blocks[k] @ d[k]
-            total_sq += float(step @ step)
-        return math.sqrt(total_sq)
+        return math.sqrt(_image_movement_sq(t, p, r))
 
     if case == "full_column":
         coefficient = (r0_upper / constants.sigma_min) * log2nk * (constants.L + constants.L_max)

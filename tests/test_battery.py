@@ -39,6 +39,12 @@ class TestInstances:
         assert t1 is t2
         assert t1.gap is not None
 
+    def test_cached_trajectory_arrays_are_read_only(self):
+        t = battery.get_trajectory("toeplitz_K5", "bcpg", "block_lk", "cyclic", 0, 20)
+        for values in (t.xs, t.f, t.gap, t.weighted_movement, t.stepsizes, t.grad_norm):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
 
 class TestSuites:
     def test_lemma_suite_asserted_checks_pass(self):

@@ -7,9 +7,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from blockcd import cli
+from blockcd import cli, problems, solvers
 from blockcd.cli import main
 from blockcd.linalg import ConvergenceError
+from blockcd.problems import compute_constants
 
 SCHEMA = json.loads(
     Path(cli.__file__).with_name("plan_schema.json").read_text(encoding="utf-8"))
@@ -19,6 +20,20 @@ def write_plan(tmp_path, plan, name="plan.json"):
     path = tmp_path / name
     path.write_text(json.dumps(plan, indent=1))
     return str(path)
+
+
+def count_constants(monkeypatch) -> list:
+    """Record every compute_constants call made through cli, problems or
+    solvers."""
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return compute_constants(problem)
+
+    for module in (cli, problems, solvers):
+        monkeypatch.setattr(module, "compute_constants", counting)
+    return calls
 
 
 BASIC_PLAN = {
@@ -113,6 +128,19 @@ class TestRun:
         # prior/new ratio = 1 + K at the first cycle (stepsizes P_k = L)
         assert float(first[2]) / float(first[1]) == pytest.approx(6.0, rel=1e-12)
 
+    def test_constants_computed_once_per_plan(self, tmp_path, monkeypatch):
+        # beta, both cgd runs and gd share the oracle built from cmd_run's
+        # constants
+        calls = count_constants(monkeypatch)
+        plan = dict(BASIC_PLAN, runs=[
+            {"label": "cgd", "algorithm": "cgd", "max_cycles": 5},
+            {"label": "cgd_perm", "algorithm": "cgd", "max_cycles": 5,
+             "order": {"kind": "random_permutation", "seed": 3}},
+            {"label": "gd", "algorithm": "gd", "max_cycles": 5}])
+        path = write_plan(tmp_path, plan)
+        assert main(["run", "--plan", path, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
 
 class TestToeplitzK300:
     # power iteration exhausts its cap on beta_estimate's strict-lower norm
@@ -150,7 +178,8 @@ class TestErrors:
         assert main(["run", "--plan", plan, "--out", str(tmp_path / "o")]) == 2
         self._assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("label", ["../escaped", "..", ".hidden", "a/b", ""])
+    @pytest.mark.parametrize("label", ["../escaped", "..", ".hidden", "a/b", "",
+                                       "bounds"])
     def test_label_cannot_leave_out_dir(self, tmp_path, capsys, label):
         plan = dict(BASIC_PLAN)
         plan["runs"] = [dict(plan["runs"][0], label=label)]
@@ -182,7 +211,8 @@ NUMBER_TEXTS = ["0", "-0.0", "1e-300", "0.5", "2", "1e308", "-1", "-5",
                 "1e400", "-1e400", "NaN", "Infinity", "-Infinity", "true",
                 "false", "null", '"1"', "[1]"]
 LABEL_TEXTS = ['"ok-1.2_x"', '"_a"', '"-a"', '"a..b"', '"../escaped"', '".."',
-               '".hidden"', '"a/b"', '"a b"', '""', '"\u00e9"', "7"]
+               '".hidden"', '"a/b"', '"a b"', '""', '"\u00e9"', "7",
+               '"bounds"', '"bounds.x"', '"Bounds"']
 
 
 @pytest.mark.parametrize("field, value_text",
@@ -280,6 +310,16 @@ class TestBounds:
         assert "L_max=6" in constants
         rows = (out / "bounds.csv").read_text().splitlines()
         assert len(rows) == 21
+
+    def test_constants_computed_once(self, tmp_path, monkeypatch):
+        # the lasso reference optimum reuses the constants cmd_bounds computed
+        calls = count_constants(monkeypatch)
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"kind": "lasso", "rows": 8, "block_count": 4,
+                                       "weight": 0.1, "seed": 3}))
+        assert main(["bounds", "--plan", str(problem), "--rmax", "5",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
     def test_small_problem_notice(self, tmp_path):
         problem = tmp_path / "problem.json"

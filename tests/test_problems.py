@@ -23,9 +23,11 @@ from blockcd.problems import (
     make_table1_full,
     make_table1_full_qp,
     make_toeplitz_instance,
+    nonsmooth_total,
     nonsmooth_value,
     oracle_from_quadratic,
     prox,
+    prox_scalar,
     smooth_value,
     toeplitz_matrix,
     toeplitz_start,
@@ -33,6 +35,13 @@ from blockcd.problems import (
 from blockcd.battery import get_instance
 from blockcd.linalg import RANK_RTOL, sym_eig_extremes
 from blockcd.rng import SplitMix64
+
+TERMS = st.one_of(
+    st.just(NonsmoothTerm.zero()),
+    st.builds(NonsmoothTerm.l1, st.floats(0.0, 5.0)),
+    st.builds(NonsmoothTerm.group_l2, st.floats(0.0, 5.0)),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 4.0)).map(
+        lambda pair: NonsmoothTerm.box(pair[0], pair[0] + pair[1])))
 
 
 def identity_problem(k, h=None):
@@ -109,6 +118,30 @@ class TestObjective:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             eval_objective(identity_problem(3), np.zeros(4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), block_count=st.integers(1, 5), block_size=st.integers(1, 3))
+    def test_nonsmooth_total_matches_per_block_sum(self, data, block_count, block_size):
+        terms = data.draw(st.lists(TERMS, min_size=block_count, max_size=block_count))
+        n = block_count * block_size
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(block_count, block_size),
+            a_blocks=(np.zeros((1, block_size)),) * block_count, b=np.zeros(1),
+            h=tuple(terms))
+        x = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)))
+        # points just inside and just outside the feasibility slack of a box
+        for k, term in enumerate(terms):
+            if term.kind == "box" and data.draw(st.booleans()):
+                slack = 1e-12 * max(1.0, abs(term.lo), abs(term.hi))
+                x[k * block_size] = term.hi + data.draw(st.sampled_from([0.5, 2.0])) * slack
+        expected = 0.0
+        for k, term in enumerate(terms):
+            expected += nonsmooth_value(term, x[k * block_size:(k + 1) * block_size])
+        total = nonsmooth_total(p, x)
+        if expected == math.inf:
+            assert total == math.inf
+        else:
+            assert total == pytest.approx(expected, rel=1e-14, abs=1e-300)
 
 
 class TestBlockGradient:
@@ -239,6 +272,11 @@ class TestProx:
                 found = prox(term, v, step)[0]
                 assert found == pytest.approx(best, abs=5e-7)
                 assert objective(found) <= objective(best) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(term=TERMS, v=st.floats(-1e3, 1e3), step=st.floats(1e-3, 1e3))
+    def test_scalar_prox_equals_array_prox(self, term, v, step):
+        assert prox_scalar(term, v, step) == prox(term, np.array([v]), step)[0]
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """Tests for the four solvers and trajectory recording."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blockcd.problems import (
     BlockPartition,
@@ -31,7 +34,11 @@ from blockcd.solvers import (
     run_gd,
     trajectory_to_csv,
 )
-from oracles import piecewise_quadratic_argmin
+from oracles import (
+    piecewise_quadratic_argmin,
+    replay_coordinate_sweeps,
+    replay_scalar_sweeps,
+)
 
 
 def random_quadratic(seed, rows=9, blocks=6):
@@ -209,6 +216,19 @@ class TestExactBCD:
             eval_objective(p, x1), rel=1e-10)
         assert np.linalg.norm(x1 + 0.5 * null_dir) > np.linalg.norm(x1)
 
+    def test_zero_scalar_column_takes_point_nearest_zero(self):
+        # a zero column leaves h_k alone: the minimum-norm minimizer is 0,
+        # or the box point closest to 0
+        a = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(3, 1), a_blocks=tuple(a[:, [i]] for i in range(3)),
+            b=np.array([1.0, 1.0]),
+            h=(NonsmoothTerm.zero(), NonsmoothTerm.box(0.5, 1.0), NonsmoothTerm.zero()))
+        run = SolverRun(algorithm="exact_bcd", stepsizes=StepsizePolicy.global_l(),
+                        max_cycles=1)
+        t = run_bcd_exact(p, run, np.array([3.0, 0.75, 0.0]))
+        np.testing.assert_allclose(t.xs[1], [0.0, 0.5, 0.6], atol=1e-15)
+
     def test_box_constrained_block_loop(self):
         # N > 1 with a box term exercises the inner proximal loop
         gen = SplitMix64(47)
@@ -380,3 +400,129 @@ class TestTrajectoryCSV:
         trajectory_to_csv(t, buffer)
         last = buffer.getvalue().strip().split("\n")[-1]
         assert float(last.split(",")[4]) == t.grad_norm[-1]
+
+
+KINDS = ("zero", "l1", "group_l2", "box")
+ORDER_KINDS = ("cyclic", "random_permutation", "sampled_with_replacement")
+
+
+@st.composite
+def scalar_problems(draw, kinds=KINDS):
+    """Small scalar-block problems with half-integer data (zero columns
+    included), one nonsmooth term per block, and a feasible start."""
+    k_count = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 7))
+    cells = st.integers(-3, 3).map(lambda v: v / 2.0)
+    a = np.array(draw(st.lists(cells, min_size=rows * k_count, max_size=rows * k_count)))
+    a = a.reshape(rows, k_count)
+    b = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)))
+    terms = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=k_count, max_size=k_count)):
+        if kind in ("l1", "group_l2"):
+            terms.append(NonsmoothTerm(kind, weight=draw(st.sampled_from([0.0, 0.1, 0.7, 2.0]))))
+        elif kind == "box":
+            lo = draw(st.sampled_from([-1.0, -0.25, 0.0, 0.5]))
+            terms.append(NonsmoothTerm.box(lo, lo + draw(st.sampled_from([0.0, 0.5, 2.0]))))
+        else:
+            terms.append(NonsmoothTerm.zero())
+    problem = CompositeQuadraticProblem(
+        partition=BlockPartition(k_count, 1),
+        a_blocks=tuple(a[:, [i]] for i in range(k_count)), b=b, h=tuple(terms))
+    x0 = np.array(draw(st.lists(cells, min_size=k_count, max_size=k_count)))
+    for k, term in enumerate(terms):
+        if term.kind == "box":
+            x0[k] = min(max(x0[k], term.lo), term.hi)
+    order_kind = draw(st.sampled_from(ORDER_KINDS))
+    order = BlockOrder(order_kind, seed=draw(st.integers(0, 2**32 - 1)))
+    return problem, x0, order
+
+
+def assert_close(actual, expected, rtol=1e-12):
+    """Agreement to rtol relative to the largest magnitude involved."""
+    scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+    assert float(np.max(np.abs(actual - expected), initial=0.0)) <= rtol * scale
+
+
+class TestScalarKernel:
+    """The Gram-update kernel against plain per-visit replays."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=scalar_problems(), algorithm=st.sampled_from(["bcpg", "exact_bcd"]),
+           policy=st.sampled_from(["block_lk", "global_l"]),
+           cycles=st.integers(1, 25))
+    def test_block_solvers_match_replay(self, case, algorithm, policy, cycles):
+        problem, x0, order = case
+        constants = compute_constants(problem)
+        assume(np.all(constants.L_k > 0) if policy == "block_lk" else constants.L > 0)
+        run = SolverRun(algorithm=algorithm, order=order, max_cycles=cycles,
+                        stepsizes=StepsizePolicy(policy))
+        solver = run_bcpg if algorithm == "bcpg" else run_bcd_exact
+        t = solver(problem, run, x0, constants=constants)
+        xs, f, movement = replay_scalar_sweeps(problem, t.orders, x0, t.stepsizes,
+                                               exact=algorithm == "exact_bcd")
+        assert_close(t.xs, xs)
+        assert_close(t.f, f)
+        assert_close(t.weighted_movement, movement)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scalar_problems(kinds=("zero",)), cycles=st.integers(1, 25),
+           with_hessian=st.booleans())
+    def test_cgd_matches_replay(self, case, cycles, with_hessian):
+        problem, x0, order = case
+        assume(np.all(compute_constants(problem).L_k > 0))
+        oracle = oracle_from_quadratic(problem)
+        if not with_hessian:
+            oracle = replace(oracle, hessian=None, hessian_entry_bounds=None)
+        t = run_cgd(oracle, SolverRun(algorithm="cgd", order=order, max_cycles=cycles), x0)
+        xs, f, movement = replay_coordinate_sweeps(oracle, t.orders, x0, t.stepsizes)
+        assert_close(t.xs, xs)
+        assert_close(t.f, f)
+        assert_close(t.weighted_movement, movement)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scalar_problems(), cycles=st.integers(1, 30))
+    def test_reference_optimum_matches_replay(self, case, cycles):
+        problem, _, _ = case
+        constants = compute_constants(problem)
+        assume(not problem.is_smooth() and np.all(constants.L_k > 0))
+        ref = reference_optimum(problem, constants=constants, max_cycles=cycles)
+        start = np.array([_scalar_start(term) for term in problem.h])
+        orders = [range(problem.partition.block_count)] * cycles
+        xs, f, movement = replay_scalar_sweeps(problem, orders, start, constants.L_k,
+                                               exact=False)
+        stop = next((r for r, m in enumerate(movement) if m <= 1e-13), cycles - 1)
+        assert_close(ref.x_star, xs[stop + 1])
+        assert_close(np.array([ref.f_star]), np.array([f[stop + 1]]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scalar_problems(), algorithm=st.sampled_from(["bcpg", "exact_bcd"]),
+           cycles=st.integers(1, 10))
+    def test_recorded_grads_are_block_gradients(self, case, algorithm, cycles):
+        # bcpg records A_k^T r before its step, exact BCD after its step
+        problem, x0, order = case
+        constants = compute_constants(problem)
+        assume(constants.L > 0)
+        run = SolverRun(algorithm=algorithm, order=order, max_cycles=cycles,
+                        stepsizes=StepsizePolicy.global_l(), record_intermediates=True)
+        solver = run_bcpg if algorithm == "bcpg" else run_bcd_exact
+        t = solver(problem, run, x0, constants=constants)
+        a = problem.full_matrix()
+        x = np.array(x0, dtype=float)
+        for order_seen, cycle_steps in zip(t.orders, t.intermediates):
+            assert [step.block for step in cycle_steps] == order_seen
+            for step in cycle_steps:
+                k = step.block
+                assert step.x_old[0] == x[k]
+                if algorithm == "bcpg":
+                    expected = a[:, k] @ (a @ x - problem.b)
+                x[k] = step.x_new[0]
+                if algorithm == "exact_bcd":
+                    expected = a[:, k] @ (a @ x - problem.b)
+                scale = max(1.0, float(np.abs(a).sum() * np.abs(a @ x - problem.b).sum()))
+                assert abs(step.grad[0] - expected) <= 1e-12 * scale
+        np.testing.assert_array_equal(x, t.xs[-1])
+
+
+def _scalar_start(term):
+    """The reference optimum's start: the feasible point closest to 0."""
+    return min(max(0.0, term.lo), term.hi) if term.kind == "box" else 0.0
