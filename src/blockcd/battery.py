@@ -246,7 +246,7 @@ def get_trajectory(name: str, algorithm: str, policy_kind: str,
         t = run_cgd(instance.oracle, run, instance.x0)
     elif algorithm == "gd":
         target = instance.oracle if instance.oracle is not None else instance.problem
-        t = run_gd(target, run, instance.x0)
+        t = run_gd(target, run, instance.x0, constants=instance.constants)
     else:
         raise ValueError(algorithm)
     t.with_gap(instance.reference.f_star)

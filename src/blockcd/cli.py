@@ -98,6 +98,17 @@ def _finite_number(value) -> float | None:
     return number if math.isfinite(number) else None
 
 
+def _problem_source(plan: dict):
+    """The plan's problem: an object, or a string naming a problem file (or
+    holding problem JSON text); plan_schema.json accepts the same two."""
+    if "problem" not in plan:
+        raise PlanError("$.problem", "missing required field")
+    source = plan["problem"]
+    if not isinstance(source, (dict, str)):
+        raise PlanError("$.problem", "expected an object or a problem-file path")
+    return source
+
+
 def _parse_order(raw, path: str, global_seed: int) -> BlockOrder:
     if raw is None:
         return BlockOrder.cyclic()
@@ -240,7 +251,8 @@ def _execute_run(loaded, oracle, label: str, run: SolverRun, constants, referenc
         t = run_cgd(oracle, run, loaded.x0, f_star=reference.f_star)
     else:
         target = oracle if oracle is not None else problem
-        t = run_gd(target, run, loaded.x0, f_star=reference.f_star)
+        t = run_gd(target, run, loaded.x0, f_star=reference.f_star,
+                   constants=constants)
     return t.with_gap(reference.f_star)
 
 
@@ -249,13 +261,9 @@ def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
     global_seed = seed if seed is not None else plan.get("seed", 0)
     if isinstance(global_seed, bool) or not isinstance(global_seed, int):
         raise PlanError("$.seed", "expected an integer")
-    if "problem" not in plan:
-        raise PlanError("$.problem", "missing required field")
-    problem_spec = plan["problem"]
-    if not isinstance(problem_spec, (dict, str)):
-        raise PlanError("$.problem", "expected an object or a problem-file path")
+    source = _problem_source(plan)
     try:
-        loaded = load_problem(problem_spec)
+        loaded = load_problem(source)
     except ProblemFormatError as exc:
         raise PlanError("$.problem", str(exc))
     runs = _parse_runs(plan, global_seed)

@@ -31,6 +31,7 @@ from .rng import SplitMix64
 
 INNER_MOVEMENT_TOL = 1e-12
 INNER_STEP_CAP = 100_000
+ORDER_BATCH = 64  # cycles of random orders drawn per splitmix block
 
 
 @dataclass(frozen=True)
@@ -112,12 +113,16 @@ class BlockOrder:
             base = list(range(block_count))
             while True:
                 yield base
+        # the generator is private to the stream, so orders are drawn
+        # ORDER_BATCH cycles ahead; the bits are those of one draw per cycle
         gen = SplitMix64(self.seed)
         while True:
             if self.kind == "random_permutation":
-                yield gen.permutation(block_count)
+                yield from gen.permutations(block_count, ORDER_BATCH)
             else:
-                yield gen.choices_with_replacement(block_count, block_count)
+                flat = gen.choices_with_replacement(block_count, ORDER_BATCH * block_count)
+                for start in range(0, len(flat), block_count):
+                    yield flat[start:start + block_count]
 
 
 @dataclass(frozen=True)
@@ -475,9 +480,10 @@ def run_cgd(o: SmoothProblemOracle, run: SolverRun, x0,
     return _record_cycles("cgd", run, x, stepsizes, sweep, measure, f_star)
 
 
-def _smooth_view(target):
+def _smooth_view(target, constants: ProblemConstants | None = None):
     """(value, gradient, L, dimension) for an oracle or a nonsmooth-free
-    quadratic problem."""
+    quadratic problem; ``constants``, when given for a problem, must be
+    compute_constants(target)."""
     if isinstance(target, SmoothProblemOracle):
         return target.value, target.gradient, target.lipschitz_global, target.dimension
     if isinstance(target, CompositeQuadraticProblem):
@@ -485,7 +491,8 @@ def _smooth_view(target):
             raise ValueError("gradient descent requires a smooth problem")
         full = target.full_matrix()
         b = target.b
-        constants = compute_constants(target)
+        if constants is None:
+            constants = compute_constants(target)
 
         def value(x):
             r = full @ x - b
@@ -498,27 +505,29 @@ def _smooth_view(target):
     raise TypeError(f"unsupported problem type {type(target)!r}")
 
 
-def run_gd(target, run: SolverRun, x0, f_star: float | None = None) -> Trajectory:
+def run_gd(target, run: SolverRun, x0, f_star: float | None = None,
+           constants: ProblemConstants | None = None) -> Trajectory:
     """Full gradient descent with the constant stepsize 1/L."""
     if run.algorithm != "gd":
         raise ValueError("run.algorithm must be 'gd'")
-    value, gradient, lipschitz, dim = _smooth_view(target)
+    value, gradient, lipschitz, dim = _smooth_view(target, constants)
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     if x.shape[0] != dim:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {dim}")
 
     xs = [x.copy()]
     f_values = [float(value(x))]
-    grad_norms = [float(np.linalg.norm(gradient(x)))]
+    g = gradient(x)
+    grad_norms = [float(np.linalg.norm(g))]
     movements = []
     for _ in range(run.max_cycles):
-        g = gradient(x)
         if not np.isfinite(g).all():
             raise ValueError("non-finite gradient")
         x = x - g / lipschitz
         xs.append(x.copy())
         f_values.append(float(value(x)))
-        grad_norms.append(float(np.linalg.norm(gradient(x))))
+        g = gradient(x)
+        grad_norms.append(float(np.linalg.norm(g)))
         movements.append(math.sqrt(lipschitz) * float(np.linalg.norm(xs[-1] - xs[-2])))
         if _should_stop(run, f_values[-1], f_star):
             break

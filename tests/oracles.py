@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own formulas: minimizers come from
 bracketing plus local quadratic fits, derivatives from finite differences,
-and solver trajectories from plain per-visit replays that recompute every
-gradient from scratch.
+solver trajectories from plain per-visit replays that recompute every
+gradient from scratch, and the splitmix64 stream from a per-draw replay.
 """
 
 import math
@@ -133,3 +133,85 @@ def replay_coordinate_sweeps(oracle, orders, x0, weights):
         values.append(float(oracle.value(x)))
         movements.append(math.sqrt(move_sq))
     return np.array(xs), np.array(values), np.array(movements)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+class ReplaySplitMix64:
+    """Per-draw splitmix64 reference: one Python-int step per output, a
+    rejection loop per bounded integer, a swap loop per permutation and one
+    Box-Muller pair per two normals.  It keeps the same ``_state`` and
+    ``_spare_normal`` attributes as ``blockcd.rng.SplitMix64``, so the two
+    can be compared after every call."""
+
+    def __init__(self, seed):
+        self._state = seed & _MASK64
+        self._spare_normal = None
+
+    def next_uint64(self):
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        return (self.next_uint64() >> 11) * 2.0**-53
+
+    def below(self, n):
+        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
+        while True:
+            u = self.next_uint64()
+            if u < limit:
+                return u % n
+
+    def permutation(self, n):
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = self.below(i + 1)
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    def permutations(self, n, count):
+        return [self.permutation(n) for _ in range(count)]
+
+    def choices_with_replacement(self, n, count):
+        return [self.below(n) for _ in range(count)]
+
+    def normal(self):
+        if self._spare_normal is not None:
+            z = self._spare_normal
+            self._spare_normal = None
+            return z
+        u1 = 1.0 - self.uniform()
+        u2 = self.uniform()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self._spare_normal = radius * math.sin(theta)
+        return radius * math.cos(theta)
+
+    def normal_vector(self, n):
+        return np.array([self.normal() for _ in range(n)], dtype=float)
+
+    def normal_matrix(self, rows, cols):
+        return self.normal_vector(rows * cols).reshape(rows, cols)
+
+
+def splitmix64_unmix(output):
+    """The 64-bit z with mix(z) == output, where mix is the splitmix64
+    finalizer: each xor-shift is undone by repeated xor and each odd
+    multiplier by its inverse mod 2^64.  The generator state whose next
+    draw is ``output`` is then (z - gamma) mod 2^64."""
+
+    def unshift(y, shift):
+        x = y
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unshift(output & _MASK64, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
+    return unshift(z, 30)

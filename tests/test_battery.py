@@ -2,7 +2,7 @@
 
 import pytest
 
-from blockcd import battery
+from blockcd import battery, solvers
 
 
 class TestInstances:
@@ -38,6 +38,13 @@ class TestInstances:
                                     "cyclic", 0, 20)
         assert t1 is t2
         assert t1.gap is not None
+
+    @pytest.mark.parametrize("name", ["toeplitz_K5", "thm2_case1", "thm2_case3_free"])
+    def test_gd_reuses_instance_constants(self, monkeypatch, name):
+        battery.get_instance(name)  # set-up computes the constants once
+        monkeypatch.setattr(solvers, "compute_constants", None)
+        t = battery.get_trajectory(name, "gd", "block_lk", "cyclic", 0, 7)
+        assert t.cycles == 7
 
     def test_cached_trajectory_arrays_are_read_only(self):
         t = battery.get_trajectory("toeplitz_K5", "bcpg", "block_lk", "cyclic", 0, 20)

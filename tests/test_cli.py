@@ -198,7 +198,7 @@ def _plan_text(field: str, value_text: str) -> str:
         bound["against"] = "bcd"
     body = {"problem": {"kind": "toeplitz", "block_count": 5},
             "runs": [run], "bounds": [bound]}
-    holder = bound if field == "c_prior" else run
+    holder = {"problem": body, "c_prior": bound}.get(field, run)
     holder[field] = "@VALUE@"
     return json.dumps(body).replace('"@VALUE@"', value_text)
 
@@ -213,12 +213,19 @@ NUMBER_TEXTS = ["0", "-0.0", "1e-300", "0.5", "2", "1e308", "-1", "-5",
 LABEL_TEXTS = ['"ok-1.2_x"', '"_a"', '"-a"', '"a..b"', '"../escaped"', '".."',
                '".hidden"', '"a/b"', '"a b"', '""', '"\u00e9"', "7",
                '"bounds"', '"bounds.x"', '"Bounds"']
+# a plan's problem is an object or a string: a problem-file path, or the
+# problem's JSON text
+PROBLEM_TEXTS = ['{"kind": "toeplitz", "block_count": 5}', '"problem.json"',
+                 '"problems/toeplitz K5.json"', '"../shared/problem.json"',
+                 json.dumps('{"kind": "toeplitz", "block_count": 5}'),
+                 "7", "1.5", "null", "true", "[]", '["problem.json"]']
 
 
 @pytest.mark.parametrize("field, value_text",
                          [("gap_tolerance", t) for t in NUMBER_TEXTS]
                          + [("c_prior", t) for t in NUMBER_TEXTS]
-                         + [("label", t) for t in LABEL_TEXTS])
+                         + [("label", t) for t in LABEL_TEXTS]
+                         + [("problem", t) for t in PROBLEM_TEXTS])
 def test_parser_and_schema_agree(tmp_path, field, value_text):
     text = _plan_text(field, value_text)
     # RFC 8259 JSON has no NaN or Infinity; a document holding them is not
@@ -233,6 +240,7 @@ def test_parser_and_schema_agree(tmp_path, field, value_text):
     path.write_text(text)
     try:
         plan = cli._load_plan(str(path))
+        cli._problem_source(plan)
         cli._parse_bounds(plan, cli._parse_runs(plan, 0))
         parser_accepts = True
     except cli.PlanError:

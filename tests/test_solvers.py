@@ -22,6 +22,7 @@ from blockcd.problems import (
     nonsmooth_value,
     oracle_from_quadratic,
 )
+from blockcd import solvers
 from blockcd.rng import SplitMix64
 from blockcd.solvers import (
     BlockOrder,
@@ -316,6 +317,26 @@ class TestGD:
         p, x0 = make_lasso_instance(8, 4, 0.1, seed=11)
         with pytest.raises(ValueError, match="smooth"):
             run_gd(p, SolverRun(algorithm="gd", max_cycles=1), x0)
+
+    def test_one_gradient_per_iterate(self):
+        o = make_table1_full(6, 2.0)
+        calls = []
+        counted = replace(o, gradient=lambda x: calls.append(1) or o.gradient(x))
+        t = run_gd(counted, SolverRun(algorithm="gd", max_cycles=5), np.ones(6))
+        assert t.cycles == 5
+        assert len(calls) == 6  # x^(0) .. x^(5), each evaluated once
+        reference = run_gd(o, SolverRun(algorithm="gd", max_cycles=5), np.ones(6))
+        assert t.grad_norm.tobytes() == reference.grad_norm.tobytes()
+
+    def test_given_constants_are_used(self, monkeypatch):
+        p, x0 = make_toeplitz_instance(6)
+        constants = compute_constants(p)
+        before = run_gd(p, SolverRun(algorithm="gd", max_cycles=10), x0)
+        monkeypatch.setattr(solvers, "compute_constants", None)
+        after = run_gd(p, SolverRun(algorithm="gd", max_cycles=10), x0,
+                       constants=constants)
+        assert after.xs.tobytes() == before.xs.tobytes()
+        assert after.grad_norm.tobytes() == before.grad_norm.tobytes()
 
 
 class TestMonotonicityEverywhere:
