@@ -3,83 +3,4 @@ convex problems, with evaluators for their theoretical complexity
 envelopes and per-cycle verification of the descent and cost-to-go
 guarantees."""
 
-from .bounds import (
-    BOUND_KINDS,
-    BOUND_PAIRINGS,
-    BetaEstimate,
-    BoundSpec,
-    InapplicableBound,
-    R0Estimate,
-    beta_estimate,
-    bound_report_csv,
-    evaluate,
-    r0_upper_estimate,
-)
-from .linalg import (
-    ConvergenceError,
-    SpectralResult,
-    least_squares_min_norm,
-    power_iteration_norm,
-    spectral_norm,
-    strict_lower_truncate,
-    sym_eig_extremes,
-    triangular_truncate,
-)
-from .problems import (
-    BlockPartition,
-    CompositeQuadraticProblem,
-    LoadedProblem,
-    NonsmoothTerm,
-    ProblemConstants,
-    ProblemFormatError,
-    SmoothProblemOracle,
-    block_gradient,
-    compute_constants,
-    constants_from_oracle,
-    eval_objective,
-    load_problem,
-    make_lasso_instance,
-    make_table1_diagonal,
-    make_table1_diagonal_qp,
-    make_table1_full,
-    make_table1_full_qp,
-    make_toeplitz_instance,
-    nonsmooth_value,
-    oracle_from_quadratic,
-    prox,
-    smooth_value,
-    toeplitz_matrix,
-    toeplitz_start,
-)
-from .rng import SplitMix64, derive_seed
-from .solvers import (
-    BlockOrder,
-    BlockStep,
-    ReferenceOptimum,
-    SolverRun,
-    StepsizePolicy,
-    Trajectory,
-    reference_optimum,
-    run_bcd_exact,
-    run_bcpg,
-    run_cgd,
-    run_gd,
-    trajectory_to_csv,
-)
-from .verify import (
-    CheckReport,
-    check_costtogo_bcd,
-    check_costtogo_bcpg,
-    check_descent_bcd,
-    check_descent_bcpg,
-    check_descent_cgd,
-    check_envelope,
-    check_truncation_constant,
-    expected_one_pass_iterate,
-    one_pass_recursion_oracle,
-    report_lines,
-    reports_to_csv,
-    run_tightness_case,
-)
-
 __version__ = "0.1.0"

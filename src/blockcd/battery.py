@@ -1,9 +1,11 @@
-"""Built-in instance battery and the verification suites run over it.
+"""Problem set-up and solver dispatch, the built-in instance battery, and
+the verification suites run over it.
 
-Instances, reference optima and trajectories are cached per process, so
-the lemma suite, the envelope suite and the acceptance tests share the
-same runs.  Everything is keyed by plain strings/ints and derived from
-fixed seeds, so repeated invocations are identical.
+``set_up`` and ``run_solver`` serve the battery and the command line
+alike.  Instances, reference optima and trajectories are cached per
+process, so the lemma suite, the envelope suite and the acceptance tests
+share the same runs.  Everything is keyed by plain strings/ints and
+derived from fixed seeds, so repeated invocations are identical.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .problems import (
     ProblemConstants,
     SmoothProblemOracle,
     compute_constants,
-    constants_from_oracle,
     eval_objective,
     make_lasso_instance,
     make_table1_diagonal,
@@ -30,6 +31,7 @@ from .problems import (
     make_table1_full,
     make_table1_full_qp,
     make_toeplitz_instance,
+    oracle_from_quadratic,
 )
 from .rng import SplitMix64, derive_seed
 from .solvers import (
@@ -69,40 +71,62 @@ TRUNCATION_SAMPLES = 100
 
 @dataclass(frozen=True)
 class Instance:
-    """A battery member: problem (and oracle view when smooth/scalar),
-    start point, constants, reference optimum and level-set radius."""
+    """A problem set up for solving and bounding: start point, constants,
+    reference optimum, level-set radius, initial gap delta0, the
+    smooth-oracle view when there is one, and beta of that view."""
 
     name: str
+    problem: CompositeQuadraticProblem
     x0: np.ndarray
     constants: ProblemConstants
     reference: ReferenceOptimum
     r0: R0Estimate
-    problem: CompositeQuadraticProblem | None = None
+    delta0: float
     oracle: SmoothProblemOracle | None = None
+    beta: float | None = None
     tags: tuple = ()
-
-    @property
-    def delta0(self) -> float:
-        if self.problem is not None:
-            f0 = eval_objective(self.problem, self.x0)
-        else:
-            f0 = float(self.oracle.value(self.x0))
-        return max(0.0, f0 - self.reference.f_star)
 
     def gd_radius(self) -> float:
         """||x0 - x*||: a sound radius for the gradient-descent envelope."""
         return float(np.linalg.norm(self.x0 - self.reference.x_star))
 
 
-def _finish(name, problem, oracle, x0, tags, trajectory_hint=None) -> Instance:
-    constants = compute_constants(problem) if problem is not None \
-        else constants_from_oracle(oracle)
-    target = problem if problem is not None else oracle
-    reference = reference_optimum(target, constants=constants if problem is not None else None)
-    r0 = r0_upper_estimate(target, x0, reference.x_star,
-                           f_star=reference.f_star, trajectory=trajectory_hint)
-    return Instance(name=name, x0=x0, constants=constants, reference=reference,
-                    r0=r0, problem=problem, oracle=oracle, tags=tuple(tags))
+def set_up(name: str, problem: CompositeQuadraticProblem, x0,
+           oracle: SmoothProblemOracle | None = None, tags=()) -> Instance:
+    """Constants, reference optimum, radius R0 and delta0 of ``problem`` from
+    ``x0``, then beta of its smooth-oracle view.  The view is ``oracle``
+    when given (the closed-form table1 oracles), else oracle_from_quadratic
+    for a nonsmooth-free problem with scalar blocks, else None."""
+    constants = compute_constants(problem)
+    reference = reference_optimum(problem, constants=constants)
+    r0 = r0_upper_estimate(problem, x0, reference.x_star, f_star=reference.f_star)
+    delta0 = max(0.0, eval_objective(problem, x0) - reference.f_star)
+    if oracle is None and problem.is_smooth() and problem.partition.block_size == 1:
+        oracle = oracle_from_quadratic(problem, constants)
+    beta = None if oracle is None else beta_estimate(oracle).estimate
+    return Instance(name=name, problem=problem, x0=x0, constants=constants,
+                    reference=reference, r0=r0, delta0=delta0, oracle=oracle,
+                    beta=beta, tags=tuple(tags))
+
+
+def run_solver(instance: Instance, run: SolverRun) -> Trajectory:
+    """``run`` from the instance's start point, with its gap to the reference
+    optimum attached.  cgd needs the smooth-oracle view; gd takes it when
+    there is one."""
+    problem, x0, constants = instance.problem, instance.x0, instance.constants
+    f_star = instance.reference.f_star
+    if run.algorithm == "bcpg":
+        t = run_bcpg(problem, run, x0, constants=constants, f_star=f_star)
+    elif run.algorithm == "exact_bcd":
+        t = run_bcd_exact(problem, run, x0, constants=constants, f_star=f_star)
+    elif run.algorithm == "cgd":
+        t = run_cgd(instance.oracle, run, x0, f_star=f_star)
+    elif run.algorithm == "gd":
+        target = instance.oracle if instance.oracle is not None else problem
+        t = run_gd(target, run, x0, f_star=f_star, constants=constants)
+    else:
+        raise ValueError(f"unknown algorithm {run.algorithm!r}")
+    return t.with_gap(f_star)
 
 
 @cache
@@ -111,28 +135,22 @@ def get_instance(name: str) -> Instance:
         index = int(name.split("_")[1])
         problem, x0 = make_lasso_instance(LASSO_ROWS, LASSO_BLOCKS, LASSO_WEIGHT,
                                           LASSO_BASE_SEED + index)
-        return _finish(name, problem, None, x0, ("lasso", "scalar"))
+        return set_up(name, problem, x0, tags=("lasso", "scalar"))
 
     if name.startswith("toeplitz_K"):
         k = int(name.split("K")[1])
         problem, x0 = make_toeplitz_instance(k)
-        return _finish(name, problem, None, x0, ("toeplitz", "smooth", "scalar"))
+        return set_up(name, problem, x0, tags=("toeplitz", "smooth", "scalar"))
 
     if name.startswith("table1_"):
         _, flavor, ksuffix = name.split("_")
         k = int(ksuffix[1:])
         if flavor == "diag":
-            oracle = make_table1_diagonal(k, 2.0)
-            problem = make_table1_diagonal_qp(k, 2.0)
+            problem, oracle = make_table1_diagonal_qp(k, 2.0), make_table1_diagonal(k, 2.0)
         else:
-            oracle = make_table1_full(k, 2.0)
-            problem = make_table1_full_qp(k, 2.0)
-        x0 = np.ones(k)
-        instance = _finish(name, problem, None, x0, ("table1", flavor, "smooth", "scalar"))
-        return Instance(name=instance.name, x0=instance.x0,
-                        constants=instance.constants, reference=instance.reference,
-                        r0=instance.r0, problem=problem, oracle=oracle,
-                        tags=instance.tags)
+            problem, oracle = make_table1_full_qp(k, 2.0), make_table1_full(k, 2.0)
+        return set_up(name, problem, np.ones(k), oracle,
+                      ("table1", flavor, "smooth", "scalar"))
 
     if name == "thm2_case1":
         gen = SplitMix64(derive_seed(0xCA5E, 1))
@@ -143,7 +161,7 @@ def get_instance(name: str) -> Instance:
             b=gen.normal_vector(m),
             h=tuple(NonsmoothTerm.zero() for _ in range(k)))
         x0 = gen.normal_vector(k * n)
-        instance = _finish(name, problem, None, x0, ("thm2", "case1", "smooth"))
+        instance = set_up(name, problem, x0, tags=("thm2", "case1", "smooth"))
         if instance.constants.rank_case != "full_column":
             raise RuntimeError("case1 seed failed to produce full column rank")
         return instance
@@ -157,7 +175,7 @@ def get_instance(name: str) -> Instance:
             b=gen.normal_vector(m),
             h=tuple(NonsmoothTerm.box(-1.0, 1.0) for _ in range(k)))
         x0 = np.zeros(k * n)
-        instance = _finish(name, problem, None, x0, ("thm2", "case2"))
+        instance = set_up(name, problem, x0, tags=("thm2", "case2"))
         if instance.constants.rank_case != "full_row":
             raise RuntimeError("case2 seed failed to produce full row rank")
         return instance
@@ -181,7 +199,7 @@ def get_instance(name: str) -> Instance:
                 h=tuple(NonsmoothTerm.zero() for _ in range(k)))
             x0 = free_x0
             tags = ("thm2", "case3", "heuristic", "smooth")
-        instance = _finish(name, problem, None, x0, tags)
+        instance = set_up(name, problem, x0, tags=tags)
         if instance.constants.rank_case != "neither":
             raise RuntimeError("case3 seed failed to produce rank deficiency")
         return instance
@@ -232,24 +250,9 @@ def get_trajectory(name: str, algorithm: str, policy_kind: str,
                    cycles: int = 100) -> Trajectory:
     """Cached trajectory of a battery instance, with its gap attached; the
     arrays are read-only because every caller shares them."""
-    instance = get_instance(name)
-    policy = StepsizePolicy(policy_kind)
     run = SolverRun(algorithm=algorithm, order=_order(order_kind, order_seed),
-                    stepsizes=policy, max_cycles=cycles)
-    if algorithm == "bcpg":
-        t = run_bcpg(instance.problem, run, instance.x0,
-                     constants=instance.constants)
-    elif algorithm == "exact_bcd":
-        t = run_bcd_exact(instance.problem, run, instance.x0,
-                          constants=instance.constants)
-    elif algorithm == "cgd":
-        t = run_cgd(instance.oracle, run, instance.x0)
-    elif algorithm == "gd":
-        target = instance.oracle if instance.oracle is not None else instance.problem
-        t = run_gd(target, run, instance.x0, constants=instance.constants)
-    else:
-        raise ValueError(algorithm)
-    t.with_gap(instance.reference.f_star)
+                    stepsizes=StepsizePolicy(policy_kind), max_cycles=cycles)
+    t = run_solver(get_instance(name), run)
     for values in (t.xs, t.f, t.gap, t.weighted_movement, t.stepsizes, t.grad_norm):
         if values is not None:
             values.flags.writeable = False
@@ -261,13 +264,13 @@ def _certified(instance: Instance) -> bool:
 
 
 def _bound_spec(instance: Instance, kind: str, traj: Trajectory,
-                beta: float | None = None, r0_value: float | None = None) -> BoundSpec:
+                r0_value: float | None = None) -> BoundSpec:
     return BoundSpec(
         kind=kind,
         constants=instance.constants,
         r0_upper=instance.r0.value if r0_value is None else r0_value,
         delta0=instance.delta0,
-        beta=beta,
+        beta=instance.beta,
         p_max=float(traj.stepsizes.max()),
         p_min=float(traj.stepsizes.min()),
     )
@@ -303,11 +306,10 @@ def suite_lemmas(order_kind: str = "cyclic", order_seed: int = 0) -> list[CheckR
     for name in table1_names():
         instance = get_instance(name)
         cycles = 200 if instance.constants.block_count <= 10 else 100
-        beta = beta_estimate(instance.oracle).estimate
         for policy in ("global_l", "block_lk"):
             t = get_trajectory(name, "cgd", policy, order_kind, order_seed, cycles)
             reports.extend(check_descent_cgd(
-                t, instance.oracle, beta,
+                t, instance.oracle, instance.beta,
                 name=f"descent_cgd:{name}:{policy}{suffix}"))
     return reports
 
@@ -356,14 +358,13 @@ def suite_envelopes(order_kind: str = "cyclic", order_seed: int = 0) -> list[Che
 
     for name in table1_names():
         instance = get_instance(name)
-        beta = beta_estimate(instance.oracle).estimate
         cycles = 200 if instance.constants.block_count <= 10 else 100
         certified = _certified(instance)
         for policy in ("global_l", "block_lk"):
             t = get_trajectory(name, "cgd", policy, order_kind, order_seed, cycles)
             for kind in ("thm3", "coro1"):
                 reports.append(check_envelope(
-                    t, _bound_spec(instance, kind, t, beta=beta),
+                    t, _bound_spec(instance, kind, t),
                     name=f"envelope_{kind}:{name}:{policy}{suffix}",
                     r0_certified=certified))
 

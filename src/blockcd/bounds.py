@@ -189,8 +189,7 @@ class R0Estimate:
     method: str
 
 
-def r0_upper_estimate(target, x0, x_star, f_star: float | None = None,
-                      trajectory=None) -> R0Estimate:
+def r0_upper_estimate(target, x0, x_star, f_star: float | None = None) -> R0Estimate:
     """Upper bound on max ||x - x*|| over the f(x) <= f(x0) level set.
 
     Certified routes, tried in order:
@@ -201,8 +200,8 @@ def r0_upper_estimate(target, x0, x_star, f_star: float | None = None,
     * every block l1/group-l2 with positive weight: coercivity gives
       ||x|| <= f(x0) / w_min on the level set, so R0 <= 2 f(x0) / w_min.
 
-    Otherwise the estimate is heuristic: twice the largest recorded
-    distance to x* (flagged; envelope checks built on it are advisory).
+    Otherwise the estimate is heuristic: 2 ||x0 - x*|| (flagged; envelope
+    checks built on it are advisory).
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
@@ -238,11 +237,7 @@ def r0_upper_estimate(target, x0, x_star, f_star: float | None = None,
             w_min = min(term.weight for term in target.h)
             return R0Estimate(2.0 * f0 / w_min, True, "l1 coercivity")
 
-    worst = base
-    if trajectory is not None:
-        distances = np.linalg.norm(trajectory.xs - x_star, axis=1)
-        worst = max(worst, float(distances.max()))
-    return R0Estimate(2.0 * worst, False, "heuristic iterate radius")
+    return R0Estimate(2.0 * base, False, "heuristic iterate radius")
 
 
 @dataclass(frozen=True)

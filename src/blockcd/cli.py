@@ -23,38 +23,22 @@ import re
 import sys
 from pathlib import Path
 
-from .battery import SUITES
+from .battery import SUITES, run_solver, set_up
 from .bounds import (
     BOUND_KINDS,
     BOUND_PAIRINGS,
     BoundSpec,
     InapplicableBound,
-    beta_estimate,
     bound_report_csv,
     evaluate,
-    r0_upper_estimate,
 )
 from .linalg import ConvergenceError
-from .problems import (
-    ProblemFormatError,
-    compute_constants,
-    constants_from_oracle,
-    eval_objective,
-    load_problem,
-    oracle_from_quadratic,
-)
+from .problems import ProblemFormatError, load_problem
+# battery.set_up computes the constants; this binding stays because
+# bench/tests/test_bench.py asserts that the tracer rewraps it here.
+from .problems import compute_constants  # noqa: F401
 from .rng import derive_seed
-from .solvers import (
-    BlockOrder,
-    SolverRun,
-    StepsizePolicy,
-    reference_optimum,
-    run_bcd_exact,
-    run_bcpg,
-    run_cgd,
-    run_gd,
-    trajectory_to_csv,
-)
+from .solvers import BlockOrder, SolverRun, StepsizePolicy, trajectory_to_csv
 from .verify import all_asserted_pass, report_lines, reports_to_csv
 
 
@@ -226,34 +210,14 @@ def _parse_bounds(plan: dict, runs) -> list[tuple[str, str, str | None, float]]:
     return out
 
 
-def _smooth_oracle(loaded, constants):
-    """The problem's smooth-oracle view, or None when it has none (nonsmooth
-    terms or blocks of size N > 1)."""
-    problem = loaded.problem
-    if loaded.oracle is None and problem.is_smooth() \
-            and problem.partition.block_size == 1:
-        return oracle_from_quadratic(problem, constants)
-    return loaded.oracle
-
-
-def _execute_run(loaded, oracle, label: str, run: SolverRun, constants, reference):
-    problem = loaded.problem
-    if run.algorithm == "bcpg":
-        t = run_bcpg(problem, run, loaded.x0, constants=constants,
-                     f_star=reference.f_star)
-    elif run.algorithm == "exact_bcd":
-        t = run_bcd_exact(problem, run, loaded.x0, constants=constants,
-                          f_star=reference.f_star)
-    elif run.algorithm == "cgd":
-        if oracle is None:
-            raise PlanError(f"$.runs[{label}]",
+def _check_runs(instance, runs) -> None:
+    """Reject a run whose algorithm does not apply to the set-up problem."""
+    for i, (_, run) in enumerate(runs):
+        if run.algorithm == "cgd" and instance.oracle is None:
+            raise PlanError(f"$.runs[{i}].algorithm",
                             "cgd needs a smooth scalar-block problem")
-        t = run_cgd(oracle, run, loaded.x0, f_star=reference.f_star)
-    else:
-        target = oracle if oracle is not None else problem
-        t = run_gd(target, run, loaded.x0, f_star=reference.f_star,
-                   constants=constants)
-    return t.with_gap(reference.f_star)
+        if run.algorithm == "gd" and not instance.problem.is_smooth():
+            raise PlanError(f"$.runs[{i}].algorithm", "gd needs a smooth problem")
 
 
 def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
@@ -268,29 +232,15 @@ def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
         raise PlanError("$.problem", str(exc))
     runs = _parse_runs(plan, global_seed)
     bound_requests = _parse_bounds(plan, runs)
+    instance = set_up(loaded.kind, loaded.problem, loaded.x0, loaded.oracle)
+    _check_runs(instance, runs)
+    constants, reference, r0 = instance.constants, instance.reference, instance.r0
 
     out = Path(out_dir if out_dir is not None else plan.get("output", "out"))
     out.mkdir(parents=True, exist_ok=True)
-
-    target = loaded.oracle if loaded.problem is None else loaded.problem
-    constants = compute_constants(loaded.problem) if loaded.problem is not None \
-        else constants_from_oracle(loaded.oracle)
-    reference = reference_optimum(target,
-                                  constants=constants if loaded.problem is not None else None)
-    r0 = r0_upper_estimate(target, loaded.x0, reference.x_star,
-                           f_star=reference.f_star)
-    if loaded.problem is not None:
-        delta0 = eval_objective(loaded.problem, loaded.x0) - reference.f_star
-    else:
-        delta0 = float(loaded.oracle.value(loaded.x0)) - reference.f_star
-    delta0 = max(0.0, delta0)
-
-    oracle = _smooth_oracle(loaded, constants)
-    beta = None if oracle is None else beta_estimate(oracle).estimate
-
     trajectories = {}
     for label, run in runs:
-        t = _execute_run(loaded, oracle, label, run, constants, reference)
+        t = run_solver(instance, run)
         trajectories[label] = t
         trajectory_to_csv(t, str(out / f"{label}.csv"))
 
@@ -303,8 +253,8 @@ def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
         else:
             p_max, p_min = constants.L_max, constants.L_min
         specs.append((label, BoundSpec(kind=kind, constants=constants,
-                                       r0_upper=r0.value, delta0=delta0,
-                                       beta=beta, c_prior=c_prior,
+                                       r0_upper=r0.value, delta0=instance.delta0,
+                                       beta=instance.beta, c_prior=c_prior,
                                        p_max=p_max, p_min=p_min)))
     if specs:
         bound_report_csv(specs, max_cycles, str(out / "bounds.csv"))
@@ -362,28 +312,12 @@ def cmd_bounds(problem_path: str, r_max: int, out_dir: str | None) -> int:
     loaded = load_problem(problem_path)
     out = Path(out_dir if out_dir is not None else "out")
     out.mkdir(parents=True, exist_ok=True)
-    if loaded.problem is not None:
-        constants = compute_constants(loaded.problem)
-        target = loaded.problem
-    else:
-        constants = constants_from_oracle(loaded.oracle)
-        target = loaded.oracle
-    reference = reference_optimum(target, constants=constants)
-    r0 = r0_upper_estimate(target, loaded.x0, reference.x_star,
-                           f_star=reference.f_star)
-    if loaded.problem is not None:
-        delta0 = max(0.0, eval_objective(loaded.problem, loaded.x0) - reference.f_star)
-    else:
-        delta0 = max(0.0, float(loaded.oracle.value(loaded.x0)) - reference.f_star)
-
-    oracle = _smooth_oracle(loaded, constants)
-    beta = None if oracle is None else beta_estimate(oracle).estimate
-
-    specs = []
-    for kind in BOUND_KINDS:
-        specs.append((kind, BoundSpec(kind=kind, constants=constants,
-                                      r0_upper=r0.value, delta0=delta0, beta=beta,
-                                      p_max=constants.L_max, p_min=constants.L_min)))
+    instance = set_up(loaded.kind, loaded.problem, loaded.x0, loaded.oracle)
+    constants, r0, delta0 = instance.constants, instance.r0, instance.delta0
+    specs = [(kind, BoundSpec(kind=kind, constants=constants, r0_upper=r0.value,
+                              delta0=delta0, beta=instance.beta,
+                              p_max=constants.L_max, p_min=constants.L_min))
+             for kind in BOUND_KINDS]
     bound_report_csv(specs, r_max, str(out / "bounds.csv"))
 
     lines = [

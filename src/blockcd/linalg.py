@@ -166,17 +166,3 @@ def least_squares_min_norm(m, rhs) -> np.ndarray:
     coeffs = (u[:, keep].T @ b) / s[keep]
     return vt[keep].T @ coeffs
 
-
-def singular_extremes_columns(m) -> tuple[float, float]:
-    """(smallest, largest) singular value of M seen as a map on columns,
-    i.e. sqrt of the extreme eigenvalues of M^T M."""
-    a = as_matrix(m)
-    low, high = sym_eig_extremes(a.T @ a)
-    return float(np.sqrt(max(low, 0.0))), float(np.sqrt(max(high, 0.0)))
-
-
-def singular_extremes_rows(m) -> tuple[float, float]:
-    """Like singular_extremes_columns for M M^T (row Gram)."""
-    a = as_matrix(m)
-    low, high = sym_eig_extremes(a @ a.T)
-    return float(np.sqrt(max(low, 0.0))), float(np.sqrt(max(high, 0.0)))

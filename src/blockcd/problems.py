@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -132,10 +132,6 @@ def prox_scalar(term: NonsmoothTerm, v: float, step: float) -> float:
     return v
 
 
-def is_feasible(term: NonsmoothTerm, v: np.ndarray) -> bool:
-    return nonsmooth_value(term, v) < math.inf
-
-
 class _TermsByKind(NamedTuple):
     """Block indices and parameters of the nonsmooth terms grouped by kind,
     so that nonsmooth_total evaluates each kind with one array expression.
@@ -216,9 +212,6 @@ class CompositeQuadraticProblem:
     def block_slice(self, k: int) -> slice:
         n = self.partition.block_size
         return slice(k * n, (k + 1) * n)
-
-    def block_of(self, x: np.ndarray, k: int) -> np.ndarray:
-        return np.asarray(x, dtype=float)[self.block_slice(k)]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self._full @ np.asarray(x, dtype=float) - self.b
@@ -575,14 +568,13 @@ def oracle_from_quadratic(p: CompositeQuadraticProblem,
 
 @dataclass
 class LoadedProblem:
-    """Problem bundle produced by load_problem."""
+    """Problem bundle produced by load_problem; the table1 kinds also carry
+    their closed-form oracle."""
 
     kind: str
     x0: np.ndarray
-    problem: CompositeQuadraticProblem | None = None
+    problem: CompositeQuadraticProblem
     oracle: SmoothProblemOracle | None = None
-    seed: int | None = None
-    params: dict = field(default_factory=dict)
 
 
 def _require(spec: dict, path: str, key: str, types, check=None, describe=""):
@@ -667,15 +659,13 @@ def load_problem(source) -> LoadedProblem:
                           check=lambda v: v >= 0 and math.isfinite(v),
                           describe="a nonnegative number")
         problem, x0 = make_lasso_instance(rows, k, float(weight), seed or 0)
-        return LoadedProblem(kind=kind, x0=x0, problem=problem, seed=seed,
-                             params={"rows": rows, "block_count": k, "weight": weight})
+        return LoadedProblem(kind=kind, x0=x0, problem=problem)
 
     if kind == "toeplitz":
         k = _require(spec, "$", "block_count", int, lambda v: v >= 3,
                      "an integer >= 3")
         problem, x0 = make_toeplitz_instance(k)
-        return LoadedProblem(kind=kind, x0=x0, problem=problem, seed=seed,
-                             params={"block_count": k})
+        return LoadedProblem(kind=kind, x0=x0, problem=problem)
 
     if kind in ("table1_diag", "table1_full"):
         k = _require(spec, "$", "block_count", int, lambda v: v >= 1, "a positive integer")
@@ -689,8 +679,7 @@ def load_problem(source) -> LoadedProblem:
             oracle = make_table1_full(k, float(lip))
             problem = make_table1_full_qp(k, float(lip))
         x0 = np.ones(k)
-        return LoadedProblem(kind=kind, x0=x0, problem=problem, oracle=oracle,
-                             seed=seed, params={"block_count": k, "lipschitz": lip})
+        return LoadedProblem(kind=kind, x0=x0, problem=problem, oracle=oracle)
 
     if kind == "explicit":
         k = _require(spec, "$", "block_count", int, lambda v: v >= 1, "a positive integer")
@@ -724,6 +713,6 @@ def load_problem(source) -> LoadedProblem:
             x0 = np.asarray(x0_raw, dtype=float)
             if x0.shape != (k * n,):
                 raise ProblemFormatError("$.x0", f"expected length {k * n}")
-        return LoadedProblem(kind=kind, x0=x0, problem=problem, seed=seed)
+        return LoadedProblem(kind=kind, x0=x0, problem=problem)
 
     raise ProblemFormatError("$.kind", f"unknown kind {kind!r}")

@@ -1,5 +1,6 @@
 """Tests for the command-line harness."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,10 +8,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from blockcd import cli, problems, solvers
+from blockcd import battery, cli, problems, solvers
 from blockcd.cli import main
 from blockcd.linalg import ConvergenceError
-from blockcd.problems import compute_constants
+from blockcd.problems import ProblemConstants, compute_constants, oracle_from_quadratic
 
 SCHEMA = json.loads(
     Path(cli.__file__).with_name("plan_schema.json").read_text(encoding="utf-8"))
@@ -23,15 +24,15 @@ def write_plan(tmp_path, plan, name="plan.json"):
 
 
 def count_constants(monkeypatch) -> list:
-    """Record every compute_constants call made through cli, problems or
-    solvers."""
+    """Record every compute_constants call made through battery (the shared
+    set-up), problems or solvers."""
     calls = []
 
     def counting(problem):
         calls.append(problem)
         return compute_constants(problem)
 
-    for module in (cli, problems, solvers):
+    for module in (battery, problems, solvers):
         monkeypatch.setattr(module, "compute_constants", counting)
     return calls
 
@@ -129,8 +130,8 @@ class TestRun:
         assert float(first[2]) / float(first[1]) == pytest.approx(6.0, rel=1e-12)
 
     def test_constants_computed_once_per_plan(self, tmp_path, monkeypatch):
-        # beta, both cgd runs and gd share the oracle built from cmd_run's
-        # constants
+        # beta, both cgd runs and gd share the oracle that set_up builds
+        # from its constants
         calls = count_constants(monkeypatch)
         plan = dict(BASIC_PLAN, runs=[
             {"label": "cgd", "algorithm": "cgd", "max_cycles": 5},
@@ -173,10 +174,26 @@ class TestErrors:
         def fail(problem):
             raise ConvergenceError("did not converge")
 
-        monkeypatch.setattr(cli, "compute_constants", fail)
+        monkeypatch.setattr(battery, "compute_constants", fail)
         plan = write_plan(tmp_path, BASIC_PLAN)
         assert main(["run", "--plan", plan, "--out", str(tmp_path / "o")]) == 2
         self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("algorithm", ["cgd", "gd"])
+    def test_inapplicable_run_writes_nothing(self, tmp_path, capsys, algorithm):
+        # lasso has l1 terms: no oracle view for cgd, no smooth objective for gd
+        path = write_plan(tmp_path, {
+            "problem": {"kind": "lasso", "rows": 12, "block_count": 6, "weight": 0.2},
+            "runs": [{"label": "first", "algorithm": "bcpg", "max_cycles": 5},
+                     {"label": "chain", "algorithm": algorithm, "max_cycles": 5}],
+        })
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", "--plan", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: $.runs[1].algorithm: ")
+        assert len(err.splitlines()) == 1
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("label", ["../escaped", "..", ".hidden", "a/b", "",
                                        "bounds"])
@@ -189,6 +206,45 @@ class TestErrors:
         assert main(["run", "--plan", path, "--out", str(out)]) == 2
         assert "$.runs[0].label" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestSharedSetUp:
+    @pytest.mark.parametrize("name, spec", [
+        ("toeplitz_K10", {"kind": "toeplitz", "block_count": 10}),
+        ("table1_full_K10", {"kind": "table1_full", "block_count": 10, "lipschitz": 2.0}),
+    ])
+    def test_cli_instance_equals_battery_instance(self, tmp_path, monkeypatch, name, spec):
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(battery.set_up(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "set_up", recording)
+        assert cli.cmd_bounds(json.dumps(spec), 3, str(tmp_path)) == 0
+        ours, theirs = made[0], battery.get_instance(name)
+        for field in dataclasses.fields(ProblemConstants):
+            np.testing.assert_array_equal(getattr(ours.constants, field.name),
+                                          getattr(theirs.constants, field.name))
+        assert ours.reference.f_star == theirs.reference.f_star
+        np.testing.assert_array_equal(ours.reference.x_star, theirs.reference.x_star)
+        np.testing.assert_array_equal(ours.x0, theirs.x0)
+        assert ours.r0 == theirs.r0
+        assert ours.delta0 == theirs.delta0
+        assert theirs.beta is not None
+        assert ours.beta == theirs.beta
+        views = [ours.oracle, theirs.oracle]
+        if spec["kind"] == "toeplitz":
+            # the view set_up builds matches one built from scratch
+            views.append(oracle_from_quadratic(theirs.problem))
+        for view in views:
+            assert view.lipschitz_global == ours.oracle.lipschitz_global
+            for attribute in ("lipschitz_coordinate", "hessian", "hessian_entry_bounds"):
+                np.testing.assert_array_equal(getattr(view, attribute),
+                                              getattr(ours.oracle, attribute))
+            assert view.value(ours.x0) == ours.oracle.value(ours.x0)
+            np.testing.assert_array_equal(view.gradient(ours.x0),
+                                          ours.oracle.gradient(ours.x0))
 
 
 def _plan_text(field: str, value_text: str) -> str:
@@ -320,7 +376,7 @@ class TestBounds:
         assert len(rows) == 21
 
     def test_constants_computed_once(self, tmp_path, monkeypatch):
-        # the lasso reference optimum reuses the constants cmd_bounds computed
+        # the lasso reference optimum reuses the constants set_up computed
         calls = count_constants(monkeypatch)
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps({"kind": "lasso", "rows": 8, "block_count": 4,
