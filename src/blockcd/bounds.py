@@ -189,7 +189,7 @@ class R0Estimate:
     method: str
 
 
-def r0_upper_estimate(target, x0, x_star, f_star: float | None = None) -> R0Estimate:
+def r0_upper_estimate(p: CompositeQuadraticProblem, x0, x_star, f_star: float) -> R0Estimate:
     """Upper bound on max ||x - x*|| over the f(x) <= f(x0) level set.
 
     Certified routes, tried in order:
@@ -206,36 +206,20 @@ def r0_upper_estimate(target, x0, x_star, f_star: float | None = None) -> R0Esti
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     base = float(np.linalg.norm(x0 - x_star))
-
-    if isinstance(target, SmoothProblemOracle):
-        f0 = float(target.value(x0))
-        fs = float(target.value(x_star)) if f_star is None else float(f_star)
-        mu = None
-        if target.hessian is not None:
-            mu = float(np.linalg.eigvalsh(target.hessian)[0])
-    else:
-        p: CompositeQuadraticProblem = target
-        f0 = eval_objective(p, x0)
-        if f_star is None:
-            raise ValueError("composite problems need f_star")
-        fs = float(f_star)
-        full = p.full_matrix()
-        mu = float(np.linalg.eigvalsh(full.T @ full)[0])
-
-    delta0 = max(0.0, f0 - fs)
-    if mu is not None and mu > 1e-12 * max(1.0, abs(mu)):
+    f0 = eval_objective(p, x0)
+    delta0 = max(0.0, f0 - float(f_star))
+    full = p.full_matrix()
+    mu = float(np.linalg.eigvalsh(full.T @ full)[0])
+    if mu > 1e-12 * max(1.0, abs(mu)):
         level = math.sqrt(2.0 * delta0 / mu)
         return R0Estimate(max(base, level), True, "strong-convexity level set")
-
-    if isinstance(target, CompositeQuadraticProblem):
-        if all(term.kind == "box" for term in target.h):
-            n = target.partition.block_size
-            diameter_sq = sum(n * (term.hi - term.lo) ** 2 for term in target.h)
-            return R0Estimate(math.sqrt(diameter_sq), True, "box diameter")
-        if all(term.kind in ("l1", "group_l2") and term.weight > 0
-               for term in target.h):
-            w_min = min(term.weight for term in target.h)
-            return R0Estimate(2.0 * f0 / w_min, True, "l1 coercivity")
+    if all(term.kind == "box" for term in p.h):
+        n = p.partition.block_size
+        diameter_sq = sum(n * (term.hi - term.lo) ** 2 for term in p.h)
+        return R0Estimate(math.sqrt(diameter_sq), True, "box diameter")
+    if all(term.kind in ("l1", "group_l2") and term.weight > 0 for term in p.h):
+        w_min = min(term.weight for term in p.h)
+        return R0Estimate(2.0 * f0 / w_min, True, "l1 coercivity")
 
     return R0Estimate(2.0 * base, False, "heuristic iterate radius")
 
@@ -244,26 +228,23 @@ def r0_upper_estimate(target, x0, x_star, f_star: float | None = None) -> R0Esti
 class BetaEstimate:
     """Bound on the spectral norm of the moving strict-lower Hessian.
 
-    ``exact`` is the spectral norm of the actual strict lower triangle when
-    the Hessian is constant, else None; it never exceeds ``estimate``.
+    ``exact`` is the spectral norm of the Hessian's strict lower triangle;
+    it never exceeds ``estimate``.
     """
 
     estimate: float
-    exact: float | None
+    exact: float
 
 
 def beta_estimate(o: SmoothProblemOracle) -> BetaEstimate:
-    """min(sqrt(K) L, sum_k L_k), plus the exact strict-lower spectral norm
-    for constant-Hessian oracles."""
+    """min(sqrt(K) L, sum_k L_k), plus the exact strict-lower spectral norm."""
     k = o.dimension
     estimate = min(math.sqrt(k) * o.lipschitz_global,
                    float(np.sum(o.lipschitz_coordinate)))
-    exact = None
-    if o.hessian is not None:
-        exact = spectral_norm(strict_lower_truncate(o.hessian)).value
-        if exact > estimate * (1 + 1e-12):
-            raise ArithmeticError(
-                f"exact strict-lower norm {exact} exceeds its bound {estimate}")
+    exact = spectral_norm(strict_lower_truncate(o.hessian)).value
+    if exact > estimate * (1 + 1e-12):
+        raise ArithmeticError(
+            f"exact strict-lower norm {exact} exceeds its bound {estimate}")
     return BetaEstimate(estimate=estimate, exact=exact)
 
 

@@ -33,7 +33,7 @@ from .bounds import (
     evaluate,
 )
 from .linalg import ConvergenceError
-from .problems import ProblemFormatError, load_problem
+from .problems import ProblemFormatError, constants_from_oracle, load_problem
 # battery.set_up computes the constants; this binding stays because
 # bench/tests/test_bench.py asserts that the tracer rewraps it here.
 from .problems import compute_constants  # noqa: F401
@@ -124,7 +124,11 @@ def _parse_stepsizes(raw, path: str) -> StepsizePolicy:
         values = raw.get("values")
         if not isinstance(values, list) or not values:
             raise PlanError(f"{path}.values", "fixed policy needs a value list")
-        return StepsizePolicy.fixed(values)
+        numbers = [_finite_number(value) for value in values]
+        for j, number in enumerate(numbers):
+            if number is None or number <= 0:
+                raise PlanError(f"{path}.values[{j}]", "expected a finite positive number")
+        return StepsizePolicy.fixed(numbers)
     raise PlanError(f"{path}.kind", f"unknown stepsize kind {kind!r}")
 
 
@@ -166,7 +170,6 @@ def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
             stepsizes=_parse_stepsizes(raw.get("stepsizes"), f"{path}.stepsizes"),
             max_cycles=max_cycles,
             gap_tolerance=gap_tolerance,
-            record_intermediates=bool(raw.get("record_intermediates", False)),
         )
         runs.append((label, run))
     return runs
@@ -211,13 +214,21 @@ def _parse_bounds(plan: dict, runs) -> list[tuple[str, str, str | None, float]]:
 
 
 def _check_runs(instance, runs) -> None:
-    """Reject a run whose algorithm does not apply to the set-up problem."""
+    """Reject a run whose algorithm does not apply to the set-up problem, or
+    whose stepsizes do not realize against the constants it will use (the
+    oracle's for cgd), before any output is written."""
     for i, (_, run) in enumerate(runs):
         if run.algorithm == "cgd" and instance.oracle is None:
             raise PlanError(f"$.runs[{i}].algorithm",
                             "cgd needs a smooth scalar-block problem")
         if run.algorithm == "gd" and not instance.problem.is_smooth():
             raise PlanError(f"$.runs[{i}].algorithm", "gd needs a smooth problem")
+        constants = (constants_from_oracle(instance.oracle) if run.algorithm == "cgd"
+                     else instance.constants)
+        try:
+            run.stepsizes.realize(constants)
+        except ValueError as exc:
+            raise PlanError(f"$.runs[{i}].stepsizes", str(exc))
 
 
 def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:

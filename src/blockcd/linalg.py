@@ -1,5 +1,5 @@
 """Dense linear-algebra kernel: extreme eigenvalues, spectral norms,
-triangular truncations and minimum-norm least squares.
+strict-lower truncation and minimum-norm least squares.
 
 All functions are pure and deterministic.  For matrices whose larger side
 is at most DENSE_CUTOFF = 1024 the spectral norm comes from a dense LAPACK
@@ -129,15 +129,6 @@ def sym_eig_extremes(m, tol: float = DEFAULT_TOL) -> tuple[float, float]:
         raise ValueError(f"matrix is asymmetric beyond tolerance (excess {worst:.3e})")
     eigenvalues = np.linalg.eigvalsh(0.5 * (a + a.T))
     return float(eigenvalues[0]), float(eigenvalues[-1])
-
-
-def triangular_truncate(z) -> np.ndarray:
-    """Hadamard product with the lower-triangular all-ones pattern
-    (diagonal kept); entries above the diagonal become exactly zero."""
-    a = as_matrix(z)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    return np.tril(a)
 
 
 def strict_lower_truncate(z) -> np.ndarray:

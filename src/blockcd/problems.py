@@ -267,20 +267,15 @@ def block_gradient(p: CompositeQuadraticProblem, k: int, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothProblemOracle:
-    """Smooth convex objective over scalar coordinates with Lipschitz data.
-
-    ``hessian`` is set when the Hessian is constant (quadratics); then
-    ``hessian_entry_bounds`` holds exact |H_ij| bounds.
-    """
+    """Smooth convex quadratic over scalar coordinates: value, gradient,
+    constant Hessian and Lipschitz data, with |H_ij| <= sqrt(L_i L_j)."""
 
     dimension: int
     value: "callable"
     gradient: "callable"
     lipschitz_global: float
     lipschitz_coordinate: np.ndarray
-    hessian: np.ndarray | None = None
-    hessian_entry_bounds: np.ndarray | None = None
-    optimum: np.ndarray | None = None
+    hessian: np.ndarray
 
     def __post_init__(self):
         lk = np.asarray(self.lipschitz_coordinate, dtype=float).reshape(-1)
@@ -292,15 +287,11 @@ class SmoothProblemOracle:
             raise ValueError("coordinate constants must not exceed the global one")
         lk.flags.writeable = False
         object.__setattr__(self, "lipschitz_coordinate", lk)
-        if self.hessian_entry_bounds is not None:
-            bounds = np.asarray(self.hessian_entry_bounds, dtype=float)
-            cross = np.sqrt(np.outer(lk, lk))
-            if np.any(bounds > cross * (1 + 1e-12)):
-                raise ValueError(
-                    "hessian_entry_bounds must satisfy L_ij <= sqrt(L_i L_j)")
-
-    def coordinate_gradient(self, k: int, x: np.ndarray) -> float:
-        return float(self.gradient(x)[k])
+        hessian = np.asarray(self.hessian, dtype=float)
+        if hessian.shape != (self.dimension, self.dimension):
+            raise ValueError("hessian must be dimension x dimension")
+        if np.any(np.abs(hessian) > np.sqrt(np.outer(lk, lk)) * (1 + 1e-12)):
+            raise ValueError("hessian entries must satisfy |H_ij| <= sqrt(L_i L_j)")
 
 
 @dataclass(frozen=True)
@@ -319,10 +310,6 @@ class ProblemConstants:
     gamma_min: float = 0.0
     rank_case: str = "unknown"
 
-    @property
-    def total_dimension(self) -> int:
-        return self.block_count * self.block_size
-
 
 def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
     """Extreme-eigenvalue constants of the quadratic part.
@@ -333,8 +320,10 @@ def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
     columns N its m x m row Gram has rank at most N < m, so gamma_k = 0 and
     that Gram is never formed; when m < N, sigma_k = 0 likewise.  (An
     eigensolver returns roundoff of either sign for such an eigenvalue, and
-    sqrt(1e-16 L_k) would pass the rank threshold.)  The rank case is
-    classified with the relative threshold RANK_RTOL.
+    sqrt(1e-16 L_k) would look positive.)  The rank case counts the
+    singular values of each A_k above RANK_RTOL times the largest, as
+    least_squares_min_norm does; sigma_k and gamma_k carry roundoff near
+    1e-8 sigma_max, too coarse for that threshold.
     """
     k_count = p.partition.block_count
     full = p.full_matrix()
@@ -342,13 +331,10 @@ def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
     l_k = np.empty(k_count)
     sigma_k = np.empty(k_count)
     gamma_k = np.empty(k_count)
-    col_rank_ok = True
-    row_rank_ok = True
     for k in range(k_count):
         a = p.a_blocks[k]
         low_c, high = sym_eig_extremes(a.T @ a)
         l_k[k] = high
-        smax = math.sqrt(max(high, 0.0))
         rows, cols = a.shape
         sigma_k[k] = 0.0 if rows < cols else math.sqrt(max(low_c, 0.0))
         if rows > cols:
@@ -356,11 +342,11 @@ def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
         else:
             low_r, _ = sym_eig_extremes(a @ a.T)
             gamma_k[k] = math.sqrt(max(low_r, 0.0))
-        col_rank_ok = col_rank_ok and sigma_k[k] > RANK_RTOL * smax and smax > 0
-        row_rank_ok = row_rank_ok and gamma_k[k] > RANK_RTOL * smax and smax > 0
-    if col_rank_ok:
+    singular = np.linalg.svd(np.array(p.a_blocks), compute_uv=False)
+    ranks = np.count_nonzero(singular > RANK_RTOL * singular[:, :1], axis=1)
+    if np.all(ranks == p.partition.block_size):
         rank_case = "full_column"
-    elif row_rank_ok:
+    elif np.all(ranks == p.rows):
         rank_case = "full_row"
     else:
         rank_case = "neither"
@@ -408,8 +394,6 @@ def make_table1_diagonal(block_count: int, lipschitz: float) -> SmoothProblemOra
         lipschitz_global=lip,
         lipschitz_coordinate=np.full(k, lip),
         hessian=lip * np.eye(k),
-        hessian_entry_bounds=lip * np.eye(k),
-        optimum=np.zeros(k),
     )
 
 
@@ -429,16 +413,13 @@ def make_table1_full(block_count: int, lipschitz: float) -> SmoothProblemOracle:
         s = float(np.asarray(x, dtype=float).sum())
         return np.full(k, coef * s)
 
-    hessian = np.full((k, k), coef)
     return SmoothProblemOracle(
         dimension=k,
         value=value,
         gradient=gradient,
         lipschitz_global=lip,
         lipschitz_coordinate=np.full(k, coef),
-        hessian=hessian,
-        hessian_entry_bounds=np.abs(hessian),
-        optimum=np.zeros(k),
+        hessian=np.full((k, k), coef),
     )
 
 
@@ -533,16 +514,14 @@ def make_lasso_instance(rows: int, block_count: int, weight: float, seed: int):
 
 
 def oracle_from_quadratic(p: CompositeQuadraticProblem,
-                          constants: ProblemConstants | None = None) -> SmoothProblemOracle:
-    """Smooth-oracle view of a scalar-block problem with no nonsmooth terms.
-    ``constants``, when given, must be compute_constants(p)."""
+                          constants: ProblemConstants) -> SmoothProblemOracle:
+    """Smooth-oracle view of a scalar-block problem with no nonsmooth terms;
+    ``constants`` must be compute_constants(p)."""
     if not p.is_smooth():
         raise ValueError("oracle view requires all nonsmooth terms to be zero")
     if p.partition.block_size != 1:
         raise ValueError("oracle view requires scalar blocks")
     full = p.full_matrix()
-    constants = constants or compute_constants(p)
-    hessian = full.T @ full
     b = p.b
 
     def value(x):
@@ -558,8 +537,7 @@ def oracle_from_quadratic(p: CompositeQuadraticProblem,
         gradient=gradient,
         lipschitz_global=constants.L,
         lipschitz_coordinate=constants.L_k,
-        hessian=hessian,
-        hessian_entry_bounds=np.abs(hessian),
+        hessian=full.T @ full,
     )
 
 
@@ -711,8 +689,9 @@ def load_problem(source) -> LoadedProblem:
             x0 = np.zeros(k * n)
         else:
             x0 = np.asarray(x0_raw, dtype=float)
-            if x0.shape != (k * n,):
-                raise ProblemFormatError("$.x0", f"expected length {k * n}")
+            if x0.shape != (k * n,) or not np.isfinite(x0).all():
+                raise ProblemFormatError(
+                    "$.x0", f"expected a flat list of {k * n} finite numbers")
         return LoadedProblem(kind=kind, x0=x0, problem=problem)
 
     raise ProblemFormatError("$.kind", f"unknown kind {kind!r}")

@@ -10,7 +10,7 @@ deterministic given its inputs and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -23,7 +23,6 @@ from .problems import (
     compute_constants,
     constants_from_oracle,
     eval_objective,
-    nonsmooth_total,
     prox,
     prox_scalar,
 )
@@ -78,8 +77,8 @@ class StepsizePolicy:
             raise ValueError(
                 f"stepsize constant P_{bad}={p[bad]:.6g} is below the block "
                 f"Lipschitz constant L_{bad}={constants.L_k[bad]:.6g}")
-        if np.any(p <= 0):
-            raise ValueError("stepsize constants must be positive")
+        if not (np.isfinite(p).all() and (p > 0).all()):
+            raise ValueError("stepsize constants must be finite and positive")
         return p
 
 
@@ -228,11 +227,6 @@ def _check_start(p: CompositeQuadraticProblem, x0) -> np.ndarray:
     return x
 
 
-def _objective(p: CompositeQuadraticProblem, x: np.ndarray) -> float:
-    r = p.residual(x)
-    return 0.5 * float(r @ r) + nonsmooth_total(p, x)
-
-
 def _should_stop(run: SolverRun, f_value: float, f_star) -> bool:
     return (f_star is not None and run.gap_tolerance > 0
             and f_value - f_star <= run.gap_tolerance)
@@ -244,7 +238,7 @@ def _record_cycles(algorithm: str, run: SolverRun, x: np.ndarray,
 
     ``sweep(order, cycle, steps)`` visits the blocks of ``order`` once,
     updating x in place, appends one BlockStep per visit to ``steps`` when
-    that is a list, and returns sum_k P_k ||x_k^new - x_k^old||^2.
+    that is a list, and returns sqrt(sum_k P_k ||x_k^new - x_k^old||^2).
     ``measure()`` returns f(x) and the gradient norm (or None) at x.
     """
     f_value, grad_norm = measure()
@@ -256,7 +250,7 @@ def _record_cycles(algorithm: str, run: SolverRun, x: np.ndarray,
         order = next(order_stream)
         orders_seen.append(list(order))
         cycle_steps = [] if steps_record is not None else None
-        movements.append(math.sqrt(sweep(order, cycle, cycle_steps)))
+        movements.append(sweep(order, cycle, cycle_steps))
         xs.append(x.copy())
         f_value, grad_norm = measure()
         f_values.append(f_value)
@@ -310,7 +304,7 @@ def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
         if steps is not None:
             steps.append(BlockStep(k, np.array([float(g[k]) if exact else g_k]),
                                    np.array([old]), np.array([new])))
-    return move_sq
+    return math.sqrt(move_sq)
 
 
 def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarray,
@@ -337,7 +331,7 @@ def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndar
         if steps is not None:
             grad = grad.copy() if lipschitz is None else a_k.T @ res
             steps.append(BlockStep(k, grad, old, new.copy()))
-    return move_sq
+    return math.sqrt(move_sq)
 
 
 def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarray,
@@ -362,7 +356,7 @@ def _run_blocks(p: CompositeQuadraticProblem, run: SolverRun, x0,
 
     def measure():
         grad_norm = float(np.linalg.norm(full.T @ p.residual(x))) if smooth else None
-        return _objective(p, x), grad_norm
+        return eval_objective(p, x), grad_norm
 
     exact = run.algorithm == "exact_bcd"
     sweep = _make_sweep(p, x, stepsizes, constants.L_k if exact else None)
@@ -429,15 +423,14 @@ def run_bcd_exact(p: CompositeQuadraticProblem, run: SolverRun, x0,
     return _run_blocks(p, run, x0, constants, f_star)
 
 
-def _coordinate_sweep(o: SmoothProblemOracle, columns, g: np.ndarray, x: np.ndarray,
+def _coordinate_sweep(columns: np.ndarray, g: np.ndarray, x: np.ndarray,
                       stepsizes: np.ndarray, order, cycle, steps) -> float:
-    """One cgd cycle.  With the Hessian's ``columns`` the gradient g, exact
-    at x on entry, is kept current by g += (x_k^new - x_k^old) H[:, k];
-    without them every visit asks the oracle."""
+    """One cgd cycle: the gradient g, exact at x on entry, is kept current
+    by g += (x_k^new - x_k^old) H[:, k] from the Hessian's ``columns``."""
     weights = stepsizes.tolist()
     move_sq = 0.0
     for k in order:
-        d_k = float(g[k]) if columns is not None else o.coordinate_gradient(k, x)
+        d_k = float(g[k])
         if not math.isfinite(d_k):
             raise ValueError(f"non-finite coordinate gradient at block {k}")
         old = float(x[k])
@@ -445,12 +438,11 @@ def _coordinate_sweep(o: SmoothProblemOracle, columns, g: np.ndarray, x: np.ndar
         delta = new - old
         if delta != 0.0:
             x[k] = new
-            if columns is not None:
-                g += delta * columns[k]
+            g += delta * columns[k]
         move_sq += weights[k] * delta ** 2
         if steps is not None:
             steps.append(BlockStep(k, np.array([d_k]), np.array([old]), np.array([new])))
-    return move_sq
+    return math.sqrt(move_sq)
 
 
 def run_cgd(o: SmoothProblemOracle, run: SolverRun, x0,
@@ -458,9 +450,9 @@ def run_cgd(o: SmoothProblemOracle, run: SolverRun, x0,
     """Coordinate gradient descent over scalar blocks.
 
     Within a cycle the iterate moves along the chain w <- w - (d_k / P_k) e_k
-    with d_k the coordinate gradient at the current chain point.  With a
-    constant Hessian H the gradient is evaluated once per cycle and kept
-    current through g <- g + (w_k^new - w_k^old) H[:, k].
+    with d_k the coordinate gradient at the current chain point.  The
+    gradient is evaluated once per cycle and kept current through the
+    Hessian H: g <- g + (w_k^new - w_k^old) H[:, k].
     """
     if run.algorithm != "cgd":
         raise ValueError("run.algorithm must be 'cgd'")
@@ -470,13 +462,12 @@ def run_cgd(o: SmoothProblemOracle, run: SolverRun, x0,
     if x.shape[0] != o.dimension:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {o.dimension}")
     grad = np.empty(o.dimension)
-    columns = None if o.hessian is None else np.ascontiguousarray(o.hessian.T)
 
     def measure():
         grad[:] = o.gradient(x)
         return float(o.value(x)), float(np.linalg.norm(grad))
 
-    sweep = partial(_coordinate_sweep, o, columns, grad, x, stepsizes)
+    sweep = partial(_coordinate_sweep, np.ascontiguousarray(o.hessian.T), grad, x, stepsizes)
     return _record_cycles("cgd", run, x, stepsizes, sweep, measure, f_star)
 
 
@@ -486,69 +477,64 @@ def _smooth_view(target, constants: ProblemConstants | None = None):
     compute_constants(target)."""
     if isinstance(target, SmoothProblemOracle):
         return target.value, target.gradient, target.lipschitz_global, target.dimension
-    if isinstance(target, CompositeQuadraticProblem):
-        if not target.is_smooth():
-            raise ValueError("gradient descent requires a smooth problem")
-        full = target.full_matrix()
-        b = target.b
-        if constants is None:
-            constants = compute_constants(target)
+    if not target.is_smooth():
+        raise ValueError("gradient descent requires a smooth problem")
+    full = target.full_matrix()
+    b = target.b
+    if constants is None:
+        constants = compute_constants(target)
 
-        def value(x):
-            r = full @ x - b
-            return 0.5 * float(r @ r)
+    def value(x):
+        r = full @ x - b
+        return 0.5 * float(r @ r)
 
-        def gradient(x):
-            return full.T @ (full @ x - b)
+    def gradient(x):
+        return full.T @ (full @ x - b)
 
-        return value, gradient, constants.L, target.partition.dimension
-    raise TypeError(f"unsupported problem type {type(target)!r}")
+    return value, gradient, constants.L, target.partition.dimension
 
 
-def run_gd(target, run: SolverRun, x0, f_star: float | None = None,
+def _gradient_sweep(g: np.ndarray, x: np.ndarray, lipschitz: float,
+                    order, cycle, steps) -> float:
+    """One gd step x <- x - g / L from the gradient g at x; returns
+    sqrt(L) ||x^new - x^old||."""
+    if not np.isfinite(g).all():
+        raise ValueError("non-finite gradient")
+    new = x - g / lipschitz
+    movement = math.sqrt(lipschitz) * float(np.linalg.norm(new - x))
+    x[:] = new
+    return movement
+
+
+def run_gd(target: SmoothProblemOracle | CompositeQuadraticProblem, run: SolverRun,
+           x0, f_star: float | None = None,
            constants: ProblemConstants | None = None) -> Trajectory:
-    """Full gradient descent with the constant stepsize 1/L."""
+    """Full gradient descent with the constant stepsize 1/L.  A cycle is one
+    step; the trajectory records the cyclic order whatever run.order says."""
     if run.algorithm != "gd":
         raise ValueError("run.algorithm must be 'gd'")
     value, gradient, lipschitz, dim = _smooth_view(target, constants)
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     if x.shape[0] != dim:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {dim}")
+    grad = np.empty(dim)
 
-    xs = [x.copy()]
-    f_values = [float(value(x))]
-    g = gradient(x)
-    grad_norms = [float(np.linalg.norm(g))]
-    movements = []
-    for _ in range(run.max_cycles):
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient")
-        x = x - g / lipschitz
-        xs.append(x.copy())
-        f_values.append(float(value(x)))
-        g = gradient(x)
-        grad_norms.append(float(np.linalg.norm(g)))
-        movements.append(math.sqrt(lipschitz) * float(np.linalg.norm(xs[-1] - xs[-2])))
-        if _should_stop(run, f_values[-1], f_star):
-            break
-    return Trajectory(
-        algorithm="gd",
-        xs=np.array(xs),
-        f=np.array(f_values),
-        weighted_movement=np.array(movements),
-        stepsizes=np.full(dim, lipschitz),
-        orders=[list(range(dim)) for _ in range(len(movements))],
-        grad_norm=np.array(grad_norms),
-    )
+    def measure():
+        grad[:] = gradient(x)
+        return float(value(x)), float(np.linalg.norm(grad))
+
+    run = replace(run, order=BlockOrder.cyclic(), record_intermediates=False)
+    sweep = partial(_gradient_sweep, grad, x, lipschitz)
+    return _record_cycles("gd", run, x, np.full(dim, lipschitz), sweep, measure, f_star)
 
 
 @dataclass(frozen=True)
 class ReferenceOptimum:
     """High-precision optimum with its certificate.
 
-    ``certified`` means the movement certificate reached 1e-10 (composite
-    problems) or the optimum is closed-form / least-squares exact.  When it
-    is False, downstream envelope checks treat their reports as advisory.
+    ``certified`` means the movement certificate reached 1e-10, or the
+    optimum is the exact minimum-norm least-squares solution.  When it is
+    False, downstream envelope checks treat their reports as advisory.
     """
 
     x_star: np.ndarray
@@ -558,33 +544,15 @@ class ReferenceOptimum:
     note: str
 
 
-def reference_optimum(target, constants: ProblemConstants | None = None,
+def reference_optimum(p: CompositeQuadraticProblem,
+                      constants: ProblemConstants | None = None,
                       max_cycles: int = 30_000) -> ReferenceOptimum:
     """Reference optimum: minimum-norm least squares for nonsmooth-free
     problems; otherwise a long block-proximal run with a movement
-    certificate.  Oracles with a stored optimum or a constant Hessian are
-    solved in closed form."""
-    if isinstance(target, SmoothProblemOracle):
-        if target.optimum is not None:
-            x_star = np.asarray(target.optimum, dtype=float)
-            return ReferenceOptimum(x_star, float(target.value(x_star)), True,
-                                    0.0, "closed-form optimum")
-        if target.hessian is not None:
-            c = target.gradient(np.zeros(target.dimension))
-            x_star = least_squares_min_norm(target.hessian, -np.asarray(c))
-            grad_norm = float(np.linalg.norm(target.gradient(x_star)))
-            if grad_norm > 1e-8:
-                raise ConvergenceError(
-                    f"stationarity residual {grad_norm:.3e} too large for a "
-                    "closed-form optimum")
-            return ReferenceOptimum(x_star, float(target.value(x_star)), True,
-                                    0.0, "quadratic normal equations")
-        raise ValueError("oracle has neither a stored optimum nor a Hessian")
-
-    p: CompositeQuadraticProblem = target
+    certificate."""
     if p.is_smooth():
         x_star = least_squares_min_norm(p.full_matrix(), p.b)
-        return ReferenceOptimum(x_star, _objective(p, x_star), True, 0.0,
+        return ReferenceOptimum(x_star, eval_objective(p, x_star), True, 0.0,
                                 "minimum-norm least squares")
     constants = constants or compute_constants(p)
     stepsizes = StepsizePolicy.block_lk().realize(constants)
@@ -596,9 +564,9 @@ def reference_optimum(target, constants: ProblemConstants | None = None,
     movement = math.inf
     cycles_done = 0
     while cycles_done < max_cycles and movement > 1e-13:
-        movement = math.sqrt(sweep(range(k_count), cycles_done, None))
+        movement = sweep(range(k_count), cycles_done, None)
         cycles_done += 1
-    f_star = _objective(p, x)
+    f_star = eval_objective(p, x)
     certified = movement <= 1e-10
     note = (f"block-proximal reference: {cycles_done} cycles, final weighted "
             f"movement {movement:.3e}")

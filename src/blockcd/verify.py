@@ -199,12 +199,11 @@ def _chain_matrix_norm(order, hessian: np.ndarray, stepsizes: np.ndarray,
 def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
                       name: str = "descent_cgd") -> list[CheckReport]:
     """Sufficient descent of the coordinate chain in terms of the full
-    gradient.  Always checks the relaxed form
+    gradient: the relaxed form
 
-        g^r - g^(r+1) >= ||grad g(x^r)||^2 / (2 (P_max + beta^2 / P_min));
+        g^r - g^(r+1) >= ||grad g(x^r)||^2 / (2 (P_max + beta^2 / P_min)),
 
-    for constant-Hessian oracles additionally checks the exact chain-matrix
-    form with ||V||^2 and that ||H|| <= beta.
+    the exact chain-matrix form with ||V||^2, and ||H|| <= beta.
     """
     if t.algorithm != "cgd":
         raise ValueError("descent_cgd expects a cgd trajectory")
@@ -220,8 +219,6 @@ def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
         beta_violations.append((rhs - lhs) / max(1.0, abs(t.f[r])))
     reports = [_report(f"{name}_beta", beta_violations, LEMMA_TOL,
                        notes=f"beta {beta:.6g}")]
-    if o.hessian is None:
-        return reports
     cache: dict = {}
     exact_violations = []
     h_norm_violations = []

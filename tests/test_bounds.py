@@ -19,11 +19,11 @@ from blockcd.problems import (
     CompositeQuadraticProblem,
     NonsmoothTerm,
     ProblemConstants,
-    SmoothProblemOracle,
     compute_constants,
     constants_from_oracle,
     make_lasso_instance,
     make_table1_diagonal,
+    make_table1_diagonal_qp,
     make_table1_full,
     make_toeplitz_instance,
     toeplitz_start,
@@ -131,40 +131,29 @@ class TestBetaEstimate:
         o = make_table1_full(16, 2.0)
         est = beta_estimate(o)
         assert est.estimate == pytest.approx(2.0)
-        assert est.exact is not None
         assert est.exact <= est.estimate
-
-    def test_exact_without_hessian_is_none(self):
-        o = SmoothProblemOracle(
-            dimension=2, value=lambda x: 0.0, gradient=lambda x: np.zeros(2),
-            lipschitz_global=1.0, lipschitz_coordinate=np.ones(2))
-        assert beta_estimate(o).exact is None
 
     @pytest.mark.parametrize("k", [2, 10, 100])
     @pytest.mark.parametrize("flavor", ["diag", "full"])
     def test_exact_below_estimate_on_all_builtins(self, k, flavor):
         maker = make_table1_diagonal if flavor == "diag" else make_table1_full
         est = beta_estimate(maker(k, 3.0))
-        assert est.exact is not None
         assert est.exact <= est.estimate * (1 + 1e-12)
 
 
 class TestRadiusEstimate:
     def test_strongly_convex_scalar(self):
         # g = x^2/2 from x0 = 3: delta0 = 4.5, mu = 1, radius max(3, 3) = 3
-        o = SmoothProblemOracle(
-            dimension=1,
-            value=lambda x: 0.5 * float(x[0] ** 2),
-            gradient=lambda x: np.asarray(x, dtype=float),
-            lipschitz_global=1.0, lipschitz_coordinate=np.ones(1),
-            hessian=np.eye(1), optimum=np.zeros(1))
-        est = r0_upper_estimate(o, np.array([3.0]), np.zeros(1))
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(1, 1), a_blocks=(np.eye(1),), b=np.zeros(1),
+            h=(NonsmoothTerm.zero(),))
+        est = r0_upper_estimate(p, np.array([3.0]), np.zeros(1), f_star=0.0)
         assert est.value == pytest.approx(3.0, rel=1e-12)
         assert est.certified
 
     def test_start_at_optimum_is_zero(self):
-        o = make_table1_diagonal(3, 2.0)
-        est = r0_upper_estimate(o, np.zeros(3), np.zeros(3))
+        p = make_table1_diagonal_qp(3, 2.0)
+        est = r0_upper_estimate(p, np.zeros(3), np.zeros(3), f_star=0.0)
         assert est.value == 0.0
         assert est.certified
 

@@ -195,6 +195,29 @@ class TestErrors:
         assert len(err.splitlines()) == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("run, where", [
+        # toeplitz K=5 has L_k in {4, 6}: 0.5 is below every one
+        ({"algorithm": "bcpg", "stepsizes": {"kind": "fixed", "values": [0.5] * 5}},
+         "$.runs[1].stepsizes: "),
+        ({"algorithm": "cgd", "stepsizes": {"kind": "fixed", "values": [10.0] * 4}},
+         "$.runs[1].stepsizes: "),
+        ({"algorithm": "bcpg", "stepsizes": {"kind": "fixed", "values": [6, "nan", 6, 6, 6]}},
+         "$.runs[1].stepsizes.values[1]: "),
+    ])
+    def test_unrealizable_stepsizes_write_nothing(self, tmp_path, capsys, run, where):
+        path = write_plan(tmp_path, {
+            "problem": {"kind": "toeplitz", "block_count": 5},
+            "runs": [{"label": "first", "algorithm": "bcpg", "max_cycles": 5},
+                     dict(run, label="second", max_cycles=5)],
+        })
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", "--plan", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + where)
+        assert len(err.splitlines()) == 1
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("label", ["../escaped", "..", ".hidden", "a/b", "",
                                        "bounds"])
     def test_label_cannot_leave_out_dir(self, tmp_path, capsys, label):
@@ -236,10 +259,11 @@ class TestSharedSetUp:
         views = [ours.oracle, theirs.oracle]
         if spec["kind"] == "toeplitz":
             # the view set_up builds matches one built from scratch
-            views.append(oracle_from_quadratic(theirs.problem))
+            views.append(oracle_from_quadratic(theirs.problem,
+                                               compute_constants(theirs.problem)))
         for view in views:
             assert view.lipschitz_global == ours.oracle.lipschitz_global
-            for attribute in ("lipschitz_coordinate", "hessian", "hessian_entry_bounds"):
+            for attribute in ("lipschitz_coordinate", "hessian"):
                 np.testing.assert_array_equal(getattr(view, attribute),
                                               getattr(ours.oracle, attribute))
             assert view.value(ours.x0) == ours.oracle.value(ours.x0)
@@ -254,8 +278,11 @@ def _plan_text(field: str, value_text: str) -> str:
         bound["against"] = "bcd"
     body = {"problem": {"kind": "toeplitz", "block_count": 5},
             "runs": [run], "bounds": [bound]}
-    holder = {"problem": body, "c_prior": bound}.get(field, run)
-    holder[field] = "@VALUE@"
+    if field == "stepsizes.values":
+        run["stepsizes"] = {"kind": "fixed", "values": ["@VALUE@"]}
+    else:
+        holder = {"problem": body, "c_prior": bound}.get(field, run)
+        holder[field] = "@VALUE@"
     return json.dumps(body).replace('"@VALUE@"', value_text)
 
 
@@ -280,6 +307,7 @@ PROBLEM_TEXTS = ['{"kind": "toeplitz", "block_count": 5}', '"problem.json"',
 @pytest.mark.parametrize("field, value_text",
                          [("gap_tolerance", t) for t in NUMBER_TEXTS]
                          + [("c_prior", t) for t in NUMBER_TEXTS]
+                         + [("stepsizes.values", t) for t in NUMBER_TEXTS + ['"nan"']]
                          + [("label", t) for t in LABEL_TEXTS]
                          + [("problem", t) for t in PROBLEM_TEXTS])
 def test_parser_and_schema_agree(tmp_path, field, value_text):

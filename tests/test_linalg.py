@@ -14,9 +14,9 @@ from blockcd.linalg import (
     spectral_norm,
     strict_lower_truncate,
     sym_eig_extremes,
-    triangular_truncate,
 )
 from blockcd.problems import (
+    compute_constants,
     make_toeplitz_instance,
     oracle_from_quadratic,
     toeplitz_matrix,
@@ -74,7 +74,8 @@ class TestSpectralNorm:
     def test_strict_lower_toeplitz_hessian_uses_dense_path(self, k):
         # power iteration does not converge on these within
         # MAX_POWER_ITERATIONS: their top singular values cluster
-        oracle = oracle_from_quadratic(make_toeplitz_instance(k)[0])
+        problem = make_toeplitz_instance(k)[0]
+        oracle = oracle_from_quadratic(problem, compute_constants(problem))
         lower = strict_lower_truncate(oracle.hessian)
         result = spectral_norm(lower)
         dense = float(np.linalg.svd(lower, compute_uv=False)[0])
@@ -129,17 +130,6 @@ class TestSymEigExtremes:
 
 
 class TestTriangularTruncation:
-    def test_keeps_lower_including_diagonal(self):
-        out = triangular_truncate([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(out, [[1.0, 0.0], [3.0, 4.0]])
-
-    def test_identity_fixed_point(self):
-        np.testing.assert_array_equal(triangular_truncate(np.eye(3)), np.eye(3))
-
-    def test_strictly_upper_becomes_zero(self):
-        z = np.triu(np.ones((4, 4)), k=1)
-        np.testing.assert_array_equal(triangular_truncate(z), np.zeros((4, 4)))
-
     def test_strict_lower_zeroes_diagonal(self):
         out = strict_lower_truncate([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(out, [[0.0, 0.0], [3.0, 0.0]])
@@ -153,8 +143,6 @@ class TestTriangularTruncation:
         np.testing.assert_array_equal(out, [[0, 0, 0], [1, 0, 0], [1, 1, 0]])
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            triangular_truncate(np.ones((2, 3)))
         with pytest.raises(ValueError):
             strict_lower_truncate(np.ones((2, 3)))
 

@@ -1,6 +1,7 @@
 """Tests for the four solvers and trajectory recording."""
 
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,9 @@ class TestPolicies:
             StepsizePolicy.fixed([1.0] * 6).realize(c)
         # exactly the block constants are accepted
         StepsizePolicy.fixed(list(c.L_k)).realize(c)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                StepsizePolicy.fixed([bad] * 6).realize(c)
 
     def test_order_stream_determinism(self):
         order = BlockOrder.random_permutation(42)
@@ -272,8 +276,8 @@ class TestCGD:
 
     def test_equals_bcpg_on_quadratic(self):
         p, x0 = random_quadratic(300)
-        o = oracle_from_quadratic(p)
         c = compute_constants(p)
+        o = oracle_from_quadratic(p, c)
         t_cgd = run_cgd(o, SolverRun(algorithm="cgd", max_cycles=20), x0)
         t_bcpg = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=20), x0,
                           constants=c)
@@ -303,7 +307,7 @@ class TestGD:
         o = make_table1_full(10, 4.0)
         x0 = np.ones(10)
         t = run_gd(o, SolverRun(algorithm="gd", max_cycles=100), x0)
-        radius_sq = float(np.sum((x0 - o.optimum) ** 2))
+        radius_sq = float(np.sum(x0 ** 2))  # the optimum is 0
         for r in range(1, t.cycles + 1):
             bound = 2.0 * radius_sq * o.lipschitz_global / (r + 4)
             assert t.f[r] - 0.0 <= bound * (1 + 1e-12)
@@ -381,16 +385,11 @@ class TestReferenceOptimum:
         assert ref.certified
 
     def test_table1_oracles(self):
-        ref = reference_optimum(make_table1_diagonal(5, 2.0))
+        # the quadratic twin stands in for the closed-form oracle
+        ref = reference_optimum(make_table1_diagonal_qp(5, 2.0))
         np.testing.assert_array_equal(ref.x_star, np.zeros(5))
         assert ref.f_star == 0.0
-
-    def test_quadratic_oracle_without_stored_optimum(self):
-        p, _ = random_quadratic(77)
-        o = oracle_from_quadratic(p)
-        ref = reference_optimum(o)
-        grad = o.gradient(ref.x_star)
-        assert np.linalg.norm(grad) <= 1e-8
+        assert ref.certified
 
 
 class TestTrajectoryCSV:
@@ -486,14 +485,12 @@ class TestScalarKernel:
         assert_close(t.weighted_movement, movement)
 
     @settings(max_examples=100, deadline=None)
-    @given(case=scalar_problems(kinds=("zero",)), cycles=st.integers(1, 25),
-           with_hessian=st.booleans())
-    def test_cgd_matches_replay(self, case, cycles, with_hessian):
+    @given(case=scalar_problems(kinds=("zero",)), cycles=st.integers(1, 25))
+    def test_cgd_matches_replay(self, case, cycles):
         problem, x0, order = case
-        assume(np.all(compute_constants(problem).L_k > 0))
-        oracle = oracle_from_quadratic(problem)
-        if not with_hessian:
-            oracle = replace(oracle, hessian=None, hessian_entry_bounds=None)
+        constants = compute_constants(problem)
+        assume(np.all(constants.L_k > 0))
+        oracle = oracle_from_quadratic(problem, constants)
         t = run_cgd(oracle, SolverRun(algorithm="cgd", order=order, max_cycles=cycles), x0)
         xs, f, movement = replay_coordinate_sweeps(oracle, t.orders, x0, t.stepsizes)
         assert_close(t.xs, xs)
@@ -547,3 +544,43 @@ class TestScalarKernel:
 def _scalar_start(term):
     """The reference optimum's start: the feasible point closest to 0."""
     return min(max(0.0, term.lo), term.hi) if term.kind == "box" else 0.0
+
+
+def assert_gd_is_plain_loop(problem, x0, order, cycles):
+    """run_gd equals x <- x - g / L written out, bit for bit."""
+    t = run_gd(problem, SolverRun(algorithm="gd", order=order, max_cycles=cycles), x0)
+    a, b, lipschitz = problem.full_matrix(), problem.b, compute_constants(problem).L
+    x = np.array(x0, dtype=float)
+    xs = [x]
+    for _ in range(cycles):
+        x = x - a.T @ (a @ x - b) / lipschitz
+        xs.append(x)
+    residuals = [a @ x - b for x in xs]
+    np.testing.assert_array_equal(t.xs, np.array(xs))
+    np.testing.assert_array_equal(t.f, [0.5 * float(r @ r) for r in residuals])
+    np.testing.assert_array_equal(
+        t.grad_norm, [float(np.linalg.norm(a.T @ r)) for r in residuals])
+    np.testing.assert_array_equal(
+        t.weighted_movement,
+        [math.sqrt(lipschitz) * float(np.linalg.norm(new - old))
+         for old, new in zip(xs, xs[1:])])
+    assert t.orders == [list(range(problem.partition.dimension))] * cycles
+
+
+class TestGDIsPlainLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(case=scalar_problems(kinds=("zero",)), cycles=st.integers(1, 25))
+    def test_scalar_blocks(self, case, cycles):
+        problem, x0, order = case
+        assume(compute_constants(problem).L > 0)
+        assert_gd_is_plain_loop(problem, x0, order, cycles)
+
+    def test_blocks_of_two(self):
+        gen = SplitMix64(41)
+        a = gen.normal_matrix(5, 6)
+        problem = CompositeQuadraticProblem(
+            partition=BlockPartition(3, 2),
+            a_blocks=tuple(a[:, 2 * k:2 * k + 2] for k in range(3)),
+            b=gen.normal_vector(5), h=(NonsmoothTerm.zero(),) * 3)
+        assert_gd_is_plain_loop(problem, gen.normal_vector(6),
+                                BlockOrder.random_permutation(5), 30)

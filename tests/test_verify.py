@@ -197,17 +197,6 @@ class TestCGDCheck:
         t = run_cgd(o, run, np.ones(8))
         assert all(r.passed for r in check_descent_cgd(t, o, beta))
 
-    def test_exact_v_skipped_without_hessian(self):
-        from blockcd.problems import SmoothProblemOracle
-        o = SmoothProblemOracle(
-            dimension=3,
-            value=lambda x: 0.5 * float(np.sum(np.asarray(x) ** 2)),
-            gradient=lambda x: np.asarray(x, dtype=float),
-            lipschitz_global=1.0, lipschitz_coordinate=np.ones(3))
-        t = run_cgd(o, SolverRun(algorithm="cgd", max_cycles=5), np.ones(3))
-        reports = check_descent_cgd(t, o, beta_estimate(o).estimate)
-        assert [r.check_name for r in reports] == ["descent_cgd_beta"]
-
 
 class TestEnvelopeCheck:
     def test_pairing_mismatch_rejected(self):
