@@ -119,6 +119,8 @@ def _parse_stepsizes(raw, path: str) -> StepsizePolicy:
         raise PlanError(path, "expected an object with a 'kind' field")
     kind = raw["kind"]
     if kind in ("global_l", "block_lk"):
+        if "values" in raw:
+            raise PlanError(f"{path}.values", "only a fixed policy takes values")
         return StepsizePolicy(kind)
     if kind == "fixed":
         values = raw.get("values")

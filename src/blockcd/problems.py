@@ -249,12 +249,15 @@ def nonsmooth_total(p: CompositeQuadraticProblem, x) -> float:
         total += float(by_kind.group_weight @ np.linalg.norm(x[by_kind.group], axis=1))
     return total
 
-def eval_objective(p: CompositeQuadraticProblem, x) -> float:
-    """Composite value; +inf sentinel when x violates a box constraint."""
+def eval_objective(p: CompositeQuadraticProblem, x, residual=None) -> float:
+    """Composite value; +inf sentinel when x violates a box constraint.
+    ``residual``, when given, must be p.residual(x); it is not recomputed."""
     ns = nonsmooth_total(p, x)
     if ns == math.inf:
         return math.inf
-    return smooth_value(p, x) + ns
+    if residual is None:
+        return smooth_value(p, x) + ns
+    return 0.5 * float(residual @ residual) + ns
 
 
 def block_gradient(p: CompositeQuadraticProblem, k: int, x) -> np.ndarray:

@@ -222,6 +222,8 @@ def _check_start(p: CompositeQuadraticProblem, x0) -> np.ndarray:
     if x.shape[0] != p.partition.dimension:
         raise ValueError(
             f"x0 has length {x.shape[0]}, expected {p.partition.dimension}")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 has non-finite entries")
     if eval_objective(p, x) == math.inf:
         raise ValueError("x0 violates a box constraint")
     return x
@@ -273,18 +275,18 @@ def _record_cycles(algorithm: str, run: SolverRun, x: np.ndarray,
 
 
 def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
-                  stepsizes: np.ndarray, exact: bool, order, cycle, steps) -> float:
+                  g: np.ndarray, stepsizes: np.ndarray, exact: bool,
+                  order, cycle, steps) -> float:
     """One cycle on scalar blocks in the covariance-update form.
 
-    g = A^T r is computed once from a fresh residual, then kept current
-    through the Gram matrix G = A^T A: a visit reads g_k, takes the prox
-    step in plain floats, and adds (x_k^new - x_k^old) G[k] to g.  bcpg
-    steps from x_k - g_k / P_k with step 1/P_k; exact minimization from
-    x_k - g_k / G_kk with step 1/G_kk, or from 0 with step 1 when column k
-    is zero (the minimum-norm choice).  A recorded step carries g_k before
-    a bcpg step and after an exact one.
+    g = A^T r, exact at x on entry, is kept current through the Gram matrix
+    G = A^T A: a visit reads g_k, takes the prox step in plain floats, and
+    adds (x_k^new - x_k^old) G[k] to g in place.  bcpg steps from
+    x_k - g_k / P_k with step 1/P_k; exact minimization from x_k - g_k / G_kk
+    with step 1/G_kk, or from 0 with step 1 when column k is zero (the
+    minimum-norm choice).  A recorded step carries g_k before a bcpg step
+    and after an exact one.
     """
-    g = p.full_matrix().T @ p.residual(x)
     weights = stepsizes.tolist()
     curvature = np.diagonal(gram).tolist()
     move_sq = 0.0
@@ -307,12 +309,11 @@ def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
     return math.sqrt(move_sq)
 
 
-def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarray,
-                 lipschitz, order, cycle, steps) -> float:
-    """One cycle on blocks of any size from a fresh residual: a proximal
-    step per visit, or an exact block minimization when ``lipschitz``
-    holds the block constants L_k."""
-    res = p.residual(x)
+def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, res: np.ndarray,
+                 stepsizes: np.ndarray, lipschitz, order, cycle, steps) -> float:
+    """One cycle on blocks of any size from the residual ``res`` at x, which
+    is left as it is: a proximal step per visit, or an exact block
+    minimization when ``lipschitz`` holds the block constants L_k."""
     move_sq = 0.0
     for k in order:
         sl = p.block_slice(k)
@@ -336,30 +337,53 @@ def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndar
 
 def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarray,
                 lipschitz=None):
-    """``sweep(order, cycle, steps)`` of bcpg on x, or of exact BCD when
-    ``lipschitz`` holds the block constants L_k; scalar blocks take the
-    Gram kernel, formed here once per run."""
-    if p.partition.block_size == 1:
-        full = p.full_matrix()
-        return partial(_scalar_sweep, p, full.T @ full, x, stepsizes, lipschitz is not None)
-    return partial(_block_sweep, p, x, stepsizes, lipschitz)
+    """``(sweep, refresh)`` of bcpg on x, or of exact BCD when ``lipschitz``
+    holds the block constants L_k.
+
+    ``refresh()`` must run before each ``sweep(order, cycle, steps)``: it
+    stores the residual r = Ax - b, and for scalar blocks g = A^T r, in the
+    buffers the sweep starts from, and returns (r, g), with g None for
+    larger blocks.  Scalar blocks take the Gram kernel, formed here once
+    per run.
+    """
+    res = np.empty(p.rows)
+    if p.partition.block_size > 1:
+        def refresh():
+            res[:] = p.residual(x)
+            return res, None
+
+        return partial(_block_sweep, p, x, res, stepsizes, lipschitz), refresh
+    full = p.full_matrix()
+    grad = np.empty(p.partition.dimension)
+
+    def refresh():
+        res[:] = p.residual(x)
+        grad[:] = full.T @ res
+        return res, grad
+
+    sweep = partial(_scalar_sweep, p, full.T @ full, x, grad, stepsizes, lipschitz is not None)
+    return sweep, refresh
 
 
 def _run_blocks(p: CompositeQuadraticProblem, run: SolverRun, x0,
                 constants: ProblemConstants | None, f_star) -> Trajectory:
-    """Trajectory of run.algorithm, bcpg or exact_bcd, on p."""
+    """Trajectory of run.algorithm, bcpg or exact_bcd, on p.  One residual
+    per cycle serves the objective, the gradient norm and the next sweep."""
     constants = constants or compute_constants(p)
     stepsizes = run.stepsizes.realize(constants)
     x = _check_start(p, x0)
     full = p.full_matrix()
     smooth = p.is_smooth()
+    exact = run.algorithm == "exact_bcd"
+    sweep, refresh = _make_sweep(p, x, stepsizes, constants.L_k if exact else None)
 
     def measure():
-        grad_norm = float(np.linalg.norm(full.T @ p.residual(x))) if smooth else None
-        return eval_objective(p, x), grad_norm
+        res, grad = refresh()
+        grad_norm = None
+        if smooth:
+            grad_norm = float(np.linalg.norm(full.T @ res if grad is None else grad))
+        return eval_objective(p, x, res), grad_norm
 
-    exact = run.algorithm == "exact_bcd"
-    sweep = _make_sweep(p, x, stepsizes, constants.L_k if exact else None)
     return _record_cycles(run.algorithm, run, x, stepsizes, sweep, measure, f_star)
 
 
@@ -421,6 +445,119 @@ def run_bcd_exact(p: CompositeQuadraticProblem, run: SolverRun, x0,
     if run.algorithm != "exact_bcd":
         raise ValueError("run.algorithm must be 'exact_bcd'")
     return _run_blocks(p, run, x0, constants, f_star)
+
+
+def _check_lockstep(problems, runs, x0s, constants) -> None:
+    """Raise ValueError unless the runs can share one stacked sweep."""
+    if not runs or not len(problems) == len(x0s) == len(constants) == len(runs):
+        raise ValueError("lockstep needs at least one run, each with its problem, "
+                         "start and constants")
+    block_count = problems[0].partition.block_count
+    for p, run in zip(problems, runs):
+        if p.partition.block_size != 1 or p.partition.block_count != block_count:
+            raise ValueError(f"lockstep runs need scalar blocks, K={block_count} in each")
+        if run.algorithm not in ("bcpg", "exact_bcd"):
+            raise ValueError(f"lockstep runs bcpg and exact_bcd, not {run.algorithm!r}")
+        if run.order != runs[0].order or run.max_cycles != runs[0].max_cycles:
+            raise ValueError("lockstep runs must share the block order and max_cycles")
+        if run.gap_tolerance != 0 or run.record_intermediates:
+            raise ValueError("lockstep runs take no gap tolerance and record no intermediates")
+        if any(term.kind not in ("l1", "zero") for term in p.h):
+            raise ValueError("lockstep runs take l1 and zero terms only")
+
+
+def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
+    """bcpg and exact_bcd runs on scalar blocks, swept in lockstep.
+
+    The B runs share the block count K, the BlockOrder and max_cycles, so
+    every cycle visits the same blocks in the same order in all of them.
+    Iterates, gradients g = A^T r, divisors, thresholds and stepsizes are
+    stacked as (K, B) arrays, the Grams as (K, K, B), and each visit is one
+    array step across the B runs.  Every term must be l1 or zero (an l1
+    term with threshold 0), gap_tolerance 0 and record_intermediates off;
+    anything else raises ValueError.
+
+    Each element takes _scalar_sweep's IEEE operations in the same order,
+    so every trajectory is bit-identical to run_bcpg/run_bcd_exact:
+    v = x_k - g_k / d_k with d_k = P_k (bcpg) or G_kk (exact; v = 0 and
+    d_k = 1 for a zero column); x_k^new = v - min(max(v, -t_k), t_k) with
+    t_k = w_k (1 / d_k), the soft threshold's bits; where the step moved,
+    x_k takes x_k^new and g gains delta G[k]; the movement sum runs in visit
+    order.  Each run computes its own residual once per cycle, as
+    eval_objective does, for f and the next cycle's g.  A NaN proximal
+    point, which the soft threshold maps to 0 and this form to NaN, raises
+    ValueError instead.
+    """
+    _check_lockstep(problems, runs, x0s, constants)
+    batch, cycles = len(runs), runs[0].max_cycles
+    block_count = problems[0].partition.block_count
+    fulls = [p.full_matrix() for p in problems]
+    grams = [full.T @ full for full in fulls]
+    stepsizes = [run.stepsizes.realize(c) for run, c in zip(runs, constants)]
+    x = np.column_stack([_check_start(p, x0) for p, x0 in zip(problems, x0s)])
+    exact = np.array([run.algorithm == "exact_bcd" for run in runs])
+    curvature = np.column_stack([np.diagonal(gram) for gram in grams])
+    zero_column = exact & ~(curvature > 0.0)
+    weights = np.column_stack(stepsizes)
+    divisor = np.where(exact, np.where(zero_column, 1.0, curvature), weights)
+    l1_weight = np.array([[term.weight if term.kind == "l1" else 0.0 for term in p.h]
+                          for p in problems]).T
+    threshold = l1_weight * (1.0 / divisor)
+    lower = -threshold
+    gram_rows = np.stack(grams, axis=-1)
+    zero_rows = {k: zero_column[k] for k in range(block_count) if zero_column[k].any()}
+    g = np.empty((block_count, batch))
+    xs, fs, moves = ([[] for _ in runs] for _ in range(3))
+    norms = [[] if p.is_smooth() else None for p in problems]
+
+    def record():
+        for b, p in enumerate(problems):
+            xb = x[:, b].copy()
+            res = p.residual(xb)
+            grad = fulls[b].T @ res
+            g[:, b] = grad
+            xs[b].append(xb)
+            fs[b].append(eval_objective(p, xb, res))
+            if norms[b] is not None:
+                norms[b].append(float(np.linalg.norm(grad)))
+
+    record()
+    v, clip, new, delta, square = (np.empty(batch) for _ in range(5))
+    moved = np.empty(batch, dtype=bool)
+    step = np.empty((block_count, batch))
+    order_stream = runs[0].order.stream(block_count)
+    orders_seen = []
+    for _ in range(cycles):
+        order = next(order_stream)
+        orders_seen.append(list(order))
+        move_sq = np.zeros(batch)
+        for k in order:
+            old = x[k]
+            np.divide(g[k], divisor[k], out=v)
+            np.subtract(old, v, out=v)
+            if k in zero_rows:
+                v[zero_rows[k]] = 0.0
+            np.maximum(v, lower[k], out=clip)
+            np.minimum(clip, threshold[k], out=clip)
+            np.subtract(v, clip, out=new)
+            np.subtract(new, old, out=delta)
+            np.not_equal(delta, 0.0, out=moved)
+            np.multiply(delta, delta, out=square)
+            np.multiply(weights[k], square, out=square)
+            move_sq += square
+            np.copyto(old, new, where=moved)
+            np.multiply(gram_rows[k], delta, out=step)
+            np.add(g, step, out=g, where=moved)
+        if np.isnan(x).any():
+            raise ValueError("NaN proximal point in a lockstep sweep; run the solvers one at a time")
+        for b, movement in enumerate(np.sqrt(move_sq).tolist()):
+            moves[b].append(movement)
+        record()
+    return [Trajectory(algorithm=run.algorithm, xs=np.array(xs[b]), f=np.array(fs[b]),
+                       weighted_movement=np.array(moves[b]), stepsizes=stepsizes[b],
+                       orders=[list(order) for order in orders_seen],
+                       grad_norm=None if norms[b] is None else np.array(norms[b]))
+            for b, run in enumerate(runs)]
 
 
 def _coordinate_sweep(columns: np.ndarray, g: np.ndarray, x: np.ndarray,
@@ -560,10 +697,11 @@ def reference_optimum(p: CompositeQuadraticProblem,
     x = np.zeros(p.partition.dimension)
     for k in range(k_count):
         x[p.block_slice(k)] = prox(p.h[k], x[p.block_slice(k)], 1.0)
-    sweep = _make_sweep(p, x, stepsizes)
+    sweep, refresh = _make_sweep(p, x, stepsizes)
     movement = math.inf
     cycles_done = 0
     while cycles_done < max_cycles and movement > 1e-13:
+        refresh()
         movement = sweep(range(k_count), cycles_done, None)
         cycles_done += 1
     f_star = eval_objective(p, x)

@@ -3,6 +3,7 @@
 import pytest
 
 from blockcd import battery, solvers
+from blockcd.solvers import SolverRun, StepsizePolicy
 
 
 class TestInstances:
@@ -93,3 +94,31 @@ class TestSuites:
         assert all(not r.passed for r in objective)  # known inconsistency
         others = [r for r in reports if "objective" not in r.check_name]
         assert all(r.passed for r in others)
+
+
+class TestLockstepFamily:
+    @pytest.mark.parametrize("order_kind, order_seed",
+                             [("cyclic", 0), ("random_permutation", 3)])
+    def test_lasso_family_matches_run_solver(self, order_kind, order_seed):
+        # the 30 lasso trajectories the suites read come from one lockstep
+        # batch and equal battery.run_solver of the same run, bit for bit
+        family = battery._lasso_family(order_kind, order_seed)
+        assert len(family) == 30
+        for name in battery.lasso_names():
+            instance = battery.get_instance(name)
+            for algorithm, policy in battery.LASSO_RUNS:
+                t = battery.get_trajectory(name, algorithm, policy, order_kind, order_seed,
+                                           battery.LASSO_CYCLES)
+                assert t is family[(name, algorithm, policy)]
+                run = SolverRun(algorithm=algorithm,
+                                order=battery._order(order_kind, order_seed),
+                                stepsizes=StepsizePolicy(policy),
+                                max_cycles=battery.LASSO_CYCLES)
+                expected = battery.run_solver(instance, run)
+                for attribute in ("xs", "f", "gap", "weighted_movement", "stepsizes"):
+                    ours, theirs = getattr(t, attribute), getattr(expected, attribute)
+                    assert ours.tobytes() == theirs.tobytes(), (name, algorithm, attribute)
+                    assert not ours.flags.writeable
+                assert t.grad_norm is None and expected.grad_norm is None
+                assert t.orders == expected.orders
+                assert t.f_star == expected.f_star

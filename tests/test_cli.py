@@ -302,6 +302,14 @@ PROBLEM_TEXTS = ['{"kind": "toeplitz", "block_count": 5}', '"problem.json"',
                  '"problems/toeplitz K5.json"', '"../shared/problem.json"',
                  json.dumps('{"kind": "toeplitz", "block_count": 5}'),
                  "7", "1.5", "null", "true", "[]", '["problem.json"]']
+# whole stepsize objects: a fixed policy needs a nonempty value list, and
+# the other kinds take none
+STEPSIZE_TEXTS = ['{"kind": "fixed"}', '{"kind": "fixed", "values": []}',
+                  '{"kind": "fixed", "values": null}', '{"kind": "fixed", "values": [2]}',
+                  '{"kind": "fixed", "values": [1, 2, 3, 4, 5]}',
+                  '{"kind": "block_lk", "values": ["x"]}', '{"kind": "block_lk", "values": [1]}',
+                  '{"kind": "global_l", "values": []}', '{"kind": "global_l"}',
+                  '{"kind": "block_lk"}', '{"values": [1]}', '{"kind": "fixed_l", "values": [1]}']
 
 
 @pytest.mark.parametrize("field, value_text",
@@ -309,7 +317,8 @@ PROBLEM_TEXTS = ['{"kind": "toeplitz", "block_count": 5}', '"problem.json"',
                          + [("c_prior", t) for t in NUMBER_TEXTS]
                          + [("stepsizes.values", t) for t in NUMBER_TEXTS + ['"nan"']]
                          + [("label", t) for t in LABEL_TEXTS]
-                         + [("problem", t) for t in PROBLEM_TEXTS])
+                         + [("problem", t) for t in PROBLEM_TEXTS]
+                         + [("stepsizes", t) for t in STEPSIZE_TEXTS])
 def test_parser_and_schema_agree(tmp_path, field, value_text):
     text = _plan_text(field, value_text)
     # RFC 8259 JSON has no NaN or Infinity; a document holding them is not

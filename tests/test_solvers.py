@@ -34,6 +34,7 @@ from blockcd.solvers import (
     run_bcpg,
     run_cgd,
     run_gd,
+    run_lockstep,
     trajectory_to_csv,
 )
 from oracles import (
@@ -125,6 +126,14 @@ class TestBCPG:
             b=np.zeros(1), h=(NonsmoothTerm.box(-1.0, 1.0),))
         with pytest.raises(ValueError, match="box"):
             run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=1), np.array([2.0]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_start_rejected(self, value):
+        p, x0 = make_lasso_instance(4, 2, 0.1, seed=1)
+        x0[1] = value
+        for solver, algorithm in ((run_bcpg, "bcpg"), (run_bcd_exact, "exact_bcd")):
+            with pytest.raises(ValueError, match="non-finite"):
+                solver(p, SolverRun(algorithm=algorithm, max_cycles=1), x0)
 
     def test_optimality_condition_probe(self):
         # at every accepted block step, for random directions u:
@@ -539,6 +548,160 @@ class TestScalarKernel:
                 scale = max(1.0, float(np.abs(a).sum() * np.abs(a @ x - problem.b).sum()))
                 assert abs(step.grad[0] - expected) <= 1e-12 * scale
         np.testing.assert_array_equal(x, t.xs[-1])
+
+
+def assert_same_bits(actual, expected):
+    """Equal values, and equal bytes: bit for bit, signed zeros included."""
+    if expected is None:
+        assert actual is None
+        return
+    np.testing.assert_array_equal(actual, expected)
+    assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
+
+
+@st.composite
+def lockstep_batches(draw):
+    """2-6 scalar-block bcpg/exact_bcd runs on different problems that share
+    K, the order and the cycle count: l1 and zero terms, zero columns, and
+    block_lk, global_l or fixed stepsizes (fixed where the drawn policy
+    does not realize, because a column is zero)."""
+    k_count = draw(st.integers(1, 8))
+    order = BlockOrder(draw(st.sampled_from(ORDER_KINDS)), seed=draw(st.integers(0, 2**32 - 1)))
+    cycles = draw(st.integers(1, 12))
+    cells = st.integers(-3, 3).map(lambda v: v / 2.0) | st.floats(-3.0, 3.0)
+    batch = []
+    for _ in range(draw(st.integers(2, 6))):
+        rows = draw(st.integers(1, 10))
+        a = np.array(draw(st.lists(cells, min_size=rows * k_count, max_size=rows * k_count)))
+        a = a.reshape(rows, k_count)
+        for k in draw(st.sets(st.integers(0, k_count - 1), max_size=2)):
+            a[:, k] = 0.0
+        terms = tuple(
+            NonsmoothTerm.l1(draw(st.sampled_from([0.0, 0.1, 0.7, 2.0]))) if kind == "l1"
+            else NonsmoothTerm("zero", weight=draw(st.sampled_from([0.0, 1.5])))
+            for kind in draw(st.lists(st.sampled_from(["l1", "zero"]),
+                                      min_size=k_count, max_size=k_count)))
+        problem = CompositeQuadraticProblem(
+            partition=BlockPartition(k_count, 1),
+            a_blocks=tuple(a[:, [i]] for i in range(k_count)),
+            b=np.array(draw(st.lists(cells, min_size=rows, max_size=rows))), h=terms)
+        constants = compute_constants(problem)
+        kind = draw(st.sampled_from(["block_lk", "global_l", "fixed"]))
+        realizes = {"block_lk": bool(np.all(constants.L_k > 0)), "global_l": constants.L > 0}
+        if realizes.get(kind, False):
+            policy = StepsizePolicy(kind)
+        else:
+            extra = draw(st.sampled_from([0.5, 1.0, 3.0]))
+            policy = StepsizePolicy.fixed(np.asarray(constants.L_k) + extra)
+        run = SolverRun(algorithm=draw(st.sampled_from(["bcpg", "exact_bcd"])), order=order,
+                        stepsizes=policy, max_cycles=cycles)
+        x0 = np.array(draw(st.lists(cells, min_size=k_count, max_size=k_count)))
+        batch.append((problem, run, x0, constants))
+    return batch
+
+
+def _lockstep(batch):
+    problems, runs, x0s, constants = zip(*batch)
+    return run_lockstep(list(problems), list(runs), list(x0s), list(constants))
+
+
+class TestLockstep:
+    """The stacked kernel against the per-run kernel, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=lockstep_batches())
+    def test_matches_per_run_kernel(self, batch):
+        trajectories = _lockstep(batch)
+        assert len(trajectories) == len(batch)
+        for t, (problem, run, x0, constants) in zip(trajectories, batch):
+            solver = run_bcpg if run.algorithm == "bcpg" else run_bcd_exact
+            expected = solver(problem, run, x0, constants=constants)
+            f_star = float(expected.f.min())
+            t.with_gap(f_star)
+            expected.with_gap(f_star)
+            assert t.algorithm == expected.algorithm
+            for attribute in ("xs", "f", "gap", "weighted_movement", "stepsizes", "grad_norm"):
+                assert_same_bits(getattr(t, attribute), getattr(expected, attribute))
+            assert t.orders == expected.orders
+        first, second = trajectories[:2]
+        assert first.orders is not second.orders
+        assert not np.shares_memory(first.xs, second.xs)
+
+    def test_lasso_batch_matches_per_run_kernel(self):
+        # one order stream, mixed algorithms and policies, as in the battery
+        order = BlockOrder.random_permutation(11)
+        batch = []
+        for seed, (algorithm, policy) in enumerate([("bcpg", "block_lk"), ("bcpg", "global_l"),
+                                                    ("exact_bcd", "block_lk")]):
+            problem, x0 = make_lasso_instance(12, 6, 0.1, seed)
+            run = SolverRun(algorithm=algorithm, order=order,
+                            stepsizes=StepsizePolicy(policy), max_cycles=40)
+            batch.append((problem, run, x0, compute_constants(problem)))
+        for t, (problem, run, x0, constants) in zip(_lockstep(batch), batch):
+            solver = run_bcpg if run.algorithm == "bcpg" else run_bcd_exact
+            expected = solver(problem, run, x0, constants=constants)
+            for attribute in ("xs", "f", "weighted_movement", "stepsizes"):
+                assert_same_bits(getattr(t, attribute), getattr(expected, attribute))
+            assert t.grad_norm is None and t.orders == expected.orders
+
+    @staticmethod
+    def _batch():
+        batch = []
+        for seed in range(2):
+            problem, x0 = make_lasso_instance(8, 4, 0.1, seed)
+            run = SolverRun(algorithm="bcpg", max_cycles=5)
+            batch.append((problem, run, x0, compute_constants(problem)))
+        return batch
+
+    @pytest.mark.parametrize("change", [
+        "box", "group_l2", "block_size", "block_count", "order", "max_cycles",
+        "gap_tolerance", "intermediates", "cgd", "empty", "lengths"])
+    def test_rejects_runs_outside_its_scope(self, change):
+        batch = self._batch()
+        problem, run, x0, constants = batch[1]
+        if change in ("box", "group_l2"):
+            term = NonsmoothTerm.box(-1.0, 1.0) if change == "box" else NonsmoothTerm.group_l2(0.1)
+            problem = CompositeQuadraticProblem(problem.partition, problem.a_blocks,
+                                                problem.b, (term,) + problem.h[1:])
+        elif change == "block_size":
+            a = problem.full_matrix()
+            problem = CompositeQuadraticProblem(
+                BlockPartition(2, 2), (a[:, :2], a[:, 2:]), problem.b,
+                (NonsmoothTerm.l1(0.1),) * 2)
+        elif change == "block_count":
+            problem, x0 = make_lasso_instance(8, 5, 0.1, 9)
+        elif change == "order":
+            run = replace(run, order=BlockOrder.random_permutation(1))
+        elif change == "max_cycles":
+            run = replace(run, max_cycles=6)
+        elif change == "gap_tolerance":
+            run = replace(run, gap_tolerance=1e-9)
+        elif change == "intermediates":
+            run = replace(run, record_intermediates=True)
+        elif change == "cgd":
+            run = replace(run, algorithm="cgd")
+        constants = compute_constants(problem)
+        batch[1] = (problem, run, x0, constants)
+        problems, runs, x0s, constant_list = (list(column) for column in zip(*batch))
+        if change == "empty":
+            problems, runs, x0s, constant_list = [], [], [], []
+        elif change == "lengths":
+            x0s = x0s[:1]
+        with pytest.raises(ValueError):
+            run_lockstep(problems, runs, x0s, constant_list)
+
+    def test_nan_proximal_point_raises(self, monkeypatch):
+        # the soft threshold maps a NaN point to 0 and the stacked form to
+        # NaN; a NaN start, let past the start check, makes one
+        monkeypatch.setattr(solvers, "_check_start", lambda p, x0: np.array(x0, dtype=float))
+        batch = self._batch()
+        problem, run, x0, constants = batch[0]
+        start = np.array(x0, dtype=float)
+        start[0] = math.nan
+        assert np.isfinite(run_bcpg(problem, run, start, constants=constants).xs[-1]).all()
+        batch[0] = (problem, run, start, constants)
+        with pytest.raises(ValueError, match="NaN"):
+            _lockstep(batch)
 
 
 def _scalar_start(term):
