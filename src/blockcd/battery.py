@@ -240,14 +240,6 @@ def smooth_battery_names() -> list[str]:
             + ["thm2_case1", "thm2_case3_free"])
 
 
-def _order(order_kind: str, order_seed: int) -> BlockOrder:
-    if order_kind == "cyclic":
-        return BlockOrder.cyclic()
-    if order_kind == "random_permutation":
-        return BlockOrder.random_permutation(order_seed)
-    return BlockOrder.sampled_with_replacement(order_seed)
-
-
 @cache
 def _lasso_family(order_kind: str, order_seed: int) -> dict:
     """The suites' LASSO_RUNS on every lasso instance, LASSO_CYCLES cycles
@@ -256,7 +248,7 @@ def _lasso_family(order_kind: str, order_seed: int) -> dict:
     keys = [(name, algorithm, policy) for name in lasso_names()
             for algorithm, policy in LASSO_RUNS]
     instances = [get_instance(name) for name, _, _ in keys]
-    order = _order(order_kind, order_seed)
+    order = BlockOrder(order_kind, order_seed)
     runs = [SolverRun(algorithm=algorithm, order=order, stepsizes=StepsizePolicy(policy),
                       max_cycles=LASSO_CYCLES) for _, algorithm, policy in keys]
     trajectories = run_lockstep([i.problem for i in instances], runs,
@@ -276,7 +268,7 @@ def get_trajectory(name: str, algorithm: str, policy_kind: str,
     if name in lasso_names() and cycles == LASSO_CYCLES and key[1:] in LASSO_RUNS:
         t = _lasso_family(order_kind, order_seed)[key]
     else:
-        run = SolverRun(algorithm=algorithm, order=_order(order_kind, order_seed),
+        run = SolverRun(algorithm=algorithm, order=BlockOrder(order_kind, order_seed),
                         stepsizes=StepsizePolicy(policy_kind), max_cycles=cycles)
         t = run_solver(get_instance(name), run)
     for values in (t.xs, t.f, t.gap, t.weighted_movement, t.stepsizes, t.grad_norm):

@@ -249,14 +249,13 @@ def beta_estimate(o: SmoothProblemOracle) -> BetaEstimate:
 
 
 def bound_report_csv(specs, r_max: int, target) -> None:
-    """Write cycle,<label...> rows for r = 1..r_max.
+    """Write cycle,<label...> rows for r = 1..r_max to the file at path
+    ``target``.
 
     ``specs`` is a sequence of (label, BoundSpec).  Kinds that are
     inapplicable for their constants produce empty cells throughout.
     """
-    own = isinstance(target, (str, bytes))
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with open(target, "w", encoding="utf-8", newline="") as fh:
         labels = [label for label, _ in specs]
         fh.write(",".join(["cycle"] + labels) + "\n")
         columns = []
@@ -271,6 +270,3 @@ def bound_report_csv(specs, r_max: int, target) -> None:
                 value = col[idx]
                 cells.append("" if value is None else f"{value:.17g}")
             fh.write(",".join(cells) + "\n")
-    finally:
-        if own:
-            fh.close()

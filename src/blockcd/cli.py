@@ -82,6 +82,27 @@ def _finite_number(value) -> float | None:
     return number if math.isfinite(number) else None
 
 
+def _integer(value) -> int | None:
+    """``value`` as an int when it is a JSON integer, else None.  As in JSON
+    Schema, a number with a zero fractional part (2.0) is an integer."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        return None
+    return value
+
+
+def _parse_settings(plan: dict) -> tuple[int, str]:
+    """The plan's global seed and output directory, 0 and "out" by default."""
+    seed = _integer(plan.get("seed", 0))
+    if seed is None:
+        raise PlanError("$.seed", "expected an integer")
+    output = plan.get("output", "out")
+    if not isinstance(output, str):
+        raise PlanError("$.output", "expected a directory path string")
+    return seed, output
+
+
 def _problem_source(plan: dict):
     """The plan's problem: an object, or a string naming a problem file (or
     holding problem JSON text); plan_schema.json accepts the same two."""
@@ -94,27 +115,22 @@ def _problem_source(plan: dict):
 
 
 def _parse_order(raw, path: str, global_seed: int) -> BlockOrder:
-    if raw is None:
-        return BlockOrder.cyclic()
     if not isinstance(raw, dict) or "kind" not in raw:
         raise PlanError(path, "expected an object with a 'kind' field")
     kind = raw["kind"]
+    if kind not in ("cyclic", "random_permutation", "sampled_with_replacement"):
+        raise PlanError(f"{path}.kind", f"unknown order kind {kind!r}")
+    seed = _integer(raw["seed"]) if "seed" in raw else None
+    if "seed" in raw and seed is None:
+        raise PlanError(f"{path}.seed", "expected an integer")
     if kind == "cyclic":
         return BlockOrder.cyclic()
-    if kind in ("random_permutation", "sampled_with_replacement"):
-        seed = raw.get("seed")
-        if seed is None:
-            label = 1 if kind == "random_permutation" else 2
-            seed = derive_seed(global_seed, label)
-        elif isinstance(seed, bool) or not isinstance(seed, int):
-            raise PlanError(f"{path}.seed", "expected an integer")
-        return BlockOrder(kind, seed=seed)
-    raise PlanError(f"{path}.kind", f"unknown order kind {kind!r}")
+    if seed is None:
+        seed = derive_seed(global_seed, 1 if kind == "random_permutation" else 2)
+    return BlockOrder(kind, seed=seed)
 
 
 def _parse_stepsizes(raw, path: str) -> StepsizePolicy:
-    if raw is None:
-        return StepsizePolicy.block_lk()
     if not isinstance(raw, dict) or "kind" not in raw:
         raise PlanError(path, "expected an object with a 'kind' field")
     kind = raw["kind"]
@@ -148,8 +164,8 @@ def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
         if algorithm not in ("exact_bcd", "bcpg", "cgd", "gd"):
             raise PlanError(f"{path}.algorithm",
                             f"expected one of exact_bcd/bcpg/cgd/gd, got {algorithm!r}")
-        max_cycles = raw.get("max_cycles", 100)
-        if isinstance(max_cycles, bool) or not isinstance(max_cycles, int) or max_cycles < 1:
+        max_cycles = _integer(raw.get("max_cycles", 100))
+        if max_cycles is None or max_cycles < 1:
             raise PlanError(f"{path}.max_cycles", "expected a positive integer")
         gap_tolerance = _finite_number(raw.get("gap_tolerance", 0.0))
         if gap_tolerance is None or gap_tolerance < 0:
@@ -168,8 +184,10 @@ def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
         labels.add(label)
         run = SolverRun(
             algorithm=algorithm,
-            order=_parse_order(raw.get("order"), f"{path}.order", global_seed),
-            stepsizes=_parse_stepsizes(raw.get("stepsizes"), f"{path}.stepsizes"),
+            order=_parse_order(raw.get("order", {"kind": "cyclic"}), f"{path}.order",
+                               global_seed),
+            stepsizes=_parse_stepsizes(raw.get("stepsizes", {"kind": "block_lk"}),
+                                       f"{path}.stepsizes"),
             max_cycles=max_cycles,
             gap_tolerance=gap_tolerance,
         )
@@ -192,6 +210,8 @@ def _parse_bounds(plan: dict, runs) -> list[tuple[str, str, str | None, float]]:
             kind = raw.get("kind")
             against = raw.get("against")
             c_prior = raw.get("c_prior", 1.0)
+            if "against" in raw and not isinstance(against, str):
+                raise PlanError(f"{path}.against", "expected a run label string")
         else:
             raise PlanError(path, "expected a kind string or an object")
         if kind not in BOUND_KINDS:
@@ -235,9 +255,8 @@ def _check_runs(instance, runs) -> None:
 
 def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
     plan = _load_plan(plan_path)
-    global_seed = seed if seed is not None else plan.get("seed", 0)
-    if isinstance(global_seed, bool) or not isinstance(global_seed, int):
-        raise PlanError("$.seed", "expected an integer")
+    plan_seed, output = _parse_settings(plan)
+    global_seed = seed if seed is not None else plan_seed
     source = _problem_source(plan)
     try:
         loaded = load_problem(source)
@@ -249,13 +268,13 @@ def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
     _check_runs(instance, runs)
     constants, reference, r0 = instance.constants, instance.reference, instance.r0
 
-    out = Path(out_dir if out_dir is not None else plan.get("output", "out"))
+    out = Path(out_dir if out_dir is not None else output)
     out.mkdir(parents=True, exist_ok=True)
     trajectories = {}
     for label, run in runs:
         t = run_solver(instance, run)
         trajectories[label] = t
-        trajectory_to_csv(t, str(out / f"{label}.csv"))
+        trajectory_to_csv(t, out / f"{label}.csv")
 
     max_cycles = max(t.cycles for t in trajectories.values())
     specs = []
@@ -270,7 +289,7 @@ def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
                                        beta=instance.beta, c_prior=c_prior,
                                        p_max=p_max, p_min=p_min)))
     if specs:
-        bound_report_csv(specs, max_cycles, str(out / "bounds.csv"))
+        bound_report_csv(specs, max_cycles, out / "bounds.csv")
 
     lines = [f"problem: kind={loaded.kind} K={constants.block_count} "
              f"N={constants.block_size} L={constants.L:.17g}",
@@ -313,7 +332,7 @@ def cmd_verify(suite: str, seed: int, out_dir: str | None = None) -> int:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        reports_to_csv(reports, str(out / f"verify_{suite}.csv"))
+        reports_to_csv(reports, out / f"verify_{suite}.csv")
     ok = all_asserted_pass(reports)
     failed = sum(1 for rep in reports if not rep.passed and not rep.advisory)
     print(f"{suite}: {len(reports)} checks, "
@@ -331,7 +350,7 @@ def cmd_bounds(problem_path: str, r_max: int, out_dir: str | None) -> int:
                               delta0=delta0, beta=instance.beta,
                               p_max=constants.L_max, p_min=constants.L_min))
              for kind in BOUND_KINDS]
-    bound_report_csv(specs, r_max, str(out / "bounds.csv"))
+    bound_report_csv(specs, r_max, out / "bounds.csv")
 
     lines = [
         f"kind={loaded.kind} K={constants.block_count} N={constants.block_size}",
@@ -396,9 +415,6 @@ def main(argv=None) -> int:
             return cmd_bounds(args.plan, args.rmax, args.out)
         if args.command == "tightness":
             return cmd_verify("tightness", args.seed, args.out)
-    except (PlanError, ProblemFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -133,7 +133,6 @@ class SolverRun:
     stepsizes: StepsizePolicy = field(default_factory=StepsizePolicy.block_lk)
     max_cycles: int = 100
     gap_tolerance: float = 0.0
-    record_intermediates: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ("exact_bcd", "bcpg", "cgd", "gd"):
@@ -142,16 +141,6 @@ class SolverRun:
             raise ValueError("max_cycles must be >= 1")
         if self.gap_tolerance < 0:
             raise ValueError("gap_tolerance must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BlockStep:
-    """One accepted block update: index, gradient used, old and new values."""
-
-    block: int
-    grad: np.ndarray
-    x_old: np.ndarray
-    x_new: np.ndarray
 
 
 @dataclass
@@ -171,16 +160,13 @@ class Trajectory:
     orders: list
     grad_norm: np.ndarray | None = None
     gap: np.ndarray | None = None
-    f_star: float | None = None
-    intermediates: list | None = None
 
     @property
     def cycles(self) -> int:
         return self.xs.shape[0] - 1
 
     def with_gap(self, f_star: float) -> "Trajectory":
-        self.f_star = float(f_star)
-        self.gap = self.f - self.f_star
+        self.gap = self.f - float(f_star)
         return self
 
     def block_movement(self, r: int, block_size: int) -> np.ndarray:
@@ -196,15 +182,14 @@ def _format_cell(value) -> str:
 
 
 def trajectory_to_csv(t: Trajectory, target) -> None:
-    """Write cycle,f,gap,weighted_movement,grad_norm rows.
+    """Write cycle,f,gap,weighted_movement,grad_norm rows to the file at
+    path ``target``.
 
     Floats carry 17 significant digits so parsing the file reproduces the
     trajectory bit-for-bit.  The movement column sits on the source row of
     the step (empty on the final row).
     """
-    own = isinstance(target, (str, bytes))
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with open(target, "w", encoding="utf-8", newline="") as fh:
         fh.write("cycle,f,gap,weighted_movement,grad_norm\n")
         for r in range(t.xs.shape[0]):
             gap = None if t.gap is None else t.gap[r]
@@ -212,9 +197,6 @@ def trajectory_to_csv(t: Trajectory, target) -> None:
             grad = None if t.grad_norm is None else t.grad_norm[r]
             fh.write(",".join([str(r), _format_cell(t.f[r]), _format_cell(gap),
                                _format_cell(move), _format_cell(grad)]) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def _check_start(p: CompositeQuadraticProblem, x0) -> np.ndarray:
@@ -238,28 +220,23 @@ def _record_cycles(algorithm: str, run: SolverRun, x: np.ndarray,
                    stepsizes: np.ndarray, sweep, measure, f_star) -> Trajectory:
     """Run up to run.max_cycles cycles of ``sweep`` on x and record them.
 
-    ``sweep(order, cycle, steps)`` visits the blocks of ``order`` once,
-    updating x in place, appends one BlockStep per visit to ``steps`` when
-    that is a list, and returns sqrt(sum_k P_k ||x_k^new - x_k^old||^2).
+    ``sweep(order, cycle)`` visits the blocks of ``order`` once, updating x
+    in place, and returns sqrt(sum_k P_k ||x_k^new - x_k^old||^2).
     ``measure()`` returns f(x) and the gradient norm (or None) at x.
     """
     f_value, grad_norm = measure()
     xs, f_values, movements, orders_seen = [x.copy()], [f_value], [], []
     grad_norms = None if grad_norm is None else [grad_norm]
-    steps_record = [] if run.record_intermediates else None
     order_stream = run.order.stream(stepsizes.shape[0])
     for cycle in range(run.max_cycles):
         order = next(order_stream)
         orders_seen.append(list(order))
-        cycle_steps = [] if steps_record is not None else None
-        movements.append(sweep(order, cycle, cycle_steps))
+        movements.append(sweep(order, cycle))
         xs.append(x.copy())
         f_value, grad_norm = measure()
         f_values.append(f_value)
         if grad_norms is not None:
             grad_norms.append(grad_norm)
-        if steps_record is not None:
-            steps_record.append(cycle_steps)
         if _should_stop(run, f_value, f_star):
             break
     return Trajectory(
@@ -270,13 +247,12 @@ def _record_cycles(algorithm: str, run: SolverRun, x: np.ndarray,
         stepsizes=stepsizes,
         orders=orders_seen,
         grad_norm=None if grad_norms is None else np.array(grad_norms),
-        intermediates=steps_record,
     )
 
 
 def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
                   g: np.ndarray, stepsizes: np.ndarray, exact: bool,
-                  order, cycle, steps) -> float:
+                  order, cycle) -> float:
     """One cycle on scalar blocks in the covariance-update form.
 
     g = A^T r, exact at x on entry, is kept current through the Gram matrix
@@ -284,8 +260,7 @@ def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
     adds (x_k^new - x_k^old) G[k] to g in place.  bcpg steps from
     x_k - g_k / P_k with step 1/P_k; exact minimization from x_k - g_k / G_kk
     with step 1/G_kk, or from 0 with step 1 when column k is zero (the
-    minimum-norm choice).  A recorded step carries g_k before a bcpg step
-    and after an exact one.
+    minimum-norm choice).
     """
     weights = stepsizes.tolist()
     curvature = np.diagonal(gram).tolist()
@@ -303,14 +278,11 @@ def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
             x[k] = new
             g += delta * gram[k]
         move_sq += p_k * (delta * delta)
-        if steps is not None:
-            steps.append(BlockStep(k, np.array([float(g[k]) if exact else g_k]),
-                                   np.array([old]), np.array([new])))
     return math.sqrt(move_sq)
 
 
 def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, res: np.ndarray,
-                 stepsizes: np.ndarray, lipschitz, order, cycle, steps) -> float:
+                 stepsizes: np.ndarray, lipschitz, order, cycle) -> float:
     """One cycle on blocks of any size from the residual ``res`` at x, which
     is left as it is: a proximal step per visit, or an exact block
     minimization when ``lipschitz`` holds the block constants L_k."""
@@ -329,9 +301,6 @@ def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, res: np.ndarray,
             res = rest + a_k @ new
         x[sl] = new
         move_sq += stepsizes[k] * float((new - old) @ (new - old))
-        if steps is not None:
-            grad = grad.copy() if lipschitz is None else a_k.T @ res
-            steps.append(BlockStep(k, grad, old, new.copy()))
     return math.sqrt(move_sq)
 
 
@@ -340,7 +309,7 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
     """``(sweep, refresh)`` of bcpg on x, or of exact BCD when ``lipschitz``
     holds the block constants L_k.
 
-    ``refresh()`` must run before each ``sweep(order, cycle, steps)``: it
+    ``refresh()`` must run before each ``sweep(order, cycle)``: it
     stores the residual r = Ax - b, and for scalar blocks g = A^T r, in the
     buffers the sweep starts from, and returns (r, g), with g None for
     larger blocks.  Scalar blocks take the Gram kernel, formed here once
@@ -460,8 +429,8 @@ def _check_lockstep(problems, runs, x0s, constants) -> None:
             raise ValueError(f"lockstep runs bcpg and exact_bcd, not {run.algorithm!r}")
         if run.order != runs[0].order or run.max_cycles != runs[0].max_cycles:
             raise ValueError("lockstep runs must share the block order and max_cycles")
-        if run.gap_tolerance != 0 or run.record_intermediates:
-            raise ValueError("lockstep runs take no gap tolerance and record no intermediates")
+        if run.gap_tolerance != 0:
+            raise ValueError("lockstep runs take no gap tolerance")
         if any(term.kind not in ("l1", "zero") for term in p.h):
             raise ValueError("lockstep runs take l1 and zero terms only")
 
@@ -474,8 +443,8 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     Iterates, gradients g = A^T r, divisors, thresholds and stepsizes are
     stacked as (K, B) arrays, the Grams as (K, K, B), and each visit is one
     array step across the B runs.  Every term must be l1 or zero (an l1
-    term with threshold 0), gap_tolerance 0 and record_intermediates off;
-    anything else raises ValueError.
+    term with threshold 0) and gap_tolerance 0; anything else raises
+    ValueError.
 
     Each element takes _scalar_sweep's IEEE operations in the same order,
     so every trajectory is bit-identical to run_bcpg/run_bcd_exact:
@@ -561,9 +530,12 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
 
 
 def _coordinate_sweep(columns: np.ndarray, g: np.ndarray, x: np.ndarray,
-                      stepsizes: np.ndarray, order, cycle, steps) -> float:
+                      stepsizes: np.ndarray, order, cycle) -> float:
     """One cgd cycle: the gradient g, exact at x on entry, is kept current
     by g += (x_k^new - x_k^old) H[:, k] from the Hessian's ``columns``."""
+    # cgd keeps its own sweep and squares with ``delta ** 2`` (libm pow),
+    # not _scalar_sweep's ``delta * delta``: the two differ in the last bit
+    # on some doubles, enough to change the written cgd trajectories.
     weights = stepsizes.tolist()
     move_sq = 0.0
     for k in order:
@@ -577,8 +549,6 @@ def _coordinate_sweep(columns: np.ndarray, g: np.ndarray, x: np.ndarray,
             x[k] = new
             g += delta * columns[k]
         move_sq += weights[k] * delta ** 2
-        if steps is not None:
-            steps.append(BlockStep(k, np.array([d_k]), np.array([old]), np.array([new])))
     return math.sqrt(move_sq)
 
 
@@ -632,7 +602,7 @@ def _smooth_view(target, constants: ProblemConstants | None = None):
 
 
 def _gradient_sweep(g: np.ndarray, x: np.ndarray, lipschitz: float,
-                    order, cycle, steps) -> float:
+                    order, cycle) -> float:
     """One gd step x <- x - g / L from the gradient g at x; returns
     sqrt(L) ||x^new - x^old||."""
     if not np.isfinite(g).all():
@@ -660,7 +630,7 @@ def run_gd(target: SmoothProblemOracle | CompositeQuadraticProblem, run: SolverR
         grad[:] = gradient(x)
         return float(value(x)), float(np.linalg.norm(grad))
 
-    run = replace(run, order=BlockOrder.cyclic(), record_intermediates=False)
+    run = replace(run, order=BlockOrder.cyclic())
     sweep = partial(_gradient_sweep, grad, x, lipschitz)
     return _record_cycles("gd", run, x, np.full(dim, lipschitz), sweep, measure, f_star)
 
@@ -702,7 +672,7 @@ def reference_optimum(p: CompositeQuadraticProblem,
     cycles_done = 0
     while cycles_done < max_cycles and movement > 1e-13:
         refresh()
-        movement = sweep(range(k_count), cycles_done, None)
+        movement = sweep(range(k_count), cycles_done)
         cycles_done += 1
     f_star = eval_objective(p, x)
     certified = movement <= 1e-10

@@ -392,19 +392,15 @@ def report_lines(reports) -> list[str]:
 
 
 def reports_to_csv(reports, target) -> None:
-    """Machine-readable twin of report_lines."""
-    own = isinstance(target, (str, bytes))
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    """Machine-readable twin of report_lines, written to the file at path
+    ``target``."""
+    with open(target, "w", encoding="utf-8", newline="") as fh:
         fh.write("check_name,passed,advisory,worst_violation,tolerance,cycles_checked,notes\n")
         for rep in reports:
             notes = rep.notes.replace('"', "'")
             fh.write(f"{rep.check_name},{rep.passed},{rep.advisory},"
                      f"{rep.worst_violation:.17g},{rep.tolerance:.17g},"
                      f"{rep.cycles_checked},\"{notes}\"\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def all_asserted_pass(reports) -> bool:

@@ -118,6 +118,26 @@ def replay_scalar_sweeps(problem, orders, x0, weights, exact):
     return np.array(xs), np.array(values), np.array(movements)
 
 
+def recorded_visits(problem, xs, orders):
+    """The block visits of a per-cycle trajectory, rebuilt from its iterates.
+
+    Every cycle r must visit each block at most once, as the cyclic and
+    permuted orders do: before block k is visited, the blocks already
+    visited in that cycle hold their ``xs[r + 1]`` values and the others
+    their ``xs[r]`` values.  Yields (k, x, new) per visit, with x the full
+    point just before the visit and new the block's value after it.
+    """
+    for r, order in enumerate(orders):
+        if len(set(order)) != len(order):
+            raise ValueError(f"cycle {r} visits a block twice")
+        x = np.array(xs[r], dtype=float)
+        for k in order:
+            block = problem.block_slice(k)
+            new = np.array(xs[r + 1][block], dtype=float)
+            yield k, x.copy(), new
+            x[block] = new
+
+
 def replay_coordinate_sweeps(oracle, orders, x0, weights):
     """Plain replay of coordinate gradient descent: every visit evaluates
     the full gradient and steps x_k <- x_k - grad_k / P_k."""

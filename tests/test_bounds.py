@@ -29,7 +29,6 @@ from blockcd.problems import (
     toeplitz_start,
 )
 from blockcd.solvers import reference_optimum
-import io
 
 
 def simple_constants(k=4, n=1, L=10.0, lk=None, sigma=1.0, gamma=1.0):
@@ -202,27 +201,27 @@ class TestRadiusEstimate:
 
 
 class TestBoundReportCSV:
-    def test_small_problem_emits_empty_log_columns(self):
+    def test_small_problem_emits_empty_log_columns(self, tmp_path):
         c = ProblemConstants(block_count=2, block_size=1, L=1.0,
                              L_k=np.ones(2), L_max=1.0, L_min=1.0)
         specs = [("gd", BoundSpec(kind="gd", constants=c, r0_upper=1.0)),
                  ("thm1_uniform", BoundSpec(kind="thm1_uniform", constants=c,
                                             r0_upper=1.0))]
-        buffer = io.StringIO()
-        bound_report_csv(specs, 3, buffer)
-        lines = buffer.getvalue().strip().split("\n")
+        path = tmp_path / "bounds.csv"
+        bound_report_csv(specs, 3, path)
+        lines = path.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "cycle,gd,thm1_uniform"
         for line in lines[1:]:
             cells = line.split(",")
             assert cells[1] != ""
             assert cells[2] == ""
 
-    def test_values_round_trip(self):
+    def test_values_round_trip(self, tmp_path):
         p, _ = make_toeplitz_instance(6)
         c = compute_constants(p)
         spec = BoundSpec(kind="thm2_scalar", constants=c, r0_upper=2.0, delta0=1.0)
-        buffer = io.StringIO()
-        bound_report_csv([("b", spec)], 5, buffer)
-        lines = buffer.getvalue().strip().split("\n")[1:]
+        path = tmp_path / "bounds.csv"
+        bound_report_csv([("b", spec)], 5, path)
+        lines = path.read_text(encoding="utf-8").strip().split("\n")[1:]
         for r, line in enumerate(lines, start=1):
             assert float(line.split(",")[1]) == evaluate(spec, r)

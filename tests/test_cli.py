@@ -7,6 +7,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcd import battery, cli, problems, solvers
 from blockcd.cli import main
@@ -218,6 +220,30 @@ class TestErrors:
         assert len(err.splitlines()) == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("change, where", [
+        ({"bounds": [{"kind": "thm1_blockwise", "against": ["bcd"]}]}, "$.bounds[0].against: "),
+        ({"bounds": [{"kind": "thm1_blockwise", "against": None}]}, "$.bounds[0].against: "),
+        ({"output": 5}, "$.output: "),
+        ({"output": None}, "$.output: "),
+        ({"output": ["out"]}, "$.output: "),
+    ])
+    def test_mistyped_field_stops_before_set_up(self, tmp_path, capsys, monkeypatch,
+                                                change, where):
+        # the output directory comes from the plan, so nothing may appear
+        # anywhere under the working directory
+        calls = count_constants(monkeypatch)
+        plan = dict(BASIC_PLAN, runs=[dict(BASIC_PLAN["runs"][0], algorithm="bcpg")],
+                    **change)
+        path = write_plan(tmp_path, plan)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", "--plan", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + where)
+        assert len(err.splitlines()) == 1
+        assert sorted(tmp_path.rglob("*")) == before
+        assert calls == []
+
     @pytest.mark.parametrize("label", ["../escaped", "..", ".hidden", "a/b", "",
                                        "bounds"])
     def test_label_cannot_leave_out_dir(self, tmp_path, capsys, label):
@@ -295,7 +321,7 @@ NUMBER_TEXTS = ["0", "-0.0", "1e-300", "0.5", "2", "1e308", "-1", "-5",
                 "false", "null", '"1"', "[1]"]
 LABEL_TEXTS = ['"ok-1.2_x"', '"_a"', '"-a"', '"a..b"', '"../escaped"', '".."',
                '".hidden"', '"a/b"', '"a b"', '""', '"\u00e9"', "7",
-               '"bounds"', '"bounds.x"', '"Bounds"']
+               '"bounds"', '"bounds.x"', '"Bounds"', '"a\\n"']
 # a plan's problem is an object or a string: a problem-file path, or the
 # problem's JSON text
 PROBLEM_TEXTS = ['{"kind": "toeplitz", "block_count": 5}', '"problem.json"',
@@ -335,6 +361,108 @@ def test_parser_and_schema_agree(tmp_path, field, value_text):
         plan = cli._load_plan(str(path))
         cli._problem_source(plan)
         cli._parse_bounds(plan, cli._parse_runs(plan, 0))
+        parser_accepts = True
+    except cli.PlanError:
+        parser_accepts = False
+    assert parser_accepts == schema_accepts
+
+
+MISSING = object()
+ORDER_KINDS = ["cyclic", "random_permutation", "sampled_with_replacement"]
+STEPSIZE_KINDS = ["global_l", "block_lk", "fixed"]
+
+
+def _json_values(*strings):
+    """JSON values of every type (list, object, null, bool, number and
+    string), with the given strings among the strings."""
+    texts = st.text(max_size=6)
+    if strings:
+        texts = st.sampled_from(strings) | texts
+    numbers = (st.integers(-3, 12) | st.integers()
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([0.0, -0.0, 0.5, 2.0, 1e-300, 1e308, -1e308]))
+    scalars = st.none() | st.booleans() | numbers | texts
+    return (scalars | st.lists(scalars, max_size=3)
+            | st.dictionaries(st.sampled_from(["kind", "seed", "values", "label"]), scalars,
+                              max_size=3))
+
+
+def _objects(kinds, extra):
+    """Objects with a ``kind`` from ``kinds`` and optional ``extra`` fields."""
+    return st.fixed_dictionaries({"kind": st.sampled_from(kinds) | _json_values()},
+                                 optional={key: _json_values() | values
+                                           for key, values in extra.items()})
+
+
+_POSITIVE_LISTS = st.lists(st.floats(0.5, 100.0) | st.integers(1, 50), min_size=1, max_size=6)
+# field -> (path of the object holding it, key, values tried there)
+PLAN_FIELDS = {
+    "seed": ((), "seed", _json_values()),
+    "output": ((), "output", _json_values("out", "", "a/b", "../up")),
+    "label": (("runs", 0), "label", _json_values("a", "_a", "-a.b", "..", ".a", "a/b", "a\n",
+                                                 "bounds", "Bounds", "\u00e9")),
+    "algorithm": (("runs", 0), "algorithm", _json_values("bcpg", "exact_bcd", "cgd", "gd",
+                                                         "BCPG")),
+    "max_cycles": (("runs", 0), "max_cycles", _json_values()),
+    "gap_tolerance": (("runs", 0), "gap_tolerance", _json_values()),
+    "order": (("runs", 0), "order",
+              _json_values() | _objects(ORDER_KINDS, {"seed": st.integers()})),
+    "order.kind": (("runs", 0, "order"), "kind", _json_values(*ORDER_KINDS)),
+    "order.seed": (("runs", 0, "order"), "seed", _json_values()),
+    "stepsizes": (("runs", 0), "stepsizes",
+                  _json_values() | _objects(STEPSIZE_KINDS, {"values": _POSITIVE_LISTS})),
+    "stepsizes.kind": (("runs", 0, "stepsizes"), "kind", _json_values(*STEPSIZE_KINDS)),
+    "stepsizes.values": (("runs", 0, "stepsizes"), "values",
+                         _json_values() | _POSITIVE_LISTS | st.lists(_json_values(), max_size=3)),
+    "bounds.kind": (("bounds", 0), "kind", _json_values("thm1_blockwise", "gd", "thm3", "thm4")),
+    "bounds.against": (("bounds", 0), "against", _json_values().filter(
+        lambda value: not isinstance(value, str)) | st.just("a")),
+    "bounds.c_prior": (("bounds", 0), "c_prior", _json_values()),
+}
+
+
+def _valid_plan(field: str) -> dict:
+    """A plan both the schema and the parser accept.  Its bound names the
+    run only when ``field`` is a bound field other than the kind, so that
+    no other change can trip the pairing check."""
+    bound = {"kind": "thm1_blockwise", "c_prior": 2.0}
+    if field in ("bounds.against", "bounds.c_prior"):
+        bound["against"] = "a"
+    return {"seed": 3, "output": "out", "problem": {"kind": "toeplitz", "block_count": 5},
+            "runs": [{"label": "a", "algorithm": "bcpg", "max_cycles": 5, "gap_tolerance": 0.0,
+                      "order": {"kind": "random_permutation", "seed": 1},
+                      "stepsizes": {"kind": "fixed", "values": [6.0] * 5}}],
+            "bounds": [bound]}
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from(sorted(PLAN_FIELDS)), data=st.data())
+def test_parser_and_schema_agree_on_generated_plans(field, data):
+    """Change one field of a valid plan (or remove it) and check that the
+    schema and the parser agree on the result.
+
+    Left out, because they are not field-by-field rules: unique run
+    labels, ``against`` naming an existing run (so the only string tried
+    there is the run's label), the bound/algorithm pairing check, and the
+    problem's own fields, which load_problem validates (toeplitz K >= 3,
+    for one, against the schema's minimum of 1).
+    """
+    holder_path, key, values = PLAN_FIELDS[field]
+    plan = _valid_plan(field)
+    holder = plan
+    for step in holder_path:
+        holder = holder[step]
+    value = data.draw(st.just(MISSING) | values)
+    if value is MISSING:
+        del holder[key]
+    else:
+        holder[key] = value
+    plan = json.loads(json.dumps(plan))
+    schema_accepts = jsonschema.Draft7Validator(SCHEMA).is_valid(plan)
+    try:
+        seed, _ = cli._parse_settings(plan)
+        cli._problem_source(plan)
+        cli._parse_bounds(plan, cli._parse_runs(plan, seed))
         parser_accepts = True
     except cli.PlanError:
         parser_accepts = False

@@ -1,6 +1,5 @@
 """Tests for the four solvers and trajectory recording."""
 
-import io
 import math
 from dataclasses import replace
 
@@ -39,6 +38,7 @@ from blockcd.solvers import (
 )
 from oracles import (
     piecewise_quadratic_argmin,
+    recorded_visits,
     replay_coordinate_sweeps,
     replay_scalar_sweeps,
 )
@@ -136,24 +136,24 @@ class TestBCPG:
                 solver(p, SolverRun(algorithm=algorithm, max_cycles=1), x0)
 
     def test_optimality_condition_probe(self):
-        # at every accepted block step, for random directions u:
-        # <grad + P (new - old), u - new> + h(u) - h(new) >= 0
+        # at every block step, rebuilt from the recorded cycles, for random
+        # directions u: <grad + P (new - old), u - new> + h(u) - h(new) >= 0
+        # with grad the block gradient before the step, recomputed here
         p, x0 = make_lasso_instance(12, 6, 0.3, seed=2)
         c = compute_constants(p)
-        run = SolverRun(algorithm="bcpg", max_cycles=5, record_intermediates=True)
-        t = run_bcpg(p, run, x0, constants=c)
+        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=5), x0, constants=c)
+        full = p.full_matrix()
         gen = SplitMix64(55)
-        for cycle_steps in t.intermediates:
-            for step in cycle_steps:
-                term = p.h[step.block]
-                p_k = t.stepsizes[step.block]
-                for _ in range(10):
-                    u = 3.0 * gen.normal_vector(1)
-                    inner = float((step.grad + p_k * (step.x_new - step.x_old))
-                                  @ (u - step.x_new))
-                    gap = (inner + nonsmooth_value(term, u)
-                           - nonsmooth_value(term, step.x_new))
-                    assert gap >= -1e-8 * max(1.0, abs(inner))
+        for k, x, new in recorded_visits(p, t.xs, t.orders):
+            term = p.h[k]
+            p_k = t.stepsizes[k]
+            old = x[p.block_slice(k)]
+            grad = p.a_blocks[k].T @ (full @ x - p.b)
+            for _ in range(10):
+                u = 3.0 * gen.normal_vector(1)
+                inner = float((grad + p_k * (new - old)) @ (u - new))
+                gap = inner + nonsmooth_value(term, u) - nonsmooth_value(term, new)
+                assert gap >= -1e-8 * max(1.0, abs(inner))
 
     def test_gap_tolerance_stops_early(self):
         qp = make_table1_diagonal_qp(4, 2.0)
@@ -191,26 +191,21 @@ class TestExactBCD:
         np.testing.assert_allclose(t.xs[1], expected, atol=1e-10)
 
     def test_scalar_l1_step_matches_bracketing_oracle(self):
-        # replay each accepted step and compare with an independent
-        # piecewise-quadratic minimizer
+        # rebuild each step from the recorded cycles and compare it with an
+        # independent piecewise-quadratic minimizer
         p, x0 = make_lasso_instance(8, 4, 0.4, seed=6)
-        run = SolverRun(algorithm="exact_bcd", max_cycles=2, record_intermediates=True)
-        t = run_bcd_exact(p, run, x0)
-        x = x0.copy()
+        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=2), x0)
         full = p.full_matrix()
-        for cycle_steps in t.intermediates:
-            for step in cycle_steps:
-                k = step.block
-                rest = full @ x - p.b - p.a_blocks[k][:, 0] * x[k]
+        for k, x, new in recorded_visits(p, t.xs, t.orders):
+            rest = full @ x - p.b - p.a_blocks[k][:, 0] * x[k]
 
-                def phi(z):
-                    return (0.5 * float(np.sum((p.a_blocks[k][:, 0] * z + rest) ** 2))
-                            + nonsmooth_value(p.h[k], np.array([z])))
+            def phi(z):
+                return (0.5 * float(np.sum((p.a_blocks[k][:, 0] * z + rest) ** 2))
+                        + nonsmooth_value(p.h[k], np.array([z])))
 
-                best = piecewise_quadratic_argmin(phi, -10.0, 10.0)
-                assert step.x_new[0] == pytest.approx(best, abs=1e-8)
-                assert phi(step.x_new[0]) <= phi(best) + 1e-12
-                x[k] = step.x_new[0]
+            best = piecewise_quadratic_argmin(phi, -10.0, 10.0)
+            assert new[0] == pytest.approx(best, abs=1e-8)
+            assert phi(new[0]) <= phi(best) + 1e-12
 
     def test_rank_deficient_block_min_norm_selection(self):
         # rank-1 block with no nonsmooth term: among minimizers, the
@@ -265,11 +260,9 @@ class TestCGD:
         # fully coupled case: d_1 = (L/K) sum(x) = 4 and the step zeroes x_1
         o = make_table1_full(4, 4.0)
         run = SolverRun(algorithm="cgd", stepsizes=StepsizePolicy.global_l(),
-                        max_cycles=1, record_intermediates=True)
+                        max_cycles=1)
         t = run_cgd(o, run, np.ones(4))
-        first = t.intermediates[0][0]
-        assert first.grad[0] == pytest.approx(4.0)
-        assert first.x_new[0] == pytest.approx(1.0 - 4.0 / 4.0)
+        assert t.xs[1][0] == pytest.approx(1.0 - 4.0 / 4.0)
 
     def test_chain_matches_scripted_pass(self):
         o = make_table1_full(4, 4.0)
@@ -402,13 +395,13 @@ class TestReferenceOptimum:
 
 
 class TestTrajectoryCSV:
-    def test_round_trip_is_exact(self):
+    def test_round_trip_is_exact(self, tmp_path):
         p, x0 = make_lasso_instance(10, 5, 0.2, seed=14)
         t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=7), x0)
         t.with_gap(reference_optimum(p).f_star)
-        buffer = io.StringIO()
-        trajectory_to_csv(t, buffer)
-        lines = buffer.getvalue().strip().split("\n")
+        path = tmp_path / "t.csv"
+        trajectory_to_csv(t, path)
+        lines = path.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "cycle,f,gap,weighted_movement,grad_norm"
         assert len(lines) == t.cycles + 2
         for r, line in enumerate(lines[1:]):
@@ -422,12 +415,12 @@ class TestTrajectoryCSV:
                 assert cells[3] == ""
             assert cells[4] == ""  # composite problem: no gradient column
 
-    def test_smooth_problem_has_gradient_column(self):
+    def test_smooth_problem_has_gradient_column(self, tmp_path):
         p, x0 = make_toeplitz_instance(5)
         t = run_gd(p, SolverRun(algorithm="gd", max_cycles=3), x0)
-        buffer = io.StringIO()
-        trajectory_to_csv(t, buffer)
-        last = buffer.getvalue().strip().split("\n")[-1]
+        path = tmp_path / "t.csv"
+        trajectory_to_csv(t, path)
+        last = path.read_text(encoding="utf-8").strip().split("\n")[-1]
         assert float(last.split(",")[4]) == t.grad_norm[-1]
 
 
@@ -520,34 +513,6 @@ class TestScalarKernel:
         stop = next((r for r, m in enumerate(movement) if m <= 1e-13), cycles - 1)
         assert_close(ref.x_star, xs[stop + 1])
         assert_close(np.array([ref.f_star]), np.array([f[stop + 1]]))
-
-    @settings(max_examples=100, deadline=None)
-    @given(case=scalar_problems(), algorithm=st.sampled_from(["bcpg", "exact_bcd"]),
-           cycles=st.integers(1, 10))
-    def test_recorded_grads_are_block_gradients(self, case, algorithm, cycles):
-        # bcpg records A_k^T r before its step, exact BCD after its step
-        problem, x0, order = case
-        constants = compute_constants(problem)
-        assume(constants.L > 0)
-        run = SolverRun(algorithm=algorithm, order=order, max_cycles=cycles,
-                        stepsizes=StepsizePolicy.global_l(), record_intermediates=True)
-        solver = run_bcpg if algorithm == "bcpg" else run_bcd_exact
-        t = solver(problem, run, x0, constants=constants)
-        a = problem.full_matrix()
-        x = np.array(x0, dtype=float)
-        for order_seen, cycle_steps in zip(t.orders, t.intermediates):
-            assert [step.block for step in cycle_steps] == order_seen
-            for step in cycle_steps:
-                k = step.block
-                assert step.x_old[0] == x[k]
-                if algorithm == "bcpg":
-                    expected = a[:, k] @ (a @ x - problem.b)
-                x[k] = step.x_new[0]
-                if algorithm == "exact_bcd":
-                    expected = a[:, k] @ (a @ x - problem.b)
-                scale = max(1.0, float(np.abs(a).sum() * np.abs(a @ x - problem.b).sum()))
-                assert abs(step.grad[0] - expected) <= 1e-12 * scale
-        np.testing.assert_array_equal(x, t.xs[-1])
 
 
 def assert_same_bits(actual, expected):
@@ -655,7 +620,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("change", [
         "box", "group_l2", "block_size", "block_count", "order", "max_cycles",
-        "gap_tolerance", "intermediates", "cgd", "empty", "lengths"])
+        "gap_tolerance", "cgd", "empty", "lengths"])
     def test_rejects_runs_outside_its_scope(self, change):
         batch = self._batch()
         problem, run, x0, constants = batch[1]
@@ -676,8 +641,6 @@ class TestLockstep:
             run = replace(run, max_cycles=6)
         elif change == "gap_tolerance":
             run = replace(run, gap_tolerance=1e-9)
-        elif change == "intermediates":
-            run = replace(run, record_intermediates=True)
         elif change == "cgd":
             run = replace(run, algorithm="cgd")
         constants = compute_constants(problem)

@@ -1,8 +1,6 @@
 """Tests for the per-cycle checkers, the one-pass recursion oracle and the
 tightness construction."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -268,13 +266,13 @@ class TestDeterminism:
 
 
 class TestReportOutput:
-    def test_lines_and_csv(self):
+    def test_lines_and_csv(self, tmp_path):
         reports = run_tightness_case(5)
         lines = report_lines(reports)
         assert len(lines) == 4
         assert any("FAIL" in line for line in lines)  # the objective check
-        buffer = io.StringIO()
-        reports_to_csv(reports, buffer)
-        rows = buffer.getvalue().strip().split("\n")
+        path = tmp_path / "reports.csv"
+        reports_to_csv(reports, path)
+        rows = path.read_text(encoding="utf-8").strip().split("\n")
         assert rows[0].startswith("check_name,passed")
         assert len(rows) == 5
