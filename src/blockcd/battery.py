@@ -88,7 +88,6 @@ class Instance:
     delta0: float
     oracle: SmoothProblemOracle | None = None
     beta: float | None = None
-    tags: tuple = ()
 
     def gd_radius(self) -> float:
         """||x0 - x*||: a sound radius for the gradient-descent envelope."""
@@ -96,21 +95,24 @@ class Instance:
 
 
 def set_up(name: str, problem: CompositeQuadraticProblem, x0,
-           oracle: SmoothProblemOracle | None = None, tags=()) -> Instance:
+           oracle: SmoothProblemOracle | None = None) -> Instance:
     """Constants, reference optimum, radius R0 and delta0 of ``problem`` from
     ``x0``, then beta of its smooth-oracle view.  The view is ``oracle``
     when given (the closed-form table1 oracles), else oracle_from_quadratic
-    for a nonsmooth-free problem with scalar blocks, else None."""
+    for a nonsmooth-free problem with scalar blocks, else None.
+
+    This is the one place that computes a problem's set-up: the solvers,
+    bounds and checks take these values as arguments."""
     constants = compute_constants(problem)
-    reference = reference_optimum(problem, constants=constants)
-    r0 = r0_upper_estimate(problem, x0, reference.x_star, f_star=reference.f_star)
+    reference = reference_optimum(problem, constants)
+    r0 = r0_upper_estimate(problem, x0, reference.x_star, reference.f_star, constants)
     delta0 = max(0.0, eval_objective(problem, x0) - reference.f_star)
     if oracle is None and problem.is_smooth() and problem.partition.block_size == 1:
         oracle = oracle_from_quadratic(problem, constants)
     beta = None if oracle is None else beta_estimate(oracle).estimate
     return Instance(name=name, problem=problem, x0=x0, constants=constants,
                     reference=reference, r0=r0, delta0=delta0, oracle=oracle,
-                    beta=beta, tags=tuple(tags))
+                    beta=beta)
 
 
 def run_solver(instance: Instance, run: SolverRun) -> Trajectory:
@@ -120,14 +122,14 @@ def run_solver(instance: Instance, run: SolverRun) -> Trajectory:
     problem, x0, constants = instance.problem, instance.x0, instance.constants
     f_star = instance.reference.f_star
     if run.algorithm == "bcpg":
-        t = run_bcpg(problem, run, x0, constants=constants, f_star=f_star)
+        t = run_bcpg(problem, run, x0, constants, f_star)
     elif run.algorithm == "exact_bcd":
-        t = run_bcd_exact(problem, run, x0, constants=constants, f_star=f_star)
+        t = run_bcd_exact(problem, run, x0, constants, f_star)
     elif run.algorithm == "cgd":
         t = run_cgd(instance.oracle, run, x0, f_star=f_star)
     elif run.algorithm == "gd":
         target = instance.oracle if instance.oracle is not None else problem
-        t = run_gd(target, run, x0, f_star=f_star, constants=constants)
+        t = run_gd(target, run, x0, constants, f_star)
     else:
         raise ValueError(f"unknown algorithm {run.algorithm!r}")
     return t.with_gap(f_star)
@@ -139,12 +141,12 @@ def get_instance(name: str) -> Instance:
         index = int(name.split("_")[1])
         problem, x0 = make_lasso_instance(LASSO_ROWS, LASSO_BLOCKS, LASSO_WEIGHT,
                                           LASSO_BASE_SEED + index)
-        return set_up(name, problem, x0, tags=("lasso", "scalar"))
+        return set_up(name, problem, x0)
 
     if name.startswith("toeplitz_K"):
         k = int(name.split("K")[1])
         problem, x0 = make_toeplitz_instance(k)
-        return set_up(name, problem, x0, tags=("toeplitz", "smooth", "scalar"))
+        return set_up(name, problem, x0)
 
     if name.startswith("table1_"):
         _, flavor, ksuffix = name.split("_")
@@ -153,8 +155,7 @@ def get_instance(name: str) -> Instance:
             problem, oracle = make_table1_diagonal_qp(k, 2.0), make_table1_diagonal(k, 2.0)
         else:
             problem, oracle = make_table1_full_qp(k, 2.0), make_table1_full(k, 2.0)
-        return set_up(name, problem, np.ones(k), oracle,
-                      ("table1", flavor, "smooth", "scalar"))
+        return set_up(name, problem, np.ones(k), oracle)
 
     if name == "thm2_case1":
         gen = SplitMix64(derive_seed(0xCA5E, 1))
@@ -165,7 +166,7 @@ def get_instance(name: str) -> Instance:
             b=gen.normal_vector(m),
             h=tuple(NonsmoothTerm.zero() for _ in range(k)))
         x0 = gen.normal_vector(k * n)
-        instance = set_up(name, problem, x0, tags=("thm2", "case1", "smooth"))
+        instance = set_up(name, problem, x0)
         if instance.constants.rank_case != "full_column":
             raise RuntimeError("case1 seed failed to produce full column rank")
         return instance
@@ -179,7 +180,7 @@ def get_instance(name: str) -> Instance:
             b=gen.normal_vector(m),
             h=tuple(NonsmoothTerm.box(-1.0, 1.0) for _ in range(k)))
         x0 = np.zeros(k * n)
-        instance = set_up(name, problem, x0, tags=("thm2", "case2"))
+        instance = set_up(name, problem, x0)
         if instance.constants.rank_case != "full_row":
             raise RuntimeError("case2 seed failed to produce full row rank")
         return instance
@@ -196,14 +197,12 @@ def get_instance(name: str) -> Instance:
                 partition=BlockPartition(k, n), a_blocks=blocks, b=b,
                 h=tuple(NonsmoothTerm.box(-1.0, 1.0) for _ in range(k)))
             x0 = np.zeros(k * n)
-            tags = ("thm2", "case3", "certified")
         else:
             problem = CompositeQuadraticProblem(
                 partition=BlockPartition(k, n), a_blocks=blocks, b=b,
                 h=tuple(NonsmoothTerm.zero() for _ in range(k)))
             x0 = free_x0
-            tags = ("thm2", "case3", "heuristic", "smooth")
-        instance = set_up(name, problem, x0, tags=tags)
+        instance = set_up(name, problem, x0)
         if instance.constants.rank_case != "neither":
             raise RuntimeError("case3 seed failed to produce rank deficiency")
         return instance
@@ -430,10 +429,16 @@ def prior_ratio_report() -> CheckReport:
     )
 
 
-def suite_tightness(sizes=(5, 10, 25, 50)) -> list[CheckReport]:
+def suite_tightness(sizes=TOEPLITZ_SIZES) -> list[CheckReport]:
+    """The one-pass tightness checks on the adversarial toeplitz instances,
+    from their cached one-cycle runs."""
     reports = []
     for k in sizes:
-        reports.extend(run_tightness_case(k))
+        name = f"toeplitz_K{k}"
+        reports.extend(run_tightness_case(
+            get_instance(name).x0,
+            get_trajectory(name, "exact_bcd", "block_lk", cycles=1),
+            get_trajectory(name, "bcpg", "block_lk", cycles=1)))
     return reports
 
 

@@ -189,13 +189,15 @@ class R0Estimate:
     method: str
 
 
-def r0_upper_estimate(p: CompositeQuadraticProblem, x0, x_star, f_star: float) -> R0Estimate:
-    """Upper bound on max ||x - x*|| over the f(x) <= f(x0) level set.
+def r0_upper_estimate(p: CompositeQuadraticProblem, x0, x_star, f_star: float,
+                      constants: ProblemConstants) -> R0Estimate:
+    """Upper bound on max ||x - x*|| over the f(x) <= f(x0) level set;
+    ``constants`` must be p's, from compute_constants.
 
     Certified routes, tried in order:
 
-    * strong convexity: smooth-part minimum curvature mu > 0 gives
-      R0 <= sqrt(2 (f(x0) - f*) / mu);
+    * strong convexity: smooth-part minimum curvature mu = constants.mu > 0
+      gives R0 <= sqrt(2 (f(x0) - f*) / mu);
     * all blocks box-constrained: the box diameter bounds R0 outright;
     * every block l1/group-l2 with positive weight: coercivity gives
       ||x|| <= f(x0) / w_min on the level set, so R0 <= 2 f(x0) / w_min.
@@ -208,8 +210,7 @@ def r0_upper_estimate(p: CompositeQuadraticProblem, x0, x_star, f_star: float) -
     base = float(np.linalg.norm(x0 - x_star))
     f0 = eval_objective(p, x0)
     delta0 = max(0.0, f0 - float(f_star))
-    full = p.full_matrix()
-    mu = float(np.linalg.eigvalsh(full.T @ full)[0])
+    mu = constants.mu
     if mu > 1e-12 * max(1.0, abs(mu)):
         level = math.sqrt(2.0 * delta0 / mu)
         return R0Estimate(max(base, level), True, "strong-convexity level set")

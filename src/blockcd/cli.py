@@ -33,7 +33,7 @@ from .bounds import (
     evaluate,
 )
 from .linalg import ConvergenceError
-from .problems import ProblemFormatError, constants_from_oracle, load_problem
+from .problems import ProblemFormatError, constants_from_oracle, json_integer, load_problem
 # battery.set_up computes the constants; this binding stays because
 # bench/tests/test_bench.py asserts that the tracer rewraps it here.
 from .problems import compute_constants  # noqa: F401
@@ -82,19 +82,9 @@ def _finite_number(value) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def _integer(value) -> int | None:
-    """``value`` as an int when it is a JSON integer, else None.  As in JSON
-    Schema, a number with a zero fractional part (2.0) is an integer."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        return None
-    return value
-
-
 def _parse_settings(plan: dict) -> tuple[int, str]:
     """The plan's global seed and output directory, 0 and "out" by default."""
-    seed = _integer(plan.get("seed", 0))
+    seed = json_integer(plan.get("seed", 0))
     if seed is None:
         raise PlanError("$.seed", "expected an integer")
     output = plan.get("output", "out")
@@ -120,7 +110,7 @@ def _parse_order(raw, path: str, global_seed: int) -> BlockOrder:
     kind = raw["kind"]
     if kind not in ("cyclic", "random_permutation", "sampled_with_replacement"):
         raise PlanError(f"{path}.kind", f"unknown order kind {kind!r}")
-    seed = _integer(raw["seed"]) if "seed" in raw else None
+    seed = json_integer(raw["seed"]) if "seed" in raw else None
     if "seed" in raw and seed is None:
         raise PlanError(f"{path}.seed", "expected an integer")
     if kind == "cyclic":
@@ -164,7 +154,7 @@ def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
         if algorithm not in ("exact_bcd", "bcpg", "cgd", "gd"):
             raise PlanError(f"{path}.algorithm",
                             f"expected one of exact_bcd/bcpg/cgd/gd, got {algorithm!r}")
-        max_cycles = _integer(raw.get("max_cycles", 100))
+        max_cycles = json_integer(raw.get("max_cycles", 100))
         if max_cycles is None or max_cycles < 1:
             raise PlanError(f"{path}.max_cycles", "expected a positive integer")
         gap_tolerance = _finite_number(raw.get("gap_tolerance", 0.0))
@@ -341,6 +331,8 @@ def cmd_verify(suite: str, seed: int, out_dir: str | None = None) -> int:
 
 
 def cmd_bounds(problem_path: str, r_max: int, out_dir: str | None) -> int:
+    if r_max < 1:
+        raise ValueError(f"--rmax: expected a positive integer, got {r_max}")
     loaded = load_problem(problem_path)
     out = Path(out_dir if out_dir is not None else "out")
     out.mkdir(parents=True, exist_ok=True)
@@ -389,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", default="all",
-                          choices=["all", "lemmas", "envelopes", "tightness", "truncation"])
+                          choices=list(SUITES))
     p_verify.add_argument("--seed", type=int, default=7)
     p_verify.add_argument("--out", default=None, help="also write a CSV report here")
 

@@ -312,13 +312,15 @@ class ProblemConstants:
     sigma_min: float = 0.0
     gamma_min: float = 0.0
     rank_case: str = "unknown"
+    mu: float = 0.0  # lambda_min(A^T A); 0 (no curvature claimed) for an oracle
 
 
 def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
     """Extreme-eigenvalue constants of the quadratic part.
 
-    L = lambda_max(A^T A); per block L_k = lambda_max(A_k^T A_k),
-    sigma_k^2 = lambda_min(A_k^T A_k), gamma_k^2 = lambda_min(A_k A_k^T).
+    L = lambda_max(A^T A) and mu = lambda_min(A^T A), from one eigensolve;
+    per block L_k = lambda_max(A_k^T A_k), sigma_k^2 = lambda_min(A_k^T A_k),
+    gamma_k^2 = lambda_min(A_k A_k^T).
     Structural zeros are written exactly: when A_k has more rows m than
     columns N its m x m row Gram has rank at most N < m, so gamma_k = 0 and
     that Gram is never formed; when m < N, sigma_k = 0 likewise.  (An
@@ -330,7 +332,7 @@ def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
     """
     k_count = p.partition.block_count
     full = p.full_matrix()
-    _, l_global = sym_eig_extremes(full.T @ full)
+    mu, l_global = sym_eig_extremes(full.T @ full)
     l_k = np.empty(k_count)
     sigma_k = np.empty(k_count)
     gamma_k = np.empty(k_count)
@@ -367,6 +369,7 @@ def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
         sigma_min=float(sigma_k.min()),
         gamma_min=float(gamma_k.min()),
         rank_case=rank_case,
+        mu=mu,
     )
 
 
@@ -519,7 +522,7 @@ def make_lasso_instance(rows: int, block_count: int, weight: float, seed: int):
 def oracle_from_quadratic(p: CompositeQuadraticProblem,
                           constants: ProblemConstants) -> SmoothProblemOracle:
     """Smooth-oracle view of a scalar-block problem with no nonsmooth terms;
-    ``constants`` must be compute_constants(p)."""
+    ``constants`` must be p's, from compute_constants."""
     if not p.is_smooth():
         raise ValueError("oracle view requires all nonsmooth terms to be zero")
     if p.partition.block_size != 1:
@@ -558,10 +561,22 @@ class LoadedProblem:
     oracle: SmoothProblemOracle | None = None
 
 
+def json_integer(value) -> int | None:
+    """``value`` as an int when it is a JSON integer, else None.  As in JSON
+    Schema, a number with a zero fractional part (2.0) is an integer."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        return None
+    return value
+
+
 def _require(spec: dict, path: str, key: str, types, check=None, describe=""):
+    """spec[key], which must be of ``types`` (``int`` means json_integer)
+    and pass ``check``."""
     if key not in spec:
         raise ProblemFormatError(f"{path}.{key}", "missing required field")
-    value = spec[key]
+    value = json_integer(spec[key]) if types is int else spec[key]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ProblemFormatError(f"{path}.{key}", f"expected {describe or types}")
     if check is not None and not check(value):
@@ -611,17 +626,13 @@ def load_problem(source) -> LoadedProblem:
     if isinstance(source, dict):
         spec = source
     else:
-        text = source
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            text = str(source)
-            if not text.lstrip().startswith("{"):
-                try:
-                    with open(text, "r", encoding="utf-8") as fh:
-                        text = fh.read()
-                except OSError as exc:
-                    raise ProblemFormatError("$", f"cannot read problem file: {exc}")
+        text = str(source)
+        if not text.lstrip().startswith("{"):
+            try:
+                with open(text, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ProblemFormatError("$", f"cannot read problem file: {exc}")
         try:
             spec = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -629,9 +640,7 @@ def load_problem(source) -> LoadedProblem:
     if not isinstance(spec, dict):
         raise ProblemFormatError("$", "top level must be an object")
     kind = _require(spec, "$", "kind", str, describe="a string")
-    seed = spec.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ProblemFormatError("$.seed", "expected an integer")
+    seed = _require(spec, "$", "seed", int, describe="an integer") if "seed" in spec else 0
 
     if kind == "lasso":
         rows = _require(spec, "$", "rows", int, lambda v: v >= 1, "a positive integer")
@@ -639,7 +648,7 @@ def load_problem(source) -> LoadedProblem:
         weight = _require(spec, "$", "weight", (int, float),
                           check=lambda v: v >= 0 and math.isfinite(v),
                           describe="a nonnegative number")
-        problem, x0 = make_lasso_instance(rows, k, float(weight), seed or 0)
+        problem, x0 = make_lasso_instance(rows, k, float(weight), seed)
         return LoadedProblem(kind=kind, x0=x0, problem=problem)
 
     if kind == "toeplitz":
@@ -687,14 +696,9 @@ def load_problem(source) -> LoadedProblem:
                 a_blocks=tuple(blocks), b=b, h=terms)
         except ValueError as exc:
             raise ProblemFormatError("$", str(exc)) from exc
-        x0_raw = spec.get("x0")
-        if x0_raw is None:
-            x0 = np.zeros(k * n)
-        else:
-            x0 = np.asarray(x0_raw, dtype=float)
-            if x0.shape != (k * n,) or not np.isfinite(x0).all():
-                raise ProblemFormatError(
-                    "$.x0", f"expected a flat list of {k * n} finite numbers")
+        x0 = np.asarray(spec.get("x0", np.zeros(k * n)), dtype=float)
+        if x0.shape != (k * n,) or not np.isfinite(x0).all():
+            raise ProblemFormatError("$.x0", f"expected a flat list of {k * n} finite numbers")
         return LoadedProblem(kind=kind, x0=x0, problem=problem)
 
     raise ProblemFormatError("$.kind", f"unknown kind {kind!r}")

@@ -20,7 +20,6 @@ from .problems import (
     CompositeQuadraticProblem,
     ProblemConstants,
     SmoothProblemOracle,
-    compute_constants,
     constants_from_oracle,
     eval_objective,
     prox,
@@ -335,10 +334,9 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
 
 
 def _run_blocks(p: CompositeQuadraticProblem, run: SolverRun, x0,
-                constants: ProblemConstants | None, f_star) -> Trajectory:
+                constants: ProblemConstants, f_star) -> Trajectory:
     """Trajectory of run.algorithm, bcpg or exact_bcd, on p.  One residual
     per cycle serves the objective, the gradient norm and the next sweep."""
-    constants = constants or compute_constants(p)
     stepsizes = run.stepsizes.realize(constants)
     x = _check_start(p, x0)
     full = p.full_matrix()
@@ -357,8 +355,7 @@ def _run_blocks(p: CompositeQuadraticProblem, run: SolverRun, x0,
 
 
 def run_bcpg(p: CompositeQuadraticProblem, run: SolverRun, x0,
-             constants: ProblemConstants | None = None,
-             f_star: float | None = None) -> Trajectory:
+             constants: ProblemConstants, f_star: float | None = None) -> Trajectory:
     """Cyclic block proximal gradient.
 
     Each visited block takes one proximal step from the freshest point:
@@ -404,8 +401,7 @@ def _exact_block_minimize(p: CompositeQuadraticProblem, k: int,
 
 
 def run_bcd_exact(p: CompositeQuadraticProblem, run: SolverRun, x0,
-                  constants: ProblemConstants | None = None,
-                  f_star: float | None = None) -> Trajectory:
+                  constants: ProblemConstants, f_star: float | None = None) -> Trajectory:
     """Cyclic block coordinate descent with exact block minimization.
 
     Stepsizes play no role in the updates; the realized P_k only weight the
@@ -450,12 +446,13 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     so every trajectory is bit-identical to run_bcpg/run_bcd_exact:
     v = x_k - g_k / d_k with d_k = P_k (bcpg) or G_kk (exact; v = 0 and
     d_k = 1 for a zero column); x_k^new = v - min(max(v, -t_k), t_k) with
-    t_k = w_k (1 / d_k), the soft threshold's bits; where the step moved,
-    x_k takes x_k^new and g gains delta G[k]; the movement sum runs in visit
-    order.  Each run computes its own residual once per cycle, as
-    eval_objective does, for f and the next cycle's g.  A NaN proximal
-    point, which the soft threshold maps to 0 and this form to NaN, raises
-    ValueError instead.
+    t_k = w_k (1 / d_k), the soft threshold's bits (for the 0 * inf of a
+    subnormal d_k, inf on an l1 term, where prox_scalar returns 0, and 0 on
+    a zero term, where it returns v); where the step moved, x_k takes x_k^new and g gains delta G[k]; the movement
+    sum runs in visit order.  Each run computes its own residual once per
+    cycle, as eval_objective does, for f and the next cycle's g.  A NaN
+    proximal point, which the soft threshold maps to 0 and this form to
+    NaN, raises ValueError instead.
     """
     _check_lockstep(problems, runs, x0s, constants)
     batch, cycles = len(runs), runs[0].max_cycles
@@ -469,9 +466,13 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     zero_column = exact & ~(curvature > 0.0)
     weights = np.column_stack(stepsizes)
     divisor = np.where(exact, np.where(zero_column, 1.0, curvature), weights)
+    is_l1 = np.array([[term.kind == "l1" for term in p.h] for p in problems]).T
     l1_weight = np.array([[term.weight if term.kind == "l1" else 0.0 for term in p.h]
                           for p in problems]).T
-    threshold = l1_weight * (1.0 / divisor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        threshold = l1_weight * (1.0 / divisor)
+    overflowed = np.isnan(threshold)
+    threshold[overflowed] = np.where(is_l1[overflowed], np.inf, 0.0)
     lower = -threshold
     gram_rows = np.stack(grams, axis=-1)
     zero_rows = {k: zero_column[k] for k in range(block_count) if zero_column[k].any()}
@@ -578,18 +579,16 @@ def run_cgd(o: SmoothProblemOracle, run: SolverRun, x0,
     return _record_cycles("cgd", run, x, stepsizes, sweep, measure, f_star)
 
 
-def _smooth_view(target, constants: ProblemConstants | None = None):
-    """(value, gradient, L, dimension) for an oracle or a nonsmooth-free
-    quadratic problem; ``constants``, when given for a problem, must be
-    compute_constants(target)."""
+def _smooth_view(target, constants: ProblemConstants):
+    """(value, gradient, L, dimension) for an oracle, with its own
+    lipschitz_global, or a nonsmooth-free quadratic problem, with L from
+    ``constants``, which must be the problem's, from compute_constants."""
     if isinstance(target, SmoothProblemOracle):
         return target.value, target.gradient, target.lipschitz_global, target.dimension
     if not target.is_smooth():
         raise ValueError("gradient descent requires a smooth problem")
     full = target.full_matrix()
     b = target.b
-    if constants is None:
-        constants = compute_constants(target)
 
     def value(x):
         r = full @ x - b
@@ -614,8 +613,7 @@ def _gradient_sweep(g: np.ndarray, x: np.ndarray, lipschitz: float,
 
 
 def run_gd(target: SmoothProblemOracle | CompositeQuadraticProblem, run: SolverRun,
-           x0, f_star: float | None = None,
-           constants: ProblemConstants | None = None) -> Trajectory:
+           x0, constants: ProblemConstants, f_star: float | None = None) -> Trajectory:
     """Full gradient descent with the constant stepsize 1/L.  A cycle is one
     step; the trajectory records the cyclic order whatever run.order says."""
     if run.algorithm != "gd":
@@ -651,8 +649,7 @@ class ReferenceOptimum:
     note: str
 
 
-def reference_optimum(p: CompositeQuadraticProblem,
-                      constants: ProblemConstants | None = None,
+def reference_optimum(p: CompositeQuadraticProblem, constants: ProblemConstants,
                       max_cycles: int = 30_000) -> ReferenceOptimum:
     """Reference optimum: minimum-norm least squares for nonsmooth-free
     problems; otherwise a long block-proximal run with a movement
@@ -661,7 +658,6 @@ def reference_optimum(p: CompositeQuadraticProblem,
         x_star = least_squares_min_norm(p.full_matrix(), p.b)
         return ReferenceOptimum(x_star, eval_objective(p, x_star), True, 0.0,
                                 "minimum-norm least squares")
-    constants = constants or compute_constants(p)
     stepsizes = StepsizePolicy.block_lk().realize(constants)
     k_count = p.partition.block_count
     x = np.zeros(p.partition.dimension)

@@ -20,15 +20,9 @@ import numpy as np
 
 from .bounds import BOUND_PAIRINGS, BoundSpec, InapplicableBound, evaluate
 from .linalg import spectral_norm
-from .problems import (
-    CompositeQuadraticProblem,
-    ProblemConstants,
-    SmoothProblemOracle,
-    compute_constants,
-    make_toeplitz_instance,
-)
+from .problems import CompositeQuadraticProblem, ProblemConstants, SmoothProblemOracle
 from .rng import SplitMix64, derive_seed
-from .solvers import SolverRun, StepsizePolicy, Trajectory, run_bcd_exact, run_bcpg
+from .solvers import Trajectory
 
 LEMMA_TOL = 1e-8
 
@@ -106,8 +100,7 @@ def check_descent_bcd(t: Trajectory, p: CompositeQuadraticProblem,
 
 
 def check_costtogo_bcpg(t: Trajectory, p: CompositeQuadraticProblem,
-                        r0_upper: float,
-                        constants: ProblemConstants | None = None,
+                        r0_upper: float, constants: ProblemConstants,
                         name: str = "costtogo_bcpg",
                         advisory: bool = False) -> CheckReport:
     """Gap bound from iterate movement after a proximal sweep:
@@ -116,7 +109,6 @@ def check_costtogo_bcpg(t: Trajectory, p: CompositeQuadraticProblem,
         raise ValueError("costtogo_bcpg expects a bcpg trajectory")
     if t.gap is None:
         raise ValueError("trajectory has no gap; attach a reference optimum")
-    constants = constants or compute_constants(p)
     total = constants.block_count * constants.block_size
     if total < 3:
         return _skipped(name, f"K*N = {total} < 3 is outside the log^2 regime")
@@ -134,8 +126,7 @@ def check_costtogo_bcpg(t: Trajectory, p: CompositeQuadraticProblem,
 
 
 def check_costtogo_bcd(t: Trajectory, p: CompositeQuadraticProblem,
-                       r0_upper: float,
-                       constants: ProblemConstants | None = None,
+                       r0_upper: float, constants: ProblemConstants,
                        name: str = "costtogo_bcd",
                        advisory: bool = False) -> CheckReport:
     """Gap bound from iterate movement after an exact sweep; the rank case
@@ -145,7 +136,6 @@ def check_costtogo_bcd(t: Trajectory, p: CompositeQuadraticProblem,
         raise ValueError("costtogo_bcd expects an exact_bcd trajectory")
     if t.gap is None:
         raise ValueError("trajectory has no gap; attach a reference optimum")
-    constants = constants or compute_constants(p)
     n = p.partition.block_size
     total = constants.block_count * n
     case = constants.rank_case
@@ -237,13 +227,13 @@ def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
 
 
 def check_envelope(t: Trajectory, spec: BoundSpec, name: str | None = None,
-                   r0_certified: bool = True,
-                   f_star_certified: bool = True) -> CheckReport:
+                   r0_certified: bool = True) -> CheckReport:
     """Assert gap^r <= bound(r) * (1 + 1e-8) for every recorded r >= 1.
 
     Bound kinds are only accepted against the solver they were stated for.
-    When the radius or reference value is not certified the report is
-    advisory (informational, not asserted by suites).
+    ``r0_certified`` False, for a radius or reference value that is not
+    certified, makes the report advisory (informational, not asserted by
+    suites).
     """
     allowed = BOUND_PAIRINGS[spec.kind]
     if t.algorithm not in allowed:
@@ -252,7 +242,7 @@ def check_envelope(t: Trajectory, spec: BoundSpec, name: str | None = None,
     if t.gap is None:
         raise ValueError("trajectory has no gap; attach a reference optimum")
     name = name or f"envelope_{spec.kind}"
-    advisory = not (r0_certified and f_star_certified)
+    advisory = not r0_certified
     violations = []
     try:
         for r in range(1, t.cycles + 1):
@@ -298,8 +288,10 @@ def expected_one_pass_iterate(block_count: int) -> np.ndarray:
     return x1
 
 
-def run_tightness_case(block_count: int) -> list[CheckReport]:
-    """One-pass reproduction on the adversarial instance.
+def run_tightness_case(x0, t_bcd: Trajectory, t_bcpg: Trajectory) -> list[CheckReport]:
+    """One-pass reproduction on the adversarial instance of K = len(x0)
+    blocks, from the exact-minimization and proximal (block_lk) trajectories
+    ``t_bcd`` and ``t_bcpg`` started at its canonical start ``x0``.
 
     Sub-checks, reported individually:
       (a) the exact-minimization and proximal one-pass iterates match the
@@ -318,16 +310,11 @@ def run_tightness_case(block_count: int) -> list[CheckReport]:
     Acceptance criterion 1b (``tests/test_acceptance.py``) asserts the
     recursion-implied value, derived there in exact rational arithmetic.
     """
-    if block_count < 5:
+    k = len(x0)
+    if k < 5:
         raise ValueError("tightness case requires K >= 5")
-    k = block_count
-    problem, x0 = make_toeplitz_instance(k)
-    constants = compute_constants(problem)
-    one_cycle = dict(max_cycles=1, stepsizes=StepsizePolicy.block_lk())
-    t_bcd = run_bcd_exact(problem, SolverRun(algorithm="exact_bcd", **one_cycle),
-                          x0, constants=constants)
-    t_bcpg = run_bcpg(problem, SolverRun(algorithm="bcpg", **one_cycle),
-                      x0, constants=constants)
+    if (t_bcd.algorithm, t_bcpg.algorithm) != ("exact_bcd", "bcpg"):
+        raise ValueError("tightness case expects an exact_bcd and a bcpg trajectory")
     oracle_x1 = one_pass_recursion_oracle(x0, k)
     expected = expected_one_pass_iterate(k)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from blockcd import battery, solvers
+from blockcd import battery, bounds, cli, problems, solvers, verify
 from blockcd.solvers import BlockOrder, SolverRun, StepsizePolicy
 
 
@@ -41,11 +41,35 @@ class TestInstances:
         assert t1.gap is not None
 
     @pytest.mark.parametrize("name", ["toeplitz_K5", "thm2_case1", "thm2_case3_free"])
-    def test_gd_reuses_instance_constants(self, monkeypatch, name):
-        battery.get_instance(name)  # set-up computes the constants once
-        monkeypatch.setattr(solvers, "compute_constants", None)
+    def test_gd_reuses_instance_constants(self, name):
+        # gd steps by 1/L of the constants set_up computed
+        instance = battery.get_instance(name)
         t = battery.get_trajectory(name, "gd", "block_lk", "cyclic", 0, 7)
         assert t.cycles == 7
+        assert (t.stepsizes == instance.constants.L).all()
+
+    def test_suite_all_sets_up_each_instance_once(self, monkeypatch):
+        # every binding of the two set-up functions in the package is
+        # counted, so a second set-up anywhere would show
+        calls = {"compute_constants": [], "reference_optimum": []}
+        for name, seen in calls.items():
+            original = getattr(battery, name)
+
+            def counting(problem, *args, _original=original, _seen=seen, **kwargs):
+                _seen.append(problem)
+                return _original(problem, *args, **kwargs)
+
+            for module in (battery, bounds, cli, problems, solvers, verify):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        for cached in (battery.get_instance, battery.get_trajectory, battery._lasso_family):
+            cached.cache_clear()
+        battery.suite_all(7)
+        names = (battery.lasso_names() + battery.toeplitz_names()
+                 + battery.table1_names() + battery.thm2_names())
+        expected = sorted(id(battery.get_instance(name).problem) for name in names)
+        for seen in calls.values():
+            assert sorted(id(problem) for problem in seen) == expected
 
     def test_cached_trajectory_arrays_are_read_only(self):
         t = battery.get_trajectory("toeplitz_K5", "bcpg", "block_lk", "cyclic", 0, 20)

@@ -146,13 +146,15 @@ class TestRadiusEstimate:
         p = CompositeQuadraticProblem(
             partition=BlockPartition(1, 1), a_blocks=(np.eye(1),), b=np.zeros(1),
             h=(NonsmoothTerm.zero(),))
-        est = r0_upper_estimate(p, np.array([3.0]), np.zeros(1), f_star=0.0)
+        c = compute_constants(p)
+        est = r0_upper_estimate(p, np.array([3.0]), np.zeros(1), 0.0, c)
         assert est.value == pytest.approx(3.0, rel=1e-12)
         assert est.certified
 
     def test_start_at_optimum_is_zero(self):
         p = make_table1_diagonal_qp(3, 2.0)
-        est = r0_upper_estimate(p, np.zeros(3), np.zeros(3), f_star=0.0)
+        c = compute_constants(p)
+        est = r0_upper_estimate(p, np.zeros(3), np.zeros(3), 0.0, c)
         assert est.value == 0.0
         assert est.certified
 
@@ -168,15 +170,17 @@ class TestRadiusEstimate:
             a_blocks=(np.ones((2, 3)), np.ones((2, 3))),
             b=np.zeros(2),
             h=(NonsmoothTerm.box(-1.0, 1.0), NonsmoothTerm.box(0.0, 1.0)))
-        est = r0_upper_estimate(p, np.zeros(6), np.zeros(6), f_star=0.0)
+        c = compute_constants(p)
+        est = r0_upper_estimate(p, np.zeros(6), np.zeros(6), 0.0, c)
         assert est.certified
         assert est.method == "box diameter"
         assert est.value == pytest.approx(math.sqrt(3 * 4 + 3 * 1))
 
     def test_l1_route(self):
         p, x0 = make_lasso_instance(4, 8, 0.5, seed=1)  # fat: mu = 0
-        ref = reference_optimum(p)
-        est = r0_upper_estimate(p, x0, ref.x_star, f_star=ref.f_star)
+        c = compute_constants(p)
+        ref = reference_optimum(p, c)
+        est = r0_upper_estimate(p, x0, ref.x_star, ref.f_star, c)
         assert est.certified
         assert est.method == "l1 coercivity"
         f0 = 0.5 * float(p.b @ p.b)
@@ -184,8 +188,9 @@ class TestRadiusEstimate:
 
     def test_strong_convexity_route_for_tall_lasso(self):
         p, x0 = make_lasso_instance(30, 20, 0.1, seed=0)
-        ref = reference_optimum(p)
-        est = r0_upper_estimate(p, x0, ref.x_star, f_star=ref.f_star)
+        c = compute_constants(p)
+        ref = reference_optimum(p, c)
+        est = r0_upper_estimate(p, x0, ref.x_star, ref.f_star, c)
         assert est.certified
         assert est.method == "strong-convexity level set"
 
@@ -195,9 +200,20 @@ class TestRadiusEstimate:
         p = CompositeQuadraticProblem(
             partition=BlockPartition(1, 2), a_blocks=(a,), b=np.zeros(3),
             h=(NonsmoothTerm.zero(),))
-        est = r0_upper_estimate(p, np.ones(2), np.zeros(2), f_star=0.0)
+        c = compute_constants(p)
+        est = r0_upper_estimate(p, np.ones(2), np.zeros(2), 0.0, c)
         assert not est.certified
         assert est.value == pytest.approx(2.0 * math.sqrt(2.0))
+
+    def test_mu_is_the_gram_minimum_eigenvalue(self):
+        # the radius reads mu from the constants' one eigensolve of A^T A,
+        # bit for bit what a separate eigensolve gives
+        problems = [make_toeplitz_instance(10)[0], make_table1_diagonal_qp(5, 2.0),
+                    make_lasso_instance(30, 20, 0.1, seed=0)[0],
+                    make_lasso_instance(4, 8, 0.5, seed=1)[0]]
+        for p in problems:
+            full = p.full_matrix()
+            assert compute_constants(p).mu == float(np.linalg.eigvalsh(full.T @ full)[0])
 
 
 class TestBoundReportCSV:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockcd import battery, cli, problems, solvers
+from blockcd import battery, cli, problems
 from blockcd.cli import main
 from blockcd.linalg import ConvergenceError
 from blockcd.problems import ProblemConstants, compute_constants, oracle_from_quadratic
@@ -26,16 +26,15 @@ def write_plan(tmp_path, plan, name="plan.json"):
 
 
 def count_constants(monkeypatch) -> list:
-    """Record every compute_constants call made through battery (the shared
-    set-up), problems or solvers."""
+    """Record every compute_constants call; battery.set_up, the shared
+    set-up, is its only caller."""
     calls = []
 
     def counting(problem):
         calls.append(problem)
         return compute_constants(problem)
 
-    for module in (battery, problems, solvers):
-        monkeypatch.setattr(module, "compute_constants", counting)
+    monkeypatch.setattr(battery, "compute_constants", counting)
     return calls
 
 
@@ -367,6 +366,48 @@ def test_parser_and_schema_agree(tmp_path, field, value_text):
     assert parser_accepts == schema_accepts
 
 
+# problem objects and, per case, the field set to a JSON text: integral
+# floats are integers, null is no default, and numbers beyond a double
+# (1e400 parses to inf) are not finite
+PROBLEM_BASES = {
+    "lasso": {"kind": "lasso", "rows": 4, "block_count": 3, "weight": 0.5, "seed": 1},
+    "table1_diag": {"kind": "table1_diag", "block_count": 3, "lipschitz": 2.0},
+    "explicit": {"kind": "explicit", "block_count": 2, "block_size": 1,
+                 "a_blocks": [[[1.0]], [[2.0]]], "b": [1.0], "x0": [0.0, 0.0],
+                 "h": [{"kind": "l1", "weight": 0.5}, {"kind": "box", "lo": -1.0, "hi": 1.0}]},
+}
+PROBLEM_FIELD_CASES = (
+    [("lasso", (key,), text) for key in ("rows", "block_count", "seed")
+     for text in ("4", "4.0", "4.5")]
+    + [("explicit", ("block_count",), "2.0"), ("explicit", ("block_size",), "1.0")]
+    + [("lasso", ("seed",), "null"), ("explicit", ("x0",), "null")]
+    + [(kind, (key,), text) for kind, key in (("lasso", "weight"), ("table1_diag", "lipschitz"))
+       for text in ("1e308", "1e400")]
+    + [("explicit", ("h", 0, "weight"), text) for text in ("1e308", "1e400")]
+    + [("explicit", ("h", 1, key), text) for key in ("lo", "hi")
+       for text in ("1e400", "-1e400")])
+
+
+@pytest.mark.parametrize("kind, where, value_text", PROBLEM_FIELD_CASES,
+                         ids=[f"{kind}.{'.'.join(map(str, where))}={text}"
+                              for kind, where, text in PROBLEM_FIELD_CASES])
+def test_problem_fields_schema_and_loader_agree(kind, where, value_text):
+    problem = json.loads(json.dumps(PROBLEM_BASES[kind]))
+    holder = problem
+    for step in where[:-1]:
+        holder = holder[step]
+    holder[where[-1]] = "@VALUE@"
+    text = json.dumps(problem).replace('"@VALUE@"', value_text)
+    plan = {"problem": json.loads(text), "runs": [{"algorithm": "bcpg"}]}
+    schema_accepts = jsonschema.Draft7Validator(SCHEMA).is_valid(plan)
+    try:
+        problems.load_problem(text)
+        loader_accepts = True
+    except ValueError:
+        loader_accepts = False
+    assert loader_accepts == schema_accepts
+
+
 MISSING = object()
 ORDER_KINDS = ["cyclic", "random_permutation", "sampled_with_replacement"]
 STEPSIZE_KINDS = ["global_l", "block_lk", "fixed"]
@@ -574,6 +615,18 @@ class TestBounds:
     def test_missing_file_is_error(self, capsys):
         assert main(["bounds", "--plan", "/nonexistent/problem.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r_max", ["0", "-3"])
+    def test_rmax_below_one_rejected(self, tmp_path, capsys, r_max):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"kind": "toeplitz", "block_count": 5}))
+        out = tmp_path / "o"
+        assert main(["bounds", "--plan", str(problem), "--rmax", r_max,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --rmax: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_separable_curves_track_gd_curve(self, tmp_path):
         # separable scenario: the uniform-stepsize curve over the classic

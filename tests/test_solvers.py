@@ -13,6 +13,7 @@ from blockcd.problems import (
     CompositeQuadraticProblem,
     NonsmoothTerm,
     compute_constants,
+    constants_from_oracle,
     eval_objective,
     make_lasso_instance,
     make_table1_diagonal,
@@ -95,7 +96,7 @@ class TestBCPG:
         qp = make_table1_diagonal_qp(4, 2.0)
         run = SolverRun(algorithm="bcpg", stepsizes=StepsizePolicy.global_l(),
                         max_cycles=1)
-        t = run_bcpg(qp, run, np.array([1.0, -2.0, 0.5, 3.0]))
+        t = run_bcpg(qp, run, np.array([1.0, -2.0, 0.5, 3.0]), compute_constants(qp))
         np.testing.assert_array_equal(t.xs[1], np.zeros(4))
 
     def test_zero_term_reduces_to_gradient_step(self):
@@ -125,7 +126,8 @@ class TestBCPG:
             partition=BlockPartition(1, 1), a_blocks=(np.array([[1.0]]),),
             b=np.zeros(1), h=(NonsmoothTerm.box(-1.0, 1.0),))
         with pytest.raises(ValueError, match="box"):
-            run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=1), np.array([2.0]))
+            run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=1), np.array([2.0]),
+                     compute_constants(p))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_start_rejected(self, value):
@@ -133,7 +135,8 @@ class TestBCPG:
         x0[1] = value
         for solver, algorithm in ((run_bcpg, "bcpg"), (run_bcd_exact, "exact_bcd")):
             with pytest.raises(ValueError, match="non-finite"):
-                solver(p, SolverRun(algorithm=algorithm, max_cycles=1), x0)
+                solver(p, SolverRun(algorithm=algorithm, max_cycles=1), x0,
+                       compute_constants(p))
 
     def test_optimality_condition_probe(self):
         # at every block step, rebuilt from the recorded cycles, for random
@@ -159,15 +162,15 @@ class TestBCPG:
         qp = make_table1_diagonal_qp(4, 2.0)
         run = SolverRun(algorithm="bcpg", stepsizes=StepsizePolicy.global_l(),
                         max_cycles=50, gap_tolerance=1e-12)
-        t = run_bcpg(qp, run, np.ones(4), f_star=0.0)
+        t = run_bcpg(qp, run, np.ones(4), compute_constants(qp), f_star=0.0)
         assert t.cycles == 1  # separable case converges in one cycle
 
     def test_determinism_bit_identical(self):
         p, x0 = make_lasso_instance(12, 6, 0.1, seed=9)
         run = SolverRun(algorithm="bcpg", max_cycles=20,
                         order=BlockOrder.random_permutation(5))
-        t1 = run_bcpg(p, run, x0)
-        t2 = run_bcpg(p, run, x0)
+        t1 = run_bcpg(p, run, x0, compute_constants(p))
+        t2 = run_bcpg(p, run, x0, compute_constants(p))
         np.testing.assert_array_equal(t1.xs, t2.xs)
         np.testing.assert_array_equal(t1.f, t2.f)
 
@@ -175,7 +178,8 @@ class TestBCPG:
 class TestExactBCD:
     def test_toeplitz_one_pass_values(self):
         p, x0 = make_toeplitz_instance(10)
-        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=1), x0)
+        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=1), x0,
+                          compute_constants(p))
         expected = np.array([-0.5] * 8 + [-1.0 / 6.0, 5.0 / 12.0])
         np.testing.assert_allclose(t.xs[1], expected, atol=1e-12)
 
@@ -186,7 +190,7 @@ class TestExactBCD:
             partition=BlockPartition(1, 3), a_blocks=(a,),
             b=gen.normal_vector(6), h=(NonsmoothTerm.zero(),))
         t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=1),
-                          np.zeros(3))
+                          np.zeros(3), compute_constants(p))
         expected = np.linalg.lstsq(a, p.b, rcond=None)[0]
         np.testing.assert_allclose(t.xs[1], expected, atol=1e-10)
 
@@ -194,7 +198,8 @@ class TestExactBCD:
         # rebuild each step from the recorded cycles and compare it with an
         # independent piecewise-quadratic minimizer
         p, x0 = make_lasso_instance(8, 4, 0.4, seed=6)
-        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=2), x0)
+        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=2), x0,
+                          compute_constants(p))
         full = p.full_matrix()
         for k, x, new in recorded_visits(p, t.xs, t.orders):
             rest = full @ x - p.b - p.a_blocks[k][:, 0] * x[k]
@@ -216,7 +221,7 @@ class TestExactBCD:
             partition=BlockPartition(1, 2), a_blocks=(a,),
             b=gen.normal_vector(4), h=(NonsmoothTerm.zero(),))
         t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=1),
-                          np.zeros(2))
+                          np.zeros(2), compute_constants(p))
         x1 = t.xs[1]
         _, _, vt = np.linalg.svd(a)
         null_dir = vt[1]
@@ -235,7 +240,7 @@ class TestExactBCD:
             h=(NonsmoothTerm.zero(), NonsmoothTerm.box(0.5, 1.0), NonsmoothTerm.zero()))
         run = SolverRun(algorithm="exact_bcd", stepsizes=StepsizePolicy.global_l(),
                         max_cycles=1)
-        t = run_bcd_exact(p, run, np.array([3.0, 0.75, 0.0]))
+        t = run_bcd_exact(p, run, np.array([3.0, 0.75, 0.0]), compute_constants(p))
         np.testing.assert_allclose(t.xs[1], [0.0, 0.5, 0.6], atol=1e-15)
 
     def test_box_constrained_block_loop(self):
@@ -246,7 +251,7 @@ class TestExactBCD:
             partition=BlockPartition(1, 2), a_blocks=(a,),
             b=gen.normal_vector(3) + 4.0, h=(NonsmoothTerm.box(-0.5, 0.5),))
         t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=3),
-                          np.zeros(2))
+                          np.zeros(2), compute_constants(p))
         x1 = t.xs[-1]
         assert np.all(np.abs(x1) <= 0.5 + 1e-12)
         # exact minimizer: projected-gradient fixed point
@@ -295,20 +300,22 @@ class TestCGD:
 class TestGD:
     def test_one_dimensional_one_step(self):
         o = make_table1_diagonal(1, 3.0)  # g = (3/2) x^2, step 1/3
-        t = run_gd(o, SolverRun(algorithm="gd", max_cycles=1), np.array([2.0]))
+        t = run_gd(o, SolverRun(algorithm="gd", max_cycles=1), np.array([2.0]),
+                   constants_from_oracle(o))
         assert t.xs[1][0] == pytest.approx(0.0, abs=1e-15)
 
     def test_monotone_descent(self):
-        for target, x0 in ((make_table1_full(10, 4.0), np.ones(10)),
-                           (make_toeplitz_instance(8)[0],
-                            make_toeplitz_instance(8)[1])):
-            t = run_gd(target, SolverRun(algorithm="gd", max_cycles=50), x0)
+        o = make_table1_full(10, 4.0)
+        p, x0 = make_toeplitz_instance(8)
+        for target, x0, c in ((o, np.ones(10), constants_from_oracle(o)),
+                              (p, x0, compute_constants(p))):
+            t = run_gd(target, SolverRun(algorithm="gd", max_cycles=50), x0, c)
             assert np.all(np.diff(t.f) <= 1e-10)
 
     def test_classic_envelope_fully_coupled(self):
         o = make_table1_full(10, 4.0)
         x0 = np.ones(10)
-        t = run_gd(o, SolverRun(algorithm="gd", max_cycles=100), x0)
+        t = run_gd(o, SolverRun(algorithm="gd", max_cycles=100), x0, constants_from_oracle(o))
         radius_sq = float(np.sum(x0 ** 2))  # the optimum is 0
         for r in range(1, t.cycles + 1):
             bound = 2.0 * radius_sq * o.lipschitz_global / (r + 4)
@@ -316,33 +323,37 @@ class TestGD:
 
     def test_accepts_smooth_problem(self):
         p, x0 = make_toeplitz_instance(6)
-        t = run_gd(p, SolverRun(algorithm="gd", max_cycles=10), x0)
+        t = run_gd(p, SolverRun(algorithm="gd", max_cycles=10), x0, compute_constants(p))
         assert t.f[-1] < t.f[0]
 
     def test_rejects_nonsmooth(self):
         p, x0 = make_lasso_instance(8, 4, 0.1, seed=11)
         with pytest.raises(ValueError, match="smooth"):
-            run_gd(p, SolverRun(algorithm="gd", max_cycles=1), x0)
+            run_gd(p, SolverRun(algorithm="gd", max_cycles=1), x0, compute_constants(p))
 
     def test_one_gradient_per_iterate(self):
         o = make_table1_full(6, 2.0)
         calls = []
         counted = replace(o, gradient=lambda x: calls.append(1) or o.gradient(x))
-        t = run_gd(counted, SolverRun(algorithm="gd", max_cycles=5), np.ones(6))
+        c = constants_from_oracle(o)
+        t = run_gd(counted, SolverRun(algorithm="gd", max_cycles=5), np.ones(6), c)
         assert t.cycles == 5
         assert len(calls) == 6  # x^(0) .. x^(5), each evaluated once
-        reference = run_gd(o, SolverRun(algorithm="gd", max_cycles=5), np.ones(6))
+        reference = run_gd(o, SolverRun(algorithm="gd", max_cycles=5), np.ones(6), c)
         assert t.grad_norm.tobytes() == reference.grad_norm.tobytes()
 
-    def test_given_constants_are_used(self, monkeypatch):
+    def test_given_constants_are_used(self):
+        # a problem target steps by 1/L of the constants it is given, an
+        # oracle target by its own lipschitz_global
         p, x0 = make_toeplitz_instance(6)
-        constants = compute_constants(p)
-        before = run_gd(p, SolverRun(algorithm="gd", max_cycles=10), x0)
-        monkeypatch.setattr(solvers, "compute_constants", None)
-        after = run_gd(p, SolverRun(algorithm="gd", max_cycles=10), x0,
-                       constants=constants)
-        assert after.xs.tobytes() == before.xs.tobytes()
-        assert after.grad_norm.tobytes() == before.grad_norm.tobytes()
+        doubled = replace(compute_constants(p), L=2.0 * compute_constants(p).L)
+        t = run_gd(p, SolverRun(algorithm="gd", max_cycles=1), x0, doubled)
+        np.testing.assert_array_equal(t.stepsizes, np.full(6, doubled.L))
+        grad = p.full_matrix().T @ (p.full_matrix() @ x0 - p.b)
+        assert t.xs[1].tobytes() == (x0 - grad / doubled.L).tobytes()
+        o = oracle_from_quadratic(p, compute_constants(p))
+        t = run_gd(o, SolverRun(algorithm="gd", max_cycles=1), x0, doubled)
+        np.testing.assert_array_equal(t.stepsizes, np.full(6, o.lipschitz_global))
 
 
 class TestMonotonicityEverywhere:
@@ -371,7 +382,7 @@ class TestMonotonicityEverywhere:
 class TestReferenceOptimum:
     def test_toeplitz(self):
         p, _ = make_toeplitz_instance(10)
-        ref = reference_optimum(p)
+        ref = reference_optimum(p, compute_constants(p))
         np.testing.assert_allclose(ref.x_star, np.zeros(10), atol=1e-12)
         assert ref.f_star == pytest.approx(0.0, abs=1e-15)
         assert ref.certified
@@ -381,14 +392,15 @@ class TestReferenceOptimum:
         p = CompositeQuadraticProblem(
             partition=BlockPartition(1, 1), a_blocks=(np.array([[1.0]]),),
             b=np.array([2.0]), h=(NonsmoothTerm.l1(1.0),))
-        ref = reference_optimum(p)
+        ref = reference_optimum(p, compute_constants(p))
         assert ref.x_star[0] == pytest.approx(1.0, abs=1e-10)
         assert ref.f_star == pytest.approx(1.5, abs=1e-10)
         assert ref.certified
 
     def test_table1_oracles(self):
         # the quadratic twin stands in for the closed-form oracle
-        ref = reference_optimum(make_table1_diagonal_qp(5, 2.0))
+        qp = make_table1_diagonal_qp(5, 2.0)
+        ref = reference_optimum(qp, compute_constants(qp))
         np.testing.assert_array_equal(ref.x_star, np.zeros(5))
         assert ref.f_star == 0.0
         assert ref.certified
@@ -397,8 +409,9 @@ class TestReferenceOptimum:
 class TestTrajectoryCSV:
     def test_round_trip_is_exact(self, tmp_path):
         p, x0 = make_lasso_instance(10, 5, 0.2, seed=14)
-        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=7), x0)
-        t.with_gap(reference_optimum(p).f_star)
+        c = compute_constants(p)
+        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=7), x0, c)
+        t.with_gap(reference_optimum(p, c).f_star)
         path = tmp_path / "t.csv"
         trajectory_to_csv(t, path)
         lines = path.read_text(encoding="utf-8").strip().split("\n")
@@ -417,7 +430,7 @@ class TestTrajectoryCSV:
 
     def test_smooth_problem_has_gradient_column(self, tmp_path):
         p, x0 = make_toeplitz_instance(5)
-        t = run_gd(p, SolverRun(algorithm="gd", max_cycles=3), x0)
+        t = run_gd(p, SolverRun(algorithm="gd", max_cycles=3), x0, compute_constants(p))
         path = tmp_path / "t.csv"
         trajectory_to_csv(t, path)
         last = path.read_text(encoding="utf-8").strip().split("\n")[-1]
@@ -592,6 +605,29 @@ class TestLockstep:
         assert first.orders is not second.orders
         assert not np.shares_memory(first.xs, second.xs)
 
+    @pytest.mark.parametrize("kind", ["l1", "zero"])
+    @pytest.mark.parametrize("algorithm", ["bcpg", "exact_bcd"])
+    def test_subnormal_curvature_matches_per_run_kernel(self, algorithm, kind):
+        # G_00 = (5.4e-157)^2 is subnormal, so 1 / G_00 overflows and a zero
+        # weight gives the threshold 0 * inf: an l1 block steps to 0, a zero
+        # block to its unclipped point near -4.6e155
+        batch = []
+        for column in (0.0, 5.41067802e-157):
+            a = np.array([[column, 0.5, 0.0]])
+            problem = CompositeQuadraticProblem(
+                partition=BlockPartition(3, 1), a_blocks=tuple(a[:, [i]] for i in range(3)),
+                b=np.zeros(1), h=(NonsmoothTerm(kind),) + (NonsmoothTerm.l1(0.0),) * 2)
+            constants = compute_constants(problem)
+            # P_k = L_k, subnormal too, on the small column; 0.5 on zero ones
+            policy = StepsizePolicy.fixed(np.where(constants.L_k > 0, constants.L_k, 0.5))
+            run = SolverRun(algorithm=algorithm, stepsizes=policy, max_cycles=2)
+            batch.append((problem, run, np.array([0.0, 0.5, 0.0]), constants))
+        for t, (problem, run, x0, constants) in zip(_lockstep(batch), batch):
+            solver = run_bcpg if run.algorithm == "bcpg" else run_bcd_exact
+            expected = solver(problem, run, x0, constants)
+            for attribute in ("xs", "f", "weighted_movement", "stepsizes"):
+                assert_same_bits(getattr(t, attribute), getattr(expected, attribute))
+
     def test_lasso_batch_matches_per_run_kernel(self):
         # one order stream, mixed algorithms and policies, as in the battery
         order = BlockOrder.random_permutation(11)
@@ -674,8 +710,10 @@ def _scalar_start(term):
 
 def assert_gd_is_plain_loop(problem, x0, order, cycles):
     """run_gd equals x <- x - g / L written out, bit for bit."""
-    t = run_gd(problem, SolverRun(algorithm="gd", order=order, max_cycles=cycles), x0)
-    a, b, lipschitz = problem.full_matrix(), problem.b, compute_constants(problem).L
+    constants = compute_constants(problem)
+    t = run_gd(problem, SolverRun(algorithm="gd", order=order, max_cycles=cycles), x0,
+               constants)
+    a, b, lipschitz = problem.full_matrix(), problem.b, constants.L
     x = np.array(x0, dtype=float)
     xs = [x]
     for _ in range(cycles):

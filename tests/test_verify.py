@@ -4,7 +4,7 @@ tightness construction."""
 import numpy as np
 import pytest
 
-from blockcd.bounds import BoundSpec, beta_estimate
+from blockcd.bounds import BoundSpec, beta_estimate, r0_upper_estimate
 from blockcd.linalg import spectral_norm
 from blockcd.problems import (
     compute_constants,
@@ -38,6 +38,20 @@ from blockcd.verify import (
     reports_to_csv,
     run_tightness_case,
 )
+
+
+def one_cycle_runs(k):
+    """(x0, exact_bcd, bcpg): one-cycle block_lk runs of the K = k
+    adversarial instance from its canonical start."""
+    problem, x0 = make_toeplitz_instance(k)
+    constants = compute_constants(problem)
+    return (x0, run_bcd_exact(problem, SolverRun(algorithm="exact_bcd", max_cycles=1), x0,
+                              constants),
+            run_bcpg(problem, SolverRun(algorithm="bcpg", max_cycles=1), x0, constants))
+
+
+def tightness_case(k):
+    return run_tightness_case(*one_cycle_runs(k))
 
 
 class TestOnePassOracle:
@@ -74,7 +88,7 @@ class TestOnePassOracle:
 
 class TestTightnessCase:
     def test_report_structure(self):
-        reports = run_tightness_case(10)
+        reports = tightness_case(10)
         names = [r.check_name for r in reports]
         assert names == ["tightness_iterate_exact_bcd_K10",
                          "tightness_iterate_bcpg_K10",
@@ -83,7 +97,7 @@ class TestTightnessCase:
 
     @pytest.mark.parametrize("k", [5, 10, 25, 50])
     def test_iterates_and_ratio_pass(self, k):
-        reports = {r.check_name: r for r in run_tightness_case(k)}
+        reports = {r.check_name: r for r in tightness_case(k)}
         assert reports[f"tightness_iterate_exact_bcd_K{k}"].passed
         assert reports[f"tightness_iterate_bcpg_K{k}"].passed
         assert reports[f"tightness_ratio_K{k}"].passed
@@ -92,7 +106,7 @@ class TestTightnessCase:
     def test_objective_check_fails_by_the_known_constant(self, k):
         # the reference formula exceeds the recursion-implied value by 8/9;
         # the check reports that honestly
-        reports = {r.check_name: r for r in run_tightness_case(k)}
+        reports = {r.check_name: r for r in tightness_case(k)}
         objective = reports[f"tightness_objective_K{k}"]
         assert not objective.passed
         assert objective.worst_violation == pytest.approx(8.0 / 9.0, abs=1e-12)
@@ -105,13 +119,18 @@ class TestTightnessCase:
 
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
-            run_tightness_case(4)
+            tightness_case(4)
+
+    def test_swapped_trajectories_rejected(self):
+        x0, t_bcd, t_bcpg = one_cycle_runs(5)
+        with pytest.raises(ValueError, match="exact_bcd and a bcpg"):
+            run_tightness_case(x0, t_bcpg, t_bcd)
 
 
 class TestDescentChecks:
     def test_bcpg_descent_on_lasso(self):
         p, x0 = make_lasso_instance(12, 6, 0.2, seed=30)
-        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=100), x0)
+        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=100), x0, compute_constants(p))
         report = check_descent_bcpg(t, p)
         assert report.passed
         assert report.cycles_checked == 100
@@ -121,7 +140,7 @@ class TestDescentChecks:
         qp = make_table1_diagonal_qp(4, 2.0)
         run = SolverRun(algorithm="bcpg", stepsizes=StepsizePolicy.global_l(),
                         max_cycles=1)
-        t = run_bcpg(qp, run, np.ones(4))
+        t = run_bcpg(qp, run, np.ones(4), compute_constants(qp))
         report = check_descent_bcpg(t, qp)
         assert report.passed
         # f(x0) - 0 = (L/2)||x0||^2 exactly
@@ -130,19 +149,22 @@ class TestDescentChecks:
 
     def test_stationary_start_trivial(self):
         qp = make_table1_diagonal_qp(3, 1.0)
-        t = run_bcpg(qp, SolverRun(algorithm="bcpg", max_cycles=3), np.zeros(3))
+        t = run_bcpg(qp, SolverRun(algorithm="bcpg", max_cycles=3), np.zeros(3),
+                     compute_constants(qp))
         report = check_descent_bcpg(t, qp)
         assert report.passed
         assert report.worst_violation == 0.0
 
     def test_bcd_descent_on_toeplitz(self):
         p, x0 = make_toeplitz_instance(10)
-        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=50), x0)
+        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=50), x0,
+                          compute_constants(p))
         assert check_descent_bcd(t, p).passed
 
     def test_wrong_algorithm_rejected(self):
         p, x0 = make_toeplitz_instance(5)
-        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=1), x0)
+        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=1), x0,
+                          compute_constants(p))
         with pytest.raises(ValueError):
             check_descent_bcpg(t, p)
 
@@ -150,21 +172,22 @@ class TestDescentChecks:
 class TestCostToGoChecks:
     def test_bcpg_cost_to_go_on_lasso(self):
         p, x0 = make_lasso_instance(30, 20, 0.1, seed=31)
-        ref = reference_optimum(p)
-        from blockcd.bounds import r0_upper_estimate
-        r0 = r0_upper_estimate(p, x0, ref.x_star, f_star=ref.f_star)
+        c = compute_constants(p)
+        ref = reference_optimum(p, c)
+        r0 = r0_upper_estimate(p, x0, ref.x_star, ref.f_star, c)
         assert r0.certified
-        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=150), x0)
+        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=150), x0, c)
         t.with_gap(ref.f_star)
-        report = check_costtogo_bcpg(t, p, r0.value)
+        report = check_costtogo_bcpg(t, p, r0.value, c)
         assert report.passed
 
     def test_tiny_problem_skipped(self):
         p, x0 = make_lasso_instance(4, 2, 0.1, seed=32)
-        ref = reference_optimum(p)
-        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=10), x0)
+        c = compute_constants(p)
+        ref = reference_optimum(p, c)
+        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=10), x0, c)
         t.with_gap(ref.f_star)
-        report = check_costtogo_bcpg(t, p, 10.0)
+        report = check_costtogo_bcpg(t, p, 10.0, c)
         assert report.advisory
         assert "skipped" in report.notes
 
@@ -172,8 +195,9 @@ class TestCostToGoChecks:
         qp = make_table1_diagonal_qp(4, 2.0)
         run = SolverRun(algorithm="bcpg", stepsizes=StepsizePolicy.global_l(),
                         max_cycles=5)
-        t = run_bcpg(qp, run, np.ones(4)).with_gap(0.0)
-        report = check_costtogo_bcpg(t, qp, 2.0)
+        c = compute_constants(qp)
+        t = run_bcpg(qp, run, np.ones(4), c).with_gap(0.0)
+        report = check_costtogo_bcpg(t, qp, 2.0, c)
         assert report.passed  # movement and gap both vanish after cycle 1
 
 
@@ -200,7 +224,7 @@ class TestEnvelopeCheck:
     def test_pairing_mismatch_rejected(self):
         p, x0 = make_toeplitz_instance(6)
         c = compute_constants(p)
-        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=5), x0)
+        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=5), x0, c)
         t.with_gap(0.0)
         spec = BoundSpec(kind="gd", constants=c, r0_upper=1.0)
         with pytest.raises(ValueError, match="applies to"):
@@ -209,7 +233,7 @@ class TestEnvelopeCheck:
     def test_gd_envelope_passes(self):
         p, x0 = make_toeplitz_instance(10)
         c = compute_constants(p)
-        t = run_gd(p, SolverRun(algorithm="gd", max_cycles=80), x0).with_gap(0.0)
+        t = run_gd(p, SolverRun(algorithm="gd", max_cycles=80), x0, c).with_gap(0.0)
         spec = BoundSpec(kind="gd", constants=c,
                          r0_upper=float(np.linalg.norm(x0)))
         report = check_envelope(t, spec)
@@ -218,7 +242,7 @@ class TestEnvelopeCheck:
     def test_uncertified_inputs_are_advisory(self):
         p, x0 = make_toeplitz_instance(10)
         c = compute_constants(p)
-        t = run_gd(p, SolverRun(algorithm="gd", max_cycles=10), x0).with_gap(0.0)
+        t = run_gd(p, SolverRun(algorithm="gd", max_cycles=10), x0, c).with_gap(0.0)
         spec = BoundSpec(kind="gd", constants=c, r0_upper=float(np.linalg.norm(x0)))
         report = check_envelope(t, spec, r0_certified=False)
         assert report.advisory
@@ -226,10 +250,10 @@ class TestEnvelopeCheck:
     def test_inapplicable_becomes_skip(self):
         p, x0 = make_lasso_instance(4, 2, 0.1, seed=33)
         c = compute_constants(p)
-        ref = reference_optimum(p)
+        ref = reference_optimum(p, c)
         t = run_bcpg(p, SolverRun(algorithm="bcpg",
                                   stepsizes=StepsizePolicy.global_l(),
-                                  max_cycles=5), x0).with_gap(ref.f_star)
+                                  max_cycles=5), x0, c).with_gap(ref.f_star)
         spec = BoundSpec(kind="thm1_uniform", constants=c, r0_upper=1.0, delta0=1.0)
         report = check_envelope(t, spec)
         assert report.advisory and "skipped" in report.notes
@@ -260,14 +284,14 @@ class TestDeterminism:
         a = check_truncation_constant((2, 8), 10, seed=3)
         b = check_truncation_constant((2, 8), 10, seed=3)
         assert a == b
-        r1 = run_tightness_case(5)
-        r2 = run_tightness_case(5)
+        r1 = tightness_case(5)
+        r2 = tightness_case(5)
         assert r1 == r2
 
 
 class TestReportOutput:
     def test_lines_and_csv(self, tmp_path):
-        reports = run_tightness_case(5)
+        reports = tightness_case(5)
         lines = report_lines(reports)
         assert len(lines) == 4
         assert any("FAIL" in line for line in lines)  # the objective check
