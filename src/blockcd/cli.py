@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -33,12 +32,18 @@ from .bounds import (
     evaluate,
 )
 from .linalg import ConvergenceError
-from .problems import ProblemFormatError, constants_from_oracle, json_integer, load_problem
+from .problems import (
+    ProblemFormatError,
+    constants_from_oracle,
+    json_integer,
+    json_number,
+    load_problem,
+)
 # battery.set_up computes the constants; this binding stays because
 # bench/tests/test_bench.py asserts that the tracer rewraps it here.
 from .problems import compute_constants  # noqa: F401
 from .rng import derive_seed
-from .solvers import BlockOrder, SolverRun, StepsizePolicy, trajectory_to_csv
+from .solvers import ORDER_KINDS, BlockOrder, SolverRun, StepsizePolicy, trajectory_to_csv
 from .verify import all_asserted_pass, report_lines, reports_to_csv
 
 
@@ -71,17 +76,6 @@ def _load_plan(path: str) -> dict:
     return plan
 
 
-def _finite_number(value) -> float | None:
-    """``value`` as a float when it is a finite number (not a bool), else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:
-        return None
-    return number if math.isfinite(number) else None
-
-
 def _parse_settings(plan: dict) -> tuple[int, str]:
     """The plan's global seed and output directory, 0 and "out" by default."""
     seed = json_integer(plan.get("seed", 0))
@@ -108,16 +102,14 @@ def _parse_order(raw, path: str, global_seed: int) -> BlockOrder:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise PlanError(path, "expected an object with a 'kind' field")
     kind = raw["kind"]
-    if kind not in ("cyclic", "random_permutation", "sampled_with_replacement"):
+    if kind not in ORDER_KINDS:
         raise PlanError(f"{path}.kind", f"unknown order kind {kind!r}")
     seed = json_integer(raw["seed"]) if "seed" in raw else None
     if "seed" in raw and seed is None:
         raise PlanError(f"{path}.seed", "expected an integer")
     if kind == "cyclic":
         return BlockOrder.cyclic()
-    if seed is None:
-        seed = derive_seed(global_seed, 1 if kind == "random_permutation" else 2)
-    return BlockOrder(kind, seed=seed)
+    return BlockOrder.random_permutation(derive_seed(global_seed, 1) if seed is None else seed)
 
 
 def _parse_stepsizes(raw, path: str) -> StepsizePolicy:
@@ -132,7 +124,7 @@ def _parse_stepsizes(raw, path: str) -> StepsizePolicy:
         values = raw.get("values")
         if not isinstance(values, list) or not values:
             raise PlanError(f"{path}.values", "fixed policy needs a value list")
-        numbers = [_finite_number(value) for value in values]
+        numbers = [json_number(value) for value in values]
         for j, number in enumerate(numbers):
             if number is None or number <= 0:
                 raise PlanError(f"{path}.values[{j}]", "expected a finite positive number")
@@ -157,7 +149,7 @@ def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
         max_cycles = json_integer(raw.get("max_cycles", 100))
         if max_cycles is None or max_cycles < 1:
             raise PlanError(f"{path}.max_cycles", "expected a positive integer")
-        gap_tolerance = _finite_number(raw.get("gap_tolerance", 0.0))
+        gap_tolerance = json_number(raw.get("gap_tolerance", 0.0))
         if gap_tolerance is None or gap_tolerance < 0:
             raise PlanError(f"{path}.gap_tolerance",
                             "expected a finite nonnegative number")
@@ -206,7 +198,7 @@ def _parse_bounds(plan: dict, runs) -> list[tuple[str, str, str | None, float]]:
             raise PlanError(path, "expected a kind string or an object")
         if kind not in BOUND_KINDS:
             raise PlanError(f"{path}.kind", f"unknown bound kind {kind!r}")
-        c_prior = _finite_number(c_prior)
+        c_prior = json_number(c_prior)
         if c_prior is None or c_prior <= 0:
             raise PlanError(f"{path}.c_prior", "expected a finite positive number")
         if against is not None:

@@ -1,14 +1,10 @@
 """Dense linear-algebra kernel: extreme eigenvalues, spectral norms,
 strict-lower truncation and minimum-norm least squares.
 
-All functions are pure and deterministic.  For matrices whose larger side
-is at most DENSE_CUTOFF = 1024 the spectral norm comes from a dense LAPACK
-SVD.  Dense adds no new order of cost: a problem whose Hessian reaches
-spectral_norm has already paid a dense eigensolve of the same order for its
-constants, while power iteration can need tens of thousands of steps, or
-miss its cap, when the top singular values cluster.  Larger matrices use
-power iteration on the Gram matrix with a fixed all-ones start vector so
-repeated runs give identical results.
+All functions are pure and deterministic.  The spectral norm comes from a
+dense LAPACK SVD at every size.  That adds no new order of cost: a problem
+whose Hessian reaches spectral_norm has already paid a dense eigensolve of
+the same order for its constants.
 """
 
 from __future__ import annotations
@@ -17,15 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest dimension still handled by the dense (authoritative) SVD path.
-DENSE_CUTOFF = 1024
 # Relative singular-value cutoff for rank decisions.
 RANK_RTOL = 1e-9
 # Relative entrywise tolerance when checking symmetry of Gram-type inputs.
 SYMMETRY_RTOL = 1e-12
-
-DEFAULT_TOL = 1e-10
-MAX_POWER_ITERATIONS = 50_000
 
 
 class ConvergenceError(RuntimeError):
@@ -34,11 +25,8 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Spectral-norm estimate plus the work done to obtain it.
-
-    ``residual`` is the eigen-residual ||B v - lam v|| of the final Gram
-    iterate (0.0 when the dense path was taken).
-    """
+    """Spectral norm plus the work done to obtain it.  The dense SVD does no
+    iterations and leaves no residual, so both are always 0."""
 
     value: float
     iterations: int
@@ -56,58 +44,10 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def spectral_norm(m, tol: float = DEFAULT_TOL,
-                  max_iterations: int = MAX_POWER_ITERATIONS) -> SpectralResult:
-    """Largest singular value of ``m``.
-
-    Dense LAPACK SVD when max(shape) <= DENSE_CUTOFF (1024), otherwise
-    deterministic power iteration on the smaller Gram matrix.  Up to the
-    cutoff the SVD costs no more than the dense eigensolve already paid for
-    the problem's constants, and it has no iteration cap to hit.
-    Power-iteration non-convergence raises ConvergenceError rather than
-    returning a silently wrong value.
-    """
-    a = as_matrix(m)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max(a.shape) <= DENSE_CUTOFF:
-        value = float(np.linalg.svd(a, compute_uv=False)[0])
-        return SpectralResult(value=value, iterations=0, residual=0.0)
-    return power_iteration_norm(a, tol=tol, max_iterations=max_iterations)
-
-
-def power_iteration_norm(m, tol: float = DEFAULT_TOL,
-                         max_iterations: int = MAX_POWER_ITERATIONS) -> SpectralResult:
-    """Spectral norm via power iteration on the Gram matrix.
-
-    Start vector is all-ones normalized; converged when the eigen-residual
-    ||B v - lam v|| drops below tol * max(1, lam).
-    """
-    a = as_matrix(m)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    gram = 0.5 * (gram + gram.T)
-    n = gram.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for iteration in range(1, max_iterations + 1):
-        w = gram @ v
-        lam = float(v @ w)
-        residual = float(np.linalg.norm(w - lam * v))
-        if residual <= tol * max(1.0, abs(lam)):
-            return SpectralResult(value=float(np.sqrt(max(lam, 0.0))),
-                                  iterations=iteration, residual=residual)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            # ones-vector lies in the nullspace; restart from e_1
-            v = np.zeros(n)
-            v[0] = 1.0
-            continue
-        v = w / norm_w
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol} within {max_iterations} "
-        f"iterations (last eigenvalue estimate {lam})")
+def spectral_norm(m) -> SpectralResult:
+    """Largest singular value of ``m``, from a dense LAPACK SVD."""
+    value = float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
+    return SpectralResult(value=value, iterations=0, residual=0.0)
 
 
 def sym_eig_extremes(m) -> tuple[float, float]:

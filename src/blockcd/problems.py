@@ -571,17 +571,46 @@ def json_integer(value) -> int | None:
     return value
 
 
+def json_number(value) -> float | None:
+    """``value`` as a float when it is a finite JSON number (not a bool),
+    else None.  An integer too large for a double is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _require(spec: dict, path: str, key: str, types, check=None, describe=""):
-    """spec[key], which must be of ``types`` (``int`` means json_integer)
-    and pass ``check``."""
+    """spec[key], which must be of ``types`` (``int`` means json_integer,
+    ``float`` json_number) and pass ``check``."""
     if key not in spec:
         raise ProblemFormatError(f"{path}.{key}", "missing required field")
-    value = json_integer(spec[key]) if types is int else spec[key]
+    value = spec[key]
+    if types is int:
+        value = json_integer(value)
+    elif types is float:
+        value = json_number(value)
     if isinstance(value, bool) or not isinstance(value, types):
         raise ProblemFormatError(f"{path}.{key}", f"expected {describe or types}")
     if check is not None and not check(value):
         raise ProblemFormatError(f"{path}.{key}", f"invalid value {value!r}")
     return value
+
+
+def _number_list(raw, path: str, length: int | None = None) -> np.ndarray:
+    """``raw``, a list of finite JSON numbers (``length`` of them when
+    given), as a float vector."""
+    if not isinstance(raw, list) or (length is not None and len(raw) != length):
+        count = "" if length is None else f"{length} "
+        raise ProblemFormatError(path, f"expected a list of {count}finite numbers")
+    numbers = [json_number(value) for value in raw]
+    for j, number in enumerate(numbers):
+        if number is None:
+            raise ProblemFormatError(path, f"entry {j} is not a finite number")
+    return np.array(numbers)
 
 
 def _load_terms(raw, block_count: int, block_size: int, path: str):
@@ -597,16 +626,13 @@ def _load_terms(raw, block_count: int, block_size: int, path: str):
             if kind == "zero":
                 terms.append(NonsmoothTerm.zero())
             elif kind in ("l1", "group_l2"):
-                weight = _require(entry, where, "weight", (int, float),
-                                  check=lambda v: v >= 0 and math.isfinite(v),
-                                  describe="a nonnegative number")
-                terms.append(NonsmoothTerm(kind, weight=float(weight)))
+                weight = _require(entry, where, "weight", float, lambda v: v >= 0,
+                                  "a finite nonnegative number")
+                terms.append(NonsmoothTerm(kind, weight=weight))
             elif kind == "box":
-                lo = _require(entry, where, "lo", (int, float),
-                              check=math.isfinite, describe="a finite number")
-                hi = _require(entry, where, "hi", (int, float),
-                              check=math.isfinite, describe="a finite number")
-                terms.append(NonsmoothTerm.box(float(lo), float(hi)))
+                lo = _require(entry, where, "lo", float, describe="a finite number")
+                hi = _require(entry, where, "hi", float, describe="a finite number")
+                terms.append(NonsmoothTerm.box(lo, hi))
             else:
                 raise ProblemFormatError(f"{where}.kind", f"unknown kind {kind!r}")
         except ValueError as exc:
@@ -645,10 +671,9 @@ def load_problem(source) -> LoadedProblem:
     if kind == "lasso":
         rows = _require(spec, "$", "rows", int, lambda v: v >= 1, "a positive integer")
         k = _require(spec, "$", "block_count", int, lambda v: v >= 1, "a positive integer")
-        weight = _require(spec, "$", "weight", (int, float),
-                          check=lambda v: v >= 0 and math.isfinite(v),
-                          describe="a nonnegative number")
-        problem, x0 = make_lasso_instance(rows, k, float(weight), seed)
+        weight = _require(spec, "$", "weight", float, lambda v: v >= 0,
+                          "a finite nonnegative number")
+        problem, x0 = make_lasso_instance(rows, k, weight, seed)
         return LoadedProblem(kind=kind, x0=x0, problem=problem)
 
     if kind == "toeplitz":
@@ -659,15 +684,14 @@ def load_problem(source) -> LoadedProblem:
 
     if kind in ("table1_diag", "table1_full"):
         k = _require(spec, "$", "block_count", int, lambda v: v >= 1, "a positive integer")
-        lip = _require(spec, "$", "lipschitz", (int, float),
-                       check=lambda v: v > 0 and math.isfinite(v),
-                       describe="a positive number")
+        lip = _require(spec, "$", "lipschitz", float, lambda v: v > 0,
+                       "a finite positive number")
         if kind == "table1_diag":
-            oracle = make_table1_diagonal(k, float(lip))
-            problem = make_table1_diagonal_qp(k, float(lip))
+            oracle = make_table1_diagonal(k, lip)
+            problem = make_table1_diagonal_qp(k, lip)
         else:
-            oracle = make_table1_full(k, float(lip))
-            problem = make_table1_full_qp(k, float(lip))
+            oracle = make_table1_full(k, lip)
+            problem = make_table1_full_qp(k, lip)
         x0 = np.ones(k)
         return LoadedProblem(kind=kind, x0=x0, problem=problem, oracle=oracle)
 
@@ -679,16 +703,11 @@ def load_problem(source) -> LoadedProblem:
             raise ProblemFormatError("$.a_blocks", f"expected {k} blocks, got {len(raw_blocks)}")
         blocks = []
         for i, rows in enumerate(raw_blocks):
-            arr = np.asarray(rows, dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != n:
-                raise ProblemFormatError(
-                    f"$.a_blocks[{i}]", f"expected a matrix with {n} columns")
-            if not np.isfinite(arr).all():
-                raise ProblemFormatError(f"$.a_blocks[{i}]", "non-finite entry")
-            blocks.append(arr)
-        b = np.asarray(_require(spec, "$", "b", list, describe="a list"), dtype=float)
-        if b.ndim != 1 or not np.isfinite(b).all():
-            raise ProblemFormatError("$.b", "expected a flat list of finite numbers")
+            if not isinstance(rows, list) or not rows:
+                raise ProblemFormatError(f"$.a_blocks[{i}]", "expected a nonempty list of rows")
+            blocks.append(np.array([_number_list(row, f"$.a_blocks[{i}][{r}]", n)
+                                    for r, row in enumerate(rows)]))
+        b = _number_list(_require(spec, "$", "b", list, describe="a list"), "$.b")
         terms = _load_terms(spec.get("h", [{"kind": "zero"}] * k), k, n, "$.h")
         try:
             problem = CompositeQuadraticProblem(
@@ -696,9 +715,7 @@ def load_problem(source) -> LoadedProblem:
                 a_blocks=tuple(blocks), b=b, h=terms)
         except ValueError as exc:
             raise ProblemFormatError("$", str(exc)) from exc
-        x0 = np.asarray(spec.get("x0", np.zeros(k * n)), dtype=float)
-        if x0.shape != (k * n,) or not np.isfinite(x0).all():
-            raise ProblemFormatError("$.x0", f"expected a flat list of {k * n} finite numbers")
+        x0 = _number_list(spec["x0"], "$.x0", k * n) if "x0" in spec else np.zeros(k * n)
         return LoadedProblem(kind=kind, x0=x0, problem=problem)
 
     raise ProblemFormatError("$.kind", f"unknown kind {kind!r}")

@@ -1,8 +1,8 @@
 """Deterministic 64-bit PRNG (splitmix64) used for all seeded randomness.
 
-Every permutation, sampled block index and Gaussian draw in this package
-comes from this generator, so seeded runs are reproducible bit-for-bit and
-the stream is simple enough to re-implement elsewhere.  The core step is
+Every permutation and Gaussian draw in this package comes from this
+generator, so seeded runs are reproducible bit-for-bit and the stream is
+simple enough to re-implement elsewhere.  The core step is
 
     state <- (state + 0x9E3779B97F4A7C15) mod 2^64
     z <- state
@@ -117,11 +117,6 @@ class SplitMix64:
             out[:, i] = out[rows, j]
             out[rows, j] = top
         return out.tolist()
-
-    def choices_with_replacement(self, n: int, count: int) -> list[int]:
-        if n <= 0:
-            raise ValueError("choices_with_replacement() requires n >= 1")
-        return self._bounded_block(np.array([n], dtype=np.uint64), count).ravel().tolist()
 
     def normal(self) -> float:
         """Standard normal via Box-Muller; the sine mate is cached."""

@@ -1,10 +1,10 @@
 """The four solvers: exact cyclic block minimization, block proximal
 gradient, scalar coordinate gradient descent, and full gradient descent.
 
-All solvers sweep the K blocks once per cycle (cyclic order, a seeded
-random permutation per cycle, or K indices sampled with replacement) and
-record a full per-cycle trajectory for the verification checks.  A run is
-deterministic given its inputs and seed.
+All solvers sweep the K blocks once per cycle, in cyclic order or in a
+seeded random permutation per cycle (ORDER_KINDS, the two orders the
+paper's results cover), and record a full per-cycle trajectory for the
+verification checks.  A run is deterministic given its inputs and seed.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .rng import SplitMix64
 INNER_MOVEMENT_TOL = 1e-12
 INNER_STEP_CAP = 100_000
 ORDER_BATCH = 64  # cycles of random orders drawn per splitmix block
+ORDER_KINDS = ("cyclic", "random_permutation")
 
 
 @dataclass(frozen=True)
@@ -83,14 +84,14 @@ class StepsizePolicy:
 
 @dataclass(frozen=True)
 class BlockOrder:
-    """Visit order inside a cycle: fixed 1..K, a fresh seeded permutation
-    each cycle, or K independent uniform draws each cycle."""
+    """Visit order inside a cycle: fixed 1..K, or a fresh seeded permutation
+    each cycle."""
 
     kind: str = "cyclic"
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("cyclic", "random_permutation", "sampled_with_replacement"):
+        if self.kind not in ORDER_KINDS:
             raise ValueError(f"unknown block order {self.kind!r}")
 
     @staticmethod
@@ -100,10 +101,6 @@ class BlockOrder:
     @staticmethod
     def random_permutation(seed: int) -> "BlockOrder":
         return BlockOrder("random_permutation", seed=seed)
-
-    @staticmethod
-    def sampled_with_replacement(seed: int) -> "BlockOrder":
-        return BlockOrder("sampled_with_replacement", seed=seed)
 
     def stream(self, block_count: int):
         """Yield one visit order per cycle, consuming a splitmix stream."""
@@ -115,12 +112,7 @@ class BlockOrder:
         # ORDER_BATCH cycles ahead; the bits are those of one draw per cycle
         gen = SplitMix64(self.seed)
         while True:
-            if self.kind == "random_permutation":
-                yield from gen.permutations(block_count, ORDER_BATCH)
-            else:
-                flat = gen.choices_with_replacement(block_count, ORDER_BATCH * block_count)
-                for start in range(0, len(flat), block_count):
-                    yield flat[start:start + block_count]
+            yield from gen.permutations(block_count, ORDER_BATCH)
 
 
 @dataclass(frozen=True)
@@ -198,13 +190,19 @@ def trajectory_to_csv(t: Trajectory, target) -> None:
                                _format_cell(move), _format_cell(grad)]) + "\n")
 
 
-def _check_start(p: CompositeQuadraticProblem, x0) -> np.ndarray:
+def _check_start(x0, dimension: int) -> np.ndarray:
+    """A finite copy of x0, which must have ``dimension`` entries."""
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    if x.shape[0] != p.partition.dimension:
-        raise ValueError(
-            f"x0 has length {x.shape[0]}, expected {p.partition.dimension}")
+    if x.shape[0] != dimension:
+        raise ValueError(f"x0 has length {x.shape[0]}, expected {dimension}")
     if not np.isfinite(x).all():
         raise ValueError("x0 has non-finite entries")
+    return x
+
+
+def _check_feasible_start(p: CompositeQuadraticProblem, x0) -> np.ndarray:
+    """_check_start for a composite problem, whose box terms x0 must meet."""
+    x = _check_start(x0, p.partition.dimension)
     if eval_objective(p, x) == math.inf:
         raise ValueError("x0 violates a box constraint")
     return x
@@ -338,7 +336,7 @@ def _run_blocks(p: CompositeQuadraticProblem, run: SolverRun, x0,
     """Trajectory of run.algorithm, bcpg or exact_bcd, on p.  One residual
     per cycle serves the objective, the gradient norm and the next sweep."""
     stepsizes = run.stepsizes.realize(constants)
-    x = _check_start(p, x0)
+    x = _check_feasible_start(p, x0)
     full = p.full_matrix()
     smooth = p.is_smooth()
     exact = run.algorithm == "exact_bcd"
@@ -460,7 +458,7 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     fulls = [p.full_matrix() for p in problems]
     grams = [full.T @ full for full in fulls]
     stepsizes = [run.stepsizes.realize(c) for run, c in zip(runs, constants)]
-    x = np.column_stack([_check_start(p, x0) for p, x0 in zip(problems, x0s)])
+    x = np.column_stack([_check_feasible_start(p, x0) for p, x0 in zip(problems, x0s)])
     exact = np.array([run.algorithm == "exact_bcd" for run in runs])
     curvature = np.column_stack([np.diagonal(gram) for gram in grams])
     zero_column = exact & ~(curvature > 0.0)
@@ -566,9 +564,7 @@ def run_cgd(o: SmoothProblemOracle, run: SolverRun, x0,
         raise ValueError("run.algorithm must be 'cgd'")
     constants = constants_from_oracle(o)
     stepsizes = run.stepsizes.realize(constants)
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    if x.shape[0] != o.dimension:
-        raise ValueError(f"x0 has length {x.shape[0]}, expected {o.dimension}")
+    x = _check_start(x0, o.dimension)
     grad = np.empty(o.dimension)
 
     def measure():
@@ -619,9 +615,7 @@ def run_gd(target: SmoothProblemOracle | CompositeQuadraticProblem, run: SolverR
     if run.algorithm != "gd":
         raise ValueError("run.algorithm must be 'gd'")
     value, gradient, lipschitz, dim = _smooth_view(target, constants)
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    if x.shape[0] != dim:
-        raise ValueError(f"x0 has length {x.shape[0]}, expected {dim}")
+    x = _check_start(x0, dim)
     grad = np.empty(dim)
 
     def measure():

@@ -380,11 +380,11 @@ def report_lines(reports) -> list[str]:
 
 def reports_to_csv(reports, target) -> None:
     """Machine-readable twin of report_lines, written to the file at path
-    ``target``."""
+    ``target``.  Notes are quoted, with ``"`` doubled (RFC 4180)."""
     with open(target, "w", encoding="utf-8", newline="") as fh:
         fh.write("check_name,passed,advisory,worst_violation,tolerance,cycles_checked,notes\n")
         for rep in reports:
-            notes = rep.notes.replace('"', "'")
+            notes = rep.notes.replace('"', '""')
             fh.write(f"{rep.check_name},{rep.passed},{rep.advisory},"
                      f"{rep.worst_violation:.17g},{rep.tolerance:.17g},"
                      f"{rep.cycles_checked},\"{notes}\"\n")

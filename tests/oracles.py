@@ -196,9 +196,6 @@ class ReplaySplitMix64:
     def permutations(self, n, count):
         return [self.permutation(n) for _ in range(count)]
 
-    def choices_with_replacement(self, n, count):
-        return [self.below(n) for _ in range(count)]
-
     def normal(self):
         if self._spare_normal is not None:
             z = self._spare_normal

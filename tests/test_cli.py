@@ -14,6 +14,7 @@ from blockcd import battery, cli, problems
 from blockcd.cli import main
 from blockcd.linalg import ConvergenceError
 from blockcd.problems import ProblemConstants, compute_constants, oracle_from_quadratic
+from blockcd.solvers import ORDER_KINDS
 
 SCHEMA = json.loads(
     Path(cli.__file__).with_name("plan_schema.json").read_text(encoding="utf-8"))
@@ -145,8 +146,8 @@ class TestRun:
 
 
 class TestToeplitzK300:
-    # power iteration exhausts its cap on beta_estimate's strict-lower norm
-    # at this size, so set-up relies on the dense path
+    # the largest plan_scale problem: beta_estimate takes the spectral norm
+    # of the strict-lower Hessian, whose top singular values cluster
     def test_bounds_and_run_succeed(self, tmp_path):
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps({"kind": "toeplitz", "block_count": 300}))
@@ -255,6 +256,31 @@ class TestErrors:
         assert "$.runs[0].label" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_order_outside_the_paper_rejected(self, tmp_path, capsys):
+        # K draws with replacement can skip a block within a cycle; the
+        # paper's per-cycle results cover only cyclic and permuted orders
+        plan = dict(BASIC_PLAN)
+        plan["runs"] = [dict(plan["runs"][0], order={"kind": "sampled_with_replacement"})]
+        path = write_plan(tmp_path, plan)
+        assert main(["run", "--plan", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: $.runs[0].order.kind: unknown order "
+                                           "kind 'sampled_with_replacement'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("a_blocks, where", [
+        ([[["a"]], [[2.0]]], "$.a_blocks[0][0]: entry 0 "),
+        ([[[1.0]], [[2.0], [1.0, 3.0]]], "$.a_blocks[1][1]: expected a list of 1 "),
+        ([[[1.0]], [[10 ** 400]]], "$.a_blocks[1][0]: entry 0 "),
+    ])
+    def test_bad_matrix_entry_names_its_field(self, tmp_path, capsys, a_blocks, where):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"kind": "explicit", "block_count": 2, "block_size": 1,
+                                       "a_blocks": a_blocks, "b": [1.0, 0.0]}))
+        assert main(["bounds", "--plan", str(problem), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + where)
+        assert len(err.splitlines()) == 1
+
 
 class TestSharedSetUp:
     @pytest.mark.parametrize("name, spec", [
@@ -327,6 +353,11 @@ PROBLEM_TEXTS = ['{"kind": "toeplitz", "block_count": 5}', '"problem.json"',
                  '"problems/toeplitz K5.json"', '"../shared/problem.json"',
                  json.dumps('{"kind": "toeplitz", "block_count": 5}'),
                  "7", "1.5", "null", "true", "[]", '["problem.json"]']
+# whole order objects: sampling with replacement is not an order kind
+ORDER_TEXTS = ['{"kind": "sampled_with_replacement"}',
+               '{"kind": "sampled_with_replacement", "seed": 3}',
+               '{"kind": "random_permutation"}', '{"kind": "random_permutation", "seed": 3}',
+               '{"kind": "cyclic"}']
 # whole stepsize objects: a fixed policy needs a nonempty value list, and
 # the other kinds take none
 STEPSIZE_TEXTS = ['{"kind": "fixed"}', '{"kind": "fixed", "values": []}',
@@ -343,7 +374,8 @@ STEPSIZE_TEXTS = ['{"kind": "fixed"}', '{"kind": "fixed", "values": []}',
                          + [("stepsizes.values", t) for t in NUMBER_TEXTS + ['"nan"']]
                          + [("label", t) for t in LABEL_TEXTS]
                          + [("problem", t) for t in PROBLEM_TEXTS]
-                         + [("stepsizes", t) for t in STEPSIZE_TEXTS])
+                         + [("stepsizes", t) for t in STEPSIZE_TEXTS]
+                         + [("order", t) for t in ORDER_TEXTS])
 def test_parser_and_schema_agree(tmp_path, field, value_text):
     text = _plan_text(field, value_text)
     # RFC 8259 JSON has no NaN or Infinity; a document holding them is not
@@ -385,7 +417,15 @@ PROBLEM_FIELD_CASES = (
        for text in ("1e308", "1e400")]
     + [("explicit", ("h", 0, "weight"), text) for text in ("1e308", "1e400")]
     + [("explicit", ("h", 1, key), text) for key in ("lo", "hi")
-       for text in ("1e400", "-1e400")])
+       for text in ("1e400", "-1e400")]
+    # every matrix, b and x0 entry is a finite number: not a bool or a string
+    + [("explicit", where, text)
+       for where in (("a_blocks", 0, 0, 0), ("b", 0), ("x0", 1))
+       for text in ("true", "false", '"a"', '"1"', "null", "[1.0]", "1e400", "-1e400",
+                    "1e308", "-3")]
+    # a matrix, each of its blocks and each row hold at least one entry
+    + [("explicit", where, "[]") for where in (("a_blocks",), ("a_blocks", 0),
+                                               ("a_blocks", 0, 0))])
 
 
 @pytest.mark.parametrize("kind, where, value_text", PROBLEM_FIELD_CASES,
@@ -403,13 +443,12 @@ def test_problem_fields_schema_and_loader_agree(kind, where, value_text):
     try:
         problems.load_problem(text)
         loader_accepts = True
-    except ValueError:
+    except problems.ProblemFormatError:
         loader_accepts = False
     assert loader_accepts == schema_accepts
 
 
 MISSING = object()
-ORDER_KINDS = ["cyclic", "random_permutation", "sampled_with_replacement"]
 STEPSIZE_KINDS = ["global_l", "block_lk", "fixed"]
 
 
@@ -448,7 +487,8 @@ PLAN_FIELDS = {
     "gap_tolerance": (("runs", 0), "gap_tolerance", _json_values()),
     "order": (("runs", 0), "order",
               _json_values() | _objects(ORDER_KINDS, {"seed": st.integers()})),
-    "order.kind": (("runs", 0, "order"), "kind", _json_values(*ORDER_KINDS)),
+    "order.kind": (("runs", 0, "order"), "kind",
+                   _json_values(*ORDER_KINDS, "sampled_with_replacement")),
     "order.seed": (("runs", 0, "order"), "seed", _json_values()),
     "stepsizes": (("runs", 0), "stepsizes",
                   _json_values() | _objects(STEPSIZE_KINDS, {"values": _POSITIVE_LISTS})),

@@ -132,12 +132,6 @@ def _permutations(seed):
     return _digest([gen.permutations(n, count) for n, count in shapes], gen)
 
 
-def _choices(seed):
-    gen = SplitMix64(seed)
-    shapes = ((1, 5), (3, 10), (7, 64), (20, 1280), (1000, 100))
-    return _digest([gen.choices_with_replacement(n, count) for n, count in shapes], gen)
-
-
 def _stream(kind):
     def script(seed):
         stream = BlockOrder(kind, seed=seed).stream(20)
@@ -150,9 +144,7 @@ GOLDEN_SCRIPTS = {
     "normal_matrix": _matrices,
     "permutation": _permutation,
     "permutations": _permutations,
-    "choices_with_replacement": _choices,
     "stream_random_permutation": _stream("random_permutation"),
-    "stream_sampled_with_replacement": _stream("sampled_with_replacement"),
 }
 
 GOLDEN = {
@@ -176,20 +168,10 @@ GOLDEN = {
         "6219031b6ffbfcf9d053e6c29ddc5fcbea5c96efd658ab0ca7dd382fc25eb6e4",
         "8c8bd31b8df51f9689aeba3f6771fb5debeb444bd752dd70e00dba12f33bc6df",
     ),
-    "choices_with_replacement": (
-        "21b93215f61416b1b64e9eb4e4d656ee3b5e50662c1e669e13220da8c8094c72",
-        "ced4e9ca996c889745cf20f0ebdce98a25a8d6ede1cc91cbfe28f3c55c3fa196",
-        "c522e591db12abad8677ed41d118c390af8099147aa5f38c3df2fdb912b68353",
-    ),
     "stream_random_permutation": (
         "d8d4b0d874c0eb001548e04a2e930296e148fd83e23d740e09dfaffd5c4be1c6",
         "6e8cfc52847afeedba432a63bd02c282170068e6a741631a20c34a41f1ec849c",
         "3ba186e7c8dae4279067c43c43a9bde8b8473691746fee5e374075f1055dd4af",
-    ),
-    "stream_sampled_with_replacement": (
-        "11257b034d8d21cc4ef70020a533eba4873bdbe4560ebbd3072edee5ee73ca09",
-        "60f8254a726fa842a5035ae708d66861b4bf65ee8dea192269118869f250b4ee",
-        "9244eea1f77cf802460b824e719809067b515353308b50123182d95e6ad76583",
     ),
 }
 
@@ -231,7 +213,6 @@ DRAWS = st.one_of(
     st.tuples(st.just("normal_matrix"), st.integers(0, 8), st.integers(0, 8)),
     st.tuples(st.just("permutation"), st.integers(0, 64)),
     st.tuples(st.just("permutations"), st.integers(0, 64), st.integers(0, 8)),
-    st.tuples(st.just("choices_with_replacement"), st.integers(1, 64), st.integers(0, 64)),
     st.tuples(st.just("below"), st.integers(1, 64)),
     st.tuples(st.just("uniform")),
     st.tuples(st.just("next_uint64")),
@@ -247,18 +228,14 @@ def test_block_draws_match_replay(seed, calls):
         _assert_same_generator(gen, ref)
 
 
-@pytest.mark.parametrize("kind, method", [
-    ("random_permutation", "permutation"),
-    ("sampled_with_replacement", "choices_with_replacement")])
+@pytest.mark.parametrize("kind, method", [("random_permutation", "permutation")])
 @pytest.mark.parametrize("block_count", [1, 2, 7, 20])
 def test_block_order_stream_matches_replay(kind, method, block_count):
     # 150 cycles cross several batches of drawn-ahead orders
     stream = BlockOrder(kind, seed=99).stream(block_count)
     ref = ReplaySplitMix64(99)
     for _ in range(150):
-        want = (ref.permutation(block_count) if method == "permutation"
-                else ref.choices_with_replacement(block_count, block_count))
-        _assert_same_draw(next(stream), want)
+        _assert_same_draw(next(stream), getattr(ref, method)(block_count))
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +296,10 @@ def test_permutations_rejection_matches_replay(index, below_calls):
     assert len(below_calls) == count * (n - 1)
 
 
-def test_choices_rejection_matches_replay(below_calls):
-    start = _state_with_top_draw(5)
-    gen, ref = SplitMix64(start), ReplaySplitMix64(start)
-    _assert_same_draw(gen.choices_with_replacement(10, 20),
-                      ref.choices_with_replacement(10, 20))
-    _assert_same_generator(gen, ref)
-    assert gen._state == (start + 21 * GAMMA) & MASK64
-    assert len(below_calls) == 20
-
-
 def test_no_rejection_without_below():
     # the batched paths call below() only to redo a batch that hit rejection
     gen = SplitMix64(5)
     calls = []
     gen.below = lambda n: calls.append(n)
     gen.permutations(30, 10)
-    gen.choices_with_replacement(30, 300)
     assert calls == []

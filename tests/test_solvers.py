@@ -26,6 +26,7 @@ from blockcd.problems import (
 from blockcd import solvers
 from blockcd.rng import SplitMix64
 from blockcd.solvers import (
+    ORDER_KINDS,
     BlockOrder,
     SolverRun,
     StepsizePolicy,
@@ -83,11 +84,12 @@ class TestPolicies:
         for _ in range(10):
             assert next(s1) == next(s2)
 
-    def test_sampled_with_replacement_draws(self):
-        stream = BlockOrder.sampled_with_replacement(3).stream(5)
-        draws = next(stream)
-        assert len(draws) == 5
-        assert all(0 <= d < 5 for d in draws)
+    def test_sampled_with_replacement_rejected(self):
+        # K draws with replacement can skip a block within a cycle, so no
+        # per-cycle result of the paper covers that order
+        assert ORDER_KINDS == ("cyclic", "random_permutation")
+        with pytest.raises(ValueError, match="unknown block order"):
+            BlockOrder("sampled_with_replacement", seed=3)
 
 
 class TestBCPG:
@@ -131,12 +133,20 @@ class TestBCPG:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_start_rejected(self, value):
+        # all four solvers share the start check
         p, x0 = make_lasso_instance(4, 2, 0.1, seed=1)
         x0[1] = value
         for solver, algorithm in ((run_bcpg, "bcpg"), (run_bcd_exact, "exact_bcd")):
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ValueError, match="x0 has non-finite entries"):
                 solver(p, SolverRun(algorithm=algorithm, max_cycles=1), x0,
                        compute_constants(p))
+        smooth = make_table1_diagonal_qp(2, 2.0)
+        with pytest.raises(ValueError, match="x0 has non-finite entries"):
+            run_cgd(oracle_from_quadratic(smooth, compute_constants(smooth)),
+                    SolverRun(algorithm="cgd", max_cycles=1), x0[:2])
+        with pytest.raises(ValueError, match="x0 has non-finite entries"):
+            run_gd(smooth, SolverRun(algorithm="gd", max_cycles=1), x0[:2],
+                   compute_constants(smooth))
 
     def test_optimality_condition_probe(self):
         # at every block step, rebuilt from the recorded cycles, for random
@@ -357,9 +367,7 @@ class TestGD:
 
 
 class TestMonotonicityEverywhere:
-    @pytest.mark.parametrize("order_kind",
-                             ["cyclic", "random_permutation",
-                              "sampled_with_replacement"])
+    @pytest.mark.parametrize("order_kind", ["cyclic", "random_permutation"])
     def test_all_algorithms_descend(self, order_kind):
         order = (BlockOrder.cyclic() if order_kind == "cyclic"
                  else BlockOrder(order_kind, seed=3))
@@ -438,7 +446,6 @@ class TestTrajectoryCSV:
 
 
 KINDS = ("zero", "l1", "group_l2", "box")
-ORDER_KINDS = ("cyclic", "random_permutation", "sampled_with_replacement")
 
 
 @st.composite
@@ -692,7 +699,8 @@ class TestLockstep:
     def test_nan_proximal_point_raises(self, monkeypatch):
         # the soft threshold maps a NaN point to 0 and the stacked form to
         # NaN; a NaN start, let past the start check, makes one
-        monkeypatch.setattr(solvers, "_check_start", lambda p, x0: np.array(x0, dtype=float))
+        monkeypatch.setattr(solvers, "_check_feasible_start",
+                            lambda p, x0: np.array(x0, dtype=float))
         batch = self._batch()
         problem, run, x0, constants = batch[0]
         start = np.array(x0, dtype=float)

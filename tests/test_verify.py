@@ -1,6 +1,8 @@
 """Tests for the per-cycle checkers, the one-pass recursion oracle and the
 tightness construction."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from blockcd.solvers import (
     run_gd,
 )
 from blockcd.verify import (
+    CheckReport,
     one_pass_recursion_oracle,
     check_costtogo_bcpg,
     check_descent_bcd,
@@ -300,3 +303,14 @@ class TestReportOutput:
         rows = path.read_text(encoding="utf-8").strip().split("\n")
         assert rows[0].startswith("check_name,passed")
         assert len(rows) == 5
+
+    def test_csv_notes_round_trip(self, tmp_path):
+        notes = ['ratio "a", then b', '""', "plain", 'x,"y"']
+        reports = [CheckReport(f"check_{i}", 1, 0.0, True, notes=note)
+                   for i, note in enumerate(notes)]
+        path = tmp_path / "reports.csv"
+        reports_to_csv(reports, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["notes"] for row in rows] == notes
+        assert [row["check_name"] for row in rows] == [r.check_name for r in reports]
