@@ -26,9 +26,7 @@ from .problems import (
     compute_constants,
     eval_objective,
     make_lasso_instance,
-    make_table1_diagonal,
     make_table1_diagonal_qp,
-    make_table1_full,
     make_table1_full_qp,
     make_toeplitz_instance,
     oracle_from_quadratic,
@@ -76,8 +74,8 @@ TRUNCATION_SAMPLES = 100
 @dataclass(frozen=True)
 class Instance:
     """A problem set up for solving and bounding: start point, constants,
-    reference optimum, level-set radius, initial gap delta0, the
-    smooth-oracle view when there is one, and beta of that view."""
+    reference optimum, level-set radius, initial gap delta0, the smooth
+    view of a nonsmooth-free scalar-block problem, and beta of that view."""
 
     name: str
     problem: CompositeQuadraticProblem
@@ -94,12 +92,10 @@ class Instance:
         return float(np.linalg.norm(self.x0 - self.reference.x_star))
 
 
-def set_up(name: str, problem: CompositeQuadraticProblem, x0,
-           oracle: SmoothProblemOracle | None = None) -> Instance:
+def set_up(name: str, problem: CompositeQuadraticProblem, x0) -> Instance:
     """Constants, reference optimum, radius R0 and delta0 of ``problem`` from
-    ``x0``, then beta of its smooth-oracle view.  The view is ``oracle``
-    when given (the closed-form table1 oracles), else oracle_from_quadratic
-    for a nonsmooth-free problem with scalar blocks, else None.
+    ``x0``, then, for a nonsmooth-free problem with scalar blocks, its
+    smooth view (oracle_from_quadratic) and beta of that view.
 
     This is the one place that computes a problem's set-up: the solvers,
     bounds and checks take these values as arguments."""
@@ -107,7 +103,8 @@ def set_up(name: str, problem: CompositeQuadraticProblem, x0,
     reference = reference_optimum(problem, constants)
     r0 = r0_upper_estimate(problem, x0, reference.x_star, reference.f_star, constants)
     delta0 = max(0.0, eval_objective(problem, x0) - reference.f_star)
-    if oracle is None and problem.is_smooth() and problem.partition.block_size == 1:
+    oracle = None
+    if problem.is_smooth() and problem.partition.block_size == 1:
         oracle = oracle_from_quadratic(problem, constants)
     beta = None if oracle is None else beta_estimate(oracle).estimate
     return Instance(name=name, problem=problem, x0=x0, constants=constants,
@@ -116,22 +113,20 @@ def set_up(name: str, problem: CompositeQuadraticProblem, x0,
 
 
 def run_solver(instance: Instance, run: SolverRun) -> Trajectory:
-    """``run`` from the instance's start point, with its gap to the reference
-    optimum attached.  cgd needs the smooth-oracle view; gd takes it when
-    there is one."""
-    problem, x0, constants = instance.problem, instance.x0, instance.constants
-    f_star = instance.reference.f_star
+    """``run`` from the instance's start point with the instance's
+    constants, and with its gap to the reference optimum attached."""
     if run.algorithm == "bcpg":
-        t = run_bcpg(problem, run, x0, constants, f_star)
+        solve = run_bcpg
     elif run.algorithm == "exact_bcd":
-        t = run_bcd_exact(problem, run, x0, constants, f_star)
+        solve = run_bcd_exact
     elif run.algorithm == "cgd":
-        t = run_cgd(instance.oracle, run, x0, f_star=f_star)
+        solve = run_cgd
     elif run.algorithm == "gd":
-        target = instance.oracle if instance.oracle is not None else problem
-        t = run_gd(target, run, x0, constants, f_star)
+        solve = run_gd
     else:
         raise ValueError(f"unknown algorithm {run.algorithm!r}")
+    f_star = instance.reference.f_star
+    t = solve(instance.problem, run, instance.x0, instance.constants, f_star)
     return t.with_gap(f_star)
 
 
@@ -151,11 +146,8 @@ def get_instance(name: str) -> Instance:
     if name.startswith("table1_"):
         _, flavor, ksuffix = name.split("_")
         k = int(ksuffix[1:])
-        if flavor == "diag":
-            problem, oracle = make_table1_diagonal_qp(k, 2.0), make_table1_diagonal(k, 2.0)
-        else:
-            problem, oracle = make_table1_full_qp(k, 2.0), make_table1_full(k, 2.0)
-        return set_up(name, problem, np.ones(k), oracle)
+        make = make_table1_diagonal_qp if flavor == "diag" else make_table1_full_qp
+        return set_up(name, make(k, 2.0), np.ones(k))
 
     if name == "thm2_case1":
         gen = SplitMix64(derive_seed(0xCA5E, 1))

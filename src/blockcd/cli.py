@@ -34,7 +34,6 @@ from .bounds import (
 from .linalg import ConvergenceError
 from .problems import (
     ProblemFormatError,
-    constants_from_oracle,
     json_integer,
     json_number,
     load_problem,
@@ -219,18 +218,16 @@ def _parse_bounds(plan: dict, runs) -> list[tuple[str, str, str | None, float]]:
 
 def _check_runs(instance, runs) -> None:
     """Reject a run whose algorithm does not apply to the set-up problem, or
-    whose stepsizes do not realize against the constants it will use (the
-    oracle's for cgd), before any output is written."""
+    whose stepsizes do not realize against its constants, before any
+    output is written."""
     for i, (_, run) in enumerate(runs):
         if run.algorithm == "cgd" and instance.oracle is None:
             raise PlanError(f"$.runs[{i}].algorithm",
                             "cgd needs a smooth scalar-block problem")
         if run.algorithm == "gd" and not instance.problem.is_smooth():
             raise PlanError(f"$.runs[{i}].algorithm", "gd needs a smooth problem")
-        constants = (constants_from_oracle(instance.oracle) if run.algorithm == "cgd"
-                     else instance.constants)
         try:
-            run.stepsizes.realize(constants)
+            run.stepsizes.realize(instance.constants)
         except ValueError as exc:
             raise PlanError(f"$.runs[{i}].stepsizes", str(exc))
 
@@ -246,7 +243,7 @@ def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
         raise PlanError("$.problem", str(exc))
     runs = _parse_runs(plan, global_seed)
     bound_requests = _parse_bounds(plan, runs)
-    instance = set_up(loaded.kind, loaded.problem, loaded.x0, loaded.oracle)
+    instance = set_up(loaded.kind, loaded.problem, loaded.x0)
     _check_runs(instance, runs)
     constants, reference, r0 = instance.constants, instance.reference, instance.r0
 
@@ -328,7 +325,7 @@ def cmd_bounds(problem_path: str, r_max: int, out_dir: str | None) -> int:
     loaded = load_problem(problem_path)
     out = Path(out_dir if out_dir is not None else "out")
     out.mkdir(parents=True, exist_ok=True)
-    instance = set_up(loaded.kind, loaded.problem, loaded.x0, loaded.oracle)
+    instance = set_up(loaded.kind, loaded.problem, loaded.x0)
     constants, r0, delta0 = instance.constants, instance.r0, instance.delta0
     specs = [(kind, BoundSpec(kind=kind, constants=constants, r0_upper=r0.value,
                               delta0=delta0, beta=instance.beta,
@@ -399,7 +396,7 @@ def main(argv=None) -> int:
             return cmd_bounds(args.plan, args.rmax, args.out)
         if args.command == "tightness":
             return cmd_verify("tightness", args.seed, args.out)
-    except (ValueError, KeyError, ConvergenceError, OSError) as exc:
+    except (ValueError, KeyError, ConvergenceError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

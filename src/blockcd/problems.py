@@ -1,6 +1,7 @@
-"""Problem definitions: composite quadratics with block structure, smooth
-convex oracles with Lipschitz metadata, proximal operators, and the named
-instance generators used by the experiment battery.
+"""Problem definitions: composite quadratics with block structure, the
+smooth view of a nonsmooth-free scalar-block quadratic (its Hessian and
+Lipschitz data), proximal operators, and the named instance generators
+used by the experiment battery.
 
 The canonical composite objective is
 
@@ -270,12 +271,10 @@ def block_gradient(p: CompositeQuadraticProblem, k: int, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothProblemOracle:
-    """Smooth convex quadratic over scalar coordinates: value, gradient,
-    constant Hessian and Lipschitz data, with |H_ij| <= sqrt(L_i L_j)."""
+    """Hessian and Lipschitz data of a smooth convex quadratic over scalar
+    coordinates, with |H_ij| <= sqrt(L_i L_j); a zero column has L_i = 0."""
 
     dimension: int
-    value: "callable"
-    gradient: "callable"
     lipschitz_global: float
     lipschitz_coordinate: np.ndarray
     hessian: np.ndarray
@@ -284,8 +283,8 @@ class SmoothProblemOracle:
         lk = np.asarray(self.lipschitz_coordinate, dtype=float).reshape(-1)
         if lk.shape[0] != self.dimension:
             raise ValueError("lipschitz_coordinate length must equal dimension")
-        if np.any(lk <= 0) or self.lipschitz_global <= 0:
-            raise ValueError("Lipschitz constants must be positive")
+        if np.any(lk < 0) or self.lipschitz_global <= 0:
+            raise ValueError("Lipschitz constants must be nonnegative, the global one positive")
         if np.any(lk > self.lipschitz_global * (1 + 1e-12)):
             raise ValueError("coordinate constants must not exceed the global one")
         lk.flags.writeable = False
@@ -312,7 +311,7 @@ class ProblemConstants:
     sigma_min: float = 0.0
     gamma_min: float = 0.0
     rank_case: str = "unknown"
-    mu: float = 0.0  # lambda_min(A^T A); 0 (no curvature claimed) for an oracle
+    mu: float = 0.0  # lambda_min(A^T A)
 
 
 def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
@@ -373,64 +372,14 @@ def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
     )
 
 
-def constants_from_oracle(o: SmoothProblemOracle) -> ProblemConstants:
-    lk = np.asarray(o.lipschitz_coordinate, dtype=float)
-    return ProblemConstants(
-        block_count=o.dimension,
-        block_size=1,
-        L=float(o.lipschitz_global),
-        L_k=lk,
-        L_max=float(lk.max()),
-        L_min=float(lk.min()),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Named instances
 
-def make_table1_diagonal(block_count: int, lipschitz: float) -> SmoothProblemOracle:
-    """Separable quadratic (L/2) sum_i x_i^2: block-diagonal Hessian, L_k = L."""
-    if block_count < 1 or lipschitz <= 0:
-        raise ValueError("need block_count >= 1 and lipschitz > 0")
-    k, lip = block_count, float(lipschitz)
-    return SmoothProblemOracle(
-        dimension=k,
-        value=lambda x: 0.5 * lip * float(np.asarray(x, dtype=float) @ np.asarray(x, dtype=float)),
-        gradient=lambda x: lip * np.asarray(x, dtype=float),
-        lipschitz_global=lip,
-        lipschitz_coordinate=np.full(k, lip),
-        hessian=lip * np.eye(k),
-    )
-
-
-def make_table1_full(block_count: int, lipschitz: float) -> SmoothProblemOracle:
-    """Fully coupled quadratic (L/(2K)) (sum_i x_i)^2: rank-one Hessian with
-    spectral norm L and L_k = L/K."""
-    if block_count < 1 or lipschitz <= 0:
-        raise ValueError("need block_count >= 1 and lipschitz > 0")
-    k, lip = block_count, float(lipschitz)
-    coef = lip / k
-
-    def value(x):
-        s = float(np.asarray(x, dtype=float).sum())
-        return 0.5 * coef * s * s
-
-    def gradient(x):
-        s = float(np.asarray(x, dtype=float).sum())
-        return np.full(k, coef * s)
-
-    return SmoothProblemOracle(
-        dimension=k,
-        value=value,
-        gradient=gradient,
-        lipschitz_global=lip,
-        lipschitz_coordinate=np.full(k, coef),
-        hessian=np.full((k, k), coef),
-    )
-
-
 def make_table1_diagonal_qp(block_count: int, lipschitz: float) -> CompositeQuadraticProblem:
-    """Quadratic-problem twin of make_table1_diagonal: A = sqrt(L) I, b = 0."""
+    """Separable quadratic (L/2) sum_i x_i^2 over K scalar blocks:
+    A = sqrt(L) I, b = 0, so L_k = L."""
+    if block_count < 1 or lipschitz <= 0:
+        raise ValueError("need block_count >= 1 and lipschitz > 0")
     k = block_count
     root = math.sqrt(lipschitz)
     eye = np.eye(k)
@@ -443,7 +392,11 @@ def make_table1_diagonal_qp(block_count: int, lipschitz: float) -> CompositeQuad
 
 
 def make_table1_full_qp(block_count: int, lipschitz: float) -> CompositeQuadraticProblem:
-    """Quadratic-problem twin of make_table1_full: A = sqrt(L/K) * ones(1, K)."""
+    """Fully coupled quadratic (L/(2K)) (sum_i x_i)^2 over K scalar blocks:
+    A = sqrt(L/K) * ones(1, K), b = 0, a rank-one Hessian with spectral
+    norm L and L_k = L/K."""
+    if block_count < 1 or lipschitz <= 0:
+        raise ValueError("need block_count >= 1 and lipschitz > 0")
     k = block_count
     root = math.sqrt(lipschitz / k)
     return CompositeQuadraticProblem(
@@ -521,26 +474,15 @@ def make_lasso_instance(rows: int, block_count: int, weight: float, seed: int):
 
 def oracle_from_quadratic(p: CompositeQuadraticProblem,
                           constants: ProblemConstants) -> SmoothProblemOracle:
-    """Smooth-oracle view of a scalar-block problem with no nonsmooth terms;
+    """Smooth view of a scalar-block problem with no nonsmooth terms;
     ``constants`` must be p's, from compute_constants."""
     if not p.is_smooth():
         raise ValueError("oracle view requires all nonsmooth terms to be zero")
     if p.partition.block_size != 1:
         raise ValueError("oracle view requires scalar blocks")
     full = p.full_matrix()
-    b = p.b
-
-    def value(x):
-        r = full @ np.asarray(x, dtype=float) - b
-        return 0.5 * float(r @ r)
-
-    def gradient(x):
-        return full.T @ (full @ np.asarray(x, dtype=float) - b)
-
     return SmoothProblemOracle(
         dimension=p.partition.block_count,
-        value=value,
-        gradient=gradient,
         lipschitz_global=constants.L,
         lipschitz_coordinate=constants.L_k,
         hessian=full.T @ full,
@@ -552,13 +494,11 @@ def oracle_from_quadratic(p: CompositeQuadraticProblem,
 
 @dataclass
 class LoadedProblem:
-    """Problem bundle produced by load_problem; the table1 kinds also carry
-    their closed-form oracle."""
+    """Problem bundle produced by load_problem."""
 
     kind: str
     x0: np.ndarray
     problem: CompositeQuadraticProblem
-    oracle: SmoothProblemOracle | None = None
 
 
 def json_integer(value) -> int | None:
@@ -686,14 +626,8 @@ def load_problem(source) -> LoadedProblem:
         k = _require(spec, "$", "block_count", int, lambda v: v >= 1, "a positive integer")
         lip = _require(spec, "$", "lipschitz", float, lambda v: v > 0,
                        "a finite positive number")
-        if kind == "table1_diag":
-            oracle = make_table1_diagonal(k, lip)
-            problem = make_table1_diagonal_qp(k, lip)
-        else:
-            oracle = make_table1_full(k, lip)
-            problem = make_table1_full_qp(k, lip)
-        x0 = np.ones(k)
-        return LoadedProblem(kind=kind, x0=x0, problem=problem, oracle=oracle)
+        make = make_table1_diagonal_qp if kind == "table1_diag" else make_table1_full_qp
+        return LoadedProblem(kind=kind, x0=np.ones(k), problem=make(k, lip))
 
     if kind == "explicit":
         k = _require(spec, "$", "block_count", int, lambda v: v >= 1, "a positive integer")
@@ -707,14 +641,16 @@ def load_problem(source) -> LoadedProblem:
                 raise ProblemFormatError(f"$.a_blocks[{i}]", "expected a nonempty list of rows")
             blocks.append(np.array([_number_list(row, f"$.a_blocks[{i}][{r}]", n)
                                     for r, row in enumerate(rows)]))
+            if len(rows) != blocks[0].shape[0]:
+                raise ProblemFormatError(f"$.a_blocks[{i}]", f"has {len(rows)} rows, "
+                                         f"a_blocks[0] has {blocks[0].shape[0]}")
         b = _number_list(_require(spec, "$", "b", list, describe="a list"), "$.b")
+        if len(b) != blocks[0].shape[0]:
+            raise ProblemFormatError("$.b", f"has length {len(b)}, expected "
+                                     f"{blocks[0].shape[0]}, the row count of a_blocks")
         terms = _load_terms(spec.get("h", [{"kind": "zero"}] * k), k, n, "$.h")
-        try:
-            problem = CompositeQuadraticProblem(
-                partition=BlockPartition(k, n),
-                a_blocks=tuple(blocks), b=b, h=terms)
-        except ValueError as exc:
-            raise ProblemFormatError("$", str(exc)) from exc
+        problem = CompositeQuadraticProblem(
+            partition=BlockPartition(k, n), a_blocks=tuple(blocks), b=b, h=terms)
         x0 = _number_list(spec["x0"], "$.x0", k * n) if "x0" in spec else np.zeros(k * n)
         return LoadedProblem(kind=kind, x0=x0, problem=problem)
 

@@ -19,8 +19,6 @@ from .linalg import ConvergenceError, least_squares_min_norm
 from .problems import (
     CompositeQuadraticProblem,
     ProblemConstants,
-    SmoothProblemOracle,
-    constants_from_oracle,
     eval_objective,
     prox,
     prox_scalar,
@@ -551,49 +549,40 @@ def _coordinate_sweep(columns: np.ndarray, g: np.ndarray, x: np.ndarray,
     return math.sqrt(move_sq)
 
 
-def run_cgd(o: SmoothProblemOracle, run: SolverRun, x0,
-            f_star: float | None = None) -> Trajectory:
-    """Coordinate gradient descent over scalar blocks.
+def _smooth_measure(p: CompositeQuadraticProblem, x: np.ndarray, grad: np.ndarray):
+    """measure() of cgd and gd on a nonsmooth-free p: f(x) and the gradient
+    norm from one residual r, with grad = A^T r stored in ``grad``."""
+    full = p.full_matrix()
+
+    def measure():
+        res = p.residual(x)
+        grad[:] = full.T @ res
+        return 0.5 * float(res @ res), float(np.linalg.norm(grad))
+
+    return measure
+
+
+def run_cgd(p: CompositeQuadraticProblem, run: SolverRun, x0,
+            constants: ProblemConstants, f_star: float | None = None) -> Trajectory:
+    """Coordinate gradient descent over the scalar blocks of a smooth p.
 
     Within a cycle the iterate moves along the chain w <- w - (d_k / P_k) e_k
     with d_k the coordinate gradient at the current chain point.  The
     gradient is evaluated once per cycle and kept current through the
-    Hessian H: g <- g + (w_k^new - w_k^old) H[:, k].
+    Hessian H = A^T A, formed once per run: g <- g + (w_k^new - w_k^old) H[:, k].
     """
     if run.algorithm != "cgd":
         raise ValueError("run.algorithm must be 'cgd'")
-    constants = constants_from_oracle(o)
+    if not p.is_smooth() or p.partition.block_size != 1:
+        raise ValueError("cgd requires a smooth problem with scalar blocks")
     stepsizes = run.stepsizes.realize(constants)
-    x = _check_start(x0, o.dimension)
-    grad = np.empty(o.dimension)
-
-    def measure():
-        grad[:] = o.gradient(x)
-        return float(o.value(x)), float(np.linalg.norm(grad))
-
-    sweep = partial(_coordinate_sweep, np.ascontiguousarray(o.hessian.T), grad, x, stepsizes)
-    return _record_cycles("cgd", run, x, stepsizes, sweep, measure, f_star)
-
-
-def _smooth_view(target, constants: ProblemConstants):
-    """(value, gradient, L, dimension) for an oracle, with its own
-    lipschitz_global, or a nonsmooth-free quadratic problem, with L from
-    ``constants``, which must be the problem's, from compute_constants."""
-    if isinstance(target, SmoothProblemOracle):
-        return target.value, target.gradient, target.lipschitz_global, target.dimension
-    if not target.is_smooth():
-        raise ValueError("gradient descent requires a smooth problem")
-    full = target.full_matrix()
-    b = target.b
-
-    def value(x):
-        r = full @ x - b
-        return 0.5 * float(r @ r)
-
-    def gradient(x):
-        return full.T @ (full @ x - b)
-
-    return value, gradient, constants.L, target.partition.dimension
+    x = _check_start(x0, p.partition.dimension)
+    grad = np.empty(p.partition.dimension)
+    full = p.full_matrix()
+    columns = np.ascontiguousarray((full.T @ full).T)
+    sweep = partial(_coordinate_sweep, columns, grad, x, stepsizes)
+    return _record_cycles("cgd", run, x, stepsizes, sweep,
+                          _smooth_measure(p, x, grad), f_star)
 
 
 def _gradient_sweep(g: np.ndarray, x: np.ndarray, lipschitz: float,
@@ -608,23 +597,22 @@ def _gradient_sweep(g: np.ndarray, x: np.ndarray, lipschitz: float,
     return movement
 
 
-def run_gd(target: SmoothProblemOracle | CompositeQuadraticProblem, run: SolverRun,
-           x0, constants: ProblemConstants, f_star: float | None = None) -> Trajectory:
-    """Full gradient descent with the constant stepsize 1/L.  A cycle is one
-    step; the trajectory records the cyclic order whatever run.order says."""
+def run_gd(p: CompositeQuadraticProblem, run: SolverRun, x0,
+           constants: ProblemConstants, f_star: float | None = None) -> Trajectory:
+    """Full gradient descent on a smooth p with the constant stepsize 1/L.
+    A cycle is one step; the trajectory records the cyclic order whatever
+    run.order says."""
     if run.algorithm != "gd":
         raise ValueError("run.algorithm must be 'gd'")
-    value, gradient, lipschitz, dim = _smooth_view(target, constants)
+    if not p.is_smooth():
+        raise ValueError("gradient descent requires a smooth problem")
+    dim = p.partition.dimension
     x = _check_start(x0, dim)
     grad = np.empty(dim)
-
-    def measure():
-        grad[:] = gradient(x)
-        return float(value(x)), float(np.linalg.norm(grad))
-
     run = replace(run, order=BlockOrder.cyclic())
-    sweep = partial(_gradient_sweep, grad, x, lipschitz)
-    return _record_cycles("gd", run, x, np.full(dim, lipschitz), sweep, measure, f_star)
+    sweep = partial(_gradient_sweep, grad, x, constants.L)
+    return _record_cycles("gd", run, x, np.full(dim, constants.L), sweep,
+                          _smooth_measure(p, x, grad), f_star)
 
 
 @dataclass(frozen=True)
@@ -647,12 +635,14 @@ def reference_optimum(p: CompositeQuadraticProblem, constants: ProblemConstants,
                       max_cycles: int = 30_000) -> ReferenceOptimum:
     """Reference optimum: minimum-norm least squares for nonsmooth-free
     problems; otherwise a long block-proximal run with a movement
-    certificate."""
+    certificate.  That run steps block k with P_k = L_k, or with P_k = 1
+    when L_k = 0: such a block's smooth part is constant, so any step
+    reaches its prox point."""
     if p.is_smooth():
         x_star = least_squares_min_norm(p.full_matrix(), p.b)
         return ReferenceOptimum(x_star, eval_objective(p, x_star), True, 0.0,
                                 "minimum-norm least squares")
-    stepsizes = StepsizePolicy.block_lk().realize(constants)
+    stepsizes = np.where(constants.L_k > 0.0, constants.L_k, 1.0)
     k_count = p.partition.block_count
     x = np.zeros(p.partition.dimension)
     for k in range(k_count):

@@ -138,19 +138,20 @@ def recorded_visits(problem, xs, orders):
             x[block] = new
 
 
-def replay_coordinate_sweeps(oracle, orders, x0, weights):
-    """Plain replay of coordinate gradient descent: every visit evaluates
-    the full gradient and steps x_k <- x_k - grad_k / P_k."""
+def replay_coordinate_sweeps(value, gradient, orders, x0, weights):
+    """Plain replay of coordinate gradient descent on the smooth function
+    with callables ``value`` and ``gradient``: every visit evaluates the
+    full gradient and steps x_k <- x_k - grad_k / P_k."""
     x = np.array(x0, dtype=float)
-    xs, values, movements = [x.copy()], [float(oracle.value(x))], []
+    xs, values, movements = [x.copy()], [float(value(x))], []
     for order in orders:
         move_sq = 0.0
         for k in order:
-            step = float(oracle.gradient(x)[k]) / weights[k]
+            step = float(gradient(x)[k]) / weights[k]
             move_sq += weights[k] * step ** 2
             x[k] -= step
         xs.append(x.copy())
-        values.append(float(oracle.value(x)))
+        values.append(float(value(x)))
         movements.append(math.sqrt(move_sq))
     return np.array(xs), np.array(values), np.array(movements)
 

@@ -29,9 +29,8 @@ from blockcd.problems import (
     BlockPartition,
     CompositeQuadraticProblem,
     NonsmoothTerm,
+    ProblemConstants,
     compute_constants,
-    constants_from_oracle,
-    make_table1_full,
     make_toeplitz_instance,
     toeplitz_matrix,
 )
@@ -206,8 +205,9 @@ class TestCriterion7BoundIdentity:
     def test_7_prior_to_new_ratio(self):
         with criterion("7", "prior-to-new bound ratio identity", 1.0):
             for k in (2, 10, 100):
-                oracle = make_table1_full(k, float(k))  # L = K makes L/K exact
-                constants = constants_from_oracle(oracle)
+                # table1_full's constants with L = K, so that L_k = L/K = 1 exactly
+                constants = ProblemConstants(block_count=k, block_size=1, L=float(k),
+                                             L_k=np.ones(k), L_max=1.0, L_min=1.0)
                 common = dict(constants=constants, r0_upper=1.0,
                               p_max=float(k), p_min=float(k))
                 beck = BoundSpec(kind="prior_beck", **common)

@@ -20,12 +20,11 @@ from blockcd.problems import (
     NonsmoothTerm,
     ProblemConstants,
     compute_constants,
-    constants_from_oracle,
     make_lasso_instance,
-    make_table1_diagonal,
     make_table1_diagonal_qp,
-    make_table1_full,
+    make_table1_full_qp,
     make_toeplitz_instance,
+    oracle_from_quadratic,
     toeplitz_start,
 )
 from blockcd.solvers import reference_optimum
@@ -63,8 +62,8 @@ class TestEvaluate:
     def test_prior_beck_to_coro1_ratio_exact(self, k):
         # P_k = L and L_k = L/K: the prior bound is exactly (1+K) times the
         # new one.  L = K keeps every float operation exact.
-        o = make_table1_full(k, float(k))
-        c = constants_from_oracle(o)
+        c = ProblemConstants(block_count=k, block_size=1, L=float(k), L_k=np.ones(k),
+                             L_max=1.0, L_min=1.0)
         common = dict(constants=c, r0_upper=1.0, p_max=float(k), p_min=float(k))
         coro = BoundSpec(kind="coro1", **common)
         beck = BoundSpec(kind="prior_beck", **common)
@@ -117,26 +116,28 @@ class TestEvaluate:
             BoundSpec(kind="thm9", constants=simple_constants(), r0_upper=1.0)
 
 
+def smooth_view(p):
+    return oracle_from_quadratic(p, compute_constants(p))
+
+
 class TestBetaEstimate:
     def test_uniform_coordinate_constants(self):
         # L_k = L: the Frobenius route gives K L, the row route sqrt(K) L
-        o = make_table1_diagonal(9, 2.0)
-        est = beta_estimate(o)
+        est = beta_estimate(smooth_view(make_table1_diagonal_qp(9, 2.0)))
         assert est.estimate == pytest.approx(3.0 * 2.0)  # sqrt(9) * L
         assert est.exact == pytest.approx(0.0, abs=1e-12)  # diagonal Hessian
 
     def test_small_coordinate_constants(self):
         # L_k = L/K: sum L_k = L wins for K >= 1
-        o = make_table1_full(16, 2.0)
-        est = beta_estimate(o)
+        est = beta_estimate(smooth_view(make_table1_full_qp(16, 2.0)))
         assert est.estimate == pytest.approx(2.0)
         assert est.exact <= est.estimate
 
     @pytest.mark.parametrize("k", [2, 10, 100])
     @pytest.mark.parametrize("flavor", ["diag", "full"])
     def test_exact_below_estimate_on_all_builtins(self, k, flavor):
-        maker = make_table1_diagonal if flavor == "diag" else make_table1_full
-        est = beta_estimate(maker(k, 3.0))
+        maker = make_table1_diagonal_qp if flavor == "diag" else make_table1_full_qp
+        est = beta_estimate(smooth_view(maker(k, 3.0)))
         assert est.exact <= est.estimate * (1 + 1e-12)
 
 

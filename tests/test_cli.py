@@ -14,7 +14,7 @@ from blockcd import battery, cli, problems
 from blockcd.cli import main
 from blockcd.linalg import ConvergenceError
 from blockcd.problems import ProblemConstants, compute_constants, oracle_from_quadratic
-from blockcd.solvers import ORDER_KINDS
+from blockcd.solvers import ORDER_KINDS, SolverRun, StepsizePolicy
 
 SCHEMA = json.loads(
     Path(cli.__file__).with_name("plan_schema.json").read_text(encoding="utf-8"))
@@ -37,6 +37,18 @@ def count_constants(monkeypatch) -> list:
 
     monkeypatch.setattr(battery, "compute_constants", counting)
     return calls
+
+
+def record_set_up(monkeypatch) -> list:
+    """Record every Instance the command line sets up."""
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(battery.set_up(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "set_up", recording)
+    return made
 
 
 BASIC_PLAN = {
@@ -271,6 +283,9 @@ class TestErrors:
         ([[["a"]], [[2.0]]], "$.a_blocks[0][0]: entry 0 "),
         ([[[1.0]], [[2.0], [1.0, 3.0]]], "$.a_blocks[1][1]: expected a list of 1 "),
         ([[[1.0]], [[10 ** 400]]], "$.a_blocks[1][0]: entry 0 "),
+        # rules across fields are reported at the field too
+        ([[[1.0], [0.0]], [[2.0]]], "$.a_blocks[1]: has 1 rows, a_blocks[0] has 2"),
+        ([[[1.0]], [[2.0]]], "$.b: has length 2, expected 1"),
     ])
     def test_bad_matrix_entry_names_its_field(self, tmp_path, capsys, a_blocks, where):
         problem = tmp_path / "problem.json"
@@ -281,6 +296,53 @@ class TestErrors:
         assert err.startswith("error: " + where)
         assert len(err.splitlines()) == 1
 
+    def test_unallocatable_problem_is_one_line_error(self, tmp_path, capsys):
+        # numpy refuses the rows x K request (71 PiB) before allocating any of it
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"kind": "lasso", "rows": 100000000,
+                                       "block_count": 100000000, "weight": 1}))
+        assert main(["bounds", "--plan", str(problem), "--out", str(tmp_path / "o")]) == 2
+        self._assert_one_line_error(capsys)
+
+
+# a scalar problem whose middle column is zero, so that L_1 = 0
+ZERO_COLUMN = {"kind": "explicit", "block_count": 3, "block_size": 1,
+               "a_blocks": [[[1], [0]], [[0], [0]], [[1], [1]]], "b": [1, 2]}
+
+
+class TestZeroColumn:
+    @pytest.mark.parametrize("h", [None, [{"kind": "l1", "weight": 0.5}] * 3])
+    def test_bounds_and_global_l_runs(self, tmp_path, capsys, h):
+        spec = dict(ZERO_COLUMN, **({} if h is None else {"h": h}))
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(spec))
+        assert main(["bounds", "--plan", str(problem), "--rmax", "5",
+                     "--out", str(tmp_path / "bounds")]) == 0
+        assert "L_min=0\n" in (tmp_path / "bounds" / "constants.txt").read_text()
+        assert len((tmp_path / "bounds" / "bounds.csv").read_text().splitlines()) == 6
+        plan = write_plan(tmp_path, {
+            "problem": str(problem),
+            "runs": [{"label": algorithm, "algorithm": algorithm, "max_cycles": 20,
+                      "stepsizes": {"kind": "global_l"}}
+                     for algorithm in ("bcpg", "exact_bcd")]})
+        out = tmp_path / "run"
+        assert main(["run", "--plan", plan, "--out", str(out)]) == 0
+        for algorithm in ("bcpg", "exact_bcd"):
+            rows = (out / f"{algorithm}.csv").read_text().splitlines()
+            first_gap, final_gap = (float(rows[i].split(",")[2]) for i in (1, -1))
+            assert -1e-12 <= final_gap < 1e-2 * first_gap
+
+    def test_block_lk_run_is_rejected(self, tmp_path, capsys):
+        # P_1 = L_1 = 0 is no stepsize
+        plan = write_plan(tmp_path, {"problem": ZERO_COLUMN,
+                                     "runs": [{"algorithm": "bcpg"}]})
+        out = tmp_path / "out"
+        assert main(["run", "--plan", plan, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: $.runs[0].stepsizes: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestSharedSetUp:
     @pytest.mark.parametrize("name, spec", [
@@ -288,13 +350,7 @@ class TestSharedSetUp:
         ("table1_full_K10", {"kind": "table1_full", "block_count": 10, "lipschitz": 2.0}),
     ])
     def test_cli_instance_equals_battery_instance(self, tmp_path, monkeypatch, name, spec):
-        made = []
-
-        def recording(*args, **kwargs):
-            made.append(battery.set_up(*args, **kwargs))
-            return made[-1]
-
-        monkeypatch.setattr(cli, "set_up", recording)
+        made = record_set_up(monkeypatch)
         assert cli.cmd_bounds(json.dumps(spec), 3, str(tmp_path)) == 0
         ours, theirs = made[0], battery.get_instance(name)
         for field in dataclasses.fields(ProblemConstants):
@@ -307,19 +363,30 @@ class TestSharedSetUp:
         assert ours.delta0 == theirs.delta0
         assert theirs.beta is not None
         assert ours.beta == theirs.beta
-        views = [ours.oracle, theirs.oracle]
-        if spec["kind"] == "toeplitz":
-            # the view set_up builds matches one built from scratch
-            views.append(oracle_from_quadratic(theirs.problem,
-                                               compute_constants(theirs.problem)))
-        for view in views:
+        # the view set_up builds matches one built from scratch
+        scratch = oracle_from_quadratic(theirs.problem, compute_constants(theirs.problem))
+        for view in (theirs.oracle, scratch):
             assert view.lipschitz_global == ours.oracle.lipschitz_global
             for attribute in ("lipschitz_coordinate", "hessian"):
                 np.testing.assert_array_equal(getattr(view, attribute),
                                               getattr(ours.oracle, attribute))
-            assert view.value(ours.x0) == ours.oracle.value(ours.x0)
-            np.testing.assert_array_equal(view.gradient(ours.x0),
-                                          ours.oracle.gradient(ours.x0))
+
+    @pytest.mark.parametrize("kind", ["table1_diag", "table1_full"])
+    def test_table1_beta_and_cgd_stepsizes_use_the_set_up_constants(
+            self, tmp_path, monkeypatch, kind):
+        # cgd's stepsizes and thm3's beta use the set-up constants, as every
+        # other bound and check does
+        made = record_set_up(monkeypatch)
+        spec = {"kind": kind, "block_count": 10, "lipschitz": 2.0}
+        assert cli.cmd_bounds(json.dumps(spec), 3, str(tmp_path)) == 0
+        instance = made[0]
+        c = instance.constants
+        assert instance.beta == min(np.sqrt(10) * c.L, float(np.sum(c.L_k)))
+        for policy in ("global_l", "block_lk"):
+            run = SolverRun(algorithm="cgd", stepsizes=StepsizePolicy(policy), max_cycles=3)
+            t = battery.run_solver(instance, run)
+            np.testing.assert_array_equal(t.stepsizes,
+                                          StepsizePolicy(policy).realize(c))
 
 
 def _plan_text(field: str, value_text: str) -> str:

@@ -18,9 +18,7 @@ from blockcd.problems import (
     eval_objective,
     load_problem,
     make_lasso_instance,
-    make_table1_diagonal,
     make_table1_diagonal_qp,
-    make_table1_full,
     make_table1_full_qp,
     make_toeplitz_instance,
     nonsmooth_total,
@@ -77,23 +75,30 @@ class TestTypes:
                 h=(NonsmoothTerm.zero(), NonsmoothTerm.zero()))
 
     def test_oracle_validation(self):
-        with pytest.raises(ValueError):
-            make_table1_diagonal(0, 1.0)
-        # coordinate constant above the global one is rejected
+        for make in (make_table1_diagonal_qp, make_table1_full_qp):
+            with pytest.raises(ValueError):
+                make(0, 1.0)
+            with pytest.raises(ValueError):
+                make(3, 0.0)
         from blockcd.problems import SmoothProblemOracle
+        # coordinate constant above the global one is rejected
         with pytest.raises(ValueError):
-            SmoothProblemOracle(dimension=2, value=lambda x: 0.0,
-                                gradient=lambda x: np.zeros(2),
-                                lipschitz_global=1.0,
+            SmoothProblemOracle(dimension=2, lipschitz_global=1.0,
                                 lipschitz_coordinate=np.array([1.0, 2.0]),
                                 hessian=np.eye(2))
         # a Hessian entry above sqrt(L_i L_j) is rejected
         with pytest.raises(ValueError, match="sqrt"):
-            SmoothProblemOracle(dimension=2, value=lambda x: 0.0,
-                                gradient=lambda x: np.zeros(2),
-                                lipschitz_global=2.0,
+            SmoothProblemOracle(dimension=2, lipschitz_global=2.0,
                                 lipschitz_coordinate=np.ones(2),
                                 hessian=np.full((2, 2), 1.5))
+        # a zero column has L_i = 0, which the view accepts; L_i < 0 it rejects
+        SmoothProblemOracle(dimension=2, lipschitz_global=1.0,
+                            lipschitz_coordinate=np.array([1.0, 0.0]),
+                            hessian=np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            SmoothProblemOracle(dimension=2, lipschitz_global=1.0,
+                                lipschitz_coordinate=np.array([1.0, -1e-300]),
+                                hessian=np.diag([1.0, 0.0]))
 
 
 class TestObjective:
@@ -200,19 +205,6 @@ class TestBlockGradient:
         with pytest.raises(ValueError):
             block_gradient(identity_problem(2), 5, np.zeros(2))
 
-    def test_oracle_gradients_match_finite_differences(self):
-        gen = SplitMix64(123)
-        h = 1e-6
-        for oracle in (make_table1_diagonal(6, 2.5), make_table1_full(6, 2.5)):
-            for _ in range(20):
-                x = gen.normal_vector(6)
-                grad = oracle.gradient(x)
-                for j in range(6):
-                    up, dn = x.copy(), x.copy()
-                    up[j] += h
-                    dn[j] -= h
-                    fd = (oracle.value(up) - oracle.value(dn)) / (2 * h)
-                    assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
 class TestProx:
@@ -402,44 +394,47 @@ class TestConstants:
 
 class TestGenerators:
     def test_table1_diagonal_values(self):
-        o = make_table1_diagonal(2, 1.0)
-        assert o.value(np.array([1.0, 1.0])) == pytest.approx(1.0)
-        np.testing.assert_allclose(o.gradient(np.array([1.0, 1.0])), [1.0, 1.0])
-        assert o.value(np.zeros(2)) == 0.0
+        p = make_table1_diagonal_qp(2, 1.0)
+        assert eval_objective(p, np.array([1.0, 1.0])) == pytest.approx(1.0)
+        np.testing.assert_allclose(
+            [block_gradient(p, k, np.array([1.0, 1.0]))[0] for k in range(2)], [1.0, 1.0])
+        assert eval_objective(p, np.zeros(2)) == 0.0
 
     def test_table1_diagonal_constants(self):
-        o = make_table1_diagonal(3, 2.0)
-        np.testing.assert_array_equal(o.lipschitz_coordinate, [2.0, 2.0, 2.0])
-        assert o.lipschitz_global == 2.0
+        c = compute_constants(make_table1_diagonal_qp(3, 2.0))
+        np.testing.assert_allclose(c.L_k, [2.0, 2.0, 2.0], rtol=1e-15)
+        assert c.L == pytest.approx(2.0, rel=1e-15)
 
     def test_table1_full_value(self):
         # (4 / 8) * 16 = 8
-        o = make_table1_full(4, 4.0)
-        assert o.value(np.ones(4)) == pytest.approx(8.0)
+        p = make_table1_full_qp(4, 4.0)
+        assert eval_objective(p, np.ones(4)) == pytest.approx(8.0)
 
     def test_table1_full_constants_exact(self):
-        o = make_table1_full(4, 4.0)
-        np.testing.assert_array_equal(o.lipschitz_coordinate, np.full(4, 1.0))
-        assert o.lipschitz_global == 4.0
-        # Hessian is (L/K) * ones with spectral norm exactly L
-        _, high = sym_eig_extremes(o.hessian)
-        assert high == pytest.approx(4.0, rel=1e-12)
+        # L = K makes each column sqrt(L/K) = 1, so L_k = 1 exactly
+        p = make_table1_full_qp(4, 4.0)
+        c = compute_constants(p)
+        np.testing.assert_array_equal(c.L_k, np.full(4, 1.0))
+        # the Hessian is (L/K) * ones, with spectral norm L
+        np.testing.assert_array_equal(p.full_matrix().T @ p.full_matrix(), np.ones((4, 4)))
+        assert c.L == pytest.approx(4.0, rel=1e-12)
 
     def test_table1_full_gradient_at_basis_vector(self):
-        o = make_table1_full(4, 4.0)
+        p = make_table1_full_qp(4, 4.0)
         e1 = np.zeros(4)
         e1[0] = 1.0
-        np.testing.assert_allclose(o.gradient(e1), np.full(4, 1.0))
+        np.testing.assert_allclose([block_gradient(p, k, e1)[0] for k in range(4)],
+                                   np.full(4, 1.0))
 
-    def test_table1_qp_twins_match_oracles(self):
+    def test_table1_qp_values_match_closed_forms(self):
+        # (L/2) sum_i x_i^2 and (L/(2K)) (sum_i x_i)^2
         gen = SplitMix64(23)
-        for make_o, make_qp in ((make_table1_diagonal, make_table1_diagonal_qp),
-                                (make_table1_full, make_table1_full_qp)):
-            o = make_o(5, 2.5)
-            qp = make_qp(5, 2.5)
-            for _ in range(10):
-                x = gen.normal_vector(5)
-                assert eval_objective(qp, x) == pytest.approx(o.value(x), rel=1e-12)
+        diag, full = make_table1_diagonal_qp(5, 2.5), make_table1_full_qp(5, 2.5)
+        for _ in range(10):
+            x = gen.normal_vector(5)
+            assert eval_objective(diag, x) == pytest.approx(1.25 * float(x @ x), rel=1e-12)
+            assert eval_objective(full, x) == pytest.approx(0.25 * float(x.sum()) ** 2,
+                                                            rel=1e-12)
 
     def test_toeplitz_pattern_k3(self):
         np.testing.assert_array_equal(toeplitz_matrix(3),
@@ -479,14 +474,12 @@ class TestGenerators:
 
     def test_oracle_from_quadratic(self):
         p, _ = make_toeplitz_instance(6)
-        o = oracle_from_quadratic(p, compute_constants(p))
-        gen = SplitMix64(31)
-        for _ in range(5):
-            x = gen.normal_vector(6)
-            assert o.value(x) == pytest.approx(eval_objective(p, x), rel=1e-12)
-            np.testing.assert_allclose(
-                o.gradient(x),
-                [block_gradient(p, k, x)[0] for k in range(6)], rtol=1e-12)
+        c = compute_constants(p)
+        o = oracle_from_quadratic(p, c)
+        assert o.dimension == 6
+        assert o.lipschitz_global == c.L
+        np.testing.assert_array_equal(o.lipschitz_coordinate, c.L_k)
+        np.testing.assert_array_equal(o.hessian, p.full_matrix().T @ p.full_matrix())
 
     def test_oracle_from_quadratic_rejects_nonsmooth(self):
         p, _ = make_lasso_instance(8, 4, 0.1, seed=1)
@@ -530,6 +523,12 @@ class TestLoader:
         with pytest.raises(ProblemFormatError, match=r"\$\.a_blocks\[1\]"):
             load_problem({"kind": "explicit", "block_count": 2, "block_size": 1,
                           "a_blocks": [[[1.0]], [[1.0, 2.0]]], "b": [0.0]})
+        with pytest.raises(ProblemFormatError, match=r"^\$\.b: has length 0, expected 1"):
+            load_problem({"kind": "explicit", "block_count": 1, "block_size": 1,
+                          "a_blocks": [[[1.0]]], "b": []})
+        with pytest.raises(ProblemFormatError, match=r"^\$\.a_blocks\[1\]: has 2 rows"):
+            load_problem({"kind": "explicit", "block_count": 2, "block_size": 1,
+                          "a_blocks": [[[1.0]], [[1.0], [2.0]]], "b": [0.0]})
         with pytest.raises(ProblemFormatError, match=r"\$\.h\[0\]"):
             load_problem({"kind": "explicit", "block_count": 1, "block_size": 1,
                           "a_blocks": [[[1.0]]], "b": [0.0],
@@ -540,10 +539,11 @@ class TestLoader:
             load_problem('{"kind": "explicit", "block_count": 2, "block_size": 1, '
                          '"a_blocks": [[[1.0]], [[2.0]]], "b": [0.0], "x0": [NaN, 0]}')
 
-    def test_table1_loader_has_oracle_and_twin(self):
-        loaded = load_problem({"kind": "table1_full", "block_count": 4,
-                               "lipschitz": 4.0})
-        assert loaded.oracle is not None
-        assert loaded.problem is not None
-        assert loaded.oracle.value(loaded.x0) == pytest.approx(
-            eval_objective(loaded.problem, loaded.x0))
+    def test_table1_loader_builds_the_quadratic(self):
+        for kind, make in (("table1_diag", make_table1_diagonal_qp),
+                           ("table1_full", make_table1_full_qp)):
+            loaded = load_problem({"kind": kind, "block_count": 4, "lipschitz": 4.0})
+            np.testing.assert_array_equal(loaded.problem.full_matrix(),
+                                          make(4, 4.0).full_matrix())
+            np.testing.assert_array_equal(loaded.x0, np.ones(4))
+            assert not hasattr(loaded, "oracle")

@@ -13,15 +13,13 @@ from blockcd.problems import (
     CompositeQuadraticProblem,
     NonsmoothTerm,
     compute_constants,
-    constants_from_oracle,
     eval_objective,
     make_lasso_instance,
-    make_table1_diagonal,
     make_table1_diagonal_qp,
-    make_table1_full,
+    make_table1_full_qp,
     make_toeplitz_instance,
     nonsmooth_value,
-    oracle_from_quadratic,
+    smooth_value,
 )
 from blockcd import solvers
 from blockcd.rng import SplitMix64
@@ -142,8 +140,8 @@ class TestBCPG:
                        compute_constants(p))
         smooth = make_table1_diagonal_qp(2, 2.0)
         with pytest.raises(ValueError, match="x0 has non-finite entries"):
-            run_cgd(oracle_from_quadratic(smooth, compute_constants(smooth)),
-                    SolverRun(algorithm="cgd", max_cycles=1), x0[:2])
+            run_cgd(smooth, SolverRun(algorithm="cgd", max_cycles=1), x0[:2],
+                    compute_constants(smooth))
         with pytest.raises(ValueError, match="x0 has non-finite entries"):
             run_gd(smooth, SolverRun(algorithm="gd", max_cycles=1), x0[:2],
                    compute_constants(smooth))
@@ -273,17 +271,17 @@ class TestExactBCD:
 class TestCGD:
     def test_chain_first_coordinate(self):
         # fully coupled case: d_1 = (L/K) sum(x) = 4 and the step zeroes x_1
-        o = make_table1_full(4, 4.0)
+        qp = make_table1_full_qp(4, 4.0)
         run = SolverRun(algorithm="cgd", stepsizes=StepsizePolicy.global_l(),
                         max_cycles=1)
-        t = run_cgd(o, run, np.ones(4))
+        t = run_cgd(qp, run, np.ones(4), compute_constants(qp))
         assert t.xs[1][0] == pytest.approx(1.0 - 4.0 / 4.0)
 
     def test_chain_matches_scripted_pass(self):
-        o = make_table1_full(4, 4.0)
+        qp = make_table1_full_qp(4, 4.0)
         run = SolverRun(algorithm="cgd", stepsizes=StepsizePolicy.global_l(),
                         max_cycles=3)
-        t = run_cgd(o, run, np.ones(4))
+        t = run_cgd(qp, run, np.ones(4), compute_constants(qp))
         # independent scripted chain
         x = np.ones(4)
         for _ in range(3):
@@ -294,41 +292,52 @@ class TestCGD:
     def test_equals_bcpg_on_quadratic(self):
         p, x0 = random_quadratic(300)
         c = compute_constants(p)
-        o = oracle_from_quadratic(p, c)
-        t_cgd = run_cgd(o, SolverRun(algorithm="cgd", max_cycles=20), x0)
+        t_cgd = run_cgd(p, SolverRun(algorithm="cgd", max_cycles=20), x0, c)
         t_bcpg = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=20), x0,
                           constants=c)
         assert np.abs(t_cgd.xs - t_bcpg.xs).max() <= 1e-12
 
     def test_stationary_start_is_fixed(self):
-        o = make_table1_diagonal(3, 1.5)
-        t = run_cgd(o, SolverRun(algorithm="cgd", max_cycles=5), np.zeros(3))
+        qp = make_table1_diagonal_qp(3, 1.5)
+        t = run_cgd(qp, SolverRun(algorithm="cgd", max_cycles=5), np.zeros(3),
+                    compute_constants(qp))
         np.testing.assert_array_equal(t.xs[-1], np.zeros(3))
         assert t.f[-1] == 0.0
+
+    def test_rejects_nonsmooth_and_vector_blocks(self):
+        p, x0 = make_lasso_instance(8, 4, 0.1, seed=11)
+        pairs = CompositeQuadraticProblem(
+            partition=BlockPartition(2, 2), a_blocks=(np.eye(4)[:, :2], np.eye(4)[:, 2:]),
+            b=np.ones(4), h=(NonsmoothTerm.zero(), NonsmoothTerm.zero()))
+        for problem, start in ((p, x0), (pairs, np.zeros(4))):
+            with pytest.raises(ValueError, match="scalar blocks"):
+                run_cgd(problem, SolverRun(algorithm="cgd", max_cycles=1), start,
+                        compute_constants(problem))
 
 
 class TestGD:
     def test_one_dimensional_one_step(self):
-        o = make_table1_diagonal(1, 3.0)  # g = (3/2) x^2, step 1/3
-        t = run_gd(o, SolverRun(algorithm="gd", max_cycles=1), np.array([2.0]),
-                   constants_from_oracle(o))
+        qp = make_table1_diagonal_qp(1, 3.0)  # g = (3/2) x^2, step 1/3
+        t = run_gd(qp, SolverRun(algorithm="gd", max_cycles=1), np.array([2.0]),
+                   compute_constants(qp))
         assert t.xs[1][0] == pytest.approx(0.0, abs=1e-15)
 
     def test_monotone_descent(self):
-        o = make_table1_full(10, 4.0)
+        qp = make_table1_full_qp(10, 4.0)
         p, x0 = make_toeplitz_instance(8)
-        for target, x0, c in ((o, np.ones(10), constants_from_oracle(o)),
-                              (p, x0, compute_constants(p))):
-            t = run_gd(target, SolverRun(algorithm="gd", max_cycles=50), x0, c)
+        for target, x0 in ((qp, np.ones(10)), (p, x0)):
+            t = run_gd(target, SolverRun(algorithm="gd", max_cycles=50), x0,
+                       compute_constants(target))
             assert np.all(np.diff(t.f) <= 1e-10)
 
     def test_classic_envelope_fully_coupled(self):
-        o = make_table1_full(10, 4.0)
+        qp = make_table1_full_qp(10, 4.0)
+        c = compute_constants(qp)
         x0 = np.ones(10)
-        t = run_gd(o, SolverRun(algorithm="gd", max_cycles=100), x0, constants_from_oracle(o))
+        t = run_gd(qp, SolverRun(algorithm="gd", max_cycles=100), x0, c)
         radius_sq = float(np.sum(x0 ** 2))  # the optimum is 0
         for r in range(1, t.cycles + 1):
-            bound = 2.0 * radius_sq * o.lipschitz_global / (r + 4)
+            bound = 2.0 * radius_sq * c.L / (r + 4)
             assert t.f[r] - 0.0 <= bound * (1 + 1e-12)
 
     def test_accepts_smooth_problem(self):
@@ -341,29 +350,32 @@ class TestGD:
         with pytest.raises(ValueError, match="smooth"):
             run_gd(p, SolverRun(algorithm="gd", max_cycles=1), x0, compute_constants(p))
 
-    def test_one_gradient_per_iterate(self):
-        o = make_table1_full(6, 2.0)
-        calls = []
-        counted = replace(o, gradient=lambda x: calls.append(1) or o.gradient(x))
-        c = constants_from_oracle(o)
-        t = run_gd(counted, SolverRun(algorithm="gd", max_cycles=5), np.ones(6), c)
-        assert t.cycles == 5
-        assert len(calls) == 6  # x^(0) .. x^(5), each evaluated once
-        reference = run_gd(o, SolverRun(algorithm="gd", max_cycles=5), np.ones(6), c)
-        assert t.grad_norm.tobytes() == reference.grad_norm.tobytes()
+    def test_one_gradient_per_iterate(self, monkeypatch):
+        # gd and cgd take f and the gradient norm of each iterate from one residual
+        qp = make_table1_full_qp(6, 2.0)
+        c = compute_constants(qp)
+        residual = CompositeQuadraticProblem.residual
+        for solve, algorithm in ((run_gd, "gd"), (run_cgd, "cgd")):
+            run = SolverRun(algorithm=algorithm, max_cycles=5)
+            reference = solve(qp, run, np.ones(6), c)
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(CompositeQuadraticProblem, "residual",
+                              lambda p, x: calls.append(1) or residual(p, x))
+                t = solve(qp, run, np.ones(6), c)
+            assert t.cycles == 5
+            assert len(calls) == 6  # x^(0) .. x^(5), each evaluated once
+            assert t.grad_norm.tobytes() == reference.grad_norm.tobytes()
+            assert t.f.tobytes() == reference.f.tobytes()
 
     def test_given_constants_are_used(self):
-        # a problem target steps by 1/L of the constants it is given, an
-        # oracle target by its own lipschitz_global
+        # gd steps by 1/L of the constants it is given
         p, x0 = make_toeplitz_instance(6)
         doubled = replace(compute_constants(p), L=2.0 * compute_constants(p).L)
         t = run_gd(p, SolverRun(algorithm="gd", max_cycles=1), x0, doubled)
         np.testing.assert_array_equal(t.stepsizes, np.full(6, doubled.L))
         grad = p.full_matrix().T @ (p.full_matrix() @ x0 - p.b)
         assert t.xs[1].tobytes() == (x0 - grad / doubled.L).tobytes()
-        o = oracle_from_quadratic(p, compute_constants(p))
-        t = run_gd(o, SolverRun(algorithm="gd", max_cycles=1), x0, doubled)
-        np.testing.assert_array_equal(t.stepsizes, np.full(6, o.lipschitz_global))
 
 
 class TestMonotonicityEverywhere:
@@ -381,9 +393,9 @@ class TestMonotonicityEverywhere:
         t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", order=order,
                                        max_cycles=60), x0, constants=c)
         assert np.all(np.diff(t.f) <= 1e-10)
-        o = make_table1_full(6, 2.0)
-        t = run_cgd(o, SolverRun(algorithm="cgd", order=order, max_cycles=60),
-                    np.ones(6))
+        qp = make_table1_full_qp(6, 2.0)
+        t = run_cgd(qp, SolverRun(algorithm="cgd", order=order, max_cycles=60),
+                    np.ones(6), compute_constants(qp))
         assert np.all(np.diff(t.f) <= 1e-10)
 
 
@@ -406,7 +418,6 @@ class TestReferenceOptimum:
         assert ref.certified
 
     def test_table1_oracles(self):
-        # the quadratic twin stands in for the closed-form oracle
         qp = make_table1_diagonal_qp(5, 2.0)
         ref = reference_optimum(qp, compute_constants(qp))
         np.testing.assert_array_equal(ref.x_star, np.zeros(5))
@@ -512,9 +523,12 @@ class TestScalarKernel:
         problem, x0, order = case
         constants = compute_constants(problem)
         assume(np.all(constants.L_k > 0))
-        oracle = oracle_from_quadratic(problem, constants)
-        t = run_cgd(oracle, SolverRun(algorithm="cgd", order=order, max_cycles=cycles), x0)
-        xs, f, movement = replay_coordinate_sweeps(oracle, t.orders, x0, t.stepsizes)
+        t = run_cgd(problem, SolverRun(algorithm="cgd", order=order, max_cycles=cycles), x0,
+                    constants)
+        a = problem.full_matrix()
+        xs, f, movement = replay_coordinate_sweeps(
+            lambda x: smooth_value(problem, x), lambda x: a.T @ (a @ x - problem.b),
+            t.orders, x0, t.stepsizes)
         assert_close(t.xs, xs)
         assert_close(t.f, f)
         assert_close(t.weighted_movement, movement)
@@ -524,11 +538,13 @@ class TestScalarKernel:
     def test_reference_optimum_matches_replay(self, case, cycles):
         problem, _, _ = case
         constants = compute_constants(problem)
-        assume(not problem.is_smooth() and np.all(constants.L_k > 0))
+        assume(not problem.is_smooth())
         ref = reference_optimum(problem, constants=constants, max_cycles=cycles)
         start = np.array([_scalar_start(term) for term in problem.h])
         orders = [range(problem.partition.block_count)] * cycles
-        xs, f, movement = replay_scalar_sweeps(problem, orders, start, constants.L_k,
+        # a zero column (L_k = 0) steps with P_k = 1
+        weights = np.where(constants.L_k > 0, constants.L_k, 1.0)
+        xs, f, movement = replay_scalar_sweeps(problem, orders, start, weights,
                                                exact=False)
         stop = next((r for r, m in enumerate(movement) if m <= 1e-13), cycles - 1)
         assert_close(ref.x_star, xs[stop + 1])

@@ -12,8 +12,9 @@ from blockcd.problems import (
     compute_constants,
     make_lasso_instance,
     make_table1_diagonal_qp,
-    make_table1_full,
+    make_table1_full_qp,
     make_toeplitz_instance,
+    oracle_from_quadratic,
     toeplitz_start,
 )
 from blockcd.rng import SplitMix64
@@ -206,20 +207,24 @@ class TestCostToGoChecks:
 
 class TestCGDCheck:
     def test_beta_and_exact_forms(self):
-        o = make_table1_full(10, 2.0)
+        qp = make_table1_full_qp(10, 2.0)
+        c = compute_constants(qp)
+        o = oracle_from_quadratic(qp, c)
         beta = beta_estimate(o).estimate
-        t = run_cgd(o, SolverRun(algorithm="cgd", max_cycles=60), np.ones(10))
+        t = run_cgd(qp, SolverRun(algorithm="cgd", max_cycles=60), np.ones(10), c)
         reports = check_descent_cgd(t, o, beta)
         assert [r.check_name for r in reports] == [
             "descent_cgd_beta", "descent_cgd_exact_v", "descent_cgd_hbound"]
         assert all(r.passed for r in reports)
 
     def test_under_permutation_order(self):
-        o = make_table1_full(8, 2.0)
+        qp = make_table1_full_qp(8, 2.0)
+        c = compute_constants(qp)
+        o = oracle_from_quadratic(qp, c)
         beta = beta_estimate(o).estimate
         run = SolverRun(algorithm="cgd", max_cycles=40,
                         order=BlockOrder.random_permutation(17))
-        t = run_cgd(o, run, np.ones(8))
+        t = run_cgd(qp, run, np.ones(8), c)
         assert all(r.passed for r in check_descent_cgd(t, o, beta))
 
 
