@@ -227,7 +227,7 @@ def _check_runs(instance, runs) -> None:
         if run.algorithm == "gd" and not instance.problem.is_smooth():
             raise PlanError(f"$.runs[{i}].algorithm", "gd needs a smooth problem")
         try:
-            run.stepsizes.realize(instance.constants)
+            run.realize_stepsizes(instance.constants)
         except ValueError as exc:
             raise PlanError(f"$.runs[{i}].stepsizes", str(exc))
 

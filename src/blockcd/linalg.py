@@ -1,5 +1,6 @@
 """Dense linear-algebra kernel: extreme eigenvalues, spectral norms,
-strict-lower truncation and minimum-norm least squares.
+strict-lower truncation and minimum-norm least squares, from one
+factorisation per matrix when it serves many right-hand sides.
 
 All functions are pure and deterministic.  The spectral norm comes from a
 dense LAPACK SVD at every size.  That adds no new order of cost: a problem
@@ -77,21 +78,45 @@ def strict_lower_truncate(z) -> np.ndarray:
     return np.tril(a, k=-1)
 
 
+@dataclass(frozen=True)
+class MinNormFactors:
+    """Thin SVD of a matrix M over its numerical range: singular values at
+    or below RANK_RTOL * sigma_max are dropped, so M ~= u diag(s) vt with
+    ``s`` possibly empty."""
+
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Minimum-norm minimizer of ||M x - rhs|| for a 1-D ``rhs``."""
+        return self.vt.T @ ((self.u.T @ rhs) / self.s)
+
+
+def min_norm_factors(m, top: float | None = None) -> MinNormFactors:
+    """Factor ``m`` once for many minimum-norm least-squares solves.
+
+    Singular values at or below RANK_RTOL * top count as zero; ``top`` is
+    sigma_max(m) unless given, as for a column subset of a larger matrix
+    that should share that matrix's rank threshold.
+    """
+    a = as_matrix(m)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    top = s[0] if top is None else top
+    keep = s > RANK_RTOL * top if top > 0.0 else np.zeros(s.shape, dtype=bool)
+    return MinNormFactors(u[:, keep], s[keep], vt[keep])
+
+
 def least_squares_min_norm(m, rhs) -> np.ndarray:
     """Minimum-Euclidean-norm minimizer of ||M x - rhs||.
 
-    SVD-based; singular values below RANK_RTOL * sigma_max are treated as
-    zero, matching the rank threshold used for case classification.
+    SVD-based; singular values at or below RANK_RTOL * sigma_max are
+    treated as zero, matching the rank threshold used for case
+    classification.
     """
     a = as_matrix(m)
     b = np.asarray(rhs, dtype=float).reshape(-1)
     if b.shape[0] != a.shape[0]:
         raise ValueError(
             f"rhs length {b.shape[0]} does not match {a.shape[0]} rows")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(a.shape[1])
-    keep = s > RANK_RTOL * s[0]
-    coeffs = (u[:, keep].T @ b) / s[keep]
-    return vt[keep].T @ coeffs
-
+    return min_norm_factors(a).solve(b)

@@ -12,12 +12,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ConvergenceError, least_squares_min_norm
+from .linalg import (
+    RANK_RTOL,
+    ConvergenceError,
+    MinNormFactors,
+    least_squares_min_norm,
+    min_norm_factors,
+)
 from .problems import (
     CompositeQuadraticProblem,
+    NonsmoothTerm,
     ProblemConstants,
     eval_objective,
     prox,
@@ -25,8 +33,9 @@ from .problems import (
 )
 from .rng import SplitMix64
 
-INNER_MOVEMENT_TOL = 1e-12
-INNER_STEP_CAP = 100_000
+# A bound multiplier of an exact box or l1 block solve counts as having the
+# wrong sign only beyond this multiple of the gradient's scale.
+MULTIPLIER_RTOL = 1e-12
 ORDER_BATCH = 64  # cycles of random orders drawn per splitmix block
 ORDER_KINDS = ("cyclic", "random_permutation")
 
@@ -59,7 +68,9 @@ class StepsizePolicy:
     def fixed(values) -> "StepsizePolicy":
         return StepsizePolicy("fixed", values=tuple(values))
 
-    def realize(self, constants: ProblemConstants) -> np.ndarray:
+    def realize(self, constants: ProblemConstants, positive: bool = True) -> np.ndarray:
+        """The K values P_k; each must be finite and, if ``positive``, > 0
+        (otherwise >= 0)."""
         k = constants.block_count
         if self.kind == "global_l":
             p = np.full(k, constants.L)
@@ -75,8 +86,9 @@ class StepsizePolicy:
             raise ValueError(
                 f"stepsize constant P_{bad}={p[bad]:.6g} is below the block "
                 f"Lipschitz constant L_{bad}={constants.L_k[bad]:.6g}")
-        if not (np.isfinite(p).all() and (p > 0).all()):
-            raise ValueError("stepsize constants must be finite and positive")
+        if not (np.isfinite(p).all() and (p > 0 if positive else p >= 0).all()):
+            raise ValueError("stepsize constants must be finite and "
+                             + ("positive" if positive else "nonnegative"))
         return p
 
 
@@ -130,6 +142,12 @@ class SolverRun:
             raise ValueError("max_cycles must be >= 1")
         if self.gap_tolerance < 0:
             raise ValueError("gap_tolerance must be nonnegative")
+
+    def realize_stepsizes(self, constants: ProblemConstants) -> np.ndarray:
+        """The run's P_k.  exact BCD takes no step and uses P_k only to
+        weight the recorded movement, so it accepts P_k = 0 on a block with
+        L_k = 0; the other algorithms divide by P_k."""
+        return self.stepsizes.realize(constants, positive=self.algorithm != "exact_bcd")
 
 
 @dataclass
@@ -277,22 +295,22 @@ def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
 
 
 def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, res: np.ndarray,
-                 stepsizes: np.ndarray, lipschitz, order, cycle) -> float:
+                 stepsizes: np.ndarray, blocks, order, cycle) -> float:
     """One cycle on blocks of any size from the residual ``res`` at x, which
     is left as it is: a proximal step per visit, or an exact block
-    minimization when ``lipschitz`` holds the block constants L_k."""
+    minimization when ``blocks`` holds each block's _ExactBlock."""
     move_sq = 0.0
     for k in order:
         sl = p.block_slice(k)
         a_k = p.a_blocks[k]
         old = x[sl].copy()
-        if lipschitz is None:
+        if blocks is None:
             grad = a_k.T @ res
             new = prox(p.h[k], old - grad / stepsizes[k], 1.0 / stepsizes[k])
             res = res + a_k @ (new - old)
         else:
             rest = res - a_k @ old
-            new = _exact_block_minimize(p, k, rest, old, lipschitz[k], cycle)
+            new = _exact_block_minimize(blocks[k], rest, old)
             res = rest + a_k @ new
         x[sl] = new
         move_sq += stepsizes[k] * float((new - old) @ (new - old))
@@ -300,15 +318,14 @@ def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, res: np.ndarray,
 
 
 def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarray,
-                lipschitz=None):
-    """``(sweep, refresh)`` of bcpg on x, or of exact BCD when ``lipschitz``
-    holds the block constants L_k.
+                exact: bool = False):
+    """``(sweep, refresh)`` of bcpg on x, or of exact BCD when ``exact``.
 
     ``refresh()`` must run before each ``sweep(order, cycle)``: it
     stores the residual r = Ax - b, and for scalar blocks g = A^T r, in the
     buffers the sweep starts from, and returns (r, g), with g None for
     larger blocks.  Scalar blocks take the Gram kernel, formed here once
-    per run.
+    per run; larger blocks of exact BCD are factored here once per run.
     """
     res = np.empty(p.rows)
     if p.partition.block_size > 1:
@@ -316,7 +333,9 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
             res[:] = p.residual(x)
             return res, None
 
-        return partial(_block_sweep, p, x, res, stepsizes, lipschitz), refresh
+        blocks = ([_ExactBlock.of(a_k, term) for a_k, term in zip(p.a_blocks, p.h)]
+                  if exact else None)
+        return partial(_block_sweep, p, x, res, stepsizes, blocks), refresh
     full = p.full_matrix()
     grad = np.empty(p.partition.dimension)
 
@@ -325,7 +344,7 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
         grad[:] = full.T @ res
         return res, grad
 
-    sweep = partial(_scalar_sweep, p, full.T @ full, x, grad, stepsizes, lipschitz is not None)
+    sweep = partial(_scalar_sweep, p, full.T @ full, x, grad, stepsizes, exact)
     return sweep, refresh
 
 
@@ -333,12 +352,11 @@ def _run_blocks(p: CompositeQuadraticProblem, run: SolverRun, x0,
                 constants: ProblemConstants, f_star) -> Trajectory:
     """Trajectory of run.algorithm, bcpg or exact_bcd, on p.  One residual
     per cycle serves the objective, the gradient norm and the next sweep."""
-    stepsizes = run.stepsizes.realize(constants)
+    stepsizes = run.realize_stepsizes(constants)
     x = _check_feasible_start(p, x0)
     full = p.full_matrix()
     smooth = p.is_smooth()
-    exact = run.algorithm == "exact_bcd"
-    sweep, refresh = _make_sweep(p, x, stepsizes, constants.L_k if exact else None)
+    sweep, refresh = _make_sweep(p, x, stepsizes, run.algorithm == "exact_bcd")
 
     def measure():
         res, grad = refresh()
@@ -363,37 +381,242 @@ def run_bcpg(p: CompositeQuadraticProblem, run: SolverRun, x0,
     return _run_blocks(p, run, x0, constants, f_star)
 
 
-def _exact_block_minimize(p: CompositeQuadraticProblem, k: int,
-                          rest: np.ndarray, current: np.ndarray,
-                          block_lipschitz: float, cycle: int) -> np.ndarray:
-    """Exact minimizer of 1/2 ||A_k z + rest||^2 + h_k(z) for a block of
-    size N > 1.
+class _Face(NamedTuple):
+    """What an active-set solve reuses on one face of a block: the factors
+    of the free columns M_F (with the rank threshold of the whole of M),
+    the fixed columns M_W, and, for the linear term w 1 of an l1 block, the
+    part of 1_F outside the range of M_F^T (None when it is rounding) and
+    the minimum-norm solution of M_F^T M_F v = 1_F."""
 
-    Closed form for nonsmooth-free blocks (minimum-norm when singular);
-    otherwise an inner proximal-gradient loop run until its weighted
-    movement falls below INNER_MOVEMENT_TOL.
+    factors: MinNormFactors
+    fixed_columns: np.ndarray
+    null_ones: np.ndarray | None
+    pinv_ones: np.ndarray
+
+
+@dataclass
+class _ExactBlock:
+    """What exact minimization of one block of size N > 1 reuses for a
+    whole run: its term, its matrix M, the sum of |M_ij|, the factors of M,
+    and for box and l1 terms each face of M met so far.
+
+    M is A_k, or [A_k, -A_k] for an l1 term, divided by ``unit``, the
+    largest singular value of A_k: dividing the block objective by unit^2
+    leaves its minimizer as it is and keeps squared singular values inside
+    the range of doubles.  A zero term keeps A_k itself (unit 1), so that
+    its solve repeats least_squares_min_norm's arithmetic.
     """
-    a_k = p.a_blocks[k]
-    term = p.h[k]
+
+    term: NonsmoothTerm
+    unit: float
+    matrix: np.ndarray
+    size: float
+    factors: MinNormFactors
+    faces: dict
+
+    @staticmethod
+    def of(a_k: np.ndarray, term: NonsmoothTerm) -> "_ExactBlock":
+        factors = min_norm_factors(a_k)
+        unit = 1.0
+        if term.kind != "zero" and factors.s.size:
+            unit = float(factors.s[0])
+            a_k = (np.hstack([a_k, -a_k]) if term.kind == "l1" else a_k) / unit
+            factors = min_norm_factors(a_k)
+        return _ExactBlock(term, unit, a_k, float(np.abs(a_k).sum()), factors, {})
+
+    def face(self, free: np.ndarray) -> _Face:
+        """The face whose free coordinates are ``free``, cached per run."""
+        key = free.tobytes()
+        face = self.faces.get(key)
+        if face is None:
+            factors = min_norm_factors(self.matrix[:, free], self.factors.s[0])
+            ones = np.ones(factors.vt.shape[1])
+            range_part = factors.vt @ ones
+            null = ones - factors.vt.T @ range_part
+            face = self.faces[key] = _Face(
+                factors, self.matrix[:, ~free],
+                null if float(null @ null) > RANK_RTOL ** 2 * ones.size else None,
+                factors.vt.T @ (range_part / factors.s / factors.s))
+        return face
+
+
+def _exact_block_minimize(block: _ExactBlock, rest: np.ndarray,
+                          current: np.ndarray) -> np.ndarray:
+    """Exact minimizer of 1/2 z^T G_k z + c_k^T z + h_k(z), that is of
+    1/2 ||A_k z + rest||^2 + h_k(z), for a block of size N > 1, where
+    G_k = A_k^T A_k and c_k = A_k^T rest.  A finite solve per term kind,
+    from factors computed once per run (_ExactBlock):
+
+    - zero: the minimum-norm least-squares solution, with
+      least_squares_min_norm's arithmetic on the cached SVD of A_k;
+    - group_l2 with weight w: z = 0 when ||c_k|| <= w, otherwise the root
+      of the secular equation in ||z|| on the eigenbasis of G_k, by
+      monotone Newton steps (_group_l2_minimize);
+    - box: the minimum-norm least-squares solution when it lies in the
+      box, otherwise a bounded least-squares active set warm-started from
+      the current block (_bounded_least_squares);
+    - l1 with weight w: the same active set on the split z = z+ - z- with
+      z+, z- >= 0, matrix [A_k, -A_k] and linear term w 1.
+
+    Where G_k is singular the minimizer need not be unique, and the
+    tie-break is deterministic.  A zero block takes the minimum-norm
+    minimizer.  A group_l2 block's minimizer is unique when w > 0 (for
+    w = 0 it is the minimum-norm one).  A box block takes the minimum-norm
+    minimizer when that lies in the box.  Otherwise, and for an l1 block,
+    it takes the minimizer the active set reaches from the current block:
+    its free coordinates are the minimum-norm solution on its final face.
+    An all-zero block takes the point of h_k's domain nearest 0, as a zero
+    scalar column does.
+    """
+    term = block.term
     if term.kind == "zero":
-        return least_squares_min_norm(a_k, -rest)
-    n = a_k.shape[1]
-    norm_sq = float((a_k * a_k).sum())
-    if norm_sq == 0.0:
-        # objective reduces to h_k(z); pick the feasible point closest to 0
+        return block.factors.solve(-rest)
+    n = current.shape[0]
+    weight = term.weight / block.unit / block.unit
+    if block.factors.s.size == 0 or weight == math.inf:
+        # h_k alone, or a weight beyond the range of doubles at this scale
         return prox(term, np.zeros(n), 1.0)
-    step = 1.0 / block_lipschitz
-    z = current.copy()
-    for _ in range(INNER_STEP_CAP):
-        grad = a_k.T @ (a_k @ z + rest)
-        z_new = prox(term, z - step * grad, step)
-        movement = math.sqrt(block_lipschitz) * float(np.linalg.norm(z_new - z))
-        z = z_new
-        if movement <= INNER_MOVEMENT_TOL:
+    rest = rest / block.unit
+    if term.kind == "group_l2":
+        return _group_l2_minimize(block.factors, weight, rest)
+    if term.kind == "box":
+        z = block.factors.solve(-rest)
+        if term.lo <= z.min() and z.max() <= term.hi:
             return z
-    raise ConvergenceError(
-        f"inner proximal loop for block {k} (cycle {cycle}) did not reach "
-        f"movement {INNER_MOVEMENT_TOL}")
+        return _bounded_least_squares(block, rest, 0.0, term.lo, term.hi,
+                                      np.clip(current, term.lo, term.hi))
+    split = np.concatenate([np.maximum(current, 0.0), np.maximum(-current, 0.0)])
+    split = _bounded_least_squares(block, rest, weight, 0.0, math.inf, split)
+    return split[:n] - split[n:]
+
+
+def _group_l2_minimize(factors: MinNormFactors, weight: float,
+                       rest: np.ndarray) -> np.ndarray:
+    """argmin 1/2 ||M z + rest||^2 + w ||z|| from the factors M = U S V^T.
+
+    With c^ = V^T M^T rest = S U^T rest (c = M^T rest lies in the range of
+    V), z = 0 when ||c^|| <= w.  Otherwise z = -V (c^ t / (S^2 t + w)),
+    where t = ||z|| > 0 is the root of the secular equation
+    chi(t) = 1 / ||c^ / (S^2 t + w)|| - 1 = 0.  chi is increasing and
+    concave in t (the form of Moré & Sorensen's trust-region equation, with
+    shifts w / S^2), and chi <= 0 at t = (||c^|| - w) / S_max^2, so
+    Newton's method from there climbs monotonically to the root.  It stops
+    at the first step that does not increase t; a strictly increasing
+    sequence of doubles below the root gets there in finitely many steps.
+    """
+    c_hat = factors.s * (factors.u.T @ rest)
+    top = float(np.abs(c_hat).max())
+    # ||c^|| with no square that could overflow or underflow
+    size = top * float(np.linalg.norm(c_hat / top)) if top > 0.0 else 0.0
+    if size <= weight:
+        return np.zeros(factors.vt.shape[1])
+    if weight == 0.0:
+        return factors.solve(-rest)
+    # z = ||c^|| y, where y solves the problem with c^ and w divided by ||c^||
+    c_hat, weight = c_hat / size, weight / size
+    curvature = factors.s * factors.s
+    t = (1.0 - weight) / curvature[0]
+    while True:
+        shifted = curvature * t + weight
+        q = c_hat / shifted
+        norm_sq = float(q @ q)
+        slope = float((q * q * curvature) @ (1.0 / shifted))
+        t_next = t + norm_sq * (math.sqrt(norm_sq) - 1.0) / slope
+        if not t_next > t:
+            break
+        t = t_next
+    return -size * (factors.vt.T @ (c_hat * t / (curvature * t + weight)))
+
+
+def _bounded_least_squares(block: _ExactBlock, rest: np.ndarray, weight: float,
+                           lo: float, hi: float, z: np.ndarray) -> np.ndarray:
+    """argmin 1/2 ||M z + rest||^2 + w 1^T z over lo <= z <= hi, with
+    M = block.matrix: a primal active-set method in the manner of
+    bounded-variable least squares (Stark & Parker 1995), started at the
+    feasible z, which it overwrites.
+
+    The working set W holds coordinates fixed at a bound; it starts as
+    those of z on one.  Each step aims at the minimum-norm minimizer of the
+    objective over the face where z_W is fixed, from the factors of the
+    free columns M_F, cached per face for the run, so a singular M_F works.
+    Every face shares the rank threshold of the whole of M, so a direction
+    that is numerically null in M is null on each face too.  When w 1_F
+    has a component outside the range of M_F^T, the face objective is
+    unbounded along it, and the step follows its negative instead.  A
+    target inside the bounds is taken; otherwise the step stops where the
+    first free coordinate meets a bound, and that coordinate joins W.
+
+    At a face minimizer, the coordinate of W whose multiplier has the wrong
+    sign by the most leaves W if that is by more than MULTIPLIER_RTOL times
+    the gradient's scale; otherwise z is returned.  In exact arithmetic the
+    released coordinate moves inward on the next step, so a release whose
+    next step that coordinate stops at once only undid rounding: the
+    coordinate goes back to W and is not released again in this solve.
+
+    The objective never increases, and the working sets met at face
+    minimizers do not repeat in exact arithmetic, with at most n steps that
+    add to W between two of them: (n + 1) 3^n steps bound the method, and
+    ConvergenceError reports rounding that defeats that bound.
+    """
+    if lo == hi:
+        return z
+    matrix = block.matrix
+    fixed = (z == lo) | (z == hi)
+    barred = []
+    at_minimum, released = False, -1
+    cap = (z.shape[0] + 1) * 3 ** z.shape[0]
+    for _ in range(cap):
+        if at_minimum:
+            if not fixed.any():
+                return z
+            grad = matrix.T @ (matrix @ z + rest) + weight
+            wrong = np.where(fixed, np.where(z == lo, -grad, grad), 0.0)
+            if barred:
+                wrong[barred] = 0.0
+            released = int(wrong.argmax())
+            if not wrong[released] > 0.0:
+                return z
+            # the gradient's scale, from sums of magnitudes, which cannot
+            # overflow where the squares of a 2-norm would
+            scale = (block.size * (block.size * float(np.abs(z).sum())
+                                   + float(np.abs(rest).sum())) + weight)
+            if not wrong[released] > MULTIPLIER_RTOL * scale:
+                return z
+            fixed[released] = False
+        free = ~fixed
+        if not free.any():
+            at_minimum = True
+            continue
+        face = block.face(free)
+        z_free = z[free]
+        if weight > 0.0 and face.null_ones is not None:
+            target = z_free - face.null_ones
+        else:
+            target = face.factors.solve(-(rest + face.fixed_columns @ z[fixed]))
+            if weight > 0.0:
+                target -= weight * face.pinv_ones
+            if lo <= target.min() and target.max() <= hi:
+                z[free] = target
+                at_minimum, released = True, -1
+                continue
+        step = target - z_free
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.where(step < 0.0, (lo - z_free) / step,
+                             np.where(step > 0.0, (hi - z_free) / step, math.inf))
+        stop = int(reach.argmin())
+        alpha = float(reach[stop])
+        if alpha == math.inf:
+            raise ConvergenceError("unbounded face in an exact block solve")
+        index = int(np.flatnonzero(free)[stop])
+        fixed[index] = True
+        if index == released and alpha == 0.0:
+            barred.append(index)
+            at_minimum, released = True, -1
+            continue
+        z[free] = np.clip(z_free + alpha * step, lo, hi)
+        z[index] = lo if step[stop] < 0.0 else hi
+        at_minimum, released = False, -1
+    raise ConvergenceError(f"exact block active set took more than {cap} steps")
 
 
 def run_bcd_exact(p: CompositeQuadraticProblem, run: SolverRun, x0,
@@ -455,7 +678,7 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     block_count = problems[0].partition.block_count
     fulls = [p.full_matrix() for p in problems]
     grams = [full.T @ full for full in fulls]
-    stepsizes = [run.stepsizes.realize(c) for run, c in zip(runs, constants)]
+    stepsizes = [run.realize_stepsizes(c) for run, c in zip(runs, constants)]
     x = np.column_stack([_check_feasible_start(p, x0) for p, x0 in zip(problems, x0s)])
     exact = np.array([run.algorithm == "exact_bcd" for run in runs])
     curvature = np.column_stack([np.diagonal(gram) for gram in grams])
@@ -575,7 +798,7 @@ def run_cgd(p: CompositeQuadraticProblem, run: SolverRun, x0,
         raise ValueError("run.algorithm must be 'cgd'")
     if not p.is_smooth() or p.partition.block_size != 1:
         raise ValueError("cgd requires a smooth problem with scalar blocks")
-    stepsizes = run.stepsizes.realize(constants)
+    stepsizes = run.realize_stepsizes(constants)
     x = _check_start(x0, p.partition.dimension)
     grad = np.empty(p.partition.dimension)
     full = p.full_matrix()

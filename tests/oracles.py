@@ -1,12 +1,14 @@
 """Independent numerical oracles shared by the test modules.
 
 These deliberately avoid the library's own formulas: minimizers come from
-bracketing plus local quadratic fits, derivatives from finite differences,
-solver trajectories from plain per-visit replays that recompute every
-gradient from scratch, and the splitmix64 stream from a per-draw replay.
+bracketing plus local quadratic fits or from long proximal-gradient runs,
+derivatives from finite differences, solver trajectories from plain
+per-visit replays that recompute every gradient from scratch, and the
+splitmix64 stream from a per-draw replay.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -77,6 +79,56 @@ def _scalar_prox(term, v, step):
     if term.kind == "box":
         return min(max(v, term.lo), term.hi)
     return v
+
+
+def _block_prox(term, v, step):
+    """Textbook prox of one block's term: soft threshold, group shrink or
+    clip."""
+    if term.kind == "l1":
+        return np.sign(v) * np.maximum(np.abs(v) - term.weight * step, 0.0)
+    if term.kind == "group_l2":
+        norm = float(np.linalg.norm(v))
+        if norm <= term.weight * step:
+            return np.zeros_like(v)
+        return (1.0 - term.weight * step / norm) * v
+    if term.kind == "box":
+        return np.clip(v, term.lo, term.hi)
+    return v.copy()
+
+
+def block_objective(a, rest, term, z):
+    """1/2 ||a z + rest||^2 + h(z) at a point z of h's domain."""
+    r = a @ z + rest
+    penalty = 0.0
+    if term.kind == "l1":
+        penalty = term.weight * float(np.abs(z).sum())
+    elif term.kind == "group_l2":
+        penalty = term.weight * float(np.linalg.norm(z))
+    return 0.5 * float(r @ r) + penalty
+
+
+def block_prox_gradient_min(a, rest, term, z0, steps=3000):
+    """A long accelerated proximal-gradient run (FISTA with step 1/||a||^2)
+    on 1/2 ||a z + rest||^2 + h(z) from z0; returns its last iterate.
+
+    Its objective is an upper bound on the minimum, close to it after
+    enough steps; an exact solver must do at least as well.
+    """
+    top = float(np.linalg.norm(a, 2))
+    if top == 0.0:
+        return _block_prox(term, np.zeros(a.shape[1]), 1.0)
+    # the problem divided by top^2 has the same minimizers and step 1
+    a, rest = a / top, rest / top
+    if term.kind in ("l1", "group_l2"):
+        term = replace(term, weight=term.weight / top / top)
+    z = _block_prox(term, np.asarray(z0, dtype=float), 1.0)
+    y, momentum = z.copy(), 1.0
+    for _ in range(steps):
+        new = _block_prox(term, y - a.T @ (a @ y + rest), 1.0)
+        following = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
+        y = new + ((momentum - 1.0) / following) * (new - z)
+        z, momentum = new, following
+    return z
 
 
 def _scalar_objective(problem, x):

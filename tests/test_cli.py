@@ -343,6 +343,23 @@ class TestZeroColumn:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_block_lk_exact_bcd_run_is_accepted(self, tmp_path):
+        # exact minimization takes no step: P_1 = L_1 = 0 only gives the
+        # zero column no weight in the recorded movement, and a bound that
+        # needs P_min > 0 reports itself inapplicable
+        plan = write_plan(tmp_path, {"problem": ZERO_COLUMN,
+                                     "runs": [{"label": "bcd", "algorithm": "exact_bcd",
+                                               "max_cycles": 20}],
+                                     "bounds": [{"kind": "thm2_scalar", "against": "bcd"}]})
+        out = tmp_path / "out"
+        assert main(["run", "--plan", plan, "--out", str(out)]) == 0
+        rows = (out / "bcd.csv").read_text().splitlines()
+        assert len(rows) == 22
+        first_gap, final_gap = (float(rows[i].split(",")[2]) for i in (1, -1))
+        assert -1e-12 <= final_gap < 1e-2 * first_gap
+        summary = (out / "summary.txt").read_text()
+        assert "thm2_scalar@bcd vs bcd: first cycle within 2x of observed gap: inapplicable" in summary
+
 
 class TestSharedSetUp:
     @pytest.mark.parametrize("name, spec", [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from blockcd.linalg import RANK_RTOL
 from blockcd.problems import (
     BlockPartition,
     CompositeQuadraticProblem,
@@ -37,6 +38,8 @@ from blockcd.solvers import (
     trajectory_to_csv,
 )
 from oracles import (
+    block_objective,
+    block_prox_gradient_min,
     piecewise_quadratic_argmin,
     recorded_visits,
     replay_coordinate_sweeps,
@@ -57,6 +60,26 @@ def random_quadratic(seed, rows=9, blocks=6):
 
 
 class TestPolicies:
+    def test_exact_bcd_accepts_zero_weights_on_zero_columns(self):
+        a = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(3, 1), a_blocks=tuple(a[:, [i]] for i in range(3)),
+            b=np.array([1.0, 2.0]), h=tuple(NonsmoothTerm.zero() for _ in range(3)))
+        c = compute_constants(p)
+        assert c.L_k[1] == 0.0
+        np.testing.assert_array_equal(
+            SolverRun(algorithm="exact_bcd").realize_stepsizes(c), c.L_k)
+        for algorithm in ("bcpg", "cgd"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                SolverRun(algorithm=algorithm).realize_stepsizes(c)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            StepsizePolicy.fixed([1.0, -1e-300, 2.0]).realize(c, positive=False)
+        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=3),
+                          np.array([0.0, 5.0, 0.0]), c)
+        np.testing.assert_array_equal(t.stepsizes, c.L_k)
+        assert t.xs[1][1] == 0.0 and t.weighted_movement[0] == pytest.approx(
+            math.sqrt(c.L_k[0] * t.xs[1][0] ** 2 + c.L_k[2] * t.xs[1][2] ** 2))
+
     def test_realized_values(self):
         p, _ = make_toeplitz_instance(6)
         c = compute_constants(p)
@@ -252,7 +275,7 @@ class TestExactBCD:
         np.testing.assert_allclose(t.xs[1], [0.0, 0.5, 0.6], atol=1e-15)
 
     def test_box_constrained_block_loop(self):
-        # N > 1 with a box term exercises the inner proximal loop
+        # N > 1 with a box term exercises the active-set solve
         gen = SplitMix64(47)
         a = gen.normal_matrix(3, 2)
         p = CompositeQuadraticProblem(
@@ -266,6 +289,173 @@ class TestExactBCD:
         grad = a.T @ (a @ x1 - p.b)
         fixed = np.clip(x1 - grad, -0.5, 0.5)
         np.testing.assert_allclose(fixed, x1, atol=1e-9)
+
+
+@st.composite
+def exact_block_cases(draw):
+    """One block solve: A with N <= 4 columns and rank 0..N (a product of
+    an m x r and an r x N factor: r = 0 is the all-zero block, r = 1 a
+    rank-one block), a rest vector, a term of any kind and a start in its
+    domain."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, n))
+    cells = st.integers(-3, 3).map(lambda v: v / 2.0) | st.floats(-3.0, 3.0)
+    # factor entries are 0 or at least 1e-100 in size: with subnormal
+    # entries the minimizer itself can exceed the largest double
+    # (test_solution_scales_with_the_data covers data near both ends)
+    factor_cells = cells.filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+
+    def matrix(r, c):
+        return np.array(draw(st.lists(factor_cells, min_size=r * c,
+                                      max_size=r * c))).reshape(r, c)
+
+    a = matrix(rows, rank) @ matrix(rank, n)
+    rest = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)))
+    kind = draw(st.sampled_from(["zero", "l1", "group_l2", "box"]))
+    if kind == "box":
+        lo = draw(st.integers(-4, 2)) / 2.0
+        term = NonsmoothTerm.box(lo, lo + draw(st.sampled_from([0.0, 0.5, 2.0])))
+        fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        current = term.lo + (term.hi - term.lo) * np.array(fractions)
+    else:
+        term = NonsmoothTerm(kind, weight=draw(st.sampled_from([0.0, 0.1, 0.7, 2.0])))
+        current = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+    return a, rest, term, current
+
+
+# KKT residuals are measured relative to the gradient's scale
+# |A| (|A| |z| + |rest|) + w, with |.| the sum of magnitudes; rounding and
+# the RANK_RTOL = 1e-9 cut of tiny singular values keep them near 1e-9 of
+# it at worst.
+KKT_RTOL = 1e-8
+
+
+def kkt_residual(a, rest, term, z):
+    """The largest violation of the optimality conditions of
+    min 1/2 ||A z + rest||^2 + h(z) at z, relative to the gradient's scale.
+
+    The problem is first divided by sigma_max(A)^2 (A and rest by
+    sigma_max, w by its square), which keeps its minimizers and keeps
+    every product below inside the range of doubles."""
+    weight = term.weight if term.kind in ("l1", "group_l2") else 0.0
+    top = float(np.linalg.norm(a, 2))
+    if top > 0.0:
+        a, rest, weight = a / top, rest / top, weight / top / top
+    if weight == math.inf:
+        return 0.0 if not z.any() else math.inf
+    grad = a.T @ (a @ z + rest)
+    size = float(np.abs(a).sum())
+    scale = max(size * (size * float(np.abs(z).sum()) + float(np.abs(rest).sum())) + weight,
+                1e-300)
+    if term.kind == "zero":
+        return float(np.abs(grad).max()) / scale
+    if term.kind == "group_l2":
+        if not z.any():
+            return max(0.0, float(np.linalg.norm(grad)) - weight) / scale
+        direction = z / np.abs(z).max()
+        return float(np.linalg.norm(grad + weight * direction / np.linalg.norm(direction))) / scale
+    if term.kind == "l1":
+        moved = np.abs(grad + weight * np.sign(z))
+        still = np.maximum(np.abs(grad) - weight, 0.0)
+        return float(np.where(z != 0.0, moved, still).max()) / scale
+    assert np.all(z >= term.lo) and np.all(z <= term.hi)
+    if term.lo == term.hi:
+        return 0.0
+    wrong = np.where(z == term.lo, -grad, np.where(z == term.hi, grad, np.abs(grad)))
+    return max(0.0, float(wrong.max())) / scale
+
+
+def rank_cut_slack(a, rest, z):
+    """A bound on |f(z) - f~(z)|, where f~ replaces A by a matrix within
+    RANK_RTOL sigma_max(A) of it, as the solves do when they treat tiny
+    singular values as zero: a point that is exact for f~ may trail any
+    other point by the sum of this bound at the two points."""
+    shift = RANK_RTOL * float(np.linalg.norm(a, 2)) * float(np.linalg.norm(z))
+    return shift * (float(np.linalg.norm(a @ z + rest)) + shift)
+
+
+class TestExactBlockSolve:
+    """The finite exact block solve against the optimality conditions and a
+    long proximal-gradient run."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=exact_block_cases())
+    def test_kkt_and_no_worse_than_proximal_gradient(self, case):
+        a, rest, term, current = case
+        block = solvers._ExactBlock.of(a, term)
+        z = solvers._exact_block_minimize(block, rest, current.copy())
+        assert z.shape == current.shape and np.isfinite(z).all()
+        assert kkt_residual(a, rest, term, z) <= KKT_RTOL
+        value = block_objective(a, rest, term, z)
+        reference = block_prox_gradient_min(a, rest, term, current)
+        slack = (1e-12 * max(1.0, abs(value)) + rank_cut_slack(a, rest, z)
+                 + rank_cut_slack(a, rest, reference))
+        assert value <= block_objective(a, rest, term, reference) + slack
+        # a second solve from the answer, through the cached faces, is as good
+        again = solvers._exact_block_minimize(block, rest, z.copy())
+        assert block_objective(a, rest, term, again) <= value + slack
+
+    def test_all_zero_block_takes_the_point_nearest_zero(self):
+        a = np.zeros((3, 2))
+        for term, expected in ((NonsmoothTerm.box(0.5, 1.0), [0.5, 0.5]),
+                               (NonsmoothTerm.l1(0.3), [0.0, 0.0]),
+                               (NonsmoothTerm.group_l2(0.3), [0.0, 0.0]),
+                               (NonsmoothTerm.zero(), [0.0, 0.0])):
+            z = solvers._exact_block_minimize(solvers._ExactBlock.of(a, term),
+                                              np.ones(3), np.array([0.75, 0.9]))
+            np.testing.assert_array_equal(z, expected)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    @pytest.mark.parametrize("kind", ["zero", "l1", "group_l2", "box"])
+    def test_solution_scales_with_the_data(self, kind, scale):
+        # rest, w and the box scaled by s scale the minimizer by s, also
+        # where ||rest||^2 would leave the range of doubles
+        a = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        rest = np.array([1.0, -2.0, 0.5])
+
+        def solve(factor):
+            term = (NonsmoothTerm.box(-0.5 * factor, 0.5 * factor) if kind == "box"
+                    else NonsmoothTerm(kind, weight=0.5 * factor))
+            return solvers._exact_block_minimize(solvers._ExactBlock.of(a, term),
+                                                 rest * factor, np.zeros(2))
+
+        np.testing.assert_allclose(solve(scale) / scale, solve(1.0), rtol=1e-12)
+
+    def test_rank_one_box_block_tie_break(self):
+        # A z = z_0 + 2 z_1, so every point of the box [0, 0.7]^2 with
+        # z_0 + 2 z_1 = 2 is a minimizer.  The minimum-norm one, (0.4, 0.8),
+        # leaves the box, so the active set decides from the current block.
+        a = np.array([[1.0, 2.0]])
+        rest = np.array([-2.0])
+        block = solvers._ExactBlock.of(a, NonsmoothTerm.box(0.0, 0.7))
+        z = solvers._exact_block_minimize(block, rest, np.array([0.1, 0.2]))
+        np.testing.assert_allclose(z, [0.6, 0.7], atol=1e-15)
+        z = solvers._exact_block_minimize(block, rest, np.array([0.7, 0.0]))
+        np.testing.assert_allclose(z, [0.7, 0.65], atol=1e-15)
+        # in a box that holds it, the minimum-norm minimizer is taken
+        block = solvers._ExactBlock.of(a, NonsmoothTerm.box(0.0, 1.0))
+        z = solvers._exact_block_minimize(block, rest, np.array([0.7, 0.0]))
+        np.testing.assert_allclose(z, [0.4, 0.8], atol=1e-15)
+
+    @pytest.mark.parametrize("term", [NonsmoothTerm.zero(), NonsmoothTerm.l1(0.8),
+                                      NonsmoothTerm.group_l2(1.5),
+                                      NonsmoothTerm.box(-0.3, 0.3)],
+                             ids=lambda term: term.kind)
+    def test_one_block_problem_reaches_f_star_in_one_cycle(self, term):
+        gen = SplitMix64(53)
+        a = gen.normal_matrix(7, 3)
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(1, 3), a_blocks=(a,),
+            b=gen.normal_vector(7) * 3.0, h=(term,))
+        x0 = np.zeros(3)
+        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=2), x0,
+                          compute_constants(p))
+        # a is full column rank, so the objective is strongly convex and the
+        # long proximal-gradient run reaches f* to rounding
+        f_star = block_objective(a, -p.b, term, block_prox_gradient_min(a, -p.b, term, x0))
+        assert t.f[1] == pytest.approx(f_star, rel=1e-12, abs=1e-12)
+        assert t.f[2] == pytest.approx(t.f[1], rel=1e-13, abs=1e-13)
 
 
 class TestCGD:
