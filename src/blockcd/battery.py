@@ -38,6 +38,7 @@ from .solvers import (
     SolverRun,
     StepsizePolicy,
     Trajectory,
+    check_start,
     reference_optimum,
     run_bcd_exact,
     run_bcpg,
@@ -98,11 +99,17 @@ def set_up(name: str, problem: CompositeQuadraticProblem, x0) -> Instance:
     smooth view (oracle_from_quadratic) and beta of that view.
 
     This is the one place that computes a problem's set-up: the solvers,
-    bounds and checks take these values as arguments."""
+    bounds and checks take these values as arguments.  x0 must pass the
+    solvers' start check and have a finite objective, or nothing is
+    computed: no gap, radius or run can start from an infinite f(x0)."""
+    check_start(problem, x0)
+    f0 = eval_objective(problem, x0)
+    if not math.isfinite(f0):
+        raise ValueError(f"x0: the objective at x0 is {f0}, not a finite number")
     constants = compute_constants(problem)
     reference = reference_optimum(problem, constants)
     r0 = r0_upper_estimate(problem, x0, reference.x_star, reference.f_star, constants)
-    delta0 = max(0.0, eval_objective(problem, x0) - reference.f_star)
+    delta0 = max(0.0, f0 - reference.f_star)
     oracle = None
     if problem.is_smooth() and problem.partition.block_size == 1:
         oracle = oracle_from_quadratic(problem, constants)

@@ -42,7 +42,14 @@ from .problems import (
 # bench/tests/test_bench.py asserts that the tracer rewraps it here.
 from .problems import compute_constants  # noqa: F401
 from .rng import derive_seed
-from .solvers import ORDER_KINDS, BlockOrder, SolverRun, StepsizePolicy, trajectory_to_csv
+from .solvers import (
+    ORDER_KINDS,
+    BlockOrder,
+    SolverRun,
+    StepsizePolicy,
+    check_applicable,
+    trajectory_to_csv,
+)
 from .verify import all_asserted_pass, report_lines, reports_to_csv
 
 
@@ -221,11 +228,10 @@ def _check_runs(instance, runs) -> None:
     whose stepsizes do not realize against its constants, before any
     output is written."""
     for i, (_, run) in enumerate(runs):
-        if run.algorithm == "cgd" and instance.oracle is None:
-            raise PlanError(f"$.runs[{i}].algorithm",
-                            "cgd needs a smooth scalar-block problem")
-        if run.algorithm == "gd" and not instance.problem.is_smooth():
-            raise PlanError(f"$.runs[{i}].algorithm", "gd needs a smooth problem")
+        try:
+            check_applicable(run.algorithm, instance.problem)
+        except ValueError as exc:
+            raise PlanError(f"$.runs[{i}].algorithm", str(exc))
         try:
             run.realize_stepsizes(instance.constants)
         except ValueError as exc:
@@ -396,8 +402,12 @@ def main(argv=None) -> int:
             return cmd_bounds(args.plan, args.rmax, args.out)
         if args.command == "tightness":
             return cmd_verify("tightness", args.seed, args.out)
-    except (ValueError, KeyError, ConvergenceError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, ConvergenceError, OSError, MemoryError,
+            ArithmeticError) as exc:
+        # a Python float ** that overflows raises OverflowError, whose text
+        # ("(34, 'Numerical result out of range')") does not name it
+        name = f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError) else ""
+        print(f"error: {name}{exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")
 

@@ -5,6 +5,9 @@ All solvers sweep the K blocks once per cycle, in cyclic order or in a
 seeded random permutation per cycle (ORDER_KINDS, the two orders the
 paper's results cover), and record a full per-cycle trajectory for the
 verification checks.  A run is deterministic given its inputs and seed.
+cgd is block proximal gradient with scalar blocks and h_k = 0, so it runs
+bcpg's sweep; gd takes one full gradient step per cycle.  check_applicable
+states which problems each algorithm takes.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .problems import (
     NonsmoothTerm,
     ProblemConstants,
     eval_objective,
+    nonsmooth_total,
     prox,
     prox_scalar,
 )
@@ -206,22 +210,27 @@ def trajectory_to_csv(t: Trajectory, target) -> None:
                                _format_cell(move), _format_cell(grad)]) + "\n")
 
 
-def _check_start(x0, dimension: int) -> np.ndarray:
-    """A finite copy of x0, which must have ``dimension`` entries."""
+def check_start(p: CompositeQuadraticProblem, x0) -> np.ndarray:
+    """A copy of x0, which must have p's dimension, finite entries, and
+    meet p's box terms; no residual is computed."""
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    if x.shape[0] != dimension:
-        raise ValueError(f"x0 has length {x.shape[0]}, expected {dimension}")
+    if x.shape[0] != p.partition.dimension:
+        raise ValueError(f"x0 has length {x.shape[0]}, expected {p.partition.dimension}")
     if not np.isfinite(x).all():
         raise ValueError("x0 has non-finite entries")
-    return x
-
-
-def _check_feasible_start(p: CompositeQuadraticProblem, x0) -> np.ndarray:
-    """_check_start for a composite problem, whose box terms x0 must meet."""
-    x = _check_start(x0, p.partition.dimension)
-    if eval_objective(p, x) == math.inf:
+    if nonsmooth_total(p, x) == math.inf:
         raise ValueError("x0 violates a box constraint")
     return x
+
+
+def check_applicable(algorithm: str, p: CompositeQuadraticProblem) -> None:
+    """Raise ValueError unless ``algorithm`` takes p: cgd needs a smooth
+    problem with scalar blocks, gd a smooth problem, and bcpg and exact_bcd
+    take any problem."""
+    if algorithm == "cgd" and not (p.is_smooth() and p.partition.block_size == 1):
+        raise ValueError("cgd needs a smooth problem with scalar blocks")
+    if algorithm == "gd" and not p.is_smooth():
+        raise ValueError("gd needs a smooth problem")
 
 
 def _should_stop(run: SolverRun, f_value: float, f_star) -> bool:
@@ -233,7 +242,7 @@ def _record_cycles(algorithm: str, run: SolverRun, x: np.ndarray,
                    stepsizes: np.ndarray, sweep, measure, f_star) -> Trajectory:
     """Run up to run.max_cycles cycles of ``sweep`` on x and record them.
 
-    ``sweep(order, cycle)`` visits the blocks of ``order`` once, updating x
+    ``sweep(order)`` visits the blocks of ``order`` once, updating x
     in place, and returns sqrt(sum_k P_k ||x_k^new - x_k^old||^2).
     ``measure()`` returns f(x) and the gradient norm (or None) at x.
     """
@@ -241,10 +250,10 @@ def _record_cycles(algorithm: str, run: SolverRun, x: np.ndarray,
     xs, f_values, movements, orders_seen = [x.copy()], [f_value], [], []
     grad_norms = None if grad_norm is None else [grad_norm]
     order_stream = run.order.stream(stepsizes.shape[0])
-    for cycle in range(run.max_cycles):
+    for _ in range(run.max_cycles):
         order = next(order_stream)
         orders_seen.append(list(order))
-        movements.append(sweep(order, cycle))
+        movements.append(sweep(order))
         xs.append(x.copy())
         f_value, grad_norm = measure()
         f_values.append(f_value)
@@ -265,7 +274,7 @@ def _record_cycles(algorithm: str, run: SolverRun, x: np.ndarray,
 
 def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
                   g: np.ndarray, stepsizes: np.ndarray, exact: bool,
-                  order, cycle) -> float:
+                  order) -> float:
     """One cycle on scalar blocks in the covariance-update form.
 
     g = A^T r, exact at x on entry, is kept current through the Gram matrix
@@ -295,7 +304,7 @@ def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
 
 
 def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, res: np.ndarray,
-                 stepsizes: np.ndarray, blocks, order, cycle) -> float:
+                 stepsizes: np.ndarray, blocks, order) -> float:
     """One cycle on blocks of any size from the residual ``res`` at x, which
     is left as it is: a proximal step per visit, or an exact block
     minimization when ``blocks`` holds each block's _ExactBlock."""
@@ -321,7 +330,7 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
                 exact: bool = False):
     """``(sweep, refresh)`` of bcpg on x, or of exact BCD when ``exact``.
 
-    ``refresh()`` must run before each ``sweep(order, cycle)``: it
+    ``refresh()`` must run before each ``sweep(order)``: it
     stores the residual r = Ax - b, and for scalar blocks g = A^T r, in the
     buffers the sweep starts from, and returns (r, g), with g None for
     larger blocks.  Scalar blocks take the Gram kernel, formed here once
@@ -350,10 +359,11 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
 
 def _run_blocks(p: CompositeQuadraticProblem, run: SolverRun, x0,
                 constants: ProblemConstants, f_star) -> Trajectory:
-    """Trajectory of run.algorithm, bcpg or exact_bcd, on p.  One residual
-    per cycle serves the objective, the gradient norm and the next sweep."""
+    """Trajectory of run.algorithm, bcpg, cgd or exact_bcd, on p.  One
+    residual per cycle serves the objective, the gradient norm and the next
+    sweep."""
     stepsizes = run.realize_stepsizes(constants)
-    x = _check_feasible_start(p, x0)
+    x = check_start(p, x0)
     full = p.full_matrix()
     smooth = p.is_smooth()
     sweep, refresh = _make_sweep(p, x, stepsizes, run.algorithm == "exact_bcd")
@@ -679,7 +689,7 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     fulls = [p.full_matrix() for p in problems]
     grams = [full.T @ full for full in fulls]
     stepsizes = [run.realize_stepsizes(c) for run, c in zip(runs, constants)]
-    x = np.column_stack([_check_feasible_start(p, x0) for p, x0 in zip(problems, x0s)])
+    x = np.column_stack([check_start(p, x0) for p, x0 in zip(problems, x0s)])
     exact = np.array([run.algorithm == "exact_bcd" for run in runs])
     curvature = np.column_stack([np.diagonal(gram) for gram in grams])
     zero_column = exact & ~(curvature > 0.0)
@@ -749,67 +759,24 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
             for b, run in enumerate(runs)]
 
 
-def _coordinate_sweep(columns: np.ndarray, g: np.ndarray, x: np.ndarray,
-                      stepsizes: np.ndarray, order, cycle) -> float:
-    """One cgd cycle: the gradient g, exact at x on entry, is kept current
-    by g += (x_k^new - x_k^old) H[:, k] from the Hessian's ``columns``."""
-    # cgd keeps its own sweep and squares with ``delta ** 2`` (libm pow),
-    # not _scalar_sweep's ``delta * delta``: the two differ in the last bit
-    # on some doubles, enough to change the written cgd trajectories.
-    weights = stepsizes.tolist()
-    move_sq = 0.0
-    for k in order:
-        d_k = float(g[k])
-        if not math.isfinite(d_k):
-            raise ValueError(f"non-finite coordinate gradient at block {k}")
-        old = float(x[k])
-        new = old - d_k / weights[k]
-        delta = new - old
-        if delta != 0.0:
-            x[k] = new
-            g += delta * columns[k]
-        move_sq += weights[k] * delta ** 2
-    return math.sqrt(move_sq)
-
-
-def _smooth_measure(p: CompositeQuadraticProblem, x: np.ndarray, grad: np.ndarray):
-    """measure() of cgd and gd on a nonsmooth-free p: f(x) and the gradient
-    norm from one residual r, with grad = A^T r stored in ``grad``."""
-    full = p.full_matrix()
-
-    def measure():
-        res = p.residual(x)
-        grad[:] = full.T @ res
-        return 0.5 * float(res @ res), float(np.linalg.norm(grad))
-
-    return measure
-
-
 def run_cgd(p: CompositeQuadraticProblem, run: SolverRun, x0,
             constants: ProblemConstants, f_star: float | None = None) -> Trajectory:
     """Coordinate gradient descent over the scalar blocks of a smooth p.
 
     Within a cycle the iterate moves along the chain w <- w - (d_k / P_k) e_k
-    with d_k the coordinate gradient at the current chain point.  The
-    gradient is evaluated once per cycle and kept current through the
-    Hessian H = A^T A, formed once per run: g <- g + (w_k^new - w_k^old) H[:, k].
+    with d_k the coordinate gradient at the current chain point.  That is
+    bcpg with scalar blocks and h_k = 0, so cgd runs bcpg's Gram kernel
+    (_scalar_sweep through _run_blocks): the gradient is computed once per
+    cycle and kept current through G = A^T A, formed once per run.
     """
     if run.algorithm != "cgd":
         raise ValueError("run.algorithm must be 'cgd'")
-    if not p.is_smooth() or p.partition.block_size != 1:
-        raise ValueError("cgd requires a smooth problem with scalar blocks")
-    stepsizes = run.realize_stepsizes(constants)
-    x = _check_start(x0, p.partition.dimension)
-    grad = np.empty(p.partition.dimension)
-    full = p.full_matrix()
-    columns = np.ascontiguousarray((full.T @ full).T)
-    sweep = partial(_coordinate_sweep, columns, grad, x, stepsizes)
-    return _record_cycles("cgd", run, x, stepsizes, sweep,
-                          _smooth_measure(p, x, grad), f_star)
+    check_applicable("cgd", p)
+    return _run_blocks(p, run, x0, constants, f_star)
 
 
 def _gradient_sweep(g: np.ndarray, x: np.ndarray, lipschitz: float,
-                    order, cycle) -> float:
+                    order) -> float:
     """One gd step x <- x - g / L from the gradient g at x; returns
     sqrt(L) ||x^new - x^old||."""
     if not np.isfinite(g).all():
@@ -827,15 +794,20 @@ def run_gd(p: CompositeQuadraticProblem, run: SolverRun, x0,
     run.order says."""
     if run.algorithm != "gd":
         raise ValueError("run.algorithm must be 'gd'")
-    if not p.is_smooth():
-        raise ValueError("gradient descent requires a smooth problem")
+    check_applicable("gd", p)
     dim = p.partition.dimension
-    x = _check_start(x0, dim)
+    x = check_start(p, x0)
+    full = p.full_matrix()
     grad = np.empty(dim)
+
+    def measure():
+        res = p.residual(x)
+        grad[:] = full.T @ res
+        return 0.5 * float(res @ res), float(np.linalg.norm(grad))
+
     run = replace(run, order=BlockOrder.cyclic())
     sweep = partial(_gradient_sweep, grad, x, constants.L)
-    return _record_cycles("gd", run, x, np.full(dim, constants.L), sweep,
-                          _smooth_measure(p, x, grad), f_star)
+    return _record_cycles("gd", run, x, np.full(dim, constants.L), sweep, measure, f_star)
 
 
 @dataclass(frozen=True)
@@ -875,7 +847,7 @@ def reference_optimum(p: CompositeQuadraticProblem, constants: ProblemConstants,
     cycles_done = 0
     while cycles_done < max_cycles and movement > 1e-13:
         refresh()
-        movement = sweep(range(k_count), cycles_done)
+        movement = sweep(range(k_count))
         cycles_done += 1
     f_star = eval_objective(p, x)
     certified = movement <= 1e-10

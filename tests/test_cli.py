@@ -195,7 +195,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("algorithm", ["cgd", "gd"])
     def test_inapplicable_run_writes_nothing(self, tmp_path, capsys, algorithm):
-        # lasso has l1 terms: no oracle view for cgd, no smooth objective for gd
+        # lasso has l1 terms: neither cgd nor gd takes a nonsmooth problem
         path = write_plan(tmp_path, {
             "problem": {"kind": "lasso", "rows": 12, "block_count": 6, "weight": 0.2},
             "runs": [{"label": "first", "algorithm": "bcpg", "max_cycles": 5},
@@ -294,6 +294,36 @@ class TestErrors:
         assert main(["bounds", "--plan", str(problem), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + where)
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("algorithm", ["bcpg", "exact_bcd", "cgd", "gd"])
+    def test_overflowing_start_writes_nothing(self, tmp_path, capsys, algorithm):
+        # f(x0) = (1e160)^2 / 2 overflows; the problem has no box
+        problem = {"kind": "explicit", "block_count": 2, "block_size": 1,
+                   "a_blocks": [[[1]], [[1]]], "b": [0], "x0": [1e160, 0]}
+        path = write_plan(tmp_path, {"problem": problem, "runs": [{"algorithm": algorithm}]})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", "--plan", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: x0: the objective at x0 is inf, not a finite number\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("problem", [
+        # L = 1e300, whose square the bound curves take
+        {"kind": "explicit", "block_count": 2, "block_size": 1,
+         "a_blocks": [[[1e150]], [[1]]], "b": [1]},
+        # singular boxes 2e200 wide: the radius squares the box diameter
+        {"kind": "explicit", "block_count": 2, "block_size": 1,
+         "a_blocks": [[[1]], [[1]]], "b": [1],
+         "h": [{"kind": "box", "lo": -1e200, "hi": 1e200}] * 2},
+    ])
+    def test_overflowing_float_power_is_one_line_error(self, tmp_path, capsys, problem):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["bounds", "--plan", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: OverflowError: ")
         assert len(err.splitlines()) == 1
 
     def test_unallocatable_problem_is_one_line_error(self, tmp_path, capsys):

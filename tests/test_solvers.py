@@ -541,11 +541,13 @@ class TestGD:
             run_gd(p, SolverRun(algorithm="gd", max_cycles=1), x0, compute_constants(p))
 
     def test_one_gradient_per_iterate(self, monkeypatch):
-        # gd and cgd take f and the gradient norm of each iterate from one residual
+        # every solver takes f and the gradient norm of each iterate from one
+        # residual, and its start check computes none
         qp = make_table1_full_qp(6, 2.0)
         c = compute_constants(qp)
         residual = CompositeQuadraticProblem.residual
-        for solve, algorithm in ((run_gd, "gd"), (run_cgd, "cgd")):
+        for solve, algorithm in ((run_gd, "gd"), (run_cgd, "cgd"), (run_bcpg, "bcpg"),
+                                 (run_bcd_exact, "exact_bcd")):
             run = SolverRun(algorithm=algorithm, max_cycles=5)
             reference = solve(qp, run, np.ones(6), c)
             calls = []
@@ -722,6 +724,25 @@ class TestScalarKernel:
         assert_close(t.xs, xs)
         assert_close(t.f, f)
         assert_close(t.weighted_movement, movement)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scalar_problems(kinds=("zero",)), policy=st.sampled_from(["block_lk", "global_l"]),
+           cycles=st.integers(1, 25))
+    def test_cgd_is_bcpg_bit_for_bit(self, case, policy, cycles):
+        # cgd is bcpg with scalar blocks and h_k = 0, on the same kernel
+        problem, x0, order = case
+        constants = compute_constants(problem)
+        assume(np.all(constants.L_k > 0) if policy == "block_lk" else constants.L > 0)
+        t_cgd, t_bcpg = (
+            solve(problem, SolverRun(algorithm=algorithm, order=order, max_cycles=cycles,
+                                     stepsizes=StepsizePolicy(policy)), x0, constants)
+            for solve, algorithm in ((run_cgd, "cgd"), (run_bcpg, "bcpg")))
+        f_star = reference_optimum(problem, constants).f_star
+        t_cgd.with_gap(f_star)
+        t_bcpg.with_gap(f_star)
+        for attribute in ("xs", "f", "gap", "weighted_movement", "grad_norm"):
+            assert_same_bits(getattr(t_cgd, attribute), getattr(t_bcpg, attribute))
+        assert t_cgd.orders == t_bcpg.orders
 
     @settings(max_examples=100, deadline=None)
     @given(case=scalar_problems(), cycles=st.integers(1, 30))
@@ -905,7 +926,7 @@ class TestLockstep:
     def test_nan_proximal_point_raises(self, monkeypatch):
         # the soft threshold maps a NaN point to 0 and the stacked form to
         # NaN; a NaN start, let past the start check, makes one
-        monkeypatch.setattr(solvers, "_check_feasible_start",
+        monkeypatch.setattr(solvers, "check_start",
                             lambda p, x0: np.array(x0, dtype=float))
         batch = self._batch()
         problem, run, x0, constants = batch[0]
