@@ -108,7 +108,7 @@ def set_up(name: str, problem: CompositeQuadraticProblem, x0) -> Instance:
         raise ValueError(f"x0: the objective at x0 is {f0}, not a finite number")
     constants = compute_constants(problem)
     reference = reference_optimum(problem, constants)
-    r0 = r0_upper_estimate(problem, x0, reference.x_star, reference.f_star, constants)
+    r0 = r0_upper_estimate(problem, x0, f0, reference.x_star, reference.f_star, constants)
     delta0 = max(0.0, f0 - reference.f_star)
     oracle = None
     if problem.is_smooth() and problem.partition.block_size == 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .problems import (
     CompositeQuadraticProblem,
     ProblemConstants,
     SmoothProblemOracle,
-    eval_objective,
 )
 
 BOUND_KINDS = (
@@ -189,10 +189,10 @@ class R0Estimate:
     method: str
 
 
-def r0_upper_estimate(p: CompositeQuadraticProblem, x0, x_star, f_star: float,
-                      constants: ProblemConstants) -> R0Estimate:
+def r0_upper_estimate(p: CompositeQuadraticProblem, x0, f0: float, x_star,
+                      f_star: float, constants: ProblemConstants) -> R0Estimate:
     """Upper bound on max ||x - x*|| over the f(x) <= f(x0) level set;
-    ``constants`` must be p's, from compute_constants.
+    ``f0`` must be f(x0) and ``constants`` p's, from compute_constants.
 
     Certified routes, tried in order:
 
@@ -208,7 +208,6 @@ def r0_upper_estimate(p: CompositeQuadraticProblem, x0, x_star, f_star: float,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     base = float(np.linalg.norm(x0 - x_star))
-    f0 = eval_objective(p, x0)
     delta0 = max(0.0, f0 - float(f_star))
     mu = constants.mu
     if mu > 1e-12 * max(1.0, abs(mu)):
@@ -251,20 +250,24 @@ def beta_estimate(o: SmoothProblemOracle) -> BetaEstimate:
 
 def bound_report_csv(specs, r_max: int, target) -> None:
     """Write cycle,<label...> rows for r = 1..r_max to the file at path
-    ``target``.
+    ``target``, creating its directory.
 
     ``specs`` is a sequence of (label, BoundSpec).  Kinds that are
     inapplicable for their constants produce empty cells throughout.
+    Every cell is evaluated before the directory or the file is created,
+    so a bound that raises (an OverflowError, say) leaves neither behind.
     """
+    columns = []
+    for _, spec in specs:
+        try:
+            columns.append([evaluate(spec, r) for r in range(1, r_max + 1)])
+        except InapplicableBound:
+            columns.append([None] * r_max)
+    target = Path(target)
+    target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w", encoding="utf-8", newline="") as fh:
         labels = [label for label, _ in specs]
         fh.write(",".join(["cycle"] + labels) + "\n")
-        columns = []
-        for _, spec in specs:
-            try:
-                columns.append([evaluate(spec, r) for r in range(1, r_max + 1)])
-            except InapplicableBound:
-                columns.append([None] * r_max)
         for idx in range(r_max):
             cells = [str(idx + 1)]
             for col in columns:

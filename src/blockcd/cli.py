@@ -329,14 +329,13 @@ def cmd_bounds(problem_path: str, r_max: int, out_dir: str | None) -> int:
     if r_max < 1:
         raise ValueError(f"--rmax: expected a positive integer, got {r_max}")
     loaded = load_problem(problem_path)
-    out = Path(out_dir if out_dir is not None else "out")
-    out.mkdir(parents=True, exist_ok=True)
     instance = set_up(loaded.kind, loaded.problem, loaded.x0)
     constants, r0, delta0 = instance.constants, instance.r0, instance.delta0
     specs = [(kind, BoundSpec(kind=kind, constants=constants, r0_upper=r0.value,
                               delta0=delta0, beta=instance.beta,
                               p_max=constants.L_max, p_min=constants.L_min))
              for kind in BOUND_KINDS]
+    out = Path(out_dir if out_dir is not None else "out")
     bound_report_csv(specs, r_max, out / "bounds.csv")
 
     lines = [

@@ -171,19 +171,33 @@ def check_costtogo_bcd(t: Trajectory, p: CompositeQuadraticProblem,
                    notes=f"{label}; coefficient {coefficient:.6g}")
 
 
-def _chain_matrix_norm(order, hessian: np.ndarray, stepsizes: np.ndarray,
-                       cache: dict) -> tuple[float, float]:
-    """(||V||, ||H||) for a visit order over a constant Hessian, where V =
-    D^(1/2) + H D^(-1/2), D = diag stepsizes in visit order, and H is the
-    strict lower triangle of the order-permuted Hessian."""
-    key = tuple(order)
-    if key not in cache:
-        q = hessian[np.ix_(order, order)]
-        h = np.tril(q, k=-1)
-        p_seq = stepsizes[list(order)]
-        v = np.diag(np.sqrt(p_seq)) + h @ np.diag(1.0 / np.sqrt(p_seq))
-        cache[key] = (spectral_norm(v).value, spectral_norm(h).value)
-    return cache[key]
+def _chain_matrix_norm(orders, hessian: np.ndarray, stepsizes: np.ndarray):
+    """Yield (||V||, ||H||) for each visit order in ``orders`` over a
+    constant Hessian, where V = D^(1/2) + H D^(-1/2), D = diag stepsizes in
+    visit order, and H is the strict lower triangle of the order-permuted
+    Hessian.
+
+    Cost: two dense SVDs for a cycle whose permuted Hessian Q[order, order]
+    or permuted stepsizes differ from the previous cycle's, and none
+    otherwise.  Only the previous cycle's order, Q[order, order], stepsizes
+    and norms are kept.  So cyclic orders, and random orders on a quadratic
+    that is invariant under permuting its coordinates (equal L_k with
+    L I or (L/K) 11^T), pay once per run; random orders on a coupled Hessian
+    without that invariance pay on every cycle.  Equal inputs give equal
+    SVD bits, so reuse changes no norm."""
+    last_order = last_q = last_p = norms = None
+    for order in orders:
+        if order != last_order:
+            q = hessian[np.ix_(order, order)]
+            p_seq = stepsizes[list(order)]
+            if norms is None or not (np.array_equal(q, last_q)
+                                     and np.array_equal(p_seq, last_p)):
+                h = np.tril(q, k=-1)
+                v = np.diag(np.sqrt(p_seq)) + h @ np.diag(1.0 / np.sqrt(p_seq))
+                norms = (spectral_norm(v).value, spectral_norm(h).value)
+                last_q, last_p = q, p_seq
+            last_order = order
+        yield norms
 
 
 def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
@@ -209,12 +223,10 @@ def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
         beta_violations.append((rhs - lhs) / max(1.0, abs(t.f[r])))
     reports = [_report(f"{name}_beta", beta_violations, LEMMA_TOL,
                        notes=f"beta {beta:.6g}")]
-    cache: dict = {}
     exact_violations = []
     h_norm_violations = []
-    for r in range(t.cycles):
-        v_norm, h_norm = _chain_matrix_norm(t.orders[r], o.hessian,
-                                            t.stepsizes, cache)
+    norms = _chain_matrix_norm(t.orders, o.hessian, t.stepsizes)
+    for r, (v_norm, h_norm) in enumerate(norms):
         lhs = t.f[r] - t.f[r + 1]
         rhs = t.grad_norm[r] ** 2 / (2.0 * v_norm ** 2)
         exact_violations.append((rhs - lhs) / max(1.0, abs(t.f[r])))

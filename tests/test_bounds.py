@@ -20,6 +20,7 @@ from blockcd.problems import (
     NonsmoothTerm,
     ProblemConstants,
     compute_constants,
+    eval_objective,
     make_lasso_instance,
     make_table1_diagonal_qp,
     make_table1_full_qp,
@@ -148,14 +149,15 @@ class TestRadiusEstimate:
             partition=BlockPartition(1, 1), a_blocks=(np.eye(1),), b=np.zeros(1),
             h=(NonsmoothTerm.zero(),))
         c = compute_constants(p)
-        est = r0_upper_estimate(p, np.array([3.0]), np.zeros(1), 0.0, c)
+        est = r0_upper_estimate(p, np.array([3.0]), 4.5, np.zeros(1), 0.0, c)
         assert est.value == pytest.approx(3.0, rel=1e-12)
         assert est.certified
 
     def test_start_at_optimum_is_zero(self):
         p = make_table1_diagonal_qp(3, 2.0)
         c = compute_constants(p)
-        est = r0_upper_estimate(p, np.zeros(3), np.zeros(3), 0.0, c)
+        est = r0_upper_estimate(p, np.zeros(3), eval_objective(p, np.zeros(3)),
+                                np.zeros(3), 0.0, c)
         assert est.value == 0.0
         assert est.certified
 
@@ -172,7 +174,8 @@ class TestRadiusEstimate:
             b=np.zeros(2),
             h=(NonsmoothTerm.box(-1.0, 1.0), NonsmoothTerm.box(0.0, 1.0)))
         c = compute_constants(p)
-        est = r0_upper_estimate(p, np.zeros(6), np.zeros(6), 0.0, c)
+        est = r0_upper_estimate(p, np.zeros(6), eval_objective(p, np.zeros(6)),
+                                np.zeros(6), 0.0, c)
         assert est.certified
         assert est.method == "box diameter"
         assert est.value == pytest.approx(math.sqrt(3 * 4 + 3 * 1))
@@ -181,7 +184,7 @@ class TestRadiusEstimate:
         p, x0 = make_lasso_instance(4, 8, 0.5, seed=1)  # fat: mu = 0
         c = compute_constants(p)
         ref = reference_optimum(p, c)
-        est = r0_upper_estimate(p, x0, ref.x_star, ref.f_star, c)
+        est = r0_upper_estimate(p, x0, eval_objective(p, x0), ref.x_star, ref.f_star, c)
         assert est.certified
         assert est.method == "l1 coercivity"
         f0 = 0.5 * float(p.b @ p.b)
@@ -191,7 +194,7 @@ class TestRadiusEstimate:
         p, x0 = make_lasso_instance(30, 20, 0.1, seed=0)
         c = compute_constants(p)
         ref = reference_optimum(p, c)
-        est = r0_upper_estimate(p, x0, ref.x_star, ref.f_star, c)
+        est = r0_upper_estimate(p, x0, eval_objective(p, x0), ref.x_star, ref.f_star, c)
         assert est.certified
         assert est.method == "strong-convexity level set"
 
@@ -202,7 +205,8 @@ class TestRadiusEstimate:
             partition=BlockPartition(1, 2), a_blocks=(a,), b=np.zeros(3),
             h=(NonsmoothTerm.zero(),))
         c = compute_constants(p)
-        est = r0_upper_estimate(p, np.ones(2), np.zeros(2), 0.0, c)
+        est = r0_upper_estimate(p, np.ones(2), eval_objective(p, np.ones(2)),
+                                np.zeros(2), 0.0, c)
         assert not est.certified
         assert est.value == pytest.approx(2.0 * math.sqrt(2.0))
 

@@ -325,6 +325,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: OverflowError: ")
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_rejected_start_writes_nothing(self, tmp_path, capsys):
+        # f(x0) = (1e160)^2 / 2 overflows, so set-up rejects x0
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"kind": "explicit", "block_count": 2, "block_size": 1,
+                                    "a_blocks": [[[1]], [[1]]], "b": [0],
+                                    "x0": [1e160, 0]}))
+        assert main(["bounds", "--plan", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: x0: the objective at x0 is inf, not a finite number\n")
+        assert not (tmp_path / "o").exists()
 
     def test_unallocatable_problem_is_one_line_error(self, tmp_path, capsys):
         # numpy refuses the rows x K request (71 PiB) before allocating any of it

@@ -6,10 +6,12 @@ import csv
 import numpy as np
 import pytest
 
+from blockcd import verify
 from blockcd.bounds import BoundSpec, beta_estimate, r0_upper_estimate
 from blockcd.linalg import spectral_norm
 from blockcd.problems import (
     compute_constants,
+    eval_objective,
     make_lasso_instance,
     make_table1_diagonal_qp,
     make_table1_full_qp,
@@ -178,7 +180,7 @@ class TestCostToGoChecks:
         p, x0 = make_lasso_instance(30, 20, 0.1, seed=31)
         c = compute_constants(p)
         ref = reference_optimum(p, c)
-        r0 = r0_upper_estimate(p, x0, ref.x_star, ref.f_star, c)
+        r0 = r0_upper_estimate(p, x0, eval_objective(p, x0), ref.x_star, ref.f_star, c)
         assert r0.certified
         t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=150), x0, c)
         t.with_gap(ref.f_star)
@@ -206,6 +208,26 @@ class TestCostToGoChecks:
 
 
 class TestCGDCheck:
+    @staticmethod
+    def count_norms(monkeypatch):
+        """The shapes of the matrices verify takes a spectral norm of."""
+        calls = []
+
+        def counting(m):
+            calls.append(m.shape)
+            return spectral_norm(m)
+
+        monkeypatch.setattr(verify, "spectral_norm", counting)
+        return calls
+
+    @staticmethod
+    def cgd_run(p, order, cycles, x0):
+        c = compute_constants(p)
+        o = oracle_from_quadratic(p, c)
+        beta = beta_estimate(o).estimate
+        t = run_cgd(p, SolverRun(algorithm="cgd", max_cycles=cycles, order=order), x0, c)
+        return t, o, beta
+
     def test_beta_and_exact_forms(self):
         qp = make_table1_full_qp(10, 2.0)
         c = compute_constants(qp)
@@ -217,15 +239,53 @@ class TestCGDCheck:
             "descent_cgd_beta", "descent_cgd_exact_v", "descent_cgd_hbound"]
         assert all(r.passed for r in reports)
 
-    def test_under_permutation_order(self):
-        qp = make_table1_full_qp(8, 2.0)
-        c = compute_constants(qp)
-        o = oracle_from_quadratic(qp, c)
-        beta = beta_estimate(o).estimate
-        run = SolverRun(algorithm="cgd", max_cycles=40,
-                        order=BlockOrder.random_permutation(17))
-        t = run_cgd(qp, run, np.ones(8), c)
+    def test_under_permutation_order(self, monkeypatch):
+        # (L/K) 11^T with equal L_k: every order gives the same chain matrix,
+        # so the two norms are computed once
+        t, o, beta = self.cgd_run(make_table1_full_qp(8, 2.0),
+                                    BlockOrder.random_permutation(17), 40, np.ones(8))
+        assert len({tuple(order) for order in t.orders}) > 1
+        calls = self.count_norms(monkeypatch)
         assert all(r.passed for r in check_descent_cgd(t, o, beta))
+        assert len(calls) == 2
+
+    def test_cyclic_order_computes_once(self, monkeypatch):
+        p, x0 = make_toeplitz_instance(10)
+        t, o, beta = self.cgd_run(p, BlockOrder.cyclic(), 30, x0)
+        calls = self.count_norms(monkeypatch)
+        check_descent_cgd(t, o, beta)
+        assert len(calls) == 2
+
+    def test_changing_hessian_recomputes_bit_for_bit(self, monkeypatch):
+        p, x0 = make_toeplitz_instance(10)
+        t, o, beta = self.cgd_run(p, BlockOrder.random_permutation(5), 30, x0)
+        calls = self.count_norms(monkeypatch)
+        reports = check_descent_cgd(t, o, beta)
+
+        # every cycle's two norms, recomputed from scratch
+        p_max, p_min = float(t.stepsizes.max()), float(t.stepsizes.min())
+        beta_v, exact_v, hbound_v = [], [], []
+        changes, previous = 0, None
+        for r, order in enumerate(t.orders):
+            q = o.hessian[np.ix_(order, order)]
+            h = np.tril(q, k=-1)
+            p_seq = t.stepsizes[list(order)]
+            v = np.diag(np.sqrt(p_seq)) + h @ np.diag(1.0 / np.sqrt(p_seq))
+            v_norm, h_norm = spectral_norm(v).value, spectral_norm(h).value
+            if previous is None or not (np.array_equal(q, previous[0])
+                                        and np.array_equal(p_seq, previous[1])):
+                changes += 1
+            previous = (q, p_seq)
+            lhs = t.f[r] - t.f[r + 1]
+            scale = max(1.0, abs(t.f[r]))
+            beta_v.append((t.grad_norm[r] ** 2 / (2.0 * (p_max + beta ** 2 / p_min)) - lhs)
+                          / scale)
+            exact_v.append((t.grad_norm[r] ** 2 / (2.0 * v_norm ** 2) - lhs) / scale)
+            hbound_v.append((h_norm - beta) / max(1.0, beta))
+        assert changes > 1
+        assert len(calls) == 2 * changes
+        assert [(r.cycles_checked, r.worst_violation) for r in reports] == [
+            (len(values), max([0.0] + values)) for values in (beta_v, exact_v, hbound_v)]
 
 
 class TestEnvelopeCheck:
