@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import RANK_RTOL, as_matrix, sym_eig_extremes
+from .linalg import RANK_RTOL, as_matrix, min_norm_factors, sym_eig_extremes
 from .rng import SplitMix64, derive_seed
 
 _FEAS_RTOL = 1e-12
@@ -135,9 +136,11 @@ def prox_scalar(term: NonsmoothTerm, v: float, step: float) -> float:
 
 class _TermsByKind(NamedTuple):
     """Block indices and parameters of the nonsmooth terms grouped by kind,
-    so that nonsmooth_total evaluates each kind with one array expression.
-    Box limits already include nonsmooth_value's feasibility slack."""
+    so that nonsmooth_total, prox_blocks and duality_gap evaluate each kind
+    with one array expression.  box_lo and box_hi include nonsmooth_value's
+    feasibility slack; clip_lo and clip_hi are the box limits themselves."""
 
+    zero: np.ndarray
     l1: np.ndarray
     l1_weight: np.ndarray
     group: np.ndarray
@@ -145,20 +148,27 @@ class _TermsByKind(NamedTuple):
     box: np.ndarray
     box_lo: np.ndarray
     box_hi: np.ndarray
+    clip_lo: np.ndarray
+    clip_hi: np.ndarray
 
     @staticmethod
     def of(terms) -> "_TermsByKind":
         def pick(kind):
             return [k for k, term in enumerate(terms) if term.kind == kind]
 
-        l1, group, box = pick("l1"), pick("group_l2"), pick("box")
+        def column(values):
+            return np.array(values, dtype=float).reshape(-1, 1)
+
+        zero, l1, group, box = pick("zero"), pick("l1"), pick("group_l2"), pick("box")
         slack = [_FEAS_RTOL * max(1.0, abs(terms[k].lo), abs(terms[k].hi)) for k in box]
         return _TermsByKind(
+            np.array(zero, dtype=np.intp),
             np.array(l1, dtype=np.intp), np.array([terms[k].weight for k in l1]),
             np.array(group, dtype=np.intp), np.array([terms[k].weight for k in group]),
             np.array(box, dtype=np.intp),
-            np.array([terms[k].lo - s for k, s in zip(box, slack)]).reshape(-1, 1),
-            np.array([terms[k].hi + s for k, s in zip(box, slack)]).reshape(-1, 1))
+            column([terms[k].lo - s for k, s in zip(box, slack)]),
+            column([terms[k].hi + s for k, s in zip(box, slack)]),
+            column([terms[k].lo for k in box]), column([terms[k].hi for k in box]))
 
 
 @dataclass(frozen=True)
@@ -220,6 +230,17 @@ class CompositeQuadraticProblem:
     def is_smooth(self) -> bool:
         return all(term.kind == "zero" for term in self.h)
 
+    @cached_property
+    def _unpenalized_range(self) -> np.ndarray:
+        """Orthonormal basis (rows x rank) of the range of the columns of the
+        blocks whose h_k is zero, or l1/group_l2 with weight 0: a dual point
+        must be orthogonal to it.  Factored once, on first use."""
+        unpenalized = [k for k, term in enumerate(self.h)
+                       if term.kind == "zero" or (term.kind != "box" and term.weight == 0.0)]
+        if not unpenalized:
+            return np.zeros((self.rows, 0))
+        return min_norm_factors(np.hstack([self.a_blocks[k] for k in unpenalized])).u
+
 
 def _check_dimension(p: CompositeQuadraticProblem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -259,6 +280,97 @@ def eval_objective(p: CompositeQuadraticProblem, x, residual=None) -> float:
     if residual is None:
         return smooth_value(p, x) + ns
     return 0.5 * float(residual @ residual) + ns
+
+
+def prox_blocks(p: CompositeQuadraticProblem, v, step: float) -> np.ndarray:
+    """prox of every block at once: the minimizer of
+    sum_k h_k(u_k) + ||u - v||^2 / (2 step), one array expression per kind,
+    with prox's arithmetic block by block."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    u = _check_dimension(p, v).reshape(p.partition.block_count, -1).copy()
+    by_kind = p._terms_by_kind
+    if by_kind.l1.size:
+        rows = u[by_kind.l1]
+        threshold = (by_kind.l1_weight * step)[:, None]
+        u[by_kind.l1] = np.sign(rows) * np.maximum(np.abs(rows) - threshold, 0.0)
+    if by_kind.group.size:
+        rows = u[by_kind.group]
+        norm = np.linalg.norm(rows, axis=1)
+        shrink = by_kind.group_weight * step
+        outside = norm > shrink
+        factor = np.where(outside, 1.0 - shrink / np.where(outside, norm, 1.0), 0.0)
+        u[by_kind.group] = np.where(outside[:, None], factor[:, None] * rows, 0.0)
+    if by_kind.box.size:
+        u[by_kind.box] = np.clip(u[by_kind.box], by_kind.clip_lo, by_kind.clip_hi)
+    return u.reshape(-1)
+
+
+def dual_point(p: CompositeQuadraticProblem, residual) -> tuple[np.ndarray, np.ndarray]:
+    """A dual-feasible theta built from the residual r = Ax - b, and
+    A_k^T theta as a (K, N) array.
+
+    The dual of min_x 1/2 ||Ax - b||^2 + sum_k h_k(x_k) is
+    max_theta D(theta) = -1/2 ||theta||^2 - theta^T b - sum_k h_k^*(-A_k^T theta),
+    and the residual at the optimum is its maximizer.  The conjugate h_k^*
+    is
+      * the indicator of {0} for a zero term and for an l1 or group_l2 term
+        of weight 0, so r loses its component in the range of those
+        blocks' columns (A_k^T theta is then 0 up to rounding);
+      * the indicator of the w_k ball of the dual norm (infinity norm for
+        l1, 2-norm for group_l2) otherwise, so theta is then scaled down
+        until every A_k^T theta is inside its ball (Ndiaye, Fercoq,
+        Gramfort & Salmon, JMLR 2017);
+      * a box term's support function, finite everywhere.
+    """
+    basis = p._unpenalized_range
+    theta = residual - basis @ (basis.T @ residual) if basis.shape[1] else residual
+    u = (p._full.T @ theta).reshape(p.partition.block_count, -1)
+    by_kind = p._terms_by_kind
+    ratio = 1.0
+    for weight, dual_norm in (
+            (by_kind.l1_weight, np.abs(u[by_kind.l1]).max(axis=1, initial=0.0)),
+            (by_kind.group_weight, np.linalg.norm(u[by_kind.group], axis=1))):
+        penalized = weight > 0.0
+        if penalized.any():
+            ratio = max(ratio, float((dual_norm[penalized] / weight[penalized]).max()))
+    return theta / ratio, u / ratio
+
+
+def duality_gap(p: CompositeQuadraticProblem, x, residual) -> tuple[float, float]:
+    """(f(x), gap) with gap >= f(x) - f*, from the dual_point of
+    ``residual``, which must be p.residual(x).
+
+    With theta that point and u_k = A_k^T theta, f(x) - D(theta) equals
+    1/2 ||r - theta||^2 + sum_k [h_k(x_k) + h_k^*(-u_k) + u_k^T x_k]; each
+    bracket is >= 0 (Fenchel-Young), so the gap is summed in that form,
+    free of the cancellation between f(x) and D(theta).  For a box the
+    bracket is sum_i max(u_i (x_i - lo), u_i (x_i - hi)); on an unpenalized
+    block it is u_k^T x_k, the rounding left by the projection.  An x
+    outside a box has gap inf.
+    """
+    x = _check_dimension(p, x)
+    f_value = eval_objective(p, x, residual)
+    if f_value == math.inf:
+        return f_value, math.inf
+    theta, u = dual_point(p, residual)
+    xb = x.reshape(p.partition.block_count, -1)
+    by_kind = p._terms_by_kind
+    d = residual - theta
+    gap = 0.5 * float(d @ d)
+    if by_kind.zero.size:
+        gap += float((u[by_kind.zero] * xb[by_kind.zero]).sum())
+    if by_kind.l1.size:
+        rows = xb[by_kind.l1]
+        gap += float((by_kind.l1_weight[:, None] * np.abs(rows) + u[by_kind.l1] * rows).sum())
+    if by_kind.group.size:
+        rows = xb[by_kind.group]
+        gap += float((by_kind.group_weight * np.linalg.norm(rows, axis=1)
+                      + (u[by_kind.group] * rows).sum(axis=1)).sum())
+    if by_kind.box.size:
+        rows, ub = xb[by_kind.box], u[by_kind.box]
+        gap += float(np.maximum(ub * (rows - by_kind.clip_lo), ub * (rows - by_kind.clip_hi)).sum())
+    return f_value, max(gap, 0.0)
 
 
 def block_gradient(p: CompositeQuadraticProblem, k: int, x) -> np.ndarray:
@@ -337,15 +449,17 @@ def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
     gamma_k = np.empty(k_count)
     for k in range(k_count):
         a = p.a_blocks[k]
-        low_c, high = sym_eig_extremes(a.T @ a)
-        l_k[k] = high
         rows, cols = a.shape
-        sigma_k[k] = 0.0 if rows < cols else math.sqrt(max(low_c, 0.0))
-        if rows > cols:
-            gamma_k[k] = 0.0
+        if cols == 1:
+            # a 1 x 1 Gram (equal to A_k A_k^T when rows = 1) is its own
+            # eigenvalue: eigvalsh returns the entry unchanged
+            low_c = high = low_r = float((a.T @ a)[0, 0])
         else:
-            low_r, _ = sym_eig_extremes(a @ a.T)
-            gamma_k[k] = math.sqrt(max(low_r, 0.0))
+            low_c, high = sym_eig_extremes(a.T @ a)
+            low_r = None if rows > cols else sym_eig_extremes(a @ a.T)[0]
+        l_k[k] = high
+        sigma_k[k] = 0.0 if rows < cols else math.sqrt(max(low_c, 0.0))
+        gamma_k[k] = 0.0 if rows > cols else math.sqrt(max(low_r, 0.0))
     singular = np.linalg.svd(np.array(p.a_blocks), compute_uv=False)
     ranks = np.count_nonzero(singular > RANK_RTOL * singular[:, :1], axis=1)
     if np.all(ranks == p.partition.block_size):

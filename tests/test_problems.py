@@ -15,6 +15,8 @@ from blockcd.problems import (
     ProblemFormatError,
     block_gradient,
     compute_constants,
+    dual_point,
+    duality_gap,
     eval_objective,
     load_problem,
     make_lasso_instance,
@@ -25,6 +27,7 @@ from blockcd.problems import (
     nonsmooth_value,
     oracle_from_quadratic,
     prox,
+    prox_blocks,
     prox_scalar,
     smooth_value,
     toeplitz_matrix,
@@ -281,6 +284,106 @@ class TestProx:
         with pytest.raises(ValueError):
             prox(NonsmoothTerm.l1(1.0), np.array([1.0]), 0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), block_count=st.integers(1, 5), block_size=st.integers(1, 4),
+           step=st.floats(1e-3, 1e3))
+    def test_prox_blocks_equals_block_prox(self, data, block_count, block_size, step):
+        terms = data.draw(st.lists(TERMS, min_size=block_count, max_size=block_count))
+        dim = block_count * block_size
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(block_count, block_size),
+            a_blocks=tuple(np.ones((1, block_size)) for _ in range(block_count)),
+            b=np.zeros(1), h=tuple(terms))
+        v = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
+        u = prox_blocks(p, v, step)
+        eps = np.finfo(float).eps
+        for k, term in enumerate(terms):
+            sl = p.block_slice(k)
+            # the block norm may differ in its last bits, so agreement is
+            # to a few ulps of the block's scale
+            scale = float(np.abs(v[sl]).max())
+            np.testing.assert_allclose(u[sl], prox(term, v[sl], step),
+                                       rtol=4 * eps, atol=4 * eps * scale)
+        assert nonsmooth_total(p, u) < math.inf
+        with pytest.raises(ValueError):
+            prox_blocks(p, v, 0.0)
+
+
+def mixed_problem(rows=10, block_size=2, seed=5):
+    """Gaussian blocks with every kind of term: zero, l1 and group_l2 of
+    weight 0 (unpenalized), l1 and group_l2 of positive weight, and a box."""
+    gen = SplitMix64(seed)
+    terms = (NonsmoothTerm.zero(), NonsmoothTerm.l1(0.0), NonsmoothTerm.group_l2(0.0),
+             NonsmoothTerm.l1(0.3), NonsmoothTerm.group_l2(0.4), NonsmoothTerm.box(-0.5, 1.0))
+    return CompositeQuadraticProblem(
+        partition=BlockPartition(len(terms), block_size),
+        a_blocks=tuple(gen.normal_matrix(rows, block_size) for _ in terms),
+        b=gen.normal_vector(rows), h=terms)
+
+
+class TestDualPoint:
+    def test_unpenalized_blocks_projected_and_penalties_scaled_into_their_balls(self):
+        p = mixed_problem()
+        residual = 10.0 * SplitMix64(6).normal_vector(p.rows)
+        theta, u = dual_point(p, residual)
+        scale = float(np.linalg.norm(p.full_matrix(), 2) * np.linalg.norm(residual))
+        np.testing.assert_allclose(u, (p.full_matrix().T @ theta).reshape(6, 2),
+                                   rtol=0, atol=1e-14 * scale)
+        # zero and weight-0 blocks: A_k^T theta = 0 up to rounding
+        assert float(np.abs(u[:3]).max()) <= 1e-13 * scale
+        # the penalized blocks end inside their balls, the tighter one on its boundary
+        ratios = [float(np.abs(u[3]).max()) / 0.3, float(np.linalg.norm(u[4])) / 0.4]
+        assert max(ratios) == pytest.approx(1.0, rel=1e-14)
+        assert min(ratios) <= 1.0
+        # theta is the residual minus its projection on the unpenalized
+        # columns' range, scaled down
+        unpenalized = np.hstack(p.a_blocks[:3])
+        projected = residual - unpenalized @ np.linalg.lstsq(unpenalized, residual, rcond=None)[0]
+        shrink = float(theta @ projected) / float(projected @ projected)
+        assert 0.0 < shrink < 1.0
+        np.testing.assert_allclose(theta, shrink * projected, rtol=0, atol=1e-13 * scale)
+
+    def test_feasible_residual_is_its_own_dual_point(self):
+        gen = SplitMix64(8)
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(2, 2), a_blocks=(gen.normal_matrix(3, 2),) * 2,
+            b=np.zeros(3), h=(NonsmoothTerm.l1(100.0), NonsmoothTerm.box(0.0, 1.0)))
+        residual = gen.normal_vector(3)
+        theta, _ = dual_point(p, residual)
+        np.testing.assert_array_equal(theta, residual)
+
+    def test_gap_is_primal_minus_dual_value(self):
+        # duality_gap sums Fenchel-Young terms; it equals f(x) - D(theta)
+        p = mixed_problem()
+        gen = SplitMix64(9)
+        for _ in range(5):
+            x = prox_blocks(p, gen.normal_vector(p.partition.dimension), 1.0)
+            residual = p.residual(x)
+            f_value, gap = duality_gap(p, x, residual)
+            theta, u = dual_point(p, residual)
+            z = -u[5]  # the box [-0.5, 1] has support function sum_i max(lo z_i, hi z_i)
+            support = float(np.maximum(-0.5 * z, 1.0 * z).sum())
+            dual = -0.5 * float(theta @ theta) - float(theta @ p.b) - support
+            assert f_value == eval_objective(p, x)
+            assert gap == pytest.approx(f_value - dual, rel=1e-12, abs=1e-12)
+            assert gap > 0.0
+
+    def test_gap_vanishes_at_a_known_optimum(self):
+        # A = [1], b = 2, weight 1: x* = 1, r = -1, theta = -1
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(1, 1), a_blocks=(np.array([[1.0]]),),
+            b=np.array([2.0]), h=(NonsmoothTerm.l1(1.0),))
+        assert duality_gap(p, np.array([1.0]), np.array([-1.0])) == (1.5, 0.0)
+        # off the optimum the gap bounds f(x) - f* = 1.625 - 1.5
+        f_value, gap = duality_gap(p, np.array([0.5]), np.array([-1.5]))
+        assert f_value == 1.625 and gap >= 0.125
+
+    def test_infeasible_point_has_infinite_gap(self):
+        p = mixed_problem()
+        x = np.zeros(p.partition.dimension)
+        x[-1] = 2.0
+        assert duality_gap(p, x, p.residual(x)) == (math.inf, math.inf)
+
 
 class TestConstants:
     def test_single_diagonal_block(self):
@@ -342,6 +445,28 @@ class TestConstants:
             for k, a in enumerate(p.a_blocks):
                 low, _ = sym_eig_extremes(a @ a.T)
                 assert c.gamma_k[k] == math.sqrt(max(low, 0.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_count=st.integers(1, 6), rows=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scalar_blocks_read_their_gram_entry(self, block_count, rows, seed):
+        # a 1 x 1 Gram skips the eigensolve, with the eigensolver's values
+        gen = SplitMix64(seed)
+        a = gen.normal_matrix(rows, block_count) * np.exp(3.0 * gen.normal_vector(block_count))
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(block_count, 1),
+            a_blocks=tuple(a[:, [k]] for k in range(block_count)), b=np.zeros(rows),
+            h=(NonsmoothTerm.zero(),) * block_count)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("blockcd.problems.sym_eig_extremes",
+                          lambda m: calls.append(m.shape) or sym_eig_extremes(m))
+            c = compute_constants(p)
+        assert calls == [(block_count, block_count)]
+        for k, column in enumerate(p.a_blocks):
+            low, high = sym_eig_extremes(column.T @ column)
+            assert c.L_k[k] == high and c.sigma_k[k] == math.sqrt(max(low, 0.0))
+            assert c.gamma_k[k] == (math.sqrt(max(low, 0.0)) if rows == 1 else 0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(block_count=st.integers(1, 6), block_size=st.integers(1, 4),

@@ -14,12 +14,14 @@ from blockcd.problems import (
     CompositeQuadraticProblem,
     NonsmoothTerm,
     compute_constants,
+    duality_gap,
     eval_objective,
     make_lasso_instance,
     make_table1_diagonal_qp,
     make_table1_full_qp,
     make_toeplitz_instance,
     nonsmooth_value,
+    prox_blocks,
     smooth_value,
 )
 from blockcd import solvers
@@ -615,6 +617,41 @@ class TestReferenceOptimum:
         np.testing.assert_array_equal(ref.x_star, np.zeros(5))
         assert ref.f_star == 0.0
         assert ref.certified
+        assert ref.gap == 0.0
+
+    def test_lasso_is_certified_by_its_gap(self):
+        p, _ = make_lasso_instance(30, 20, 0.1, seed=3)
+        ref = reference_optimum(p, compute_constants(p))
+        assert ref.certified
+        assert 0.0 <= ref.gap <= solvers.REFERENCE_GAP_RTOL * max(1.0, abs(ref.f_star))
+        assert ref.f_star == eval_objective(p, ref.x_star)
+        assert ref.note.startswith("accelerated proximal gradient reference: ")
+        assert ref.note.endswith(f" iterations, duality gap {ref.gap:.3e}")
+
+    def test_all_zero_matrix_takes_the_prox_of_zero(self):
+        # L = 0: the smooth part is the constant 1/2 ||b||^2
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(4, 2), a_blocks=(np.zeros((3, 2)),) * 4,
+            b=np.array([1.0, -2.0, 0.5]),
+            h=(NonsmoothTerm.l1(0.5), NonsmoothTerm.box(0.5, 2.0),
+               NonsmoothTerm.group_l2(1.0), NonsmoothTerm.zero()))
+        constants = compute_constants(p)
+        assert constants.L == 0.0
+        ref = reference_optimum(p, constants)
+        np.testing.assert_array_equal(ref.x_star, [0, 0, 0.5, 0.5, 0, 0, 0, 0])
+        assert ref.f_star == 0.5 * float(p.b @ p.b)
+        assert ref.certified and ref.gap == 0.0
+        assert "0 iterations" in ref.note
+
+    def test_iteration_cap_leaves_it_uncertified(self):
+        p, _ = make_lasso_instance(30, 20, 0.1, seed=3)
+        ref = reference_optimum(p, compute_constants(p), max_iterations=3)
+        assert not ref.certified
+        assert ref.gap > solvers.REFERENCE_GAP_RTOL * max(1.0, abs(ref.f_star))
+        # the gap is that of the returned point, evaluated at the cap
+        assert ref.gap == duality_gap(p, ref.x_star, p.residual(ref.x_star))[1]
+        assert ref.note == (f"accelerated proximal gradient reference: 3 iterations, duality "
+                            f"gap {ref.gap:.3e} (certificate not met; treat as best available)")
 
 
 class TestTrajectoryCSV:
@@ -744,22 +781,54 @@ class TestScalarKernel:
             assert_same_bits(getattr(t_cgd, attribute), getattr(t_bcpg, attribute))
         assert t_cgd.orders == t_bcpg.orders
 
+
+@st.composite
+def block_problems(draw):
+    """Small problems with blocks of 2 or 3 columns, half-integer data
+    (zero columns included) and one nonsmooth term of any kind per block."""
+    k_count = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 3))
+    rows = draw(st.integers(1, 7))
+    cells = st.integers(-3, 3).map(lambda v: v / 2.0)
+    a = np.array(draw(st.lists(cells, min_size=rows * k_count * n,
+                               max_size=rows * k_count * n))).reshape(rows, k_count * n)
+    b = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)))
+    terms = []
+    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=k_count, max_size=k_count)):
+        if kind in ("l1", "group_l2"):
+            terms.append(NonsmoothTerm(kind, weight=draw(st.sampled_from([0.0, 0.1, 0.7, 2.0]))))
+        elif kind == "box":
+            lo = draw(st.sampled_from([-1.0, -0.25, 0.0, 0.5]))
+            terms.append(NonsmoothTerm.box(lo, lo + draw(st.sampled_from([0.0, 0.5, 2.0]))))
+        else:
+            terms.append(NonsmoothTerm.zero())
+    return CompositeQuadraticProblem(
+        partition=BlockPartition(k_count, n),
+        a_blocks=tuple(a[:, k * n:(k + 1) * n] for k in range(k_count)), b=b, h=tuple(terms))
+
+
+class TestReferenceCertificate:
+    """The reference's duality gap against long bcpg runs: f_star - gap is
+    a lower bound on every value a run reaches, and f_star is above every
+    lower bound the gap gives at a run's iterates."""
+
     @settings(max_examples=100, deadline=None)
-    @given(case=scalar_problems(), cycles=st.integers(1, 30))
-    def test_reference_optimum_matches_replay(self, case, cycles):
-        problem, _, _ = case
+    @given(problem=st.one_of(scalar_problems().map(lambda case: case[0]), block_problems()))
+    def test_gap_brackets_bcpg_runs(self, problem):
         constants = compute_constants(problem)
-        assume(not problem.is_smooth())
-        ref = reference_optimum(problem, constants=constants, max_cycles=cycles)
-        start = np.array([_scalar_start(term) for term in problem.h])
-        orders = [range(problem.partition.block_count)] * cycles
-        # a zero column (L_k = 0) steps with P_k = 1
-        weights = np.where(constants.L_k > 0, constants.L_k, 1.0)
-        xs, f, movement = replay_scalar_sweeps(problem, orders, start, weights,
-                                               exact=False)
-        stop = next((r for r, m in enumerate(movement) if m <= 1e-13), cycles - 1)
-        assert_close(ref.x_star, xs[stop + 1])
-        assert_close(np.array([ref.f_star]), np.array([f[stop + 1]]))
+        assume(not problem.is_smooth() and constants.L > 0)
+        ref = reference_optimum(problem, constants)
+        assert ref.gap >= 0.0
+        assert math.isfinite(eval_objective(problem, ref.x_star))
+        start = prox_blocks(problem, np.zeros(problem.partition.dimension), 1.0)
+        t = run_bcpg(problem, SolverRun(algorithm="bcpg", stepsizes=StepsizePolicy.global_l(),
+                                        max_cycles=60), start, constants)
+        tol = 1e-12 * max(1.0, float(np.abs(t.f).max()), abs(ref.f_star))
+        assert ref.f_star - ref.gap <= float(t.f.min()) + tol
+        for x in t.xs:
+            f_value, gap = duality_gap(problem, x, problem.residual(x))
+            assert gap >= 0.0
+            assert f_value - gap <= ref.f_star + tol
 
 
 def assert_same_bits(actual, expected):
@@ -936,11 +1005,6 @@ class TestLockstep:
         batch[0] = (problem, run, start, constants)
         with pytest.raises(ValueError, match="NaN"):
             _lockstep(batch)
-
-
-def _scalar_start(term):
-    """The reference optimum's start: the feasible point closest to 0."""
-    return min(max(0.0, term.lo), term.hi) if term.kind == "box" else 0.0
 
 
 def assert_gd_is_plain_loop(problem, x0, order, cycles):
