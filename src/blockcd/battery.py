@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .bounds import BoundSpec, R0Estimate, beta_estimate, evaluate, r0_upper_estimate
+from .bounds import R0Estimate, beta_estimate, evaluate, r0_upper_estimate
 from .problems import (
     BlockPartition,
     CompositeQuadraticProblem,
@@ -48,13 +48,10 @@ from .solvers import (
 )
 from .verify import (
     CheckReport,
-    check_costtogo_bcd,
-    check_costtogo_bcpg,
-    check_descent_bcd,
-    check_descent_bcpg,
-    check_descent_cgd,
-    check_envelope,
+    bound_spec,
     check_truncation_constant,
+    envelope_checks,
+    lemma_checks,
     run_tightness_case,
 )
 
@@ -275,132 +272,73 @@ def get_trajectory(name: str, algorithm: str, policy_kind: str,
     return t
 
 
-def _certified(instance: Instance) -> bool:
-    return instance.r0.certified and instance.reference.certified
-
-
-def _bound_spec(instance: Instance, kind: str, traj: Trajectory,
-                r0_value: float | None = None) -> BoundSpec:
-    return BoundSpec(
-        kind=kind,
-        constants=instance.constants,
-        r0_upper=instance.r0.value if r0_value is None else r0_value,
-        delta0=instance.delta0,
-        beta=instance.beta,
-        p_max=float(traj.stepsizes.max()),
-        p_min=float(traj.stepsizes.min()),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Suites
+# Suites: verify.lemma_checks and verify.envelope_checks choose each
+# trajectory's checks; a check's label is "<instance>[:<policy>]<suffix>"
+
+def _suffix(order_kind: str, order_seed: int) -> str:
+    return "" if order_kind == "cyclic" else f"[{order_kind}:{order_seed}]"
+
+
+def _table1_cycles(name: str) -> int:
+    return 200 if get_instance(name).constants.block_count <= 10 else 100
+
 
 def suite_lemmas(order_kind: str = "cyclic", order_seed: int = 0) -> list[CheckReport]:
     """Per-cycle descent and cost-to-go inequalities over the battery."""
     reports = []
-    suffix = "" if order_kind == "cyclic" else f"[{order_kind}:{order_seed}]"
+    suffix = _suffix(order_kind, order_seed)
     for name in qp_battery_names():
         instance = get_instance(name)
         cycles = 300 if name.startswith(("lasso", "thm2")) else 100
-        advisory = not _certified(instance)
-        for policy in ("block_lk", "global_l"):
-            t_bcpg = get_trajectory(name, "bcpg", policy, order_kind, order_seed, cycles)
-            reports.append(check_descent_bcpg(
-                t_bcpg, instance.problem,
-                name=f"descent_bcpg:{name}:{policy}{suffix}"))
-            reports.append(check_costtogo_bcpg(
-                t_bcpg, instance.problem, instance.r0.value,
-                constants=instance.constants, advisory=advisory,
-                name=f"costtogo_bcpg:{name}:{policy}{suffix}"))
-        t_bcd = get_trajectory(name, "exact_bcd", "block_lk", order_kind, order_seed, cycles)
-        reports.append(check_descent_bcd(t_bcd, instance.problem,
-                                         name=f"descent_bcd:{name}{suffix}"))
-        reports.append(check_costtogo_bcd(
-            t_bcd, instance.problem, instance.r0.value,
-            constants=instance.constants, advisory=advisory,
-            name=f"costtogo_bcd:{name}{suffix}"))
+        for algorithm, policy, label in (("bcpg", "block_lk", f"{name}:block_lk"),
+                                         ("bcpg", "global_l", f"{name}:global_l"),
+                                         ("exact_bcd", "block_lk", name)):
+            t = get_trajectory(name, algorithm, policy, order_kind, order_seed, cycles)
+            reports += lemma_checks(instance, label + suffix, t)
     for name in table1_names():
-        instance = get_instance(name)
-        cycles = 200 if instance.constants.block_count <= 10 else 100
         for policy in ("global_l", "block_lk"):
-            t = get_trajectory(name, "cgd", policy, order_kind, order_seed, cycles)
-            reports.extend(check_descent_cgd(
-                t, instance.oracle, instance.beta,
-                name=f"descent_cgd:{name}:{policy}{suffix}"))
+            t = get_trajectory(name, "cgd", policy, order_kind, order_seed, _table1_cycles(name))
+            reports += lemma_checks(get_instance(name), f"{name}:{policy}{suffix}", t)
     return reports
 
 
 def suite_envelopes(order_kind: str = "cyclic", order_seed: int = 0) -> list[CheckReport]:
     """Gap-versus-bound envelope checks for every theorem-backed pairing."""
     reports = []
-    suffix = "" if order_kind == "cyclic" else f"[{order_kind}:{order_seed}]"
+    suffix = _suffix(order_kind, order_seed)
     for name in lasso_names():
         instance = get_instance(name)
-        certified = _certified(instance)
-        for policy, kind in (("global_l", "thm1_uniform"),
-                             ("block_lk", "thm1_blockwise")):
+        for policy, kind in (("global_l", "thm1_uniform"), ("block_lk", "thm1_blockwise")):
             t = get_trajectory(name, "bcpg", policy, order_kind, order_seed, LASSO_CYCLES)
-            reports.append(check_envelope(
-                t, _bound_spec(instance, kind, t),
-                name=f"envelope_{kind}:{name}:{policy}{suffix}",
-                r0_certified=certified))
-            reports.append(check_envelope(
-                t, _bound_spec(instance, "prior_cyclic", t),
-                name=f"envelope_prior_cyclic:{name}:{policy}{suffix}",
-                r0_certified=False))
-        t_bcd = get_trajectory(name, "exact_bcd", "block_lk", order_kind, order_seed, LASSO_CYCLES)
-        reports.append(check_envelope(
-            t_bcd, _bound_spec(instance, "thm2_scalar", t_bcd),
-            name=f"envelope_thm2_scalar:{name}{suffix}",
-            r0_certified=certified))
-
-    case_bound = {"thm2_case1": "thm2_case1", "thm2_case2": "thm2_case2",
-                  "thm2_case3_box": "thm2_case3", "thm2_case3_free": "thm2_case3"}
-    for name, kind in case_bound.items():
-        instance = get_instance(name)
+            reports += envelope_checks(instance, f"{name}:{policy}{suffix}", t,
+                                       (kind, "prior_cyclic"))
+        t = get_trajectory(name, "exact_bcd", "block_lk", order_kind, order_seed, LASSO_CYCLES)
+        reports += envelope_checks(instance, name + suffix, t, ("thm2_scalar",))
+    for name, kind in (("thm2_case1", "thm2_case1"), ("thm2_case2", "thm2_case2"),
+                       ("thm2_case3_box", "thm2_case3"), ("thm2_case3_free", "thm2_case3")):
         t = get_trajectory(name, "exact_bcd", "block_lk", order_kind, order_seed, 300)
-        reports.append(check_envelope(
-            t, _bound_spec(instance, kind, t),
-            name=f"envelope_{kind}:{name}{suffix}",
-            r0_certified=_certified(instance)))
-
+        reports += envelope_checks(get_instance(name), name + suffix, t, (kind,))
     for name in ("toeplitz_K10", "toeplitz_K25"):
-        instance = get_instance(name)
         t = get_trajectory(name, "bcpg", "block_lk", order_kind, order_seed, 100)
-        reports.append(check_envelope(
-            t, _bound_spec(instance, "thm1_smooth", t),
-            name=f"envelope_thm1_smooth:{name}{suffix}",
-            r0_certified=_certified(instance)))
-
+        reports += envelope_checks(get_instance(name), name + suffix, t, ("thm1_smooth",))
     for name in table1_names():
-        instance = get_instance(name)
-        cycles = 200 if instance.constants.block_count <= 10 else 100
-        certified = _certified(instance)
         for policy in ("global_l", "block_lk"):
-            t = get_trajectory(name, "cgd", policy, order_kind, order_seed, cycles)
-            for kind in ("thm3", "coro1"):
-                reports.append(check_envelope(
-                    t, _bound_spec(instance, kind, t),
-                    name=f"envelope_{kind}:{name}:{policy}{suffix}",
-                    r0_certified=certified))
-
+            t = get_trajectory(name, "cgd", policy, order_kind, order_seed, _table1_cycles(name))
+            reports += envelope_checks(get_instance(name), f"{name}:{policy}{suffix}", t,
+                                       ("thm3", "coro1"))
     reports.extend(suite_gd())
     reports.append(prior_ratio_report())
     return reports
 
 
 def suite_gd() -> list[CheckReport]:
-    """Gradient-descent baseline envelope on every smooth battery member.
-
-    The radius is the exact initial distance ||x0 - x*||, which the descent
-    argument certifies for gradient descent on its own.
-    """
+    """Gradient-descent baseline envelope on every smooth battery member,
+    with the exact initial distance ||x0 - x*|| as its radius."""
     reports = []
     for name in smooth_battery_names():
-        instance = get_instance(name)
         t = get_trajectory(name, "gd", "block_lk", "cyclic", 0, 200)
-        spec = _bound_spec(instance, "gd", t, r0_value=instance.gd_radius())
-        reports.append(check_envelope(t, spec, name=f"envelope_gd:{name}"))
+        reports += envelope_checks(get_instance(name), name, t, ("gd",))
     return reports
 
 
@@ -409,8 +347,8 @@ def prior_ratio_report() -> CheckReport:
     to the blockwise bound on the fully coupled scenario."""
     instance = get_instance("table1_full_K100")
     t = get_trajectory(instance.name, "bcpg", "block_lk", "cyclic", 0, 100)
-    prior = _bound_spec(instance, "prior_cyclic", t)
-    blockwise = _bound_spec(instance, "thm1_blockwise", t)
+    prior = bound_spec(instance, "prior_cyclic", t)
+    blockwise = bound_spec(instance, "thm1_blockwise", t)
     r = 50
     ratio = evaluate(prior, r) / evaluate(blockwise, r)
     c = instance.constants

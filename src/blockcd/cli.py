@@ -3,7 +3,17 @@
 Subcommands:
 
 * ``run`` — execute the solver runs of a plan file, writing one trajectory
-  CSV per run, a bound-curve CSV, and a summary of final gaps;
+  CSV per run, a bound-curve CSV, a summary of final gaps, and
+  ``verdicts.csv``.  The verdicts are the checks ``verify.checks_for``
+  selects for each run and the bounds whose ``against`` names it, written
+  as ``verify --out`` writes them.  A bound paired with no run gets no
+  verdict.  A cgd run whose order changes between
+  cycles, on a Hessian that is not permutation-invariant, gets its exact
+  chain-matrix forms reported as skipped and its relaxed beta form checked
+  on every cycle.  The exact forms would take two K x K SVDs per cycle:
+  0.5-0.7 s and 1.3-1.5 s on the benchmark's two 60-cycle Toeplitz runs
+  at K = 200 and 300, where the whole ``plan_scale`` workload takes about
+  0.8 s (2-core VM, Python 3.11.7, numpy 2.4.6);
 * ``verify`` — run a named verification suite over the built-in battery;
 * ``bounds`` — compute problem constants and all applicable bound curves
   for a problem file;
@@ -12,6 +22,10 @@ Subcommands:
 Plan files are JSON; the shape is documented in plan_schema.json shipped
 next to this module.  Identical plan and seed produce byte-identical
 output files.
+
+``run`` and ``verify`` exit 0 when every asserted check passes and 1 when
+one fails (advisory checks never gate); every command exits 2 with one
+``error:`` line on bad input.
 """
 
 from __future__ import annotations
@@ -26,7 +40,6 @@ from .battery import SUITES, run_solver, set_up
 from .bounds import (
     BOUND_KINDS,
     BOUND_PAIRINGS,
-    BoundSpec,
     InapplicableBound,
     bound_report_csv,
     evaluate,
@@ -50,14 +63,14 @@ from .solvers import (
     check_applicable,
     trajectory_to_csv,
 )
-from .verify import all_asserted_pass, report_lines, reports_to_csv
+from .verify import bound_spec, checks_for, report_lines, reports_to_csv
 
 
 # Run labels name output files inside --out: no path separators, no
 # leading dot (so neither "." nor ".." nor hidden files), and not the stem
-# of the bound table bounds.csv.  plan_schema.json carries the same rules.
+# of another file run writes.  plan_schema.json carries the same rules.
 LABEL_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
-RESERVED_LABEL = "bounds"
+RESERVED_LABELS = {"bounds": "the bound table", "verdicts": "the verdict table"}
 
 
 class PlanError(ValueError):
@@ -164,9 +177,9 @@ def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
             raise PlanError(f"{path}.label",
                             "expected letters, digits, '_', '-' or '.', "
                             "not starting with '.'")
-        if label == RESERVED_LABEL:
+        if label in RESERVED_LABELS:
             raise PlanError(f"{path}.label",
-                            f"{label!r} is reserved for the bound table")
+                            f"{label!r} is reserved for {RESERVED_LABELS[label]}")
         if label in labels:
             raise PlanError(f"{path}.label", f"duplicate label {label!r}")
         labels.add(label)
@@ -262,17 +275,8 @@ def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
         trajectory_to_csv(t, out / f"{label}.csv")
 
     max_cycles = max(t.cycles for t in trajectories.values())
-    specs = []
-    for label, kind, against, c_prior in bound_requests:
-        if against is not None:
-            t = trajectories[against]
-            p_max, p_min = float(t.stepsizes.max()), float(t.stepsizes.min())
-        else:
-            p_max, p_min = constants.L_max, constants.L_min
-        specs.append((label, BoundSpec(kind=kind, constants=constants,
-                                       r0_upper=r0.value, delta0=instance.delta0,
-                                       beta=instance.beta, c_prior=c_prior,
-                                       p_max=p_max, p_min=p_min)))
+    specs = [(label, bound_spec(instance, kind, trajectories.get(against), c_prior))
+             for label, kind, against, c_prior in bound_requests]
     if specs:
         bound_report_csv(specs, max_cycles, out / "bounds.csv")
 
@@ -303,7 +307,23 @@ def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
                          f"of observed gap: {first}")
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(trajectories)} trajectory file(s) to {out}")
-    return 0
+
+    reports = []
+    for label, _ in runs:
+        paired = {kind: c_prior for _, kind, against, c_prior in bound_requests
+                  if against == label}
+        reports += checks_for(instance, label, trajectories[label], list(paired),
+                              paired.get("prior_cyclic", 1.0))
+    reports_to_csv(reports, out / "verdicts.csv")
+    return _tally("verdicts", reports)
+
+
+def _tally(name: str, reports) -> int:
+    """Print the check count and asserted failures of ``reports``; the exit
+    code is 1 when an asserted check failed and 0 otherwise."""
+    failed = sum(1 for rep in reports if not rep.passed and not rep.advisory)
+    print(f"{name}: {len(reports)} checks, {failed} asserted failure(s)")
+    return 0 if failed == 0 else 1
 
 
 def cmd_verify(suite: str, seed: int, out_dir: str | None = None) -> int:
@@ -318,11 +338,7 @@ def cmd_verify(suite: str, seed: int, out_dir: str | None = None) -> int:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         reports_to_csv(reports, out / f"verify_{suite}.csv")
-    ok = all_asserted_pass(reports)
-    failed = sum(1 for rep in reports if not rep.passed and not rep.advisory)
-    print(f"{suite}: {len(reports)} checks, "
-          f"{failed} asserted failure(s)")
-    return 0 if ok else 1
+    return _tally(suite, reports)
 
 
 def cmd_bounds(problem_path: str, r_max: int, out_dir: str | None) -> int:
@@ -331,10 +347,7 @@ def cmd_bounds(problem_path: str, r_max: int, out_dir: str | None) -> int:
     loaded = load_problem(problem_path)
     instance = set_up(loaded.kind, loaded.problem, loaded.x0)
     constants, r0, delta0 = instance.constants, instance.r0, instance.delta0
-    specs = [(kind, BoundSpec(kind=kind, constants=constants, r0_upper=r0.value,
-                              delta0=delta0, beta=instance.beta,
-                              p_max=constants.L_max, p_min=constants.L_min))
-             for kind in BOUND_KINDS]
+    specs = [(kind, bound_spec(instance, kind)) for kind in BOUND_KINDS]
     out = Path(out_dir if out_dir is not None else "out")
     bound_report_csv(specs, r_max, out / "bounds.csv")
 

@@ -3,6 +3,11 @@ envelope checks for the complexity bounds, the triangular-truncation
 constant check, and the adversarial one-pass construction with its
 closed-form recursion oracle.
 
+``checks_for`` (``lemma_checks`` plus ``envelope_checks``) is the one
+selection of checks for a set-up trajectory, and the one place that says
+when a check is advisory; ``bound_spec`` is the one place that builds a
+BoundSpec.  The battery suites and ``blockcd run`` both go through them.
+
 Every check returns a CheckReport.  Violations are normalized so that a
 report's tolerance is a single number: ``worst_violation`` is the largest
 normalized excess over all cycles (0 when the inequality always held) and
@@ -14,7 +19,8 @@ and do not gate suite exit codes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +29,9 @@ from .linalg import spectral_norm
 from .problems import CompositeQuadraticProblem, ProblemConstants, SmoothProblemOracle
 from .rng import SplitMix64, derive_seed
 from .solvers import Trajectory
+
+if TYPE_CHECKING:
+    from .battery import Instance
 
 LEMMA_TOL = 1e-8
 
@@ -75,25 +84,35 @@ def check_descent_bcpg(t: Trajectory, p: CompositeQuadraticProblem,
                    notes="normalized by max(1, |f|)")
 
 
-def _image_movement_sq(t: Trajectory, p: CompositeQuadraticProblem, r: int) -> float:
-    """sum_k ||A_k (x_k^(r+1) - x_k^(r))||^2, one einsum over the blocks
-    stacked as an (m, K, N) view of [A_1, ..., A_K]."""
+def image_movements_sq(t: Trajectory, p: CompositeQuadraticProblem) -> list[float]:
+    """sum_k ||A_k (x_k^(r+1) - x_k^(r))||^2 for every cycle r, one einsum
+    per cycle over the blocks stacked as an (m, K, N) view of
+    [A_1, ..., A_K].  The exact-BCD descent and cost-to-go checks of one
+    trajectory share the list."""
     k_count, n = p.partition.block_count, p.partition.block_size
-    d = (t.xs[r + 1] - t.xs[r]).reshape(k_count, n)
-    steps = np.einsum("mkn,kn->km", p.full_matrix().reshape(p.rows, k_count, n), d)
-    return float(np.sum(steps * steps))
+    stacked = p.full_matrix().reshape(p.rows, k_count, n)
+    movements = []
+    for r in range(t.cycles):
+        d = (t.xs[r + 1] - t.xs[r]).reshape(k_count, n)
+        steps = np.einsum("mkn,kn->km", stacked, d)
+        movements.append(float(np.sum(steps * steps)))
+    return movements
 
 
 def check_descent_bcd(t: Trajectory, p: CompositeQuadraticProblem,
-                      name: str = "descent_bcd") -> CheckReport:
+                      name: str = "descent_bcd",
+                      image_sq: list[float] | None = None) -> CheckReport:
     """Per-cycle sufficient descent of exact block minimization:
-    f(x^r) - f(x^(r+1)) >= 1/2 sum_k ||A_k (x_k^(r+1) - x_k^(r))||^2."""
+    f(x^r) - f(x^(r+1)) >= 1/2 sum_k ||A_k (x_k^(r+1) - x_k^(r))||^2.
+    ``image_sq`` is image_movements_sq(t, p), computed here if not given."""
     if t.algorithm != "exact_bcd":
         raise ValueError("descent_bcd expects an exact_bcd trajectory")
+    if image_sq is None:
+        image_sq = image_movements_sq(t, p)
     violations = []
     for r in range(t.cycles):
         lhs = t.f[r] - t.f[r + 1]
-        rhs = 0.5 * _image_movement_sq(t, p, r)
+        rhs = 0.5 * image_sq[r]
         violations.append((rhs - lhs) / max(1.0, abs(t.f[r])))
     return _report(name, violations, LEMMA_TOL,
                    notes="normalized by max(1, |f|)")
@@ -128,10 +147,12 @@ def check_costtogo_bcpg(t: Trajectory, p: CompositeQuadraticProblem,
 def check_costtogo_bcd(t: Trajectory, p: CompositeQuadraticProblem,
                        r0_upper: float, constants: ProblemConstants,
                        name: str = "costtogo_bcd",
-                       advisory: bool = False) -> CheckReport:
+                       advisory: bool = False,
+                       image_sq: list[float] | None = None) -> CheckReport:
     """Gap bound from iterate movement after an exact sweep; the rank case
     of the blocks picks the applicable inequality (the rank-free case-3
-    form is the fallback)."""
+    form is the fallback).  ``image_sq`` is image_movements_sq(t, p); the
+    full-row and rank-free forms compute it if it is not given."""
     if t.algorithm != "exact_bcd":
         raise ValueError("costtogo_bcd expects an exact_bcd trajectory")
     if t.gap is None:
@@ -143,29 +164,25 @@ def check_costtogo_bcd(t: Trajectory, p: CompositeQuadraticProblem,
     if case in ("full_column", "full_row") and log2nk is None:
         return _skipped(name, f"K*N = {total} < 3 is outside the log^2 regime")
 
-    def sigma_movement(r):
-        moves = t.block_movement(r, n)
-        return math.sqrt(float(np.sum((constants.sigma_k * moves) ** 2)))
-
-    def image_movement(r):
-        return math.sqrt(_image_movement_sq(t, p, r))
-
     if case == "full_column":
         coefficient = (r0_upper / constants.sigma_min) * log2nk * (constants.L + constants.L_max)
-        movement = sigma_movement
+        movements = [math.sqrt(float(np.sum((constants.sigma_k * t.block_movement(r, n)) ** 2)))
+                     for r in range(t.cycles)]
         label = "full-column-rank form"
-    elif case == "full_row":
-        coefficient = (r0_upper / constants.gamma_min) * log2nk * (constants.L + constants.L_max)
-        movement = image_movement
-        label = "full-row-rank form"
     else:
-        coefficient = r0_upper * math.sqrt(constants.L_max) * (constants.block_count + 2)
-        movement = image_movement
-        label = "rank-free form"
+        if image_sq is None:
+            image_sq = image_movements_sq(t, p)
+        movements = [math.sqrt(value) for value in image_sq]
+        if case == "full_row":
+            coefficient = (r0_upper / constants.gamma_min) * log2nk * (constants.L + constants.L_max)
+            label = "full-row-rank form"
+        else:
+            coefficient = r0_upper * math.sqrt(constants.L_max) * (constants.block_count + 2)
+            label = "rank-free form"
     violations = []
     for r in range(t.cycles):
         lhs = t.gap[r + 1]
-        rhs = coefficient * movement(r)
+        rhs = coefficient * movements[r]
         violations.append((lhs - rhs) / max(1.0, abs(lhs), rhs))
     return _report(name, violations, LEMMA_TOL, advisory=advisory,
                    notes=f"{label}; coefficient {coefficient:.6g}")
@@ -200,15 +217,12 @@ def _chain_matrix_norm(orders, hessian: np.ndarray, stepsizes: np.ndarray):
         yield norms
 
 
-def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
-                      name: str = "descent_cgd") -> list[CheckReport]:
+def check_descent_cgd_beta(t: Trajectory, beta: float,
+                           name: str = "descent_cgd") -> CheckReport:
     """Sufficient descent of the coordinate chain in terms of the full
-    gradient: the relaxed form
+    gradient, in the relaxed form (report ``<name>_beta``)
 
-        g^r - g^(r+1) >= ||grad g(x^r)||^2 / (2 (P_max + beta^2 / P_min)),
-
-    the exact chain-matrix form with ||V||^2, and ||H|| <= beta.
-    """
+        g^r - g^(r+1) >= ||grad g(x^r)||^2 / (2 (P_max + beta^2 / P_min))."""
     if t.algorithm != "cgd":
         raise ValueError("descent_cgd expects a cgd trajectory")
     if t.grad_norm is None:
@@ -221,8 +235,16 @@ def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
         lhs = t.f[r] - t.f[r + 1]
         rhs = t.grad_norm[r] ** 2 / denom_beta
         beta_violations.append((rhs - lhs) / max(1.0, abs(t.f[r])))
-    reports = [_report(f"{name}_beta", beta_violations, LEMMA_TOL,
-                       notes=f"beta {beta:.6g}")]
+    return _report(f"{name}_beta", beta_violations, LEMMA_TOL, notes=f"beta {beta:.6g}")
+
+
+def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
+                      name: str = "descent_cgd") -> list[CheckReport]:
+    """Sufficient descent of the coordinate chain in terms of the full
+    gradient: the relaxed form (check_descent_cgd_beta), the exact
+    chain-matrix form with ||V||^2, and ||H|| <= beta.
+    """
+    reports = [check_descent_cgd_beta(t, beta, name)]
     exact_violations = []
     h_norm_violations = []
     norms = _chain_matrix_norm(t.orders, o.hessian, t.stepsizes)
@@ -269,6 +291,110 @@ def check_envelope(t: Trajectory, spec: BoundSpec, name: str | None = None,
     qualifier = "" if not advisory else " (informational: uncertified inputs)"
     return _report(name, violations, 1e-8, advisory=advisory,
                    notes=f"cycles 1..{t.cycles}{qualifier}")
+
+
+# ---------------------------------------------------------------------------
+# Check selection: which checks a trajectory gets, and when one is advisory
+
+def bound_spec(instance: Instance, kind: str, t: Trajectory | None = None,
+               c_prior: float = 1.0) -> BoundSpec:
+    """The bound ``kind`` on a set-up instance, with the inverse-stepsize
+    extremes of the run ``t`` it is paired with, or L_max and L_min when
+    it is paired with no run."""
+    c = instance.constants
+    if t is None:
+        p_max, p_min = c.L_max, c.L_min
+    else:
+        p_max, p_min = float(t.stepsizes.max()), float(t.stepsizes.min())
+    return BoundSpec(kind=kind, constants=c, r0_upper=instance.r0.value,
+                     delta0=instance.delta0, beta=instance.beta, c_prior=c_prior,
+                     p_max=p_max, p_min=p_min)
+
+
+def permutation_invariant(hessian: np.ndarray, stepsizes: np.ndarray) -> bool:
+    """Whether Q[order, order] and P[order] are the same for every visit
+    order: Q has one diagonal value and one off-diagonal value, and P is
+    constant.  One pass over the K x K entries."""
+    def constant(values):
+        return values.size == 0 or bool(np.all(values == values.flat[0]))
+    off_diagonal = ~np.eye(hessian.shape[0], dtype=bool)
+    return (constant(np.diagonal(hessian)) and constant(hessian[off_diagonal])
+            and constant(stepsizes))
+
+
+def lemma_checks(instance: Instance, label: str, t: Trajectory) -> list[CheckReport]:
+    """The per-cycle descent and cost-to-go checks of run ``t`` on the
+    set-up ``instance``, named ``<check>:<label>``.
+
+    * bcpg: descent_bcpg and costtogo_bcpg;
+    * exact_bcd: descent_bcd and costtogo_bcd, sharing one
+      image_movements_sq;
+    * cgd: descent_cgd.  Its relaxed beta form is checked on every run.
+      Its exact chain-matrix form and ||H|| <= beta are checked when every
+      cycle visits in the same order, or when Q and P are
+      permutation-invariant, because then they cost two K x K SVDs per run
+      (_chain_matrix_norm); otherwise they would cost two SVDs per cycle
+      and are reported as skipped, with the reason;
+    * gd: none.
+
+    A cost-to-go check is advisory when the radius R0 or the reference
+    optimum is uncertified."""
+    p, constants = instance.problem, instance.constants
+    advisory = not (instance.r0.certified and instance.reference.certified)
+    if t.algorithm == "bcpg":
+        return [check_descent_bcpg(t, p, name=f"descent_bcpg:{label}"),
+                check_costtogo_bcpg(t, p, instance.r0.value, constants,
+                                    name=f"costtogo_bcpg:{label}", advisory=advisory)]
+    if t.algorithm == "exact_bcd":
+        image_sq = image_movements_sq(t, p)
+        return [check_descent_bcd(t, p, name=f"descent_bcd:{label}", image_sq=image_sq),
+                check_costtogo_bcd(t, p, instance.r0.value, constants,
+                                   name=f"costtogo_bcd:{label}", advisory=advisory,
+                                   image_sq=image_sq)]
+    if t.algorithm == "cgd":
+        name = f"descent_cgd:{label}"
+        same_order = all(order == t.orders[0] for order in t.orders)
+        if same_order or permutation_invariant(instance.oracle.hessian, t.stepsizes):
+            return check_descent_cgd(t, instance.oracle, instance.beta, name=name)
+        k = constants.block_count
+        reason = ("the visit order changes between cycles and Q, P are not "
+                  f"permutation-invariant, so this form would take two {k}x{k} SVDs "
+                  f"per cycle; {name}_beta checks the relaxed form on every cycle")
+        return [check_descent_cgd_beta(t, instance.beta, name=name),
+                _skipped(f"{name}_exact_v", reason), _skipped(f"{name}_hbound", reason)]
+    return []
+
+
+def envelope_checks(instance: Instance, label: str, t: Trajectory, kinds,
+                    c_prior: float = 1.0) -> list[CheckReport]:
+    """One envelope check per bound kind in ``kinds`` paired with run
+    ``t``, named ``envelope_<kind>:<label>``; ``c_prior`` is the leading
+    constant of the prior cyclic bound.
+
+    An envelope is advisory when the radius R0 or the reference optimum is
+    uncertified.  The gd envelope uses the exact initial distance
+    ||x0 - x*||, which gradient descent's own argument certifies, so only
+    the reference matters there.  prior_cyclic is always advisory: its
+    leading constant is unspecified."""
+    reports = []
+    for kind in kinds:
+        spec = bound_spec(instance, kind, t, c_prior)
+        certified = instance.reference.certified and kind != "prior_cyclic"
+        if kind == "gd":
+            spec = replace(spec, r0_upper=instance.gd_radius())
+        else:
+            certified = certified and instance.r0.certified
+        reports.append(check_envelope(t, spec, name=f"envelope_{kind}:{label}",
+                                      r0_certified=certified))
+    return reports
+
+
+def checks_for(instance: Instance, label: str, t: Trajectory, kinds=(),
+               c_prior: float = 1.0) -> list[CheckReport]:
+    """Every check of run ``t`` on ``instance``: its lemma checks, then one
+    envelope per paired bound kind."""
+    return (lemma_checks(instance, label, t)
+            + envelope_checks(instance, label, t, kinds, c_prior))
 
 
 def one_pass_recursion_oracle(x0, block_count: int) -> np.ndarray:
@@ -400,7 +526,3 @@ def reports_to_csv(reports, target) -> None:
             fh.write(f"{rep.check_name},{rep.passed},{rep.advisory},"
                      f"{rep.worst_violation:.17g},{rep.tolerance:.17g},"
                      f"{rep.cycles_checked},\"{notes}\"\n")
-
-
-def all_asserted_pass(reports) -> bool:
-    return all(rep.passed for rep in reports if not rep.advisory)

@@ -36,7 +36,7 @@ from blockcd.problems import (
 )
 from blockcd.rng import SplitMix64
 from blockcd.solvers import SolverRun, StepsizePolicy, run_bcd_exact, run_bcpg
-from blockcd.verify import expected_one_pass_iterate
+from blockcd.verify import bound_spec, expected_one_pass_iterate
 
 
 @contextlib.contextmanager
@@ -132,7 +132,7 @@ class TestCriterion3Thm1Envelopes:
                                      ("block_lk", "thm1_blockwise")):
                     t = battery.get_trajectory(name, "bcpg", policy,
                                                "cyclic", 0, 300)
-                    spec = battery._bound_spec(instance, kind, t)
+                    spec = bound_spec(instance, kind, t)
                     for r in range(1, t.cycles + 1):
                         ratio = t.gap[r] / evaluate(spec, r)
                         worst = max(worst, ratio)
@@ -152,7 +152,7 @@ class TestCriterion4Thm2Envelopes:
                 assert instance.r0.certified and instance.reference.certified
                 t = battery.get_trajectory(name, "exact_bcd", "block_lk",
                                            "cyclic", 0, 300)
-                spec = battery._bound_spec(instance, kind, t)
+                spec = bound_spec(instance, kind, t)
                 for r in range(1, t.cycles + 1):
                     ratio = t.gap[r] / evaluate(spec, r)
                     worst = max(worst, ratio)
@@ -162,7 +162,7 @@ class TestCriterion4Thm2Envelopes:
             assert not free.r0.certified
             t = battery.get_trajectory("thm2_case3_free", "exact_bcd", "block_lk",
                                        "cyclic", 0, 300)
-            spec = battery._bound_spec(free, "thm2_case3", t)
+            spec = bound_spec(free, "thm2_case3", t)
             reported = max(t.gap[r] / evaluate(spec, r)
                            for r in range(1, t.cycles + 1))
             detail.append(f"worst asserted ratio {worst:.3e}; heuristic-radius "

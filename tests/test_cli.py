@@ -1,5 +1,6 @@
 """Tests for the command-line harness."""
 
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockcd import battery, cli, problems
+from blockcd import battery, cli, problems, verify
 from blockcd.cli import main
 from blockcd.linalg import ConvergenceError
 from blockcd.problems import ProblemConstants, compute_constants, oracle_from_quadratic
@@ -157,6 +158,108 @@ class TestRun:
         assert len(calls) == 1
 
 
+VERDICT_PLAN = {
+    "seed": 5,
+    "problem": {"kind": "toeplitz", "block_count": 5},
+    "runs": [
+        {"label": "a", "algorithm": "bcpg", "max_cycles": 30},
+        {"label": "b", "algorithm": "exact_bcd", "max_cycles": 30},
+        {"label": "c", "algorithm": "cgd", "max_cycles": 30},
+        {"label": "perm", "algorithm": "cgd", "max_cycles": 30,
+         "order": {"kind": "random_permutation", "seed": 11}},
+        {"label": "d", "algorithm": "gd", "max_cycles": 30},
+    ],
+    "bounds": [{"kind": "thm1_blockwise", "against": "a"},
+               {"kind": "prior_cyclic", "against": "a", "c_prior": 3.0},
+               {"kind": "thm2_scalar", "against": "b"},
+               {"kind": "thm3", "against": "perm"},
+               {"kind": "gd", "against": "d"},
+               "coro1"],
+}
+
+
+def verdict_rows(out) -> dict:
+    """check_name -> (passed, advisory, cycles_checked, notes) of verdicts.csv."""
+    with open(out / "verdicts.csv", encoding="utf-8", newline="") as fh:
+        return {row["check_name"]: (row["passed"], row["advisory"],
+                                    int(row["cycles_checked"]), row["notes"])
+                for row in csv.DictReader(fh)}
+
+
+class TestVerdicts:
+    """blockcd run checks each run with the selection the battery uses."""
+
+    def test_rows_equal_the_selection(self, tmp_path, capsys):
+        plan = write_plan(tmp_path, VERDICT_PLAN)
+        out = tmp_path / "out"
+        assert main(["run", "--plan", plan, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verdicts: 15 checks, 0 asserted failure(s)"
+        # the same runs, set up and checked outside the command line
+        loaded = problems.load_problem(VERDICT_PLAN["problem"])
+        instance = battery.set_up(loaded.kind, loaded.problem, loaded.x0)
+        bounds = cli._parse_bounds(VERDICT_PLAN, cli._parse_runs(VERDICT_PLAN, 5))
+        reports = []
+        for label, run in cli._parse_runs(VERDICT_PLAN, 5):
+            kinds = [kind for _, kind, against, _ in bounds if against == label]
+            c_prior = 3.0 if label == "a" else 1.0
+            reports += verify.checks_for(instance, label, battery.run_solver(instance, run),
+                                         kinds, c_prior)
+        verify.reports_to_csv(reports, tmp_path / "expected.csv")
+        assert (out / "verdicts.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        rows = verdict_rows(out)
+        assert rows["envelope_prior_cyclic:a"][1] == "True"
+        assert rows["envelope_gd:d"][:2] == ("True", "False")
+
+    def test_bound_without_against_gets_no_verdict(self, tmp_path):
+        plan = write_plan(tmp_path, VERDICT_PLAN)
+        out = tmp_path / "out"
+        assert main(["run", "--plan", plan, "--out", str(out)]) == 0
+        assert "coro1" in (out / "bounds.csv").read_text().splitlines()[0]
+        envelopes = [name for name in verdict_rows(out) if name.startswith("envelope_")]
+        assert envelopes == ["envelope_thm1_blockwise:a", "envelope_prior_cyclic:a",
+                             "envelope_thm2_scalar:b", "envelope_thm3:perm", "envelope_gd:d"]
+
+    def test_changing_cgd_order_skips_only_the_exact_forms(self, tmp_path):
+        plan = write_plan(tmp_path, VERDICT_PLAN)
+        out = tmp_path / "out"
+        assert main(["run", "--plan", plan, "--out", str(out)]) == 0
+        rows = verdict_rows(out)
+        passed, advisory, cycles, notes = rows["descent_cgd:perm_beta"]
+        assert (passed, advisory, cycles) == ("True", "False", 30)
+        for form in ("exact_v", "hbound"):
+            passed, advisory, cycles, notes = rows[f"descent_cgd:perm_{form}"]
+            assert (passed, advisory, cycles) == ("True", "True", 0)
+            assert notes.startswith("skipped: the visit order changes between cycles")
+            assert "two 5x5 SVDs per cycle" in notes
+            # the cyclic cgd run checks the exact forms on every cycle
+            assert rows[f"descent_cgd:c_{form}"][1:3] == ("False", 30)
+
+    def test_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        def failing(t, p, name="descent_bcpg"):
+            return verify.CheckReport(check_name=name, cycles_checked=1,
+                                      worst_violation=1.0, passed=False, tolerance=0.0)
+
+        monkeypatch.setattr(verify, "check_descent_bcpg", failing)
+        plan = write_plan(tmp_path, VERDICT_PLAN)
+        out = tmp_path / "out"
+        assert main(["run", "--plan", plan, "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "verdicts: 15 checks, 1 asserted failure(s)"
+        assert verdict_rows(out)["descent_bcpg:a"][:2] == ("False", "False")
+        for name in ("a.csv", "perm.csv", "bounds.csv", "summary.txt"):
+            assert (out / name).is_file()
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        plan = write_plan(tmp_path, VERDICT_PLAN)
+        out1, out2 = tmp_path / "one", tmp_path / "two"
+        assert main(["run", "--plan", plan, "--out", str(out1)]) == 0
+        assert main(["run", "--plan", plan, "--out", str(out2)]) == 0
+        files = sorted(path.name for path in out1.iterdir())
+        assert "verdicts.csv" in files
+        assert files == sorted(path.name for path in out2.iterdir())
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 class TestToeplitzK300:
     # the largest plan_scale problem: beta_estimate takes the spectral norm
     # of the strict-lower Hessian, whose top singular values cluster
@@ -257,7 +360,7 @@ class TestErrors:
         assert calls == []
 
     @pytest.mark.parametrize("label", ["../escaped", "..", ".hidden", "a/b", "",
-                                       "bounds"])
+                                       "bounds", "verdicts"])
     def test_label_cannot_leave_out_dir(self, tmp_path, capsys, label):
         plan = dict(BASIC_PLAN)
         plan["runs"] = [dict(plan["runs"][0], label=label)]
@@ -472,7 +575,8 @@ NUMBER_TEXTS = ["0", "-0.0", "1e-300", "0.5", "2", "1e308", "-1", "-5",
                 "false", "null", '"1"', "[1]"]
 LABEL_TEXTS = ['"ok-1.2_x"', '"_a"', '"-a"', '"a..b"', '"../escaped"', '".."',
                '".hidden"', '"a/b"', '"a b"', '""', '"\u00e9"', "7",
-               '"bounds"', '"bounds.x"', '"Bounds"', '"a\\n"']
+               '"bounds"', '"bounds.x"', '"Bounds"', '"a\\n"',
+               '"verdicts"', '"verdicts.x"']
 # a plan's problem is an object or a string: a problem-file path, or the
 # problem's JSON text
 PROBLEM_TEXTS = ['{"kind": "toeplitz", "block_count": 5}', '"problem.json"',
@@ -606,7 +710,7 @@ PLAN_FIELDS = {
     "seed": ((), "seed", _json_values()),
     "output": ((), "output", _json_values("out", "", "a/b", "../up")),
     "label": (("runs", 0), "label", _json_values("a", "_a", "-a.b", "..", ".a", "a/b", "a\n",
-                                                 "bounds", "Bounds", "\u00e9")),
+                                                 "bounds", "Bounds", "verdicts", "\u00e9")),
     "algorithm": (("runs", 0), "algorithm", _json_values("bcpg", "exact_bcd", "cgd", "gd",
                                                          "BCPG")),
     "max_cycles": (("runs", 0), "max_cycles", _json_values()),

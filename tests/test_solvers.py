@@ -783,9 +783,9 @@ class TestScalarKernel:
 
 
 @st.composite
-def block_problems(draw):
+def block_problems(draw, kinds=KINDS):
     """Small problems with blocks of 2 or 3 columns, half-integer data
-    (zero columns included) and one nonsmooth term of any kind per block."""
+    (zero columns included) and one nonsmooth term per block."""
     k_count = draw(st.integers(1, 4))
     n = draw(st.integers(2, 3))
     rows = draw(st.integers(1, 7))
@@ -794,7 +794,7 @@ def block_problems(draw):
                                max_size=rows * k_count * n))).reshape(rows, k_count * n)
     b = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)))
     terms = []
-    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=k_count, max_size=k_count)):
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=k_count, max_size=k_count)):
         if kind in ("l1", "group_l2"):
             terms.append(NonsmoothTerm(kind, weight=draw(st.sampled_from([0.0, 0.1, 0.7, 2.0]))))
         elif kind == "box":

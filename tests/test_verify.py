@@ -5,8 +5,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from blockcd import verify
+from blockcd import battery, verify
 from blockcd.bounds import BoundSpec, beta_estimate, r0_upper_estimate
 from blockcd.linalg import spectral_norm
 from blockcd.problems import (
@@ -17,10 +19,12 @@ from blockcd.problems import (
     make_table1_full_qp,
     make_toeplitz_instance,
     oracle_from_quadratic,
+    prox_blocks,
     toeplitz_start,
 )
 from blockcd.rng import SplitMix64
 from blockcd.solvers import (
+    ORDER_KINDS,
     BlockOrder,
     SolverRun,
     StepsizePolicy,
@@ -44,6 +48,7 @@ from blockcd.verify import (
     reports_to_csv,
     run_tightness_case,
 )
+from test_solvers import KINDS, assert_close, block_problems, scalar_problems
 
 
 def one_cycle_runs(k):
@@ -379,3 +384,120 @@ class TestReportOutput:
             rows = list(csv.DictReader(fh))
         assert [row["notes"] for row in rows] == notes
         assert [row["check_name"] for row in rows] == [r.check_name for r in reports]
+
+
+class TestCheckSelection:
+    """The advisory rules and bound specs stated once in verify."""
+
+    def envelope_inputs(self, monkeypatch, name, algorithm, kinds):
+        """(spec, r0_certified) that envelope_checks hands check_envelope."""
+        seen = []
+        monkeypatch.setattr(verify, "check_envelope",
+                            lambda t, spec, name, r0_certified: seen.append((spec, r0_certified)))
+        instance = battery.get_instance(name)
+        t = battery.get_trajectory(name, algorithm, "block_lk", cycles=5)
+        verify.envelope_checks(instance, name, t, kinds)
+        return instance, t, dict(zip(kinds, seen))
+
+    def test_uncertified_radius_makes_envelopes_advisory_except_gd(self, monkeypatch):
+        instance, _, seen = self.envelope_inputs(monkeypatch, "toeplitz_K5", "bcpg",
+                                                 ("thm1_smooth", "prior_cyclic"))
+        assert not instance.r0.certified and instance.reference.certified
+        assert [certified for _, certified in seen.values()] == [False, False]
+        instance, _, seen = self.envelope_inputs(monkeypatch, "toeplitz_K5", "gd", ("gd",))
+        spec, certified = seen["gd"]
+        assert certified and spec.r0_upper == instance.gd_radius() < instance.r0.value
+
+    def test_prior_cyclic_is_advisory_on_certified_inputs(self, monkeypatch):
+        instance, t, seen = self.envelope_inputs(monkeypatch, "lasso_00", "bcpg",
+                                                 ("thm1_blockwise", "prior_cyclic"))
+        assert instance.r0.certified and instance.reference.certified
+        assert seen["thm1_blockwise"][1] and not seen["prior_cyclic"][1]
+        spec = seen["thm1_blockwise"][0]
+        assert (spec.r0_upper, spec.p_max, spec.p_min) == (
+            instance.r0.value, float(t.stepsizes.max()), float(t.stepsizes.min()))
+
+    def test_unpaired_bound_spec_uses_block_constants(self):
+        instance = battery.get_instance("lasso_00")
+        spec = verify.bound_spec(instance, "thm3", c_prior=2.0)
+        c = instance.constants
+        assert (spec.p_max, spec.p_min, spec.c_prior) == (c.L_max, c.L_min, 2.0)
+        assert (spec.delta0, spec.beta) == (instance.delta0, instance.beta)
+
+
+@st.composite
+def generated_runs(draw):
+    """An algorithm, a problem it applies to from the solver tests'
+    strategies (scalar blocks, or blocks of 2 or 3 columns; any terms, or
+    smooth), a feasible start, a cyclic or random-permutation order, a
+    policy and a cycle count."""
+    algorithm = draw(st.sampled_from(["bcpg", "exact_bcd", "cgd", "gd"]))
+    smooth = algorithm in ("cgd", "gd") or draw(st.booleans())
+    kinds = ("zero",) if smooth else KINDS
+    if algorithm == "cgd" or draw(st.booleans()):
+        problem, x0, order = draw(scalar_problems(kinds=kinds))
+    else:
+        problem = draw(block_problems(kinds=kinds))
+        cells = st.integers(-3, 3).map(lambda v: v / 2.0)
+        dimension = problem.partition.dimension
+        x0 = prox_blocks(problem, np.array(draw(st.lists(cells, min_size=dimension,
+                                                         max_size=dimension))), 1.0)
+        order = BlockOrder(draw(st.sampled_from(ORDER_KINDS)),
+                           seed=draw(st.integers(0, 2**32 - 1)))
+    return (problem, x0, order, algorithm, draw(st.sampled_from(["block_lk", "global_l"])),
+            draw(st.integers(1, 30)))
+
+
+def paired_kinds(instance, algorithm: str, policy: str) -> list[str]:
+    """The bound kinds the battery pairs with such a run, where their
+    hypotheses hold."""
+    c = instance.constants
+    if algorithm == "bcpg":
+        kinds = ["thm1_blockwise" if policy == "block_lk" else "thm1_uniform", "prior_cyclic"]
+        if instance.problem.is_smooth() and policy == "block_lk":
+            kinds.append("thm1_smooth")
+        return kinds
+    if algorithm == "exact_bcd":
+        kinds = ["thm2_case3"]
+        kinds += {"full_column": ["thm2_case1"], "full_row": ["thm2_case2"]}.get(c.rank_case, [])
+        return kinds + (["thm2_scalar"] if c.block_size == 1 else [])
+    return ["thm3", "coro1"] if algorithm == "cgd" else ["gd"]
+
+
+class TestGeneratedProblems:
+    """The paper's inequalities on generated problems, through the same
+    set-up, dispatch and check selection as the battery and blockcd run."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=generated_runs())
+    def test_no_asserted_check_fails(self, case):
+        problem, x0, order, algorithm, policy, cycles = case
+        assume(problem.full_matrix().any())  # set-up needs L > 0
+        instance = battery.set_up("generated", problem, x0)
+        run = SolverRun(algorithm=algorithm, order=order, stepsizes=StepsizePolicy(policy),
+                        max_cycles=cycles)
+        try:
+            run.realize_stepsizes(instance.constants)
+        except ValueError:
+            assume(False)  # block_lk bcpg or cgd meets a zero column: P_k = 0
+        t = battery.run_solver(instance, run)
+        reports = verify.checks_for(instance, "generated", t,
+                                    paired_kinds(instance, algorithm, policy))
+        assert len(reports) >= 1
+        failed = [report for report in reports if not report.passed and not report.advisory]
+        assert failed == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scalar_problems(kinds=("zero",)), cycles=st.integers(1, 30))
+    def test_bcpg_with_block_stepsizes_is_exact_bcd(self, case, cycles):
+        # on a smooth scalar block, the proximal step with P_k = L_k = ||a_k||^2
+        # lands on the block minimizer
+        problem, x0, order = case
+        assume(np.all(problem.full_matrix().any(axis=0)))
+        instance = battery.set_up("generated", problem, x0)
+        t_bcpg, t_bcd = (battery.run_solver(instance, SolverRun(
+            algorithm=algorithm, order=order, max_cycles=cycles))
+            for algorithm in ("bcpg", "exact_bcd"))
+        assert t_bcpg.orders == t_bcd.orders
+        assert_close(t_bcpg.xs, t_bcd.xs)
+        assert_close(t_bcpg.f, t_bcd.f)
