@@ -102,13 +102,21 @@ def _need_stepsizes(spec: BoundSpec) -> tuple[float, float]:
     return spec.p_max, spec.p_min
 
 
-def evaluate(spec: BoundSpec, r: int) -> float:
+def evaluate(spec: BoundSpec, r):
     """Evaluate the bound at cycle index r >= 1 (exact arithmetic of the
-    cited formula).  Raises InapplicableBound instead of falling back when
-    a required constant is missing or a hypothesis (K*N >= 3, positive
-    sigma/gamma) fails."""
-    if r < 1:
+    cited formula), or at every entry of an integer array r in one array
+    expression.  Every kind is a constant over (r + shift), so each entry
+    has the bits of the scalar call.  Raises InapplicableBound instead of
+    falling back when a required constant is missing or a hypothesis
+    (K*N >= 3, positive sigma/gamma) fails."""
+    if np.any(np.asarray(r) < 1):
         raise ValueError("cycle index must be >= 1")
+    numerator, shift = _numerator(spec)
+    return numerator / (r + shift)
+
+
+def _numerator(spec: BoundSpec) -> tuple[float, int]:
+    """(c, s) with bound(r) = c / (r + s) for the kind of ``spec``."""
     c = spec.constants
     r0_sq = spec.r0_upper ** 2
     if spec.kind in _LOG_KINDS and c.block_count * c.block_size < 3:
@@ -118,65 +126,61 @@ def evaluate(spec: BoundSpec, r: int) -> float:
     log_sq = _log2nk(c) ** 2 if spec.kind in _LOG_KINDS else 0.0
 
     if spec.kind == "gd":
-        return 2.0 * r0_sq * c.L / (r + 4)
+        return 2.0 * r0_sq * c.L, 4
     if spec.kind == "prior_cyclic":
         if c.L_min <= 0:
             raise InapplicableBound("prior cyclic bound requires L_min > 0")
         return (spec.c_prior * c.L_max
-                * (1.0 + c.block_count * c.L ** 2 / c.L_min ** 2) * r0_sq / r)
+                * (1.0 + c.block_count * c.L ** 2 / c.L_min ** 2) * r0_sq), 0
     if spec.kind == "thm1_uniform":
-        return 3.0 * max(spec.delta0, 4.0 * log_sq * c.L * r0_sq) / (r + 1)
+        return 3.0 * max(spec.delta0, 4.0 * log_sq * c.L * r0_sq), 1
     if spec.kind == "thm1_blockwise":
         if c.L_min <= 0:
             raise InapplicableBound("blockwise bound requires L_min > 0")
         return (3.0 * max(spec.delta0,
-                          2.0 * log_sq * (c.L_max + c.L ** 2 / c.L_min) * r0_sq)
-                / (r + 1))
+                          2.0 * log_sq * (c.L_max + c.L ** 2 / c.L_min) * r0_sq)), 1
     if spec.kind == "thm1_smooth":
         if c.L_min <= 0:
             raise InapplicableBound("blockwise bound requires L_min > 0")
         return (3.0 * max(c.L * r0_sq,
-                          2.0 * log_sq * (c.L_max + c.L ** 2 / c.L_min) * r0_sq)
-                / (r + 1))
+                          2.0 * log_sq * (c.L_max + c.L ** 2 / c.L_min) * r0_sq)), 1
     if spec.kind == "thm2_case1":
         if c.sigma_k is None or c.sigma_min <= 0:
             raise InapplicableBound(
                 "full-column-rank bound requires sigma_min > 0")
         return (3.0 * max(spec.delta0,
                           2.0 * r0_sq * log_sq * (c.L ** 2 + c.L_max ** 2)
-                          / c.sigma_min ** 2) / (r + 1))
+                          / c.sigma_min ** 2)), 1
     if spec.kind == "thm2_case2":
         if c.gamma_k is None or c.gamma_min <= 0:
             raise InapplicableBound(
                 "full-row-rank bound requires gamma_min > 0")
         return (3.0 * max(spec.delta0,
                           2.0 * r0_sq * log_sq * (c.L ** 2 + c.L_max ** 2)
-                          / c.gamma_min ** 2) / (r + 1))
+                          / c.gamma_min ** 2)), 1
     if spec.kind == "thm2_case3":
         return (3.0 * max(spec.delta0,
-                          2.0 * r0_sq * c.L_max * (1.0 + c.block_count ** 2))
-                / (r + 1))
+                          2.0 * r0_sq * c.L_max * (1.0 + c.block_count ** 2))), 1
     if spec.kind == "thm2_scalar":
         if c.L_min <= 0:
             raise InapplicableBound("scalar-block bound requires L_min > 0")
         return (3.0 * max(spec.delta0,
                           2.0 * r0_sq * log_sq
-                          * (c.L ** 2 / c.L_min + c.L_max ** 2 / c.L_min))
-                / (r + 1))
+                          * (c.L ** 2 / c.L_min + c.L_max ** 2 / c.L_min))), 1
     if spec.kind == "thm3":
         if spec.beta is None or spec.beta < 0:
             raise InapplicableBound("thm3 requires a nonnegative beta")
         p_max, p_min = _need_stepsizes(spec)
-        return 2.0 * (p_max + spec.beta ** 2 / p_min) * r0_sq / r
+        return 2.0 * (p_max + spec.beta ** 2 / p_min) * r0_sq, 0
     if spec.kind == "coro1":
         p_max, p_min = _need_stepsizes(spec)
         total_lk = float(np.sum(c.L_k))
         cap = min(c.block_count * c.L ** 2, total_lk ** 2)
-        return 2.0 * (p_max + cap / p_min) * r0_sq / r
+        return 2.0 * (p_max + cap / p_min) * r0_sq, 0
     if spec.kind == "prior_beck":
         p_max, p_min = _need_stepsizes(spec)
         return (4.0 * (p_max + (p_max / p_min)
-                       * (c.block_count * c.L ** 2 / p_min)) * r0_sq / r)
+                       * (c.block_count * c.L ** 2 / p_min)) * r0_sq), 0
     raise AssertionError(f"unhandled kind {spec.kind}")
 
 
@@ -258,9 +262,10 @@ def bound_report_csv(specs, r_max: int, target) -> None:
     so a bound that raises (an OverflowError, say) leaves neither behind.
     """
     columns = []
+    cycles = np.arange(1, r_max + 1)
     for _, spec in specs:
         try:
-            columns.append([evaluate(spec, r) for r in range(1, r_max + 1)])
+            columns.append(evaluate(spec, cycles).tolist())
         except InapplicableBound:
             columns.append([None] * r_max)
     target = Path(target)

@@ -36,6 +36,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .battery import SUITES, run_solver, set_up
 from .bounds import (
     BOUND_KINDS,
@@ -295,12 +297,10 @@ def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
                       if run.algorithm in BOUND_PAIRINGS[kind]]
         for run_label in compatible:
             t = trajectories[run_label]
-            first = "-"
             try:
-                for r in range(1, t.cycles + 1):
-                    if evaluate(spec, r) <= 2.0 * t.gap[r]:
-                        first = str(r)
-                        break
+                within = np.flatnonzero(
+                    evaluate(spec, np.arange(1, t.cycles + 1)) <= 2.0 * t.gap[1:])
+                first = str(within[0] + 1) if within.size else "-"
             except InapplicableBound as exc:
                 first = f"inapplicable ({exc})"
             lines.append(f"bound {label} vs {run_label}: first cycle within 2x "

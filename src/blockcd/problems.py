@@ -136,9 +136,10 @@ def prox_scalar(term: NonsmoothTerm, v: float, step: float) -> float:
 
 class _TermsByKind(NamedTuple):
     """Block indices and parameters of the nonsmooth terms grouped by kind,
-    so that nonsmooth_total, prox_blocks and duality_gap evaluate each kind
-    with one array expression.  box_lo and box_hi include nonsmooth_value's
-    feasibility slack; clip_lo and clip_hi are the box limits themselves."""
+    so that nonsmooth_total, nonsmooth_rows, prox_blocks and duality_gap
+    evaluate each kind with one array expression.  box_lo and box_hi
+    include nonsmooth_value's feasibility slack; clip_lo and clip_hi are
+    the box limits themselves."""
 
     zero: np.ndarray
     l1: np.ndarray
@@ -225,7 +226,12 @@ class CompositeQuadraticProblem:
         return slice(k * n, (k + 1) * n)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        return self._full @ np.asarray(x, dtype=float) - self.b
+        """Ax - b, or for a (rows, dimension) stack of iterates one
+        residual per row, from one product of the stack with A^T."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return x @ self._full.T - self.b
+        return self._full @ x - self.b
 
     def is_smooth(self) -> bool:
         return all(term.kind == "zero" for term in self.h)
@@ -270,6 +276,26 @@ def nonsmooth_total(p: CompositeQuadraticProblem, x) -> float:
     if by_kind.group.size:
         total += float(by_kind.group_weight @ np.linalg.norm(x[by_kind.group], axis=1))
     return total
+
+
+def nonsmooth_rows(p: CompositeQuadraticProblem, xs) -> np.ndarray:
+    """sum_k h_k(x_k) for every row x of the (rows, dimension) array
+    ``xs``, one array expression per kind; +inf on a row outside a box,
+    with nonsmooth_value's slack."""
+    xs = np.asarray(xs, dtype=float)
+    x = xs.reshape(xs.shape[0], p.partition.block_count, -1)
+    by_kind = p._terms_by_kind
+    total = np.zeros(xs.shape[0])
+    if by_kind.l1.size:
+        total += np.abs(x[:, by_kind.l1]).sum(axis=2) @ by_kind.l1_weight
+    if by_kind.group.size:
+        total += np.linalg.norm(x[:, by_kind.group], axis=2) @ by_kind.group_weight
+    if by_kind.box.size:
+        v = x[:, by_kind.box]
+        inside = ((v >= by_kind.box_lo) & (v <= by_kind.box_hi)).all(axis=(1, 2))
+        total[~inside] = math.inf
+    return total
+
 
 def eval_objective(p: CompositeQuadraticProblem, x, residual=None) -> float:
     """Composite value; +inf sentinel when x violates a box constraint.
@@ -763,6 +789,10 @@ def load_problem(source) -> LoadedProblem:
             raise ProblemFormatError("$.b", f"has length {len(b)}, expected "
                                      f"{blocks[0].shape[0]}, the row count of a_blocks")
         terms = _load_terms(spec.get("h", [{"kind": "zero"}] * k), k, n, "$.h")
+        if all(term.kind == "zero" for term in terms) and not any(a.any() for a in blocks):
+            # f is the constant 1/2 ||b||^2: no Lipschitz constant is positive
+            raise ProblemFormatError("$.a_blocks", "every entry is zero and every term "
+                                     "is zero, so the problem has nothing to minimize")
         problem = CompositeQuadraticProblem(
             partition=BlockPartition(k, n), a_blocks=tuple(blocks), b=b, h=terms)
         x0 = _number_list(spec["x0"], "$.x0", k * n) if "x0" in spec else np.zeros(k * n)

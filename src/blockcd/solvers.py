@@ -3,8 +3,11 @@ gradient, scalar coordinate gradient descent, and full gradient descent.
 
 All solvers sweep the K blocks once per cycle, in cyclic order or in a
 seeded random permutation per cycle (ORDER_KINDS, the two orders the
-paper's results cover), and record a full per-cycle trajectory for the
-verification checks.  A run is deterministic given its inputs and seed.
+paper's results cover), and keep each cycle's iterate.  The objective and
+gradient norm of every recorded iterate come from the iterate history in
+one array pass (trajectory_values), and the verification checks read the
+resulting per-cycle trajectory.  A run is deterministic given its inputs
+and seed.
 cgd is block proximal gradient with scalar blocks and h_k = 0, so it runs
 bcpg's sweep; gd takes one full gradient step per cycle.  check_applicable
 states which problems each algorithm takes.
@@ -32,6 +35,7 @@ from .problems import (
     ProblemConstants,
     duality_gap,
     eval_objective,
+    nonsmooth_rows,
     nonsmooth_total,
     prox,
     prox_blocks,
@@ -48,6 +52,13 @@ ORDER_KINDS = ("cyclic", "random_permutation")
 # REFERENCE_GAP_EVERY iterations, is at most this multiple of max(1, |f|).
 REFERENCE_GAP_RTOL = 1e-13
 REFERENCE_GAP_EVERY = 10
+# A run with a gap tolerance evaluates its newest iterates every
+# GAP_CHECK_EVERY cycles, and at its last.
+GAP_CHECK_EVERY = 8
+# A run's iterate history first holds x^0 and HISTORY_ROWS cycles, and
+# grows geometrically from there, so max_cycles bounds the work, not the
+# memory.
+HISTORY_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -186,11 +197,6 @@ class Trajectory:
         self.gap = self.f - float(f_star)
         return self
 
-    def block_movement(self, r: int, block_size: int) -> np.ndarray:
-        """Per-block Euclidean movements ||x_k^(r+1) - x_k^(r)|| as a vector."""
-        d = (self.xs[r + 1] - self.xs[r]).reshape(-1, block_size)
-        return np.linalg.norm(d, axis=1)
-
 
 def _format_cell(value) -> str:
     if value is None or (isinstance(value, float) and math.isnan(value)):
@@ -239,42 +245,78 @@ def check_applicable(algorithm: str, p: CompositeQuadraticProblem) -> None:
         raise ValueError("gd needs a smooth problem")
 
 
-def _should_stop(run: SolverRun, f_value: float, f_star) -> bool:
-    return (f_star is not None and run.gap_tolerance > 0
-            and f_value - f_star <= run.gap_tolerance)
+def trajectory_values(p: CompositeQuadraticProblem,
+                      xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """f at every row of the iterate history ``xs`` (rows, dimension), and
+    ||grad f|| at every row when p is smooth (else None), in one array
+    pass: one product of the history with A^T gives every residual, and
+    nonsmooth_rows every h total, +inf on a row outside a box.  Equal
+    histories give equal bits; run_lockstep relies on that."""
+    res = p.residual(xs)
+    f = 0.5 * np.einsum("ij,ij->i", res, res) + nonsmooth_rows(p, xs)
+    grad_norm = np.linalg.norm(res @ p.full_matrix(), axis=1) if p.is_smooth() else None
+    return f, grad_norm
 
 
-def _record_cycles(algorithm: str, run: SolverRun, x: np.ndarray,
-                   stepsizes: np.ndarray, sweep, measure, f_star) -> Trajectory:
+def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
+                   x: np.ndarray, stepsizes: np.ndarray, sweep, refresh,
+                   f_star) -> Trajectory:
     """Run up to run.max_cycles cycles of ``sweep`` on x and record them.
 
-    ``sweep(order)`` visits the blocks of ``order`` once, updating x
-    in place, and returns sqrt(sum_k P_k ||x_k^new - x_k^old||^2).
-    ``measure()`` returns f(x) and the gradient norm (or None) at x.
+    A cycle runs ``refresh()``, which brings what the sweep reads (the
+    residual, and the gradient where the sweep uses it) up to date with x,
+    draws the order, runs ``sweep(order)``, which visits the blocks of
+    ``order`` once, updating x in place, and returns
+    sqrt(sum_k P_k ||x_k^new - x_k^old||^2), and copies x into the
+    history.  Nothing else runs per cycle: f and the gradient norm come
+    from trajectory_values on the history.
+
+    With a gap tolerance and f_star, the rows added since the last
+    evaluation are evaluated every GAP_CHECK_EVERY cycles and at the last
+    one, and the trajectory ends at the first cycle r >= 1 with
+    f(x^r) - f_star <= run.gap_tolerance, read on those recorded values;
+    the sweeps past it are discarded.
     """
-    f_value, grad_norm = measure()
-    xs, f_values, movements, orders_seen = [x.copy()], [f_value], [], []
-    grad_norms = None if grad_norm is None else [grad_norm]
+    dim = x.shape[0]
+    watch = f_star is not None and run.gap_tolerance > 0
+    xs = np.empty((min(run.max_cycles, HISTORY_ROWS) + 1, dim))
+    xs[0] = x
+    movements, orders_seen, values = [], [], []
     order_stream = run.order.stream(stepsizes.shape[0])
-    for _ in range(run.max_cycles):
+    cycle = evaluated = 0
+    while cycle < run.max_cycles:
+        refresh()
         order = next(order_stream)
         orders_seen.append(list(order))
         movements.append(sweep(order))
-        xs.append(x.copy())
-        f_value, grad_norm = measure()
-        f_values.append(f_value)
-        if grad_norms is not None:
-            grad_norms.append(grad_norm)
-        if _should_stop(run, f_value, f_star):
-            break
+        cycle += 1
+        if cycle == xs.shape[0]:
+            grow = min(cycle, run.max_cycles + 1 - cycle)
+            xs = np.concatenate([xs, np.empty((grow, dim))])
+        xs[cycle] = x
+        if watch and (cycle % GAP_CHECK_EVERY == 0 or cycle == run.max_cycles):
+            first, evaluated = evaluated, cycle + 1
+            values.append(trajectory_values(p, xs[first:evaluated]))
+            within = values[-1][0] - f_star <= run.gap_tolerance
+            if first == 0:
+                within[0] = False  # the start is no stopping point
+            if within.any():
+                cycle = first + int(within.argmax())
+                break
+    if evaluated <= cycle:
+        values.append(trajectory_values(p, xs[evaluated:cycle + 1]))
+    rows = cycle + 1
+    f = np.concatenate([f_part for f_part, _ in values])[:rows]
+    grad_norm = (None if values[0][1] is None
+                 else np.concatenate([grad_part for _, grad_part in values])[:rows])
     return Trajectory(
         algorithm=algorithm,
-        xs=np.array(xs),
-        f=np.array(f_values),
-        weighted_movement=np.array(movements),
+        xs=xs[:rows].copy() if xs.shape[0] > rows else xs,
+        f=f,
+        weighted_movement=np.array(movements[:cycle]),
         stepsizes=stepsizes,
-        orders=orders_seen,
-        grad_norm=None if grad_norms is None else np.array(grad_norms),
+        orders=orders_seen[:cycle],
+        grad_norm=grad_norm,
     )
 
 
@@ -336,17 +378,17 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
                 exact: bool = False):
     """``(sweep, refresh)`` of bcpg on x, or of exact BCD when ``exact``.
 
-    ``refresh()`` must run before each ``sweep(order)``: it
-    stores the residual r = Ax - b, and for scalar blocks g = A^T r, in the
-    buffers the sweep starts from, and returns (r, g), with g None for
-    larger blocks.  Scalar blocks take the Gram kernel, formed here once
-    per run; larger blocks of exact BCD are factored here once per run.
+    ``refresh()`` must run before each ``sweep(order)``: it stores the
+    residual r = Ax - b, or for scalar blocks g = A^T r, in the buffer the
+    sweep starts from.  Scalar blocks take the Gram kernel, formed here
+    once per run; larger blocks of exact BCD are factored here once per
+    run.
     """
-    res = np.empty(p.rows)
     if p.partition.block_size > 1:
+        res = np.empty(p.rows)
+
         def refresh():
             res[:] = p.residual(x)
-            return res, None
 
         blocks = ([_ExactBlock.of(a_k, term) for a_k, term in zip(p.a_blocks, p.h)]
                   if exact else None)
@@ -355,9 +397,7 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
     grad = np.empty(p.partition.dimension)
 
     def refresh():
-        res[:] = p.residual(x)
-        grad[:] = full.T @ res
-        return res, grad
+        grad[:] = full.T @ p.residual(x)
 
     sweep = partial(_scalar_sweep, p, full.T @ full, x, grad, stepsizes, exact)
     return sweep, refresh
@@ -365,23 +405,13 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
 
 def _run_blocks(p: CompositeQuadraticProblem, run: SolverRun, x0,
                 constants: ProblemConstants, f_star) -> Trajectory:
-    """Trajectory of run.algorithm, bcpg, cgd or exact_bcd, on p.  One
-    residual per cycle serves the objective, the gradient norm and the next
-    sweep."""
+    """Trajectory of run.algorithm, bcpg, cgd or exact_bcd, on p: each
+    cycle refreshes the residual the sweep starts from, sweeps and keeps
+    the iterate (_record_cycles)."""
     stepsizes = run.realize_stepsizes(constants)
     x = check_start(p, x0)
-    full = p.full_matrix()
-    smooth = p.is_smooth()
     sweep, refresh = _make_sweep(p, x, stepsizes, run.algorithm == "exact_bcd")
-
-    def measure():
-        res, grad = refresh()
-        grad_norm = None
-        if smooth:
-            grad_norm = float(np.linalg.norm(full.T @ res if grad is None else grad))
-        return eval_objective(p, x, res), grad_norm
-
-    return _record_cycles(run.algorithm, run, x, stepsizes, sweep, measure, f_star)
+    return _record_cycles(p, run.algorithm, run, x, stepsizes, sweep, refresh, f_star)
 
 
 def run_bcpg(p: CompositeQuadraticProblem, run: SolverRun, x0,
@@ -683,11 +713,15 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     d_k = 1 for a zero column); x_k^new = v - min(max(v, -t_k), t_k) with
     t_k = w_k (1 / d_k), the soft threshold's bits (for the 0 * inf of a
     subnormal d_k, inf on an l1 term, where prox_scalar returns 0, and 0 on
-    a zero term, where it returns v); where the step moved, x_k takes x_k^new and g gains delta G[k]; the movement
-    sum runs in visit order.  Each run computes its own residual once per
-    cycle, as eval_objective does, for f and the next cycle's g.  A NaN
-    proximal point, which the soft threshold maps to 0 and this form to
-    NaN, raises ValueError instead.
+    a zero term, where it returns v); where the step moved, x_k takes
+    x_k^new and g gains delta G[k]; the movement sum runs in visit order.
+    Before each cycle every run refreshes g = A^T r from its own residual,
+    as the per-run refresh does, and after it the (K, B) iterate joins a
+    stacked history.  f and the gradient norm come last, from
+    trajectory_values on a contiguous copy of each run's column of that
+    history: the same array the per-run kernel passes, so the same bits.
+    A NaN proximal point, which the soft threshold maps to 0 and this form
+    to NaN, raises ValueError instead.
     """
     _check_lockstep(problems, runs, x0s, constants)
     batch, cycles = len(runs), runs[0].max_cycles
@@ -712,27 +746,17 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     gram_rows = np.stack(grams, axis=-1)
     zero_rows = {k: zero_column[k] for k in range(block_count) if zero_column[k].any()}
     g = np.empty((block_count, batch))
-    xs, fs, moves = ([[] for _ in runs] for _ in range(3))
-    norms = [[] if p.is_smooth() else None for p in problems]
-
-    def record():
-        for b, p in enumerate(problems):
-            xb = x[:, b].copy()
-            res = p.residual(xb)
-            grad = fulls[b].T @ res
-            g[:, b] = grad
-            xs[b].append(xb)
-            fs[b].append(eval_objective(p, xb, res))
-            if norms[b] is not None:
-                norms[b].append(float(np.linalg.norm(grad)))
-
-    record()
+    xs = np.empty((cycles + 1, block_count, batch))
+    xs[0] = x
+    moves = np.empty((cycles, batch))
     v, clip, new, delta, square = (np.empty(batch) for _ in range(5))
     moved = np.empty(batch, dtype=bool)
     step = np.empty((block_count, batch))
     order_stream = runs[0].order.stream(block_count)
     orders_seen = []
-    for _ in range(cycles):
+    for cycle in range(cycles):
+        for b, p in enumerate(problems):
+            g[:, b] = fulls[b].T @ p.residual(x[:, b].copy())
         order = next(order_stream)
         orders_seen.append(list(order))
         move_sq = np.zeros(batch)
@@ -755,14 +779,17 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
             np.add(g, step, out=g, where=moved)
         if np.isnan(x).any():
             raise ValueError("NaN proximal point in a lockstep sweep; run the solvers one at a time")
-        for b, movement in enumerate(np.sqrt(move_sq).tolist()):
-            moves[b].append(movement)
-        record()
-    return [Trajectory(algorithm=run.algorithm, xs=np.array(xs[b]), f=np.array(fs[b]),
-                       weighted_movement=np.array(moves[b]), stepsizes=stepsizes[b],
-                       orders=[list(order) for order in orders_seen],
-                       grad_norm=None if norms[b] is None else np.array(norms[b]))
-            for b, run in enumerate(runs)]
+        np.sqrt(move_sq, out=moves[cycle])
+        xs[cycle + 1] = x
+    trajectories = []
+    for b, (p, run) in enumerate(zip(problems, runs)):
+        xs_b = np.ascontiguousarray(xs[:, :, b])
+        f, grad_norm = trajectory_values(p, xs_b)
+        trajectories.append(Trajectory(
+            algorithm=run.algorithm, xs=xs_b, f=f, weighted_movement=moves[:, b].copy(),
+            stepsizes=stepsizes[b], orders=[list(order) for order in orders_seen],
+            grad_norm=grad_norm))
+    return trajectories
 
 
 def run_cgd(p: CompositeQuadraticProblem, run: SolverRun, x0,
@@ -806,14 +833,12 @@ def run_gd(p: CompositeQuadraticProblem, run: SolverRun, x0,
     full = p.full_matrix()
     grad = np.empty(dim)
 
-    def measure():
-        res = p.residual(x)
-        grad[:] = full.T @ res
-        return 0.5 * float(res @ res), float(np.linalg.norm(grad))
+    def refresh():
+        grad[:] = full.T @ p.residual(x)
 
     run = replace(run, order=BlockOrder.cyclic())
     sweep = partial(_gradient_sweep, grad, x, constants.L)
-    return _record_cycles("gd", run, x, np.full(dim, constants.L), sweep, measure, f_star)
+    return _record_cycles(p, "gd", run, x, np.full(dim, constants.L), sweep, refresh, f_star)
 
 
 @dataclass(frozen=True)

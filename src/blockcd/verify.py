@@ -10,10 +10,13 @@ BoundSpec.  The battery suites and ``blockcd run`` both go through them.
 
 Every check returns a CheckReport.  Violations are normalized so that a
 report's tolerance is a single number: ``worst_violation`` is the largest
-normalized excess over all cycles (0 when the inequality always held) and
-``passed`` is exactly ``worst_violation <= tolerance``.  Reports flagged
+normalized excess over all cycles (0 when the inequality always held, NaN
+when any cycle's excess is NaN) and ``passed`` is exactly
+``worst_violation <= tolerance``, so a NaN excess fails.  Reports flagged
 ``advisory`` carry information (heuristic radius, unspecified constants)
-and do not gate suite exit codes.
+and do not gate suite exit codes.  The per-cycle checks are array
+expressions over all cycles of a trajectory, elementwise the IEEE
+operations of one cycle's inequality.
 """
 
 from __future__ import annotations
@@ -51,11 +54,13 @@ class CheckReport:
 
 def _report(name: str, violations, tolerance: float, notes: str = "",
             advisory: bool = False) -> CheckReport:
-    values = [v for v in violations]
-    worst = max([0.0] + values) if values else 0.0
+    """The report of the normalized excesses ``violations``, one per cycle
+    or sample; NaN propagates to the worst one, which then fails."""
+    values = np.asarray(violations, dtype=float)
+    worst = float(values.max(initial=0.0))
     return CheckReport(
         check_name=name,
-        cycles_checked=len(values),
+        cycles_checked=values.size,
         worst_violation=worst,
         passed=worst <= tolerance,
         notes=notes,
@@ -75,33 +80,41 @@ def check_descent_bcpg(t: Trajectory, p: CompositeQuadraticProblem,
     f(x^r) - f(x^(r+1)) >= sum_k (P_k/2) ||x_k^(r+1) - x_k^(r)||^2."""
     if t.algorithm != "bcpg":
         raise ValueError("descent_bcpg expects a bcpg trajectory")
-    violations = []
-    for r in range(t.cycles):
-        lhs = t.f[r] - t.f[r + 1]
-        rhs = 0.5 * t.weighted_movement[r] ** 2
-        violations.append((rhs - lhs) / max(1.0, abs(t.f[r])))
-    return _report(name, violations, LEMMA_TOL,
+    return _report(name, _descent_excess(t, 0.5 * t.weighted_movement ** 2), LEMMA_TOL,
                    notes="normalized by max(1, |f|)")
 
 
-def image_movements_sq(t: Trajectory, p: CompositeQuadraticProblem) -> list[float]:
-    """sum_k ||A_k (x_k^(r+1) - x_k^(r))||^2 for every cycle r, one einsum
-    per cycle over the blocks stacked as an (m, K, N) view of
-    [A_1, ..., A_K].  The exact-BCD descent and cost-to-go checks of one
-    trajectory share the list."""
+def _descent_excess(t: Trajectory, rhs: np.ndarray) -> np.ndarray:
+    """(rhs^r - (f(x^r) - f(x^(r+1)))) / max(1, |f(x^r)|) for every cycle r."""
+    with np.errstate(invalid="ignore"):
+        return (rhs - (t.f[:-1] - t.f[1:])) / np.maximum(1.0, np.abs(t.f[:-1]))
+
+
+def _costtogo_excess(t: Trajectory, rhs: np.ndarray) -> np.ndarray:
+    """(gap^(r+1) - rhs^r) / max(1, |gap^(r+1)|, rhs^r) for every cycle r."""
+    lhs = t.gap[1:]
+    with np.errstate(invalid="ignore"):
+        return (lhs - rhs) / np.maximum(np.maximum(1.0, np.abs(lhs)), rhs)
+
+
+def image_movements_sq(t: Trajectory, p: CompositeQuadraticProblem) -> np.ndarray:
+    """sum_k ||A_k (x_k^(r+1) - x_k^(r))||^2 for every cycle r, as
+    sum_k d_k^T (A_k^T A_k) d_k over all cycles at once, from the K block
+    Grams: the temporaries are (cycles, K, N), the size of the movements.
+    The quadratic form is clipped at 0, which it can miss by rounding on a
+    singular Gram.  The exact-BCD descent and cost-to-go checks of one
+    trajectory share the array."""
     k_count, n = p.partition.block_count, p.partition.block_size
     stacked = p.full_matrix().reshape(p.rows, k_count, n)
-    movements = []
-    for r in range(t.cycles):
-        d = (t.xs[r + 1] - t.xs[r]).reshape(k_count, n)
-        steps = np.einsum("mkn,kn->km", stacked, d)
-        movements.append(float(np.sum(steps * steps)))
-    return movements
+    grams = np.einsum("mkn,mkl->knl", stacked, stacked)
+    d = np.diff(t.xs, axis=0).reshape(-1, k_count, n)
+    quadratic = np.einsum("ckl,ckl->c", np.einsum("ckn,knl->ckl", d, grams), d)
+    return np.maximum(quadratic, 0.0)
 
 
 def check_descent_bcd(t: Trajectory, p: CompositeQuadraticProblem,
                       name: str = "descent_bcd",
-                      image_sq: list[float] | None = None) -> CheckReport:
+                      image_sq: np.ndarray | None = None) -> CheckReport:
     """Per-cycle sufficient descent of exact block minimization:
     f(x^r) - f(x^(r+1)) >= 1/2 sum_k ||A_k (x_k^(r+1) - x_k^(r))||^2.
     ``image_sq`` is image_movements_sq(t, p), computed here if not given."""
@@ -109,12 +122,7 @@ def check_descent_bcd(t: Trajectory, p: CompositeQuadraticProblem,
         raise ValueError("descent_bcd expects an exact_bcd trajectory")
     if image_sq is None:
         image_sq = image_movements_sq(t, p)
-    violations = []
-    for r in range(t.cycles):
-        lhs = t.f[r] - t.f[r + 1]
-        rhs = 0.5 * image_sq[r]
-        violations.append((rhs - lhs) / max(1.0, abs(t.f[r])))
-    return _report(name, violations, LEMMA_TOL,
+    return _report(name, _descent_excess(t, 0.5 * image_sq), LEMMA_TOL,
                    notes="normalized by max(1, |f|)")
 
 
@@ -135,11 +143,7 @@ def check_costtogo_bcpg(t: Trajectory, p: CompositeQuadraticProblem,
     p_max = float(t.stepsizes.max())
     coefficient = (r0_upper * math.log(2.0 * constants.block_size * constants.block_count)
                    * (constants.L / math.sqrt(p_min) + math.sqrt(p_max)))
-    violations = []
-    for r in range(t.cycles):
-        lhs = t.gap[r + 1]
-        rhs = coefficient * t.weighted_movement[r]
-        violations.append((lhs - rhs) / max(1.0, abs(lhs), rhs))
+    violations = _costtogo_excess(t, coefficient * t.weighted_movement)
     return _report(name, violations, LEMMA_TOL, advisory=advisory,
                    notes=f"coefficient {coefficient:.6g}")
 
@@ -148,7 +152,7 @@ def check_costtogo_bcd(t: Trajectory, p: CompositeQuadraticProblem,
                        r0_upper: float, constants: ProblemConstants,
                        name: str = "costtogo_bcd",
                        advisory: bool = False,
-                       image_sq: list[float] | None = None) -> CheckReport:
+                       image_sq: np.ndarray | None = None) -> CheckReport:
     """Gap bound from iterate movement after an exact sweep; the rank case
     of the blocks picks the applicable inequality (the rank-free case-3
     form is the fallback).  ``image_sq`` is image_movements_sq(t, p); the
@@ -166,24 +170,21 @@ def check_costtogo_bcd(t: Trajectory, p: CompositeQuadraticProblem,
 
     if case == "full_column":
         coefficient = (r0_upper / constants.sigma_min) * log2nk * (constants.L + constants.L_max)
-        movements = [math.sqrt(float(np.sum((constants.sigma_k * t.block_movement(r, n)) ** 2)))
-                     for r in range(t.cycles)]
+        block_movements = np.linalg.norm(
+            np.diff(t.xs, axis=0).reshape(t.cycles, constants.block_count, n), axis=2)
+        movements = np.sqrt(np.sum((constants.sigma_k * block_movements) ** 2, axis=1))
         label = "full-column-rank form"
     else:
         if image_sq is None:
             image_sq = image_movements_sq(t, p)
-        movements = [math.sqrt(value) for value in image_sq]
+        movements = np.sqrt(image_sq)
         if case == "full_row":
             coefficient = (r0_upper / constants.gamma_min) * log2nk * (constants.L + constants.L_max)
             label = "full-row-rank form"
         else:
             coefficient = r0_upper * math.sqrt(constants.L_max) * (constants.block_count + 2)
             label = "rank-free form"
-    violations = []
-    for r in range(t.cycles):
-        lhs = t.gap[r + 1]
-        rhs = coefficient * movements[r]
-        violations.append((lhs - rhs) / max(1.0, abs(lhs), rhs))
+    violations = _costtogo_excess(t, coefficient * movements)
     return _report(name, violations, LEMMA_TOL, advisory=advisory,
                    notes=f"{label}; coefficient {coefficient:.6g}")
 
@@ -230,12 +231,8 @@ def check_descent_cgd_beta(t: Trajectory, beta: float,
     p_max = float(t.stepsizes.max())
     p_min = float(t.stepsizes.min())
     denom_beta = 2.0 * (p_max + beta ** 2 / p_min)
-    beta_violations = []
-    for r in range(t.cycles):
-        lhs = t.f[r] - t.f[r + 1]
-        rhs = t.grad_norm[r] ** 2 / denom_beta
-        beta_violations.append((rhs - lhs) / max(1.0, abs(t.f[r])))
-    return _report(f"{name}_beta", beta_violations, LEMMA_TOL, notes=f"beta {beta:.6g}")
+    violations = _descent_excess(t, t.grad_norm[:-1] ** 2 / denom_beta)
+    return _report(f"{name}_beta", violations, LEMMA_TOL, notes=f"beta {beta:.6g}")
 
 
 def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
@@ -245,17 +242,12 @@ def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
     chain-matrix form with ||V||^2, and ||H|| <= beta.
     """
     reports = [check_descent_cgd_beta(t, beta, name)]
-    exact_violations = []
-    h_norm_violations = []
-    norms = _chain_matrix_norm(t.orders, o.hessian, t.stepsizes)
-    for r, (v_norm, h_norm) in enumerate(norms):
-        lhs = t.f[r] - t.f[r + 1]
-        rhs = t.grad_norm[r] ** 2 / (2.0 * v_norm ** 2)
-        exact_violations.append((rhs - lhs) / max(1.0, abs(t.f[r])))
-        h_norm_violations.append((h_norm - beta) / max(1.0, beta))
+    norms = np.array(list(_chain_matrix_norm(t.orders, o.hessian, t.stepsizes)))
+    v_norm, h_norm = norms.reshape(-1, 2).T
+    exact_violations = _descent_excess(t, t.grad_norm[:-1] ** 2 / (2.0 * v_norm ** 2))
     reports.append(_report(f"{name}_exact_v", exact_violations, LEMMA_TOL,
                            notes="exact chain-matrix norm"))
-    reports.append(_report(f"{name}_hbound", h_norm_violations, 1e-12,
+    reports.append(_report(f"{name}_hbound", (h_norm - beta) / max(1.0, beta), 1e-12,
                            notes="||strict lower Hessian|| <= beta"))
     return reports
 
@@ -277,17 +269,13 @@ def check_envelope(t: Trajectory, spec: BoundSpec, name: str | None = None,
         raise ValueError("trajectory has no gap; attach a reference optimum")
     name = name or f"envelope_{spec.kind}"
     advisory = not r0_certified
-    violations = []
     try:
-        for r in range(1, t.cycles + 1):
-            bound = evaluate(spec, r)
-            gap = t.gap[r]
-            if bound <= 0.0:
-                violations.append(gap)
-            else:
-                violations.append(gap / bound - 1.0)
+        bound = evaluate(spec, np.arange(1, t.cycles + 1))
     except InapplicableBound as exc:
         return _skipped(name, str(exc))
+    gap = t.gap[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        violations = np.where(bound <= 0.0, gap, gap / bound - 1.0)
     qualifier = "" if not advisory else " (informational: uncertified inputs)"
     return _report(name, violations, 1e-8, advisory=advisory,
                    notes=f"cycles 1..{t.cycles}{qualifier}")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcd.bounds import (
     BOUND_KINDS,
@@ -115,6 +117,43 @@ class TestEvaluate:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             BoundSpec(kind="thm9", constants=simple_constants(), r0_upper=1.0)
+
+    def test_array_of_cycles_rejects_an_index_below_one(self):
+        spec = BoundSpec(kind="gd", constants=simple_constants(), r0_upper=1.0)
+        with pytest.raises(ValueError):
+            evaluate(spec, np.array([3, 0, 5]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(BOUND_KINDS))
+    def test_array_matches_scalar_bit_for_bit(self, data, kind):
+        # every kind is a constant over (r + shift), so each entry of the
+        # array form has the scalar call's bits
+        positive = st.floats(1e-6, 1e6)
+        nonnegative = st.sampled_from([0.0]) | positive
+        k = data.draw(st.integers(1, 40))
+        lk = np.array(data.draw(st.lists(nonnegative, min_size=k, max_size=k)))
+        sigma, gamma = data.draw(nonnegative), data.draw(nonnegative)
+        constants = ProblemConstants(
+            block_count=k, block_size=data.draw(st.integers(1, 4)),
+            L=max(data.draw(positive), float(lk.max())), L_k=lk,
+            L_max=float(lk.max()), L_min=float(lk.min()),
+            sigma_k=np.full(k, sigma), gamma_k=np.full(k, gamma),
+            sigma_min=sigma, gamma_min=gamma)
+        spec = BoundSpec(kind=kind, constants=constants, r0_upper=data.draw(nonnegative),
+                         delta0=data.draw(nonnegative),
+                         beta=data.draw(st.none() | nonnegative),
+                         c_prior=data.draw(positive),
+                         p_max=data.draw(st.none() | positive),
+                         p_min=data.draw(st.none() | nonnegative))
+        cycles = np.array(data.draw(st.lists(st.integers(1, 10**9), min_size=1, max_size=20)))
+        try:
+            expected = np.array([evaluate(spec, int(r)) for r in cycles])
+        except InapplicableBound:
+            with pytest.raises(InapplicableBound):
+                evaluate(spec, cycles)
+            return
+        actual = evaluate(spec, cycles)
+        assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
 
 
 def smooth_view(p):

@@ -488,6 +488,30 @@ class TestZeroColumn:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("block_size", [1, 2])
+    def test_all_zero_smooth_matrix_is_rejected_at_its_field(self, tmp_path, capsys,
+                                                             block_size):
+        # f is the constant 1/2 ||b||^2: no Lipschitz constant is positive
+        zero = [[[0] * block_size]] * 2
+        problem = {"kind": "explicit", "block_count": 2, "block_size": block_size,
+                   "a_blocks": zero, "b": [1]}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        out = tmp_path / "out"
+        assert main(["bounds", "--plan", str(path), "--out", str(out)]) == 2
+        plan = write_plan(tmp_path, {"problem": problem, "runs": [{"algorithm": "bcpg"}]})
+        assert main(["run", "--plan", plan, "--out", str(out)]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and all(
+            line.endswith("$.a_blocks: every entry is zero and every term is zero, so the "
+                          "problem has nothing to minimize") for line in errors)
+        assert errors[0].startswith("error: $.a_blocks: ")
+        assert not out.exists()
+        # with a nonsmooth term the same matrix sets up
+        problem["h"] = [{"kind": "l1", "weight": 0.5}] * 2
+        path.write_text(json.dumps(problem))
+        assert main(["bounds", "--plan", str(path), "--out", str(out)]) == 0
+
     def test_block_lk_exact_bcd_run_is_accepted(self, tmp_path):
         # exact minimization takes no step: P_1 = L_1 = 0 only gives the
         # zero column no weight in the recorded movement, and a bound that

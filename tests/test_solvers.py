@@ -1,6 +1,7 @@
 """Tests for the four solvers and trajectory recording."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +198,43 @@ class TestBCPG:
                         max_cycles=50, gap_tolerance=1e-12)
         t = run_bcpg(qp, run, np.ones(4), compute_constants(qp), f_star=0.0)
         assert t.cycles == 1  # separable case converges in one cycle
+
+    @pytest.mark.parametrize("algorithm, tolerance", [
+        ("bcpg", 1e-6), ("exact_bcd", 1e-8), ("cgd", 1e-3), ("gd", 1e-6)])
+    def test_gap_tolerance_stops_between_evaluations(self, algorithm, tolerance):
+        # the values are evaluated every GAP_CHECK_EVERY cycles; the run
+        # still ends on the first iterate within the tolerance, and its
+        # iterates are those of the same run without a tolerance
+        p, x0 = make_toeplitz_instance(5)
+        c = compute_constants(p)
+        f_star = reference_optimum(p, c).f_star
+        solve = {"bcpg": run_bcpg, "exact_bcd": run_bcd_exact, "cgd": run_cgd, "gd": run_gd}
+        run = SolverRun(algorithm=algorithm, max_cycles=1000, gap_tolerance=tolerance)
+        t = solve[algorithm](p, run, x0, c, f_star=f_star).with_gap(f_star)
+        assert t.cycles % solvers.GAP_CHECK_EVERY != 0
+        assert t.gap[-1] <= tolerance and (t.gap[1:-1] > tolerance).all()
+        assert t.xs.shape[0] == t.f.shape[0] == t.grad_norm.shape[0] == t.cycles + 1
+        assert len(t.orders) == t.weighted_movement.shape[0] == t.cycles
+        full = solve[algorithm](p, replace(run, max_cycles=t.cycles + 20, gap_tolerance=0.0),
+                                x0, c)
+        assert_same_bits(t.xs, full.xs[:t.cycles + 1])
+        assert_same_bits(t.weighted_movement, full.weighted_movement[:t.cycles])
+        assert_close(t.f, full.f[:t.cycles + 1])
+
+    def test_history_grows_with_the_run_not_max_cycles(self):
+        # a cap of 10^9 cycles allocates nothing in proportion to it
+        p, x0 = make_toeplitz_instance(5)
+        c = compute_constants(p)
+        f_star = reference_optimum(p, c).f_star
+        run = SolverRun(algorithm="bcpg", max_cycles=10**9, gap_tolerance=1e-6)
+        tracemalloc.start()
+        try:
+            t = run_bcpg(p, run, x0, c, f_star=f_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.cycles == 14 and t.f[-1] - f_star <= 1e-6 < t.f[-2] - f_star
+        assert peak < 200_000
 
     def test_determinism_bit_identical(self):
         p, x0 = make_lasso_instance(12, 6, 0.1, seed=9)
@@ -543,8 +581,9 @@ class TestGD:
             run_gd(p, SolverRun(algorithm="gd", max_cycles=1), x0, compute_constants(p))
 
     def test_one_gradient_per_iterate(self, monkeypatch):
-        # every solver takes f and the gradient norm of each iterate from one
-        # residual, and its start check computes none
+        # every solver refreshes one residual per sweep and takes f and the
+        # gradient norm of all iterates from one stacked residual, and its
+        # start check computes none
         qp = make_table1_full_qp(6, 2.0)
         c = compute_constants(qp)
         residual = CompositeQuadraticProblem.residual
@@ -558,7 +597,7 @@ class TestGD:
                               lambda p, x: calls.append(1) or residual(p, x))
                 t = solve(qp, run, np.ones(6), c)
             assert t.cycles == 5
-            assert len(calls) == 6  # x^(0) .. x^(5), each evaluated once
+            assert len(calls) == 6  # one before each of 5 sweeps, one for all values
             assert t.grad_norm.tobytes() == reference.grad_norm.tobytes()
             assert t.f.tobytes() == reference.f.tobytes()
 
@@ -1008,7 +1047,9 @@ class TestLockstep:
 
 
 def assert_gd_is_plain_loop(problem, x0, order, cycles):
-    """run_gd equals x <- x - g / L written out, bit for bit."""
+    """run_gd's iterates and movements equal x <- x - g / L written out, bit
+    for bit; its f and gradient norms are trajectory_values of those
+    iterates, and agree with per-iterate residuals to rounding."""
     constants = compute_constants(problem)
     t = run_gd(problem, SolverRun(algorithm="gd", order=order, max_cycles=cycles), x0,
                constants)
@@ -1020,9 +1061,11 @@ def assert_gd_is_plain_loop(problem, x0, order, cycles):
         xs.append(x)
     residuals = [a @ x - b for x in xs]
     np.testing.assert_array_equal(t.xs, np.array(xs))
-    np.testing.assert_array_equal(t.f, [0.5 * float(r @ r) for r in residuals])
-    np.testing.assert_array_equal(
-        t.grad_norm, [float(np.linalg.norm(a.T @ r)) for r in residuals])
+    f, grad_norm = solvers.trajectory_values(problem, np.array(xs))
+    assert_same_bits(t.f, f)
+    assert_same_bits(t.grad_norm, grad_norm)
+    assert_close(t.f, [0.5 * float(r @ r) for r in residuals])
+    assert_close(t.grad_norm, [float(np.linalg.norm(a.T @ r)) for r in residuals])
     np.testing.assert_array_equal(
         t.weighted_movement,
         [math.sqrt(lipschitz) * float(np.linalg.norm(new - old))

@@ -2,6 +2,8 @@
 tightness construction."""
 
 import csv
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockcd import battery, verify
-from blockcd.bounds import BoundSpec, beta_estimate, r0_upper_estimate
+from blockcd.bounds import BoundSpec, beta_estimate, evaluate, r0_upper_estimate
 from blockcd.linalg import spectral_norm
 from blockcd.problems import (
     compute_constants,
@@ -28,6 +30,7 @@ from blockcd.solvers import (
     BlockOrder,
     SolverRun,
     StepsizePolicy,
+    Trajectory,
     reference_optimum,
     run_bcd_exact,
     run_bcpg,
@@ -501,3 +504,126 @@ class TestGeneratedProblems:
         assert t_bcpg.orders == t_bcd.orders
         assert_close(t_bcpg.xs, t_bcd.xs)
         assert_close(t_bcpg.f, t_bcd.f)
+
+
+def loop_violations(instance, t, kinds):
+    """check name prefix -> the per-cycle normalized excesses of that check
+    of run t, from one loop over the cycles in plain floats: the
+    inequalities as the checks state them, one cycle at a time."""
+    p, c = instance.problem, instance.constants
+    f, movement = t.f.tolist(), t.weighted_movement.tolist()
+    gap = None if t.gap is None else t.gap.tolist()
+    cycles = range(t.cycles)
+
+    def descent(rhs):
+        return [(rhs[r] - (f[r] - f[r + 1])) / max(1.0, abs(f[r])) for r in cycles]
+
+    def costtogo(coefficient, movements):
+        return [(gap[r + 1] - coefficient * movements[r])
+                / max(1.0, abs(gap[r + 1]), coefficient * movements[r]) for r in cycles]
+
+    r0, n, k = instance.r0.value, c.block_size, c.block_count
+    out = {}
+    if t.algorithm == "bcpg":
+        out["descent_bcpg"] = descent([0.5 * (m * m) for m in movement])
+        p_min, p_max = float(t.stepsizes.min()), float(t.stepsizes.max())
+        out["costtogo_bcpg"] = costtogo(
+            r0 * math.log(2.0 * n * k) * (c.L / math.sqrt(p_min) + math.sqrt(p_max)), movement)
+    elif t.algorithm == "exact_bcd":
+        image_sq = verify.image_movements_sq(t, p).tolist()
+        out["descent_bcd"] = descent([0.5 * value for value in image_sq])
+        log2nk = math.log(2.0 * n * k)
+        if c.rank_case == "full_column":
+            movements = []
+            for r in cycles:
+                d = np.linalg.norm((t.xs[r + 1] - t.xs[r]).reshape(k, n), axis=1)
+                movements.append(math.sqrt(float(np.sum((c.sigma_k * d) ** 2))))
+            out["costtogo_bcd"] = costtogo((r0 / c.sigma_min) * log2nk * (c.L + c.L_max),
+                                           movements)
+        else:
+            coefficient = (r0 / c.gamma_min * log2nk * (c.L + c.L_max)
+                           if c.rank_case == "full_row"
+                           else r0 * math.sqrt(c.L_max) * (k + 2))
+            out["costtogo_bcd"] = costtogo(coefficient, [math.sqrt(v) for v in image_sq])
+    elif t.algorithm == "cgd":
+        grad = t.grad_norm.tolist()
+        p_min, p_max = float(t.stepsizes.min()), float(t.stepsizes.max())
+        denom = 2.0 * (p_max + instance.beta ** 2 / p_min)
+        out["descent_cgd_beta"] = descent([grad[r] * grad[r] / denom for r in cycles])
+        norms = list(verify._chain_matrix_norm(t.orders, instance.oracle.hessian, t.stepsizes))
+        out["descent_cgd_exact_v"] = descent(
+            [grad[r] * grad[r] / (2.0 * (v * v)) for r, (v, _) in zip(cycles, norms)])
+        out["descent_cgd_hbound"] = [(h - instance.beta) / max(1.0, instance.beta)
+                                     for _, h in norms]
+    for kind in kinds:
+        spec = verify.bound_spec(instance, kind, t)
+        if kind == "gd":
+            spec = replace(spec, r0_upper=instance.gd_radius())
+        violations = []
+        for r in range(1, t.cycles + 1):
+            bound = evaluate(spec, r)
+            violations.append(gap[r] if bound <= 0.0 else gap[r] / bound - 1.0)
+        out[f"envelope_{kind}"] = violations
+    return out
+
+
+class TestArrayChecks:
+    """The checks' array expressions against per-cycle loops, on battery
+    trajectories, and NaN excesses."""
+
+    @pytest.mark.parametrize("name, algorithm, policy", [
+        ("lasso_00", "bcpg", "block_lk"), ("lasso_03", "bcpg", "global_l"),
+        ("lasso_00", "exact_bcd", "block_lk"), ("thm2_case1", "exact_bcd", "block_lk"),
+        ("thm2_case2", "exact_bcd", "block_lk"), ("thm2_case3_box", "exact_bcd", "block_lk"),
+        ("toeplitz_K5", "cgd", "block_lk"), ("table1_full_K10", "cgd", "global_l"),
+        ("toeplitz_K5", "gd", "block_lk")])
+    @pytest.mark.parametrize("order_kind", ORDER_KINDS)
+    def test_checks_equal_a_per_cycle_loop(self, name, algorithm, policy, order_kind):
+        instance = battery.get_instance(name)
+        cycles = battery.LASSO_CYCLES if name.startswith("lasso") else 60
+        t = battery.get_trajectory(name, algorithm, policy, order_kind, 5, cycles)
+        kinds = [kind for kind in paired_kinds(instance, algorithm, policy)
+                 if kind != "thm2_case2" or instance.constants.rank_case == "full_row"]
+        loops = loop_violations(instance, t, kinds)
+        reports = verify.checks_for(instance, "case", t, kinds)
+        compared = 0
+        for report in reports:
+            if "skipped" in report.notes:
+                continue
+            values = loops[report.check_name.replace(":case", "")]
+            assert report.cycles_checked == len(values) == t.cycles
+            worst = max([0.0] + values)
+            assert math.copysign(1.0, report.worst_violation) == math.copysign(1.0, worst)
+            assert report.worst_violation == worst, report.check_name
+            compared += 1
+        assert compared >= len(kinds) + (algorithm != "gd")
+
+    @pytest.mark.parametrize("name", ["lasso_00", "thm2_case1", "thm2_case2", "thm2_case3_box"])
+    def test_image_movements_equal_per_block_products(self, name):
+        instance = battery.get_instance(name)
+        p, c = instance.problem, instance.constants
+        t = battery.get_trajectory(name, "exact_bcd", "block_lk", "cyclic", 0, 60)
+        expected = []
+        for r in range(t.cycles):
+            d = (t.xs[r + 1] - t.xs[r]).reshape(c.block_count, c.block_size)
+            expected.append(sum(float(np.sum((a @ d_k) ** 2))
+                                for a, d_k in zip(p.a_blocks, d)))
+        image_sq = verify.image_movements_sq(t, p)
+        assert (image_sq >= 0.0).all()
+        assert_close(image_sq, np.array(expected), rtol=1e-12)
+
+    def test_nan_excess_fails(self):
+        report = verify._report("nan", [0.0, math.nan, -1.0], 1.0)
+        assert math.isnan(report.worst_violation) and not report.passed
+        assert report.cycles_checked == 3
+        assert verify._report("empty", [], 0.0).passed
+
+    def test_infinite_objective_fails_descent(self):
+        # f = inf at both ends of cycle 0: (rhs - (inf - inf)) / inf is NaN
+        qp = make_table1_diagonal_qp(2, 1.0)
+        t = Trajectory(algorithm="bcpg", xs=np.zeros((3, 2)),
+                       f=np.array([math.inf, math.inf, 0.0]),
+                       weighted_movement=np.zeros(2), stepsizes=np.ones(2),
+                       orders=[[0, 1]] * 2)
+        report = check_descent_bcpg(t, qp)
+        assert math.isnan(report.worst_violation) and not report.passed
