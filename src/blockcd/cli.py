@@ -7,21 +7,19 @@ Subcommands:
   ``verdicts.csv``.  The verdicts are the checks ``verify.checks_for``
   selects for each run and the bounds whose ``against`` names it, written
   as ``verify --out`` writes them.  A bound paired with no run gets no
-  verdict.  A cgd run whose order changes between
-  cycles, on a Hessian that is not permutation-invariant, gets its exact
-  chain-matrix forms reported as skipped and its relaxed beta form checked
-  on every cycle.  The exact forms would take two K x K SVDs per cycle:
-  0.5-0.7 s and 1.3-1.5 s on the benchmark's two 60-cycle Toeplitz runs
-  at K = 200 and 300, where the whole ``plan_scale`` workload takes about
-  0.8 s (2-core VM, Python 3.11.7, numpy 2.4.6);
+  verdict.  A cgd run's exact chain-matrix forms are checked when one
+  chain matrix serves every cycle, and otherwise reported as skipped, with
+  the reason (``verify.check_descent_cgd``);
 * ``verify`` — run a named verification suite over the built-in battery;
 * ``bounds`` — compute problem constants and all applicable bound curves
   for a problem file;
 * ``tightness`` — alias for ``verify --suite tightness``.
 
 Plan files are JSON; the shape is documented in plan_schema.json shipped
-next to this module.  Identical plan and seed produce byte-identical
-output files.
+next to this module.  ``problems.read_field`` checks each field, and an
+error names it as a schema validator does (``$.problem.block_count``,
+``$.runs[1].stepsizes.values[1]``).  Identical plan and seed produce
+byte-identical output files.
 
 ``run`` and ``verify`` exit 0 when every asserted check passes and 1 when
 one fails (advisory checks never gate); every command exits 2 with one
@@ -31,10 +29,10 @@ one fails (advisory checks never gate); every command exits 2 with one
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,17 +46,27 @@ from .bounds import (
 )
 from .linalg import ConvergenceError
 from .problems import (
-    ProblemFormatError,
-    json_integer,
-    json_number,
+    INTEGER,
+    NONNEGATIVE_NUMBER,
+    OBJECT,
+    POSITIVE_INTEGER,
+    POSITIVE_NUMBER,
+    FieldError,
+    Rule,
     load_problem,
+    one_of,
+    read_document,
+    read_field,
+    read_value,
 )
 # battery.set_up computes the constants; this binding stays because
 # bench/tests/test_bench.py asserts that the tracer rewraps it here.
 from .problems import compute_constants  # noqa: F401
 from .rng import derive_seed
 from .solvers import (
+    ALGORITHMS,
     ORDER_KINDS,
+    STEPSIZE_KINDS,
     BlockOrder,
     SolverRun,
     StepsizePolicy,
@@ -71,126 +79,80 @@ from .verify import bound_spec, checks_for, report_lines, reports_to_csv
 # Run labels name output files inside --out: no path separators, no
 # leading dot (so neither "." nor ".." nor hidden files), and not the stem
 # of another file run writes.  plan_schema.json carries the same rules.
-LABEL_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+LABEL = Rule(str, "letters, digits, '_', '-' or '.', not starting with '.'",
+             re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*").fullmatch)
 RESERVED_LABELS = {"bounds": "the bound table", "verdicts": "the verdict table"}
 
 
-class PlanError(ValueError):
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+class Plan(NamedTuple):
+    """A plan read field by field: its problem as given (an object, or a
+    problem-file path or JSON text, for load_problem), its output
+    directory, its labelled runs and its (label, kind, against, c_prior)
+    bound requests."""
+
+    problem: dict | str
+    output: str
+    runs: list[tuple[str, SolverRun]]
+    bounds: list[tuple[str, str, str | None, float]]
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
+def read_plan(source, seed: int | None = None) -> Plan:
+    """The plan ``source`` (a file path, JSON text or a dict), with every
+    field checked and the rules that span fields: unique run labels and
+    bound entries, reserved labels, ``against`` naming a run whose
+    algorithm pairs with the bound, and ``values`` only on a ``fixed``
+    policy.  ``seed`` overrides the plan's seed."""
+    plan = read_document(source)
+    plan_seed = read_field(plan, "$", "seed", INTEGER, default=0)
+    output = read_field(plan, "$", "output", Rule(str, "a directory path"), default="out")
+    problem = read_field(plan, "$", "problem",
+                         Rule((dict, str), "a problem object or a problem-file path"))
+    runs = _parse_runs(plan, plan_seed if seed is None else seed)
+    return Plan(problem, output, runs, _parse_bounds(plan, runs))
 
 
-def _load_plan(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            plan = json.load(fh, parse_constant=_reject_constant)
-    except OSError as exc:
-        raise PlanError("$", f"cannot read plan: {exc}")
-    except ValueError as exc:
-        raise PlanError("$", f"not valid JSON ({exc})")
-    if not isinstance(plan, dict):
-        raise PlanError("$", "top level must be an object")
-    return plan
-
-
-def _parse_settings(plan: dict) -> tuple[int, str]:
-    """The plan's global seed and output directory, 0 and "out" by default."""
-    seed = json_integer(plan.get("seed", 0))
-    if seed is None:
-        raise PlanError("$.seed", "expected an integer")
-    output = plan.get("output", "out")
-    if not isinstance(output, str):
-        raise PlanError("$.output", "expected a directory path string")
-    return seed, output
-
-
-def _problem_source(plan: dict):
-    """The plan's problem: an object, or a string naming a problem file (or
-    holding problem JSON text); plan_schema.json accepts the same two."""
-    if "problem" not in plan:
-        raise PlanError("$.problem", "missing required field")
-    source = plan["problem"]
-    if not isinstance(source, (dict, str)):
-        raise PlanError("$.problem", "expected an object or a problem-file path")
-    return source
-
-
-def _parse_order(raw, path: str, global_seed: int) -> BlockOrder:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise PlanError(path, "expected an object with a 'kind' field")
-    kind = raw["kind"]
-    if kind not in ORDER_KINDS:
-        raise PlanError(f"{path}.kind", f"unknown order kind {kind!r}")
-    seed = json_integer(raw["seed"]) if "seed" in raw else None
-    if "seed" in raw and seed is None:
-        raise PlanError(f"{path}.seed", "expected an integer")
+def _parse_order(raw: dict, path: str, global_seed: int) -> BlockOrder:
+    kind = read_field(raw, path, "kind", one_of(ORDER_KINDS))
+    seed = read_field(raw, path, "seed", INTEGER, default=None)
     if kind == "cyclic":
         return BlockOrder.cyclic()
     return BlockOrder.random_permutation(derive_seed(global_seed, 1) if seed is None else seed)
 
 
-def _parse_stepsizes(raw, path: str) -> StepsizePolicy:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise PlanError(path, "expected an object with a 'kind' field")
-    kind = raw["kind"]
-    if kind in ("global_l", "block_lk"):
+def _parse_stepsizes(raw: dict, path: str) -> StepsizePolicy:
+    kind = read_field(raw, path, "kind", one_of(STEPSIZE_KINDS))
+    if kind != "fixed":
         if "values" in raw:
-            raise PlanError(f"{path}.values", "only a fixed policy takes values")
+            raise FieldError(f"{path}.values", "only a fixed policy takes values")
         return StepsizePolicy(kind)
-    if kind == "fixed":
-        values = raw.get("values")
-        if not isinstance(values, list) or not values:
-            raise PlanError(f"{path}.values", "fixed policy needs a value list")
-        numbers = [json_number(value) for value in values]
-        for j, number in enumerate(numbers):
-            if number is None or number <= 0:
-                raise PlanError(f"{path}.values[{j}]", "expected a finite positive number")
-        return StepsizePolicy.fixed(numbers)
-    raise PlanError(f"{path}.kind", f"unknown stepsize kind {kind!r}")
+    return StepsizePolicy.fixed(read_field(raw, path, "values", Rule(
+        list, "a nonempty list of finite positive numbers", bool, POSITIVE_NUMBER)))
 
 
 def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
-    raw_runs = plan.get("runs")
-    if not isinstance(raw_runs, list) or not raw_runs:
-        raise PlanError("$.runs", "expected a nonempty list of run objects")
+    raw_runs = read_field(plan, "$", "runs",
+                          Rule(list, "a nonempty list of run objects", bool, OBJECT))
     runs = []
     labels = set()
     for i, raw in enumerate(raw_runs):
         path = f"$.runs[{i}]"
-        if not isinstance(raw, dict):
-            raise PlanError(path, "expected an object")
-        algorithm = raw.get("algorithm")
-        if algorithm not in ("exact_bcd", "bcpg", "cgd", "gd"):
-            raise PlanError(f"{path}.algorithm",
-                            f"expected one of exact_bcd/bcpg/cgd/gd, got {algorithm!r}")
-        max_cycles = json_integer(raw.get("max_cycles", 100))
-        if max_cycles is None or max_cycles < 1:
-            raise PlanError(f"{path}.max_cycles", "expected a positive integer")
-        gap_tolerance = json_number(raw.get("gap_tolerance", 0.0))
-        if gap_tolerance is None or gap_tolerance < 0:
-            raise PlanError(f"{path}.gap_tolerance",
-                            "expected a finite nonnegative number")
-        label = raw.get("label", f"run{i}_{algorithm}")
-        if not isinstance(label, str) or not LABEL_PATTERN.fullmatch(label):
-            raise PlanError(f"{path}.label",
-                            "expected letters, digits, '_', '-' or '.', "
-                            "not starting with '.'")
+        algorithm = read_field(raw, path, "algorithm", one_of(ALGORITHMS))
+        max_cycles = read_field(raw, path, "max_cycles", POSITIVE_INTEGER, default=100)
+        gap_tolerance = read_field(raw, path, "gap_tolerance", NONNEGATIVE_NUMBER,
+                                   default=0.0)
+        label = read_field(raw, path, "label", LABEL, default=f"run{i}_{algorithm}")
         if label in RESERVED_LABELS:
-            raise PlanError(f"{path}.label",
-                            f"{label!r} is reserved for {RESERVED_LABELS[label]}")
+            raise FieldError(f"{path}.label",
+                             f"{label!r} is reserved for {RESERVED_LABELS[label]}")
         if label in labels:
-            raise PlanError(f"{path}.label", f"duplicate label {label!r}")
+            raise FieldError(f"{path}.label", f"duplicate label {label!r}")
         labels.add(label)
+        order = read_field(raw, path, "order", OBJECT, default={"kind": "cyclic"})
+        stepsizes = read_field(raw, path, "stepsizes", OBJECT, default={"kind": "block_lk"})
         run = SolverRun(
             algorithm=algorithm,
-            order=_parse_order(raw.get("order", {"kind": "cyclic"}), f"{path}.order",
-                               global_seed),
-            stepsizes=_parse_stepsizes(raw.get("stepsizes", {"kind": "block_lk"}),
-                                       f"{path}.stepsizes"),
+            order=_parse_order(order, f"{path}.order", global_seed),
+            stepsizes=_parse_stepsizes(stepsizes, f"{path}.stepsizes"),
             max_cycles=max_cycles,
             gap_tolerance=gap_tolerance,
         )
@@ -200,40 +162,30 @@ def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
 
 def _parse_bounds(plan: dict, runs) -> list[tuple[str, str, str | None, float]]:
     """(label, kind, against, c_prior) tuples with pairing validation."""
-    raw_bounds = plan.get("bounds", [])
-    if not isinstance(raw_bounds, list):
-        raise PlanError("$.bounds", "expected a list")
-    run_algorithms = dict(runs)
+    raw_bounds = read_field(plan, "$", "bounds", Rule(
+        list, "a list", items=Rule((str, dict), "a bound kind or a bound object")), default=[])
+    run_algorithms = {label: run.algorithm for label, run in runs}
     out = []
     for i, raw in enumerate(raw_bounds):
         path = f"$.bounds[{i}]"
         if isinstance(raw, str):
-            kind, against, c_prior = raw, None, 1.0
-        elif isinstance(raw, dict):
-            kind = raw.get("kind")
-            against = raw.get("against")
-            c_prior = raw.get("c_prior", 1.0)
-            if "against" in raw and not isinstance(against, str):
-                raise PlanError(f"{path}.against", "expected a run label string")
+            kind, against, c_prior = read_value(raw, path, one_of(BOUND_KINDS)), None, 1.0
         else:
-            raise PlanError(path, "expected a kind string or an object")
-        if kind not in BOUND_KINDS:
-            raise PlanError(f"{path}.kind", f"unknown bound kind {kind!r}")
-        c_prior = json_number(c_prior)
-        if c_prior is None or c_prior <= 0:
-            raise PlanError(f"{path}.c_prior", "expected a finite positive number")
+            kind = read_field(raw, path, "kind", one_of(BOUND_KINDS))
+            against = read_field(raw, path, "against", Rule(str, "a run label"), default=None)
+            c_prior = read_field(raw, path, "c_prior", POSITIVE_NUMBER, default=1.0)
         if against is not None:
             if against not in run_algorithms:
-                raise PlanError(f"{path}.against", f"no run labeled {against!r}")
-            algorithm = run_algorithms[against].algorithm
+                raise FieldError(f"{path}.against", f"no run labeled {against!r}")
+            algorithm = run_algorithms[against]
             if algorithm not in BOUND_PAIRINGS[kind]:
-                raise PlanError(
+                raise FieldError(
                     f"{path}.against",
                     f"bound {kind!r} applies to {BOUND_PAIRINGS[kind]}, but run "
                     f"{against!r} uses {algorithm!r}")
         label = kind if against is None else f"{kind}@{against}"
         if any(label == existing for existing, *_ in out):
-            raise PlanError(path, f"duplicate bound entry {label!r}")
+            raise FieldError(path, f"duplicate bound entry {label!r}")
         out.append((label, kind, against, c_prior))
     return out
 
@@ -246,29 +198,22 @@ def _check_runs(instance, runs) -> None:
         try:
             check_applicable(run.algorithm, instance.problem)
         except ValueError as exc:
-            raise PlanError(f"$.runs[{i}].algorithm", str(exc))
+            raise FieldError(f"$.runs[{i}].algorithm", str(exc))
         try:
             run.realize_stepsizes(instance.constants)
         except ValueError as exc:
-            raise PlanError(f"$.runs[{i}].stepsizes", str(exc))
+            raise FieldError(f"$.runs[{i}].stepsizes", str(exc))
 
 
 def cmd_run(plan_path: str, out_dir: str | None, seed: int | None) -> int:
-    plan = _load_plan(plan_path)
-    plan_seed, output = _parse_settings(plan)
-    global_seed = seed if seed is not None else plan_seed
-    source = _problem_source(plan)
-    try:
-        loaded = load_problem(source)
-    except ProblemFormatError as exc:
-        raise PlanError("$.problem", str(exc))
-    runs = _parse_runs(plan, global_seed)
-    bound_requests = _parse_bounds(plan, runs)
+    plan = read_plan(plan_path, seed)
+    loaded = load_problem(plan.problem, "$.problem")
+    runs, bound_requests = plan.runs, plan.bounds
     instance = set_up(loaded.kind, loaded.problem, loaded.x0)
     _check_runs(instance, runs)
     constants, reference, r0 = instance.constants, instance.reference, instance.r0
 
-    out = Path(out_dir if out_dir is not None else output)
+    out = Path(out_dir if out_dir is not None else plan.output)
     out.mkdir(parents=True, exist_ok=True)
     trajectories = {}
     for label, run in runs:
@@ -328,9 +273,7 @@ def _tally(name: str, reports) -> int:
 
 def cmd_verify(suite: str, seed: int, out_dir: str | None = None) -> int:
     if suite not in SUITES:
-        print(f"unknown suite {suite!r}; choose from {sorted(SUITES)}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     reports = SUITES[suite](seed)
     for line in report_lines(reports):
         print(line)
@@ -375,8 +318,17 @@ def cmd_bounds(problem_path: str, r_max: int, out_dir: str | None) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one ``error:`` line with exit code 2, as
+    every command reports bad input, in place of the usage block."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blockcd",
         description="block coordinate descent solvers and bound verification")
     sub = parser.add_subparsers(dest="command", required=True)

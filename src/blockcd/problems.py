@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,10 +25,14 @@ from .linalg import RANK_RTOL, as_matrix, min_norm_factors, sym_eig_extremes
 from .rng import SplitMix64, derive_seed
 
 _FEAS_RTOL = 1e-12
+PROBLEM_KINDS = ("lasso", "toeplitz", "table1_diag", "table1_full", "explicit")
+TERM_KINDS = ("zero", "l1", "group_l2", "box")
 
 
-class ProblemFormatError(ValueError):
-    """Problem-file violation; message starts with the offending field path."""
+class FieldError(ValueError):
+    """A plan or problem document that breaks a rule.  The message starts
+    with the offending field's path, in the form JSON Schema validators
+    report it (``$.runs[0].label``, ``$.problem.a_blocks[1][0][0]``)."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
@@ -61,7 +65,7 @@ class NonsmoothTerm:
     hi: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "l1", "group_l2", "box"):
+        if self.kind not in TERM_KINDS:
             raise ValueError(f"unknown nonsmooth kind {self.kind!r}")
         if self.kind in ("l1", "group_l2") and self.weight < 0:
             raise ValueError("weight must be nonnegative")
@@ -663,139 +667,167 @@ def json_number(value) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def _require(spec: dict, path: str, key: str, types, check=None, describe=""):
-    """spec[key], which must be of ``types`` (``int`` means json_integer,
-    ``float`` json_number) and pass ``check``."""
-    if key not in spec:
-        raise ProblemFormatError(f"{path}.{key}", "missing required field")
-    value = spec[key]
-    if types is int:
-        value = json_integer(value)
-    elif types is float:
-        value = json_number(value)
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ProblemFormatError(f"{path}.{key}", f"expected {describe or types}")
-    if check is not None and not check(value):
-        raise ProblemFormatError(f"{path}.{key}", f"invalid value {value!r}")
-    return value
+class Rule(NamedTuple):
+    """What a JSON value must be: of ``types`` (``int`` means a
+    json_integer and ``float`` a json_number), passing ``check``, and, for a
+    list, holding entries that each follow ``items``.  ``expected`` names
+    the rule in errors."""
+
+    types: type | tuple
+    expected: str
+    check: Callable | None = None
+    items: Rule | None = None
 
 
-def _number_list(raw, path: str, length: int | None = None) -> np.ndarray:
-    """``raw``, a list of finite JSON numbers (``length`` of them when
-    given), as a float vector."""
-    if not isinstance(raw, list) or (length is not None and len(raw) != length):
-        count = "" if length is None else f"{length} "
-        raise ProblemFormatError(path, f"expected a list of {count}finite numbers")
-    numbers = [json_number(value) for value in raw]
-    for j, number in enumerate(numbers):
-        if number is None:
-            raise ProblemFormatError(path, f"entry {j} is not a finite number")
-    return np.array(numbers)
+INTEGER = Rule(int, "an integer")
+POSITIVE_INTEGER = Rule(int, "a positive integer", lambda v: v >= 1)
+NUMBER = Rule(float, "a finite number")
+NONNEGATIVE_NUMBER = Rule(float, "a finite nonnegative number", lambda v: v >= 0)
+POSITIVE_NUMBER = Rule(float, "a finite positive number", lambda v: v > 0)
+OBJECT = Rule(dict, "an object")
+_REQUIRED = object()
 
 
-def _load_terms(raw, block_count: int, block_size: int, path: str):
-    if not isinstance(raw, list) or len(raw) != block_count:
-        raise ProblemFormatError(path, f"expected a list of {block_count} term specs")
+def one_of(choices) -> Rule:
+    """A string among ``choices``."""
+    return Rule(str, "one of " + "/".join(choices), lambda v: v in choices)
+
+
+def _numbers(length: int) -> Rule:
+    return Rule(list, f"a list of {length} finite numbers", lambda v: len(v) == length, NUMBER)
+
+
+def _shown(value) -> str:
+    """``value`` as an error shows it: the length of a list, or the JSON
+    text of anything else but an object, cut at 40 characters."""
+    if isinstance(value, list):
+        return f"a list of length {len(value)}"
+    if isinstance(value, dict):
+        return "an object"
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def read_value(value, path: str, rule: Rule):
+    """``value`` read under ``rule``: an int or a float for ``int`` and
+    ``float``, and a list of read entries for a rule with ``items``.  A
+    violation is a FieldError at ``path``, or at ``path[j]`` for entry j."""
+    read = (json_integer(value) if rule.types is int
+            else json_number(value) if rule.types is float else value)
+    if not isinstance(read, rule.types) or (rule.check is not None and not rule.check(read)):
+        raise FieldError(path, f"expected {rule.expected}, got {_shown(value)}")
+    if rule.items is not None:
+        return [read_value(item, f"{path}[{j}]", rule.items) for j, item in enumerate(read)]
+    return read
+
+
+def read_field(spec: dict, path: str, key: str, rule: Rule, default=_REQUIRED):
+    """spec[key] read under ``rule`` and reported at ``path.key``.  An
+    absent key gives ``default``, and is an error when there is none; a
+    null is read like any other value, never as the default."""
+    if key in spec:
+        return read_value(spec[key], f"{path}.{key}", rule)
+    if default is _REQUIRED:
+        raise FieldError(f"{path}.{key}", "missing required field")
+    return default
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_document(source, path: str = "$") -> dict:
+    """The JSON object ``source``: a dict, JSON text (starting with ``{``)
+    or a file path.  As in RFC 8259, NaN and Infinity are not numbers, so a
+    text holding them is rejected.  Errors are reported at ``path``."""
+    if isinstance(source, dict):
+        return source
+    text = str(source)
+    try:
+        if not text.lstrip().startswith("{"):
+            with open(text, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        document = json.loads(text, parse_constant=_reject_constant)
+    except OSError as exc:
+        raise FieldError(path, f"cannot read file: {exc}") from exc
+    except ValueError as exc:
+        raise FieldError(path, f"not valid JSON ({exc})") from exc
+    return read_value(document, path, OBJECT)
+
+
+def _load_terms(spec: dict, path: str, k: int) -> tuple:
+    """The K nonsmooth terms of ``spec["h"]``, all zero when it is absent."""
+    raw = read_field(spec, path, "h", Rule(list, f"a list of {k} term objects",
+                                           lambda v: len(v) == k, OBJECT), default=None)
+    if raw is None:
+        return (NonsmoothTerm.zero(),) * k
     terms = []
     for i, entry in enumerate(raw):
-        where = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            raise ProblemFormatError(where, "expected an object")
-        kind = _require(entry, where, "kind", str, describe="a string")
-        try:
-            if kind == "zero":
-                terms.append(NonsmoothTerm.zero())
-            elif kind in ("l1", "group_l2"):
-                weight = _require(entry, where, "weight", float, lambda v: v >= 0,
-                                  "a finite nonnegative number")
-                terms.append(NonsmoothTerm(kind, weight=weight))
-            elif kind == "box":
-                lo = _require(entry, where, "lo", float, describe="a finite number")
-                hi = _require(entry, where, "hi", float, describe="a finite number")
-                terms.append(NonsmoothTerm.box(lo, hi))
-            else:
-                raise ProblemFormatError(f"{where}.kind", f"unknown kind {kind!r}")
-        except ValueError as exc:
-            if isinstance(exc, ProblemFormatError):
-                raise
-            raise ProblemFormatError(where, str(exc)) from exc
+        where = f"{path}.h[{i}]"
+        kind = read_field(entry, where, "kind", one_of(TERM_KINDS))
+        if kind == "zero":
+            terms.append(NonsmoothTerm.zero())
+        elif kind == "box":
+            lo, hi = (read_field(entry, where, key, NUMBER) for key in ("lo", "hi"))
+            if lo > hi:
+                raise FieldError(where, f"expected lo <= hi, got lo {lo!r} and hi {hi!r}")
+            terms.append(NonsmoothTerm.box(lo, hi))
+        else:
+            terms.append(NonsmoothTerm(kind, weight=read_field(entry, where, "weight",
+                                                               NONNEGATIVE_NUMBER)))
     return tuple(terms)
 
 
-def load_problem(source) -> LoadedProblem:
+def _load_explicit(spec: dict, path: str) -> LoadedProblem:
+    k = read_field(spec, path, "block_count", POSITIVE_INTEGER)
+    n = read_field(spec, path, "block_size", POSITIVE_INTEGER)
+    blocks = [np.array(block) for block in read_field(spec, path, "a_blocks", Rule(
+        list, f"a list of {k} blocks", lambda v: len(v) == k,
+        Rule(list, "a nonempty list of rows", bool, _numbers(n))))]
+    rows = blocks[0].shape[0]
+    for i, block in enumerate(blocks):
+        if block.shape[0] != rows:
+            raise FieldError(f"{path}.a_blocks[{i}]",
+                             f"has {block.shape[0]} rows, a_blocks[0] has {rows}")
+    b = np.array(read_field(spec, path, "b", Rule(list, "a list of finite numbers",
+                                                  items=NUMBER)))
+    if len(b) != rows:
+        raise FieldError(f"{path}.b", f"has length {len(b)}, expected {rows}, "
+                         "the row count of a_blocks")
+    terms = _load_terms(spec, path, k)
+    if all(term.kind == "zero" for term in terms) and not any(a.any() for a in blocks):
+        # f is the constant 1/2 ||b||^2: no Lipschitz constant is positive
+        raise FieldError(f"{path}.a_blocks", "every entry is zero and every term is "
+                         "zero, so the problem has nothing to minimize")
+    problem = CompositeQuadraticProblem(
+        partition=BlockPartition(k, n), a_blocks=tuple(blocks), b=b, h=terms)
+    x0 = read_field(spec, path, "x0", _numbers(k * n), default=None)
+    return LoadedProblem(kind="explicit", x0=np.zeros(k * n) if x0 is None else np.array(x0),
+                         problem=problem)
+
+
+def load_problem(source, path: str = "$") -> LoadedProblem:
     """Build a problem from a JSON file path, JSON text, or a plain dict.
 
-    Recognized kinds: "lasso", "toeplitz", "table1_diag", "table1_full",
-    "explicit".  The first invariant violation is reported with the path of
-    the offending field.
+    The kinds are PROBLEM_KINDS.  The first broken rule is reported at the
+    offending field, under ``path``: a plan passes ``$.problem``.
     """
-    if isinstance(source, dict):
-        spec = source
-    else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            try:
-                with open(text, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ProblemFormatError("$", f"cannot read problem file: {exc}")
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError("$", f"not valid JSON ({exc})") from exc
-    if not isinstance(spec, dict):
-        raise ProblemFormatError("$", "top level must be an object")
-    kind = _require(spec, "$", "kind", str, describe="a string")
-    seed = _require(spec, "$", "seed", int, describe="an integer") if "seed" in spec else 0
-
+    spec = read_document(source, path)
+    kind = read_field(spec, path, "kind", one_of(PROBLEM_KINDS))
+    seed = read_field(spec, path, "seed", INTEGER, default=0)
     if kind == "lasso":
-        rows = _require(spec, "$", "rows", int, lambda v: v >= 1, "a positive integer")
-        k = _require(spec, "$", "block_count", int, lambda v: v >= 1, "a positive integer")
-        weight = _require(spec, "$", "weight", float, lambda v: v >= 0,
-                          "a finite nonnegative number")
+        rows = read_field(spec, path, "rows", POSITIVE_INTEGER)
+        k = read_field(spec, path, "block_count", POSITIVE_INTEGER)
+        weight = read_field(spec, path, "weight", NONNEGATIVE_NUMBER)
         problem, x0 = make_lasso_instance(rows, k, weight, seed)
         return LoadedProblem(kind=kind, x0=x0, problem=problem)
-
     if kind == "toeplitz":
-        k = _require(spec, "$", "block_count", int, lambda v: v >= 3,
-                     "an integer >= 3")
+        k = read_field(spec, path, "block_count", Rule(int, "an integer >= 3", lambda v: v >= 3))
         problem, x0 = make_toeplitz_instance(k)
         return LoadedProblem(kind=kind, x0=x0, problem=problem)
-
     if kind in ("table1_diag", "table1_full"):
-        k = _require(spec, "$", "block_count", int, lambda v: v >= 1, "a positive integer")
-        lip = _require(spec, "$", "lipschitz", float, lambda v: v > 0,
-                       "a finite positive number")
+        k = read_field(spec, path, "block_count", POSITIVE_INTEGER)
+        lip = read_field(spec, path, "lipschitz", POSITIVE_NUMBER)
         make = make_table1_diagonal_qp if kind == "table1_diag" else make_table1_full_qp
         return LoadedProblem(kind=kind, x0=np.ones(k), problem=make(k, lip))
-
-    if kind == "explicit":
-        k = _require(spec, "$", "block_count", int, lambda v: v >= 1, "a positive integer")
-        n = _require(spec, "$", "block_size", int, lambda v: v >= 1, "a positive integer")
-        raw_blocks = _require(spec, "$", "a_blocks", list, describe="a list")
-        if len(raw_blocks) != k:
-            raise ProblemFormatError("$.a_blocks", f"expected {k} blocks, got {len(raw_blocks)}")
-        blocks = []
-        for i, rows in enumerate(raw_blocks):
-            if not isinstance(rows, list) or not rows:
-                raise ProblemFormatError(f"$.a_blocks[{i}]", "expected a nonempty list of rows")
-            blocks.append(np.array([_number_list(row, f"$.a_blocks[{i}][{r}]", n)
-                                    for r, row in enumerate(rows)]))
-            if len(rows) != blocks[0].shape[0]:
-                raise ProblemFormatError(f"$.a_blocks[{i}]", f"has {len(rows)} rows, "
-                                         f"a_blocks[0] has {blocks[0].shape[0]}")
-        b = _number_list(_require(spec, "$", "b", list, describe="a list"), "$.b")
-        if len(b) != blocks[0].shape[0]:
-            raise ProblemFormatError("$.b", f"has length {len(b)}, expected "
-                                     f"{blocks[0].shape[0]}, the row count of a_blocks")
-        terms = _load_terms(spec.get("h", [{"kind": "zero"}] * k), k, n, "$.h")
-        if all(term.kind == "zero" for term in terms) and not any(a.any() for a in blocks):
-            # f is the constant 1/2 ||b||^2: no Lipschitz constant is positive
-            raise ProblemFormatError("$.a_blocks", "every entry is zero and every term "
-                                     "is zero, so the problem has nothing to minimize")
-        problem = CompositeQuadraticProblem(
-            partition=BlockPartition(k, n), a_blocks=tuple(blocks), b=b, h=terms)
-        x0 = _number_list(spec["x0"], "$.x0", k * n) if "x0" in spec else np.zeros(k * n)
-        return LoadedProblem(kind=kind, x0=x0, problem=problem)
-
-    raise ProblemFormatError("$.kind", f"unknown kind {kind!r}")
+    return _load_explicit(spec, path)

@@ -48,6 +48,8 @@ from .rng import SplitMix64
 MULTIPLIER_RTOL = 1e-12
 ORDER_BATCH = 64  # cycles of random orders drawn per splitmix block
 ORDER_KINDS = ("cyclic", "random_permutation")
+STEPSIZE_KINDS = ("global_l", "block_lk", "fixed")
+ALGORITHMS = ("exact_bcd", "bcpg", "cgd", "gd")
 # The reference optimum stops once its duality gap, evaluated every
 # REFERENCE_GAP_EVERY iterations, is at most this multiple of max(1, |f|).
 REFERENCE_GAP_RTOL = 1e-13
@@ -70,7 +72,7 @@ class StepsizePolicy:
     values: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("global_l", "block_lk", "fixed"):
+        if self.kind not in STEPSIZE_KINDS:
             raise ValueError(f"unknown stepsize policy {self.kind!r}")
         if self.kind == "fixed":
             if not self.values:
@@ -157,7 +159,7 @@ class SolverRun:
     gap_tolerance: float = 0.0
 
     def __post_init__(self):
-        if self.algorithm not in ("exact_bcd", "bcpg", "cgd", "gd"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")

@@ -189,66 +189,50 @@ def check_costtogo_bcd(t: Trajectory, p: CompositeQuadraticProblem,
                    notes=f"{label}; coefficient {coefficient:.6g}")
 
 
-def _chain_matrix_norm(orders, hessian: np.ndarray, stepsizes: np.ndarray):
-    """Yield (||V||, ||H||) for each visit order in ``orders`` over a
-    constant Hessian, where V = D^(1/2) + H D^(-1/2), D = diag stepsizes in
-    visit order, and H is the strict lower triangle of the order-permuted
-    Hessian.
-
-    Cost: two dense SVDs for a cycle whose permuted Hessian Q[order, order]
-    or permuted stepsizes differ from the previous cycle's, and none
-    otherwise.  Only the previous cycle's order, Q[order, order], stepsizes
-    and norms are kept.  So cyclic orders, and random orders on a quadratic
-    that is invariant under permuting its coordinates (equal L_k with
-    L I or (L/K) 11^T), pay once per run; random orders on a coupled Hessian
-    without that invariance pay on every cycle.  Equal inputs give equal
-    SVD bits, so reuse changes no norm."""
-    last_order = last_q = last_p = norms = None
-    for order in orders:
-        if order != last_order:
-            q = hessian[np.ix_(order, order)]
-            p_seq = stepsizes[list(order)]
-            if norms is None or not (np.array_equal(q, last_q)
-                                     and np.array_equal(p_seq, last_p)):
-                h = np.tril(q, k=-1)
-                v = np.diag(np.sqrt(p_seq)) + h @ np.diag(1.0 / np.sqrt(p_seq))
-                norms = (spectral_norm(v).value, spectral_norm(h).value)
-                last_q, last_p = q, p_seq
-            last_order = order
-        yield norms
-
-
-def check_descent_cgd_beta(t: Trajectory, beta: float,
-                           name: str = "descent_cgd") -> CheckReport:
+def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
+                      name: str = "descent_cgd") -> list[CheckReport]:
     """Sufficient descent of the coordinate chain in terms of the full
-    gradient, in the relaxed form (report ``<name>_beta``)
+    gradient, in three forms:
 
-        g^r - g^(r+1) >= ||grad g(x^r)||^2 / (2 (P_max + beta^2 / P_min))."""
+    * ``<name>_beta``, the relaxed form, on every cycle:
+      g^r - g^(r+1) >= ||grad g(x^r)||^2 / (2 (P_max + beta^2 / P_min));
+    * ``<name>_exact_v``, the exact form with ||V||^2 in that denominator,
+      where V = D^(1/2) + H D^(-1/2), D = diag of the stepsizes in visit
+      order and H the strict lower triangle of the order-permuted Hessian;
+    * ``<name>_hbound``, ||H|| <= beta.
+
+    The last two are checked when one chain matrix serves every cycle:
+    every cycle visits in the same order, or Q and P are
+    permutation-invariant (permutation_invariant).  Their two K x K SVDs
+    are then taken once, from the first cycle's order.  Otherwise they
+    would take two SVDs per cycle, and both are reported as skipped, with
+    the reason.
+    """
     if t.algorithm != "cgd":
         raise ValueError("descent_cgd expects a cgd trajectory")
     if t.grad_norm is None:
         raise ValueError("trajectory has no gradient records")
-    p_max = float(t.stepsizes.max())
-    p_min = float(t.stepsizes.min())
-    denom_beta = 2.0 * (p_max + beta ** 2 / p_min)
-    violations = _descent_excess(t, t.grad_norm[:-1] ** 2 / denom_beta)
-    return _report(f"{name}_beta", violations, LEMMA_TOL, notes=f"beta {beta:.6g}")
-
-
-def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
-                      name: str = "descent_cgd") -> list[CheckReport]:
-    """Sufficient descent of the coordinate chain in terms of the full
-    gradient: the relaxed form (check_descent_cgd_beta), the exact
-    chain-matrix form with ||V||^2, and ||H|| <= beta.
-    """
-    reports = [check_descent_cgd_beta(t, beta, name)]
-    norms = np.array(list(_chain_matrix_norm(t.orders, o.hessian, t.stepsizes)))
-    v_norm, h_norm = norms.reshape(-1, 2).T
-    exact_violations = _descent_excess(t, t.grad_norm[:-1] ** 2 / (2.0 * v_norm ** 2))
-    reports.append(_report(f"{name}_exact_v", exact_violations, LEMMA_TOL,
-                           notes="exact chain-matrix norm"))
-    reports.append(_report(f"{name}_hbound", (h_norm - beta) / max(1.0, beta), 1e-12,
-                           notes="||strict lower Hessian|| <= beta"))
+    grad_sq = t.grad_norm[:-1] ** 2
+    p_max, p_min = float(t.stepsizes.max()), float(t.stepsizes.min())
+    reports = [_report(f"{name}_beta",
+                       _descent_excess(t, grad_sq / (2.0 * (p_max + beta ** 2 / p_min))),
+                       LEMMA_TOL, notes=f"beta {beta:.6g}")]
+    order = t.orders[0]
+    if not (all(cycle == order for cycle in t.orders)
+            or permutation_invariant(o.hessian, t.stepsizes)):
+        k = o.dimension
+        reason = ("the visit order changes between cycles and Q, P are not "
+                  f"permutation-invariant, so this form would take two {k}x{k} SVDs "
+                  f"per cycle; {name}_beta checks the relaxed form on every cycle")
+        return reports + [_skipped(f"{name}_exact_v", reason), _skipped(f"{name}_hbound", reason)]
+    h = np.tril(o.hessian[np.ix_(order, order)], k=-1)
+    p_seq = t.stepsizes[order]
+    v = np.diag(np.sqrt(p_seq)) + h @ np.diag(1.0 / np.sqrt(p_seq))
+    v_norm, h_norm = spectral_norm(v).value, spectral_norm(h).value
+    reports.append(_report(f"{name}_exact_v", _descent_excess(t, grad_sq / (2.0 * v_norm ** 2)),
+                           LEMMA_TOL, notes="exact chain-matrix norm"))
+    reports.append(_report(f"{name}_hbound", np.full(t.cycles, (h_norm - beta) / max(1.0, beta)),
+                           1e-12, notes="||strict lower Hessian|| <= beta"))
     return reports
 
 
@@ -317,12 +301,8 @@ def lemma_checks(instance: Instance, label: str, t: Trajectory) -> list[CheckRep
     * bcpg: descent_bcpg and costtogo_bcpg;
     * exact_bcd: descent_bcd and costtogo_bcd, sharing one
       image_movements_sq;
-    * cgd: descent_cgd.  Its relaxed beta form is checked on every run.
-      Its exact chain-matrix form and ||H|| <= beta are checked when every
-      cycle visits in the same order, or when Q and P are
-      permutation-invariant, because then they cost two K x K SVDs per run
-      (_chain_matrix_norm); otherwise they would cost two SVDs per cycle
-      and are reported as skipped, with the reason;
+    * cgd: descent_cgd, whose exact forms are skipped, with the reason,
+      when they would take two SVDs per cycle (check_descent_cgd);
     * gd: none.
 
     A cost-to-go check is advisory when the radius R0 or the reference
@@ -340,16 +320,7 @@ def lemma_checks(instance: Instance, label: str, t: Trajectory) -> list[CheckRep
                                    name=f"costtogo_bcd:{label}", advisory=advisory,
                                    image_sq=image_sq)]
     if t.algorithm == "cgd":
-        name = f"descent_cgd:{label}"
-        same_order = all(order == t.orders[0] for order in t.orders)
-        if same_order or permutation_invariant(instance.oracle.hessian, t.stepsizes):
-            return check_descent_cgd(t, instance.oracle, instance.beta, name=name)
-        k = constants.block_count
-        reason = ("the visit order changes between cycles and Q, P are not "
-                  f"permutation-invariant, so this form would take two {k}x{k} SVDs "
-                  f"per cycle; {name}_beta checks the relaxed form on every cycle")
-        return [check_descent_cgd_beta(t, instance.beta, name=name),
-                _skipped(f"{name}_exact_v", reason), _skipped(f"{name}_hbound", reason)]
+        return check_descent_cgd(t, instance.oracle, instance.beta, name=f"descent_cgd:{label}")
     return []
 
 

@@ -119,14 +119,19 @@ class TestRun:
         assert main(["run", "--plan", plan]) == 2
         assert "$." in capsys.readouterr().err
 
-    def test_bad_problem_field_path(self, tmp_path, capsys):
-        plan = write_plan(tmp_path, {
-            "problem": {"kind": "toeplitz", "block_count": 2},
-            "runs": [{"algorithm": "exact_bcd"}],
-        })
-        assert main(["run", "--plan", plan]) == 2
-        err = capsys.readouterr().err
-        assert "block_count" in err
+    def test_bad_problem_field_path(self, tmp_path, capsys, monkeypatch):
+        # the problem's fields sit under $.problem, as a schema validator
+        # reports them, whether the problem is inline or in a file
+        problem = {"kind": "toeplitz", "block_count": 2}
+        (tmp_path / "problem.json").write_text(json.dumps(problem))
+        monkeypatch.chdir(tmp_path)
+        for source in (problem, "problem.json"):
+            plan = write_plan(tmp_path, {"problem": source, "runs": [{"algorithm": "exact_bcd"}]})
+            before = sorted(tmp_path.rglob("*"))
+            assert main(["run", "--plan", plan]) == 2
+            assert capsys.readouterr().err == (
+                "error: $.problem.block_count: expected an integer >= 3, got 2\n")
+            assert sorted(tmp_path.rglob("*")) == before
 
     def test_cgd_on_table1_problem(self, tmp_path):
         plan = write_plan(tmp_path, {
@@ -197,10 +202,10 @@ class TestVerdicts:
         # the same runs, set up and checked outside the command line
         loaded = problems.load_problem(VERDICT_PLAN["problem"])
         instance = battery.set_up(loaded.kind, loaded.problem, loaded.x0)
-        bounds = cli._parse_bounds(VERDICT_PLAN, cli._parse_runs(VERDICT_PLAN, 5))
+        plan = cli.read_plan(VERDICT_PLAN)
         reports = []
-        for label, run in cli._parse_runs(VERDICT_PLAN, 5):
-            kinds = [kind for _, kind, against, _ in bounds if against == label]
+        for label, run in plan.runs:
+            kinds = [kind for _, kind, against, _ in plan.bounds if against == label]
             c_prior = 3.0 if label == "a" else 1.0
             reports += verify.checks_for(instance, label, battery.run_solver(instance, run),
                                          kinds, c_prior)
@@ -378,14 +383,17 @@ class TestErrors:
         plan["runs"] = [dict(plan["runs"][0], order={"kind": "sampled_with_replacement"})]
         path = write_plan(tmp_path, plan)
         assert main(["run", "--plan", path, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == ("error: $.runs[0].order.kind: unknown order "
-                                           "kind 'sampled_with_replacement'\n")
+        assert capsys.readouterr().err == ("error: $.runs[0].order.kind: expected one of "
+                                           "cyclic/random_permutation, got "
+                                           "\"sampled_with_replacement\"\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("a_blocks, where", [
-        ([[["a"]], [[2.0]]], "$.a_blocks[0][0]: entry 0 "),
-        ([[[1.0]], [[2.0], [1.0, 3.0]]], "$.a_blocks[1][1]: expected a list of 1 "),
-        ([[[1.0]], [[10 ** 400]]], "$.a_blocks[1][0]: entry 0 "),
+        ([[["a"]], [[2.0]]], '$.a_blocks[0][0][0]: expected a finite number, got "a"\n'),
+        ([[[1.0]], [[2.0], [1.0, 3.0]]],
+         "$.a_blocks[1][1]: expected a list of 1 finite numbers, got a list of length 2\n"),
+        ([[[1.0]], [[10 ** 400]]], "$.a_blocks[1][0][0]: expected a finite number, got "
+                                   + "1" + "0" * 36 + "...\n"),
         # rules across fields are reported at the field too
         ([[[1.0], [0.0]], [[2.0]]], "$.a_blocks[1]: has 1 rows, a_blocks[0] has 2"),
         ([[[1.0]], [[2.0]]], "$.b: has length 2, expected 1"),
@@ -503,9 +511,10 @@ class TestZeroColumn:
         assert main(["run", "--plan", plan, "--out", str(out)]) == 2
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 2 and all(
-            line.endswith("$.a_blocks: every entry is zero and every term is zero, so the "
+            line.endswith("a_blocks: every entry is zero and every term is zero, so the "
                           "problem has nothing to minimize") for line in errors)
         assert errors[0].startswith("error: $.a_blocks: ")
+        assert errors[1].startswith("error: $.problem.a_blocks: ")
         assert not out.exists()
         # with a nonsmooth term the same matrix sets up
         problem["h"] = [{"kind": "l1", "weight": 0.5}] * 2
@@ -594,6 +603,41 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _on_one_branch(one: str, other: str) -> bool:
+    """Whether one of two field paths is the other or leads to it."""
+    def leads(prefix, path):
+        return path == prefix or path.startswith((prefix + ".", prefix + "["))
+    return leads(one, other) or leads(other, one)
+
+
+def schema_verdict(document, error: problems.FieldError | None) -> bool:
+    """Whether the schema accepts ``document``.  When the reader raised
+    ``error`` too, its path and the schema's best match lie on one branch.
+
+    The best match is the shallowest error and, of sibling errors, the
+    first the validator yields (list entries by index, fields in the
+    schema's order), because the reader reports the first broken rule it
+    meets.  jsonschema's default relevance would take the last sibling:
+    ``values[1]`` over ``values[0]``, ``seed`` over ``kind``."""
+    errors = list(jsonschema.Draft7Validator(SCHEMA).iter_errors(document))
+    rank = {id(schema_error): i for i, schema_error in enumerate(errors)}
+    schema_error = jsonschema.exceptions.best_match(
+        errors, key=lambda e: (-len(e.path), -rank.get(id(e), 0)))
+    if schema_error is not None and error is not None:
+        assert _on_one_branch(error.path, schema_error.json_path), (
+            error.path, schema_error.json_path)
+    return schema_error is None
+
+
+def reader_error(read, *args) -> problems.FieldError | None:
+    """The FieldError that ``read(*args)`` raises, or None."""
+    try:
+        read(*args)
+    except problems.FieldError as exc:
+        return exc
+    return None
+
+
 NUMBER_TEXTS = ["0", "-0.0", "1e-300", "0.5", "2", "1e308", "-1", "-5",
                 "1e400", "-1e400", "NaN", "Infinity", "-Infinity", "true",
                 "false", "null", '"1"', "[1]"]
@@ -632,24 +676,17 @@ STEPSIZE_TEXTS = ['{"kind": "fixed"}', '{"kind": "fixed", "values": []}',
                          + [("order", t) for t in ORDER_TEXTS])
 def test_parser_and_schema_agree(tmp_path, field, value_text):
     text = _plan_text(field, value_text)
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    error = reader_error(cli.read_plan, str(path))
     # RFC 8259 JSON has no NaN or Infinity; a document holding them is not
     # JSON, so no schema accepts it
     try:
         document = json.loads(text, parse_constant=_reject_constant)
-        jsonschema.validate(document, SCHEMA)
-        schema_accepts = True
-    except (ValueError, jsonschema.ValidationError):
-        schema_accepts = False
-    path = tmp_path / "plan.json"
-    path.write_text(text)
-    try:
-        plan = cli._load_plan(str(path))
-        cli._problem_source(plan)
-        cli._parse_bounds(plan, cli._parse_runs(plan, 0))
-        parser_accepts = True
-    except cli.PlanError:
-        parser_accepts = False
-    assert parser_accepts == schema_accepts
+    except ValueError:
+        assert error is not None and error.path == "$"
+        return
+    assert (error is None) == schema_verdict(document, error)
 
 
 # problem objects and, per case, the field set to a JSON text: integral
@@ -693,13 +730,8 @@ def test_problem_fields_schema_and_loader_agree(kind, where, value_text):
     holder[where[-1]] = "@VALUE@"
     text = json.dumps(problem).replace('"@VALUE@"', value_text)
     plan = {"problem": json.loads(text), "runs": [{"algorithm": "bcpg"}]}
-    schema_accepts = jsonschema.Draft7Validator(SCHEMA).is_valid(plan)
-    try:
-        problems.load_problem(text)
-        loader_accepts = True
-    except problems.ProblemFormatError:
-        loader_accepts = False
-    assert loader_accepts == schema_accepts
+    error = reader_error(problems.load_problem, text, "$.problem")
+    assert (error is None) == schema_verdict(plan, error)
 
 
 MISSING = object()
@@ -793,15 +825,8 @@ def test_parser_and_schema_agree_on_generated_plans(field, data):
     else:
         holder[key] = value
     plan = json.loads(json.dumps(plan))
-    schema_accepts = jsonschema.Draft7Validator(SCHEMA).is_valid(plan)
-    try:
-        seed, _ = cli._parse_settings(plan)
-        cli._problem_source(plan)
-        cli._parse_bounds(plan, cli._parse_runs(plan, seed))
-        parser_accepts = True
-    except cli.PlanError:
-        parser_accepts = False
-    assert parser_accepts == schema_accepts
+    error = reader_error(cli.read_plan, plan)
+    assert (error is None) == schema_verdict(plan, error)
 
 
 class TestTable1Plan:
@@ -856,10 +881,17 @@ class TestVerify:
             assert f"tightness_objective_K{k}: FAIL" in out
         assert (tmp_path / "verify_tightness.csv").exists()
 
-    def test_unknown_suite(self):
-        # argparse rejects the choice itself
-        with pytest.raises(SystemExit):
+    def test_unknown_suite(self, capsys):
+        # argparse rejects the choice itself, in one error line
+        with pytest.raises(SystemExit) as exit_info:
             main(["verify", "--suite", "everything"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --suite: invalid choice: 'everything'")
+        assert len(err.splitlines()) == 1
+        # so does a direct call
+        with pytest.raises(ValueError, match="unknown suite 'everything'"):
+            cli.cmd_verify("everything", 7)
 
 
 class TestBounds:

@@ -12,7 +12,7 @@ from blockcd.problems import (
     BlockPartition,
     CompositeQuadraticProblem,
     NonsmoothTerm,
-    ProblemFormatError,
+    FieldError,
     block_gradient,
     compute_constants,
     dual_point,
@@ -641,28 +641,45 @@ class TestLoader:
         np.testing.assert_array_equal(loaded.x0, loaded2.x0)
 
     def test_error_paths(self):
-        with pytest.raises(ProblemFormatError, match=r"\$\.kind"):
+        with pytest.raises(FieldError, match=r"\$\.kind"):
             load_problem({"kind": "mystery"})
-        with pytest.raises(ProblemFormatError, match=r"\$\.block_count"):
+        with pytest.raises(FieldError, match=r"\$\.block_count"):
             load_problem({"kind": "toeplitz", "block_count": 1})
-        with pytest.raises(ProblemFormatError, match=r"\$\.a_blocks\[1\]"):
+        with pytest.raises(FieldError, match=r"\$\.a_blocks\[1\]"):
             load_problem({"kind": "explicit", "block_count": 2, "block_size": 1,
                           "a_blocks": [[[1.0]], [[1.0, 2.0]]], "b": [0.0]})
-        with pytest.raises(ProblemFormatError, match=r"^\$\.b: has length 0, expected 1"):
+        with pytest.raises(FieldError, match=r"^\$\.b: has length 0, expected 1"):
             load_problem({"kind": "explicit", "block_count": 1, "block_size": 1,
                           "a_blocks": [[[1.0]]], "b": []})
-        with pytest.raises(ProblemFormatError, match=r"^\$\.a_blocks\[1\]: has 2 rows"):
+        with pytest.raises(FieldError, match=r"^\$\.a_blocks\[1\]: has 2 rows"):
             load_problem({"kind": "explicit", "block_count": 2, "block_size": 1,
                           "a_blocks": [[[1.0]], [[1.0], [2.0]]], "b": [0.0]})
-        with pytest.raises(ProblemFormatError, match=r"\$\.h\[0\]"):
+        with pytest.raises(FieldError, match=r"\$\.h\[0\]"):
             load_problem({"kind": "explicit", "block_count": 1, "block_size": 1,
                           "a_blocks": [[[1.0]]], "b": [0.0],
                           "h": [{"kind": "l1", "weight": -1}]})
-        with pytest.raises(ProblemFormatError, match=r"\$"):
+        with pytest.raises(FieldError, match=r"\$"):
             load_problem("not json at all {")
-        with pytest.raises(ProblemFormatError, match=r"\$\.x0: .*finite"):
+        with pytest.raises(FieldError, match=r"^\$\.x0\[0\]: expected a finite number, got "
+                                             r"Infinity$"):
+            load_problem({"kind": "explicit", "block_count": 2, "block_size": 1,
+                          "a_blocks": [[[1.0]], [[2.0]]], "b": [0.0], "x0": [math.inf, 0]})
+        # RFC 8259 has no NaN or Infinity, so a text holding one is not JSON
+        with pytest.raises(FieldError, match=r"^\$: not valid JSON \(NaN is not a JSON number"):
             load_problem('{"kind": "explicit", "block_count": 2, "block_size": 1, '
                          '"a_blocks": [[[1.0]], [[2.0]]], "b": [0.0], "x0": [NaN, 0]}')
+
+    def test_fields_are_reported_under_the_given_path(self):
+        with pytest.raises(FieldError, match=r"^\$\.problem\.block_count: expected an integer "
+                                             r">= 3, got 2$"):
+            load_problem({"kind": "toeplitz", "block_count": 2}, "$.problem")
+        with pytest.raises(FieldError, match=r"^\$\.problem\.h\[1\]\.weight: expected a "
+                                             r"finite nonnegative number, got -1$"):
+            load_problem({"kind": "explicit", "block_count": 2, "block_size": 1,
+                          "a_blocks": [[[1.0]], [[2.0]]], "b": [0.0],
+                          "h": [{"kind": "zero"}, {"kind": "l1", "weight": -1}]}, "$.problem")
+        with pytest.raises(FieldError, match=r"^\$\.problem: cannot read file: "):
+            load_problem("/nonexistent/problem.json", "$.problem")
 
     def test_table1_loader_builds_the_quadratic(self):
         for kind, make in (("table1_diag", make_table1_diagonal_qp),
