@@ -66,7 +66,6 @@ LASSO_RUNS = (("bcpg", "block_lk"), ("bcpg", "global_l"), ("exact_bcd", "block_l
 TOEPLITZ_SIZES = (5, 10, 25, 50)
 TABLE1_SIZES = (10, 100)
 TRUNCATION_SIZES = (2, 4, 8, 16, 32, 64)
-TRUNCATION_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -379,23 +378,24 @@ def suite_tightness(sizes=TOEPLITZ_SIZES) -> list[CheckReport]:
     return reports
 
 
-def suite_truncation(seed: int = 7) -> list[CheckReport]:
-    return [check_truncation_constant(TRUNCATION_SIZES, TRUNCATION_SAMPLES, seed)]
+def suite_truncation() -> list[CheckReport]:
+    return [check_truncation_constant(TRUNCATION_SIZES)]
 
 
-def suite_all(seed: int = 7) -> list[CheckReport]:
+def suite_all() -> list[CheckReport]:
     reports = []
     reports.extend(suite_lemmas())
     reports.extend(suite_envelopes())
     reports.extend(suite_tightness())
-    reports.extend(suite_truncation(seed))
+    reports.extend(suite_truncation())
     return reports
 
 
+# Every suite is deterministic: its inputs come from fixed seeds, so none takes one.
 SUITES = {
-    "all": lambda seed: suite_all(seed),
-    "lemmas": lambda seed: suite_lemmas(),
-    "envelopes": lambda seed: suite_envelopes(),
-    "tightness": lambda seed: suite_tightness(),
+    "all": suite_all,
+    "lemmas": suite_lemmas,
+    "envelopes": suite_envelopes,
+    "tightness": suite_tightness,
     "truncation": suite_truncation,
 }

@@ -272,9 +272,12 @@ def _tally(name: str, reports) -> int:
 
 
 def cmd_verify(suite: str, seed: int, out_dir: str | None = None) -> int:
+    """Run a verification suite, print its reports and, with ``out_dir``,
+    write them as CSV.  ``seed`` is the command line's --seed, which no
+    suite reads: every suite is deterministic."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    reports = SUITES[suite](seed)
+    reports = SUITES[suite]()
     for line in report_lines(reports):
         print(line)
     if out_dir is not None:
@@ -327,6 +330,9 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
+SEED_HELP = "accepted and ignored: every verify suite is deterministic and reads no seed"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="blockcd",
@@ -341,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", default="all",
                           choices=list(SUITES))
-    p_verify.add_argument("--seed", type=int, default=7)
+    p_verify.add_argument("--seed", type=int, default=7, help=SEED_HELP)
     p_verify.add_argument("--out", default=None, help="also write a CSV report here")
 
     p_bounds = sub.add_parser("bounds", help="bound curves for a problem file")
@@ -350,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--out", default=None)
 
     p_tight = sub.add_parser("tightness", help="alias for verify --suite tightness")
-    p_tight.add_argument("--seed", type=int, default=7)
+    p_tight.add_argument("--seed", type=int, default=7, help=SEED_HELP)
     p_tight.add_argument("--out", default=None)
     return parser
 

@@ -269,9 +269,17 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
     residual, and the gradient where the sweep uses it) up to date with x,
     draws the order, runs ``sweep(order)``, which visits the blocks of
     ``order`` once, updating x in place, and returns
-    sqrt(sum_k P_k ||x_k^new - x_k^old||^2), and copies x into the
-    history.  Nothing else runs per cycle: f and the gradient norm come
-    from trajectory_values on the history.
+    sqrt(sum_k P_k ||x_k^new - x_k^old||^2) and whether it wrote anything,
+    and copies x into the history.  Nothing else runs per cycle: f and the
+    gradient norm come from trajectory_values on the history.
+
+    A cycle that writes nothing is an exact fixed point: the next
+    refresh() sees the same x, so every visit, in any order, reads what it
+    read before and again writes nothing.  From there on a cycle only
+    draws and records its order, keeps x and records a movement of 0.0,
+    the bits a sweep would give.  A sweep that reads anything besides x
+    and the refreshed buffer must report a write on every cycle; a NaN
+    step counts as a write.
 
     With a gap tolerance and f_star, the rows added since the last
     evaluation are evaluated every GAP_CHECK_EVERY cycles and at the last
@@ -286,11 +294,18 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
     movements, orders_seen, values = [], [], []
     order_stream = run.order.stream(stepsizes.shape[0])
     cycle = evaluated = 0
+    settled = False
     while cycle < run.max_cycles:
-        refresh()
-        order = next(order_stream)
-        orders_seen.append(list(order))
-        movements.append(sweep(order))
+        if settled:
+            orders_seen.append(list(next(order_stream)))
+            movements.append(0.0)
+        else:
+            refresh()
+            order = next(order_stream)
+            orders_seen.append(list(order))
+            movement, wrote = sweep(order)
+            movements.append(movement)
+            settled = not wrote
         cycle += 1
         if cycle == xs.shape[0]:
             grow = min(cycle, run.max_cycles + 1 - cycle)
@@ -324,7 +339,7 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
 
 def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
                   g: np.ndarray, stepsizes: np.ndarray, exact: bool,
-                  order) -> float:
+                  order) -> tuple[float, bool]:
     """One cycle on scalar blocks in the covariance-update form.
 
     g = A^T r, exact at x on entry, is kept current through the Gram matrix
@@ -332,11 +347,13 @@ def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
     adds (x_k^new - x_k^old) G[k] to g in place.  bcpg steps from
     x_k - g_k / P_k with step 1/P_k; exact minimization from x_k - g_k / G_kk
     with step 1/G_kk, or from 0 with step 1 when column k is zero (the
-    minimum-norm choice).
+    minimum-norm choice).  Returns the movement and whether a visit wrote:
+    x and g change only where delta != 0.
     """
     weights = stepsizes.tolist()
     curvature = np.diagonal(gram).tolist()
     move_sq = 0.0
+    wrote = False
     for k in order:
         g_k, old, p_k = float(g[k]), float(x[k]), weights[k]
         if not exact:
@@ -349,31 +366,49 @@ def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
         if delta != 0.0:
             x[k] = new
             g += delta * gram[k]
+            wrote = True
         move_sq += p_k * (delta * delta)
-    return math.sqrt(move_sq)
+    return math.sqrt(move_sq), wrote
 
 
 def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, res: np.ndarray,
-                 stepsizes: np.ndarray, blocks, order) -> float:
+                 stepsizes: np.ndarray, blocks, order) -> tuple[float, bool]:
     """One cycle on blocks of any size from the residual ``res`` at x, which
     is left as it is: a proximal step per visit, or an exact block
-    minimization when ``blocks`` holds each block's _ExactBlock."""
+    minimization when ``blocks`` holds each block's _ExactBlock.  Returns
+    the movement and whether a visit wrote.
+
+    A proximal visit writes x_k and the residual only when the step has a
+    nonzero entry.  An exact visit rebuilds the residual as
+    (res - A_k x_k) + A_k x_k^new, which rounding can change even when the
+    block stays, so it always counts as a write."""
+    weights = stepsizes.tolist()
+    size = p.partition.block_size
     move_sq = 0.0
+    wrote = blocks is not None
     for k in order:
-        sl = p.block_slice(k)
+        sl = slice(k * size, (k + 1) * size)
         a_k = p.a_blocks[k]
-        old = x[sl].copy()
+        old = x[sl]  # a view: every use comes before x_k is written
         if blocks is None:
             grad = a_k.T @ res
-            new = prox(p.h[k], old - grad / stepsizes[k], 1.0 / stepsizes[k])
-            res = res + a_k @ (new - old)
+            new = prox(p.h[k], old - grad / weights[k], 1.0 / weights[k])
+            step = new - old
+            square = float(step @ step)
+            # a step whose square underflows to 0 still moves x_k
+            if square != 0.0 or step.any():
+                res = res + a_k @ step
+                x[sl] = new
+                wrote = True
         else:
             rest = res - a_k @ old
             new = _exact_block_minimize(blocks[k], rest, old)
             res = rest + a_k @ new
-        x[sl] = new
-        move_sq += stepsizes[k] * float((new - old) @ (new - old))
-    return math.sqrt(move_sq)
+            step = new - old
+            square = float(step @ step)
+            x[sl] = new
+        move_sq += weights[k] * square
+    return math.sqrt(move_sq), wrote
 
 
 def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarray,
@@ -811,15 +846,19 @@ def run_cgd(p: CompositeQuadraticProblem, run: SolverRun, x0,
 
 
 def _gradient_sweep(g: np.ndarray, x: np.ndarray, lipschitz: float,
-                    order) -> float:
+                    order) -> tuple[float, bool]:
     """One gd step x <- x - g / L from the gradient g at x; returns
-    sqrt(L) ||x^new - x^old||."""
+    sqrt(L) ||x^new - x^old|| and whether the step moved x, the only case
+    in which x is written."""
     if not np.isfinite(g).all():
         raise ValueError("non-finite gradient")
     new = x - g / lipschitz
-    movement = math.sqrt(lipschitz) * float(np.linalg.norm(new - x))
-    x[:] = new
-    return movement
+    step = new - x
+    movement = math.sqrt(lipschitz) * float(np.linalg.norm(step))
+    moved = bool(step.any())
+    if moved:
+        x[:] = new
+    return movement, moved
 
 
 def run_gd(p: CompositeQuadraticProblem, run: SolverRun, x0,

@@ -221,11 +221,14 @@ class TestCriterion8Truncation:
         detail = []
         with criterion("8", "triangular-truncation norm bound", 30.0, detail):
             assert battery.TRUNCATION_SIZES == (2, 4, 8, 16, 32, 64)
-            assert battery.TRUNCATION_SAMPLES == 100
-            report = battery.suite_truncation(7)[0]
-            assert report.passed
-            assert report.cycles_checked == 600
-            detail.append(report.notes.split(";")[-1].strip())
+            report = battery.suite_truncation()[0]
+            assert report.passed and report.tolerance == 0.0
+            last = report.notes.split(";")[-1].strip()
+            assert last.startswith("n=64: best ratio ")
+            # the ascent reaches 80% of the bound at n = 64, where Gaussian
+            # samples reached 33%
+            assert float(last.split()[3]) >= 2.11
+            detail.append(last)
 
 
 class TestCriterion9Equivalence:

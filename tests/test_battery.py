@@ -64,7 +64,7 @@ class TestInstances:
                     monkeypatch.setattr(module, name, counting)
         for cached in (battery.get_instance, battery.get_trajectory, battery._lasso_family):
             cached.cache_clear()
-        battery.suite_all(7)
+        battery.suite_all()
         names = (battery.lasso_names() + battery.toeplitz_names()
                  + battery.table1_names() + battery.thm2_names())
         expected = sorted(id(battery.get_instance(name).problem) for name in names)

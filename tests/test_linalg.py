@@ -135,6 +135,18 @@ class TestTriangularTruncation:
                          / np.linalg.svd(z, compute_uv=False)[0])
                 assert ratio <= bound
 
+    def test_truncation_norm_bound_hilbert_family(self):
+        # Z_ij = 1 / (i - j + 1/2), whose truncation ratio grows like ln(n)/pi,
+        # within the bound at every size 2..64
+        for n in range(2, 65):
+            bound = math.log(n) / math.pi + 1.0 + 1.0 / math.pi
+            index = np.arange(n)
+            z = 1.0 / (index[:, None] - index[None, :] + 0.5)
+            ratio = spectral_norm(np.tril(z)).value / spectral_norm(z).value
+            assert ratio <= bound
+            # the ln(n)/pi growth that Gaussian samples do not show
+            assert ratio >= math.log(n) / math.pi + 0.35
+
 
 class TestLeastSquaresMinNorm:
     def test_identity(self):

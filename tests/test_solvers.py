@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -581,9 +582,10 @@ class TestGD:
             run_gd(p, SolverRun(algorithm="gd", max_cycles=1), x0, compute_constants(p))
 
     def test_one_gradient_per_iterate(self, monkeypatch):
-        # every solver refreshes one residual per sweep and takes f and the
-        # gradient norm of all iterates from one stacked residual, and its
-        # start check computes none
+        # every solver refreshes one residual per sweep it takes and takes f
+        # and the gradient norm of all iterates from one stacked residual, and
+        # its start check computes none; on table1_full_K6 cgd, bcpg and
+        # exact_bcd reach an exact fixed point at cycle 3, and sweep no more
         qp = make_table1_full_qp(6, 2.0)
         c = compute_constants(qp)
         residual = CompositeQuadraticProblem.residual
@@ -597,7 +599,9 @@ class TestGD:
                               lambda p, x: calls.append(1) or residual(p, x))
                 t = solve(qp, run, np.ones(6), c)
             assert t.cycles == 5
-            assert len(calls) == 6  # one before each of 5 sweeps, one for all values
+            taken = 5 if algorithm == "gd" else 3
+            assert sweeps_taken(t) == taken
+            assert len(calls) == taken + 1  # one before each sweep, one for all values
             assert t.grad_norm.tobytes() == reference.grad_norm.tobytes()
             assert t.f.tobytes() == reference.f.tobytes()
 
@@ -1090,3 +1094,159 @@ class TestGDIsPlainLoop:
             b=gen.normal_vector(5), h=(NonsmoothTerm.zero(),) * 3)
         assert_gd_is_plain_loop(problem, gen.normal_vector(6),
                                 BlockOrder.random_permutation(5), 30)
+
+
+def sweeps_taken(t):
+    """The cycles of a scalar-block run up to the first one that left the
+    iterate bitwise unchanged: the sweeps the run took."""
+    for r in range(t.cycles):
+        if t.xs[r + 1].tobytes() == t.xs[r].tobytes():
+            return r + 1
+    return t.cycles
+
+
+def sweep_every_cycle(problem, run, x0, constants):
+    """The trajectory of ``run`` from a loop that refreshes and sweeps on
+    every cycle, on the solvers' own kernels: what a run gives without its
+    stop at an exact fixed point."""
+    x = solvers.check_start(problem, x0)
+    if run.algorithm == "gd":
+        stepsizes = np.full(x.shape[0], constants.L)
+        full, grad = problem.full_matrix(), np.empty(x.shape[0])
+
+        def refresh():
+            grad[:] = full.T @ problem.residual(x)
+
+        sweep = partial(solvers._gradient_sweep, grad, x, constants.L)
+        order = BlockOrder.cyclic()
+    else:
+        stepsizes = run.realize_stepsizes(constants)
+        sweep, refresh = solvers._make_sweep(problem, x, stepsizes,
+                                             run.algorithm == "exact_bcd")
+        order = run.order
+    stream = order.stream(stepsizes.shape[0])
+    xs, movements, orders = [x.copy()], [], []
+    for _ in range(run.max_cycles):
+        refresh()
+        orders.append(list(next(stream)))
+        movements.append(sweep(orders[-1])[0])
+        xs.append(x.copy())
+    xs = np.array(xs)
+    f, grad_norm = solvers.trajectory_values(problem, xs)
+    return solvers.Trajectory(run.algorithm, xs, f, np.array(movements), stepsizes,
+                              orders, grad_norm)
+
+
+SOLVE = {"bcpg": run_bcpg, "exact_bcd": run_bcd_exact, "cgd": run_cgd, "gd": run_gd}
+
+
+def assert_stop_is_exact(problem, run, x0, constants):
+    """The run equals sweep_every_cycle bit for bit; returns it."""
+    t = SOLVE[run.algorithm](problem, run, x0, constants)
+    expected = sweep_every_cycle(problem, run, x0, constants)
+    for attribute in ("xs", "f", "grad_norm", "weighted_movement", "stepsizes"):
+        assert_same_bits(getattr(t, attribute), getattr(expected, attribute))
+    assert t.orders == expected.orders
+    return t
+
+
+class TestFixedPointStop:
+    """A run stops sweeping after a cycle that writes nothing; its
+    trajectory is that of sweeping every cycle, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.one_of(
+               scalar_problems(),
+               st.tuples(block_problems().filter(lambda p: p.partition.block_size == 2),
+                         st.builds(BlockOrder, st.sampled_from(ORDER_KINDS),
+                                   st.integers(0, 2**32 - 1)))),
+           algorithm=st.sampled_from(sorted(SOLVE)), cycles=st.integers(1, 25),
+           data=st.data())
+    def test_matches_sweeping_every_cycle(self, case, algorithm, cycles, data):
+        problem, *rest = case
+        order = rest[-1]
+        x0 = rest[0] if len(rest) == 2 else data.draw(st.lists(
+            st.integers(-3, 3).map(lambda v: v / 2.0),
+            min_size=problem.partition.dimension, max_size=problem.partition.dimension))
+        x0 = np.array(x0, dtype=float)
+        for k, term in enumerate(problem.h):
+            if term.kind == "box":
+                sl = problem.block_slice(k)
+                x0[sl] = np.clip(x0[sl], term.lo, term.hi)
+        constants = compute_constants(problem)
+        try:
+            solvers.check_applicable(algorithm, problem)
+        except ValueError:
+            assume(False)
+        assume(np.all(constants.L_k > 0) if algorithm != "gd" else constants.L > 0)
+        run = SolverRun(algorithm=algorithm, order=order, max_cycles=cycles)
+        assert_stop_is_exact(problem, run, x0, constants)
+
+    @pytest.mark.parametrize("algorithm", sorted(SOLVE))
+    def test_table1_diag_settles_at_cycle_two(self, monkeypatch, algorithm):
+        # a diagonal Hessian is minimized in one cycle, and the second
+        # writes nothing: 2 of 10 sweeps run
+        qp = make_table1_diagonal_qp(6, 2.0)
+        constants = compute_constants(qp)
+        run = SolverRun(algorithm=algorithm, order=BlockOrder.random_permutation(3),
+                        max_cycles=10)
+        calls = []
+        residual = CompositeQuadraticProblem.residual
+        with monkeypatch.context() as patch:
+            patch.setattr(CompositeQuadraticProblem, "residual",
+                          lambda p, x: calls.append(1) or residual(p, x))
+            t = SOLVE[algorithm](qp, run, np.ones(6), constants)
+        assert sweeps_taken(t) == 2
+        assert len(calls) == 2 + 1
+        assert (t.weighted_movement[1:] == 0.0).all()
+        assert_stop_is_exact(qp, run, np.ones(6), constants)
+
+    def test_exact_blocks_always_sweep(self, monkeypatch):
+        # an exact block visit rebuilds the residual, which rounding can
+        # change, so exact BCD on blocks of two sweeps every cycle even once
+        # its iterate stays
+        qp = make_table1_diagonal_qp(6, 2.0)
+        blocks = CompositeQuadraticProblem(
+            partition=BlockPartition(3, 2), b=qp.b, h=(NonsmoothTerm.zero(),) * 3,
+            a_blocks=tuple(qp.full_matrix()[:, 2 * k:2 * k + 2] for k in range(3)))
+        run = SolverRun(algorithm="exact_bcd", max_cycles=6)
+        calls = []
+        residual = CompositeQuadraticProblem.residual
+        with monkeypatch.context() as patch:
+            patch.setattr(CompositeQuadraticProblem, "residual",
+                          lambda p, x: calls.append(1) or residual(p, x))
+            t = run_bcd_exact(blocks, run, np.ones(6), compute_constants(blocks))
+        assert len(calls) == 6 + 1
+        assert t.xs[-1].tobytes() == t.xs[-2].tobytes()
+
+    @pytest.mark.parametrize("block_size", [1, 2])
+    def test_step_with_underflowing_square_moves(self, block_size):
+        # a step of 1e-170 has a square of 0 in doubles, and still moves x
+        dim = 2 * block_size
+        b = np.zeros(dim)
+        b[0] = 1e-170
+        problem = CompositeQuadraticProblem(
+            partition=BlockPartition(2, block_size), b=b,
+            a_blocks=tuple(np.eye(dim)[:, k * block_size:(k + 1) * block_size]
+                           for k in range(2)),
+            h=(NonsmoothTerm.zero(),) * 2)
+        run = SolverRun(algorithm="bcpg", max_cycles=3)
+        t = assert_stop_is_exact(problem, run, np.zeros(dim), compute_constants(problem))
+        assert t.xs[1][0] == 1e-170 and t.weighted_movement[0] == 0.0
+        assert sweeps_taken(t) == 2
+
+    @pytest.mark.parametrize("block_size", [1, 2])
+    def test_nan_step_counts_as_a_write(self, block_size):
+        # a NaN never counts as settled, in any kernel
+        dim = 2 * block_size
+        problem = CompositeQuadraticProblem(
+            partition=BlockPartition(2, block_size), b=np.zeros(dim),
+            a_blocks=tuple(np.eye(dim)[:, k * block_size:(k + 1) * block_size]
+                           for k in range(2)),
+            h=(NonsmoothTerm.zero(),) * 2)
+        x = np.ones(dim)
+        sweep, refresh = solvers._make_sweep(problem, x, np.ones(2))
+        refresh()
+        x[0] = math.nan
+        assert sweep([0, 1])[1]
+        assert solvers._gradient_sweep(np.zeros(dim), x, 1.0, None)[1]

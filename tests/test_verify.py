@@ -326,10 +326,31 @@ class TestEnvelopeCheck:
 
 
 class TestTruncationCheck:
-    def test_gaussian_samples_within_bound(self):
-        report = check_truncation_constant((2, 4, 8), 25, seed=7)
-        assert report.passed
-        assert "n=8" in report.notes
+    def test_ascent_within_bound(self):
+        report = check_truncation_constant((2, 4, 8))
+        assert report.passed and report.tolerance == 0.0
+        assert "n=8: best ratio" in report.notes
+        assert report.cycles_checked == sum(
+            verify.truncation_ascent(n).size for n in (2, 4, 8))
+
+    def test_n2_ascent_reaches_two_over_root_three(self):
+        # the norm of lower triangular truncation on 2 x 2 matrices is 2/sqrt(3)
+        assert verify.truncation_ascent(2).max() == pytest.approx(2.0 / math.sqrt(3.0),
+                                                                  abs=5e-5)
+
+    @pytest.mark.parametrize("n", battery.TRUNCATION_SIZES)
+    def test_ascent_starts_at_hilbert_and_never_falls(self, n):
+        ratios = verify.truncation_ascent(n)
+        index = np.arange(n)
+        hilbert = 1.0 / (index[:, None] - index[None, :] + 0.5)
+        assert ratios[0] == pytest.approx(
+            spectral_norm(np.tril(hilbert)).value / spectral_norm(hilbert).value, rel=1e-14)
+        assert ratios.max() >= ratios[0]
+        assert 1 <= ratios.size - 1 <= verify.TRUNCATION_STEPS
+        # each step raises the ratio; the one that stops the ascent may fall
+        # by rounding only
+        assert (np.diff(ratios[:-1]) > 0.0).all()
+        assert ratios[-1] >= ratios[-2] - 1e-12 * ratios[-2]
 
     def test_trivial_ratios(self):
         # truncation kills the only entry
@@ -342,13 +363,13 @@ class TestTruncationCheck:
 
     def test_bad_size_rejected(self):
         with pytest.raises(ValueError):
-            check_truncation_constant((1,), 5, seed=0)
+            check_truncation_constant((1,))
 
 
 class TestDeterminism:
     def test_checks_repeat_identically(self):
-        a = check_truncation_constant((2, 8), 10, seed=3)
-        b = check_truncation_constant((2, 8), 10, seed=3)
+        a = check_truncation_constant((2, 8))
+        b = check_truncation_constant((2, 8))
         assert a == b
         r1 = tightness_case(5)
         r2 = tightness_case(5)
