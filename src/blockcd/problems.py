@@ -89,21 +89,6 @@ class NonsmoothTerm:
         return NonsmoothTerm("box", lo=lo, hi=hi)
 
 
-def nonsmooth_value(term: NonsmoothTerm, v: np.ndarray) -> float:
-    """h(v); +inf outside a box (with a tiny relative feasibility band)."""
-    v = np.asarray(v, dtype=float)
-    if term.kind == "zero":
-        return 0.0
-    if term.kind == "l1":
-        return term.weight * float(np.abs(v).sum())
-    if term.kind == "group_l2":
-        return term.weight * float(np.linalg.norm(v))
-    slack = _FEAS_RTOL * max(1.0, abs(term.lo), abs(term.hi))
-    if np.all(v >= term.lo - slack) and np.all(v <= term.hi + slack):
-        return 0.0
-    return math.inf
-
-
 def prox(term: NonsmoothTerm, v: np.ndarray, step: float) -> np.ndarray:
     """Exact minimizer of h(u) + ||u - v||^2 / (2 step)."""
     if step <= 0:
@@ -142,8 +127,8 @@ class _TermsByKind(NamedTuple):
     """Block indices and parameters of the nonsmooth terms grouped by kind,
     so that nonsmooth_total, nonsmooth_rows, prox_blocks and duality_gap
     evaluate each kind with one array expression.  box_lo and box_hi
-    include nonsmooth_value's feasibility slack; clip_lo and clip_hi are
-    the box limits themselves."""
+    include the feasibility slack _FEAS_RTOL * max(1, |lo|, |hi|); clip_lo
+    and clip_hi are the box limits themselves."""
 
     zero: np.ndarray
     l1: np.ndarray
@@ -267,7 +252,7 @@ def smooth_value(p: CompositeQuadraticProblem, x) -> float:
 
 
 def nonsmooth_total(p: CompositeQuadraticProblem, x) -> float:
-    """sum_k h_k(x_k); +inf outside a box, with nonsmooth_value's slack."""
+    """sum_k h_k(x_k); +inf outside a box, with _FEAS_RTOL's slack."""
     x = _check_dimension(p, x).reshape(p.partition.block_count, -1)
     by_kind = p._terms_by_kind
     if by_kind.box.size:
@@ -285,7 +270,7 @@ def nonsmooth_total(p: CompositeQuadraticProblem, x) -> float:
 def nonsmooth_rows(p: CompositeQuadraticProblem, xs) -> np.ndarray:
     """sum_k h_k(x_k) for every row x of the (rows, dimension) array
     ``xs``, one array expression per kind; +inf on a row outside a box,
-    with nonsmooth_value's slack."""
+    with _FEAS_RTOL's slack."""
     xs = np.asarray(xs, dtype=float)
     x = xs.reshape(xs.shape[0], p.partition.block_count, -1)
     by_kind = p._terms_by_kind
@@ -401,14 +386,6 @@ def duality_gap(p: CompositeQuadraticProblem, x, residual) -> tuple[float, float
         rows, ub = xb[by_kind.box], u[by_kind.box]
         gap += float(np.maximum(ub * (rows - by_kind.clip_lo), ub * (rows - by_kind.clip_hi)).sum())
     return f_value, max(gap, 0.0)
-
-
-def block_gradient(p: CompositeQuadraticProblem, k: int, x) -> np.ndarray:
-    """Gradient of the smooth part w.r.t. block k: A_k^T (A x - b)."""
-    if not 0 <= k < p.partition.block_count:
-        raise ValueError(f"block index {k} out of range")
-    x = _check_dimension(p, x)
-    return p.a_blocks[k].T @ p.residual(x)
 
 
 @dataclass(frozen=True)

@@ -84,10 +84,6 @@ class SplitMix64:
     def next_uint64(self) -> int:
         return int(self._block(1)[0])
 
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * 2.0**-53
-
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
         if n <= 0:
@@ -117,10 +113,6 @@ class SplitMix64:
             out[:, i] = out[rows, j]
             out[rows, j] = top
         return out.tolist()
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; the sine mate is cached."""
-        return float(self.normal_vector(1)[0])
 
     def normal_vector(self, n: int) -> np.ndarray:
         out = np.empty(n)

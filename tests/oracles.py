@@ -96,6 +96,30 @@ def _block_prox(term, v, step):
     return v.copy()
 
 
+def nonsmooth_value(term, v):
+    """h(v) of one block's term; +inf outside a box, with the package's
+    feasibility slack 1e-12 * max(1, |lo|, |hi|)."""
+    v = np.asarray(v, dtype=float)
+    if term.kind == "zero":
+        return 0.0
+    if term.kind == "l1":
+        return term.weight * float(np.abs(v).sum())
+    if term.kind == "group_l2":
+        return term.weight * float(np.linalg.norm(v))
+    slack = 1e-12 * max(1.0, abs(term.lo), abs(term.hi))
+    if np.all(v >= term.lo - slack) and np.all(v <= term.hi + slack):
+        return 0.0
+    return math.inf
+
+
+def block_gradient(problem, k, x):
+    """Gradient of the smooth part with respect to block k: A_k^T (A x - b)."""
+    if not 0 <= k < problem.partition.block_count:
+        raise ValueError(f"block index {k} out of range")
+    x = np.asarray(x, dtype=float).reshape(-1)
+    return problem.a_blocks[k].T @ (problem.full_matrix() @ x - problem.b)
+
+
 def block_objective(a, rest, term, z):
     """1/2 ||a z + rest||^2 + h(z) at a point z of h's domain."""
     r = a @ z + rest
@@ -266,6 +290,18 @@ class ReplaySplitMix64:
 
     def normal_matrix(self, rows, cols):
         return self.normal_vector(rows * cols).reshape(rows, cols)
+
+
+def uniform(gen):
+    """Uniform double in [0, 1) with the top 53 bits of the generator's
+    next output."""
+    return (gen.next_uint64() >> 11) * 2.0**-53
+
+
+def normal(gen):
+    """One standard normal from the generator's Box-Muller stream, as a
+    float; its sine mate stays cached for the next draw."""
+    return float(gen.normal_vector(1)[0])
 
 
 def splitmix64_unmix(output):

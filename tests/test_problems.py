@@ -13,7 +13,6 @@ from blockcd.problems import (
     CompositeQuadraticProblem,
     NonsmoothTerm,
     FieldError,
-    block_gradient,
     compute_constants,
     dual_point,
     duality_gap,
@@ -24,7 +23,6 @@ from blockcd.problems import (
     make_table1_full_qp,
     make_toeplitz_instance,
     nonsmooth_total,
-    nonsmooth_value,
     oracle_from_quadratic,
     prox,
     prox_blocks,
@@ -36,6 +34,7 @@ from blockcd.problems import (
 from blockcd.battery import get_instance
 from blockcd.linalg import RANK_RTOL, sym_eig_extremes
 from blockcd.rng import SplitMix64
+from oracles import block_gradient, nonsmooth_value, normal, uniform
 
 TERMS = st.one_of(
     st.just(NonsmoothTerm.zero()),
@@ -248,7 +247,7 @@ class TestProx:
         gen = SplitMix64(17)
         for _ in range(50):
             v = gen.normal_vector(1) * 3
-            step = 0.1 + gen.uniform()
+            step = 0.1 + uniform(gen)
             np.testing.assert_allclose(
                 prox(NonsmoothTerm.group_l2(0.9), v, step),
                 prox(NonsmoothTerm.l1(0.9), v, step), atol=1e-15)
@@ -263,8 +262,8 @@ class TestProx:
         for term in (NonsmoothTerm.l1(0.6), NonsmoothTerm.box(-0.4, 0.9)):
             lo, hi = (term.lo, term.hi) if term.kind == "box" else (-10.0, 10.0)
             for _ in range(10):
-                v = np.array([3.0 * gen.normal()])
-                step = 0.2 + gen.uniform()
+                v = np.array([3.0 * normal(gen)])
+                step = 0.2 + uniform(gen)
 
                 def objective(u):
                     return (nonsmooth_value(term, np.array([u]))

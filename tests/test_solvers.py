@@ -1,9 +1,11 @@
 """Tests for the four solvers and trajectory recording."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,11 +24,10 @@ from blockcd.problems import (
     make_table1_diagonal_qp,
     make_table1_full_qp,
     make_toeplitz_instance,
-    nonsmooth_value,
     prox_blocks,
     smooth_value,
 )
-from blockcd import solvers
+from blockcd import battery, solvers
 from blockcd.rng import SplitMix64
 from blockcd.solvers import (
     ORDER_KINDS,
@@ -44,6 +45,7 @@ from blockcd.solvers import (
 from oracles import (
     block_objective,
     block_prox_gradient_min,
+    nonsmooth_value,
     piecewise_quadratic_argmin,
     recorded_visits,
     replay_coordinate_sweeps,
@@ -669,7 +671,8 @@ class TestReferenceOptimum:
         assert 0.0 <= ref.gap <= solvers.REFERENCE_GAP_RTOL * max(1.0, abs(ref.f_star))
         assert ref.f_star == eval_objective(p, ref.x_star)
         assert ref.note.startswith("accelerated proximal gradient reference: ")
-        assert ref.note.endswith(f" iterations, duality gap {ref.gap:.3e}")
+        assert ref.note.endswith(f" iterations, then an exact solve on its face; "
+                                 f"duality gap {ref.gap:.3e}")
 
     def test_all_zero_matrix_takes_the_prox_of_zero(self):
         # L = 0: the smooth part is the constant 1/2 ||b||^2
@@ -872,6 +875,85 @@ class TestReferenceCertificate:
             f_value, gap = duality_gap(problem, x, problem.residual(x))
             assert gap >= 0.0
             assert f_value - gap <= ref.f_star + tol
+
+
+FACE_NOTE = re.compile(r"accelerated proximal gradient reference: (\d+) iterations, "
+                       r"then an exact solve on its face; duality gap \S+$")
+
+
+def fista_only(problem, constants):
+    """The reference with the face helper answering that x has no face, so
+    that only accelerated proximal gradient can finish it."""
+    with mock.patch.object(solvers, "_face", lambda p, x: None):
+        return reference_optimum(problem, constants)
+
+
+class TestReferenceFaceSolve:
+    """The exact solve on the face that accelerated proximal gradient
+    identifies: it finishes the battery's references in tens of
+    iterations, and it is accepted only through the duality gap."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=st.one_of(scalar_problems().map(lambda case: case[0]), block_problems()))
+    def test_agrees_with_the_fista_path(self, problem):
+        constants = compute_constants(problem)
+        assume(not problem.is_smooth() and constants.L > 0)
+        ref, fista = reference_optimum(problem, constants), fista_only(problem, constants)
+        if fista.certified:
+            assert ref.certified
+        # each f* is within its gap of the optimum, up to the rounding of f
+        rounding = 64 * np.finfo(float).eps * max(1.0, abs(fista.f_star))
+        assert math.isfinite(ref.f_star)
+        assert abs(ref.f_star - fista.f_star) <= ref.gap + fista.gap + rounding
+        assert ref.gap == duality_gap(problem, ref.x_star, problem.residual(ref.x_star))[1]
+
+    @pytest.mark.parametrize("name", battery.lasso_names() + ["thm2_case2", "thm2_case3_box"])
+    def test_battery_takes_the_face_route(self, name):
+        reference = battery.get_instance(name).reference
+        match = FACE_NOTE.match(reference.note)
+        assert match and int(match.group(1)) <= 60
+        assert reference.certified and math.isfinite(reference.f_star)
+
+    def test_nonzero_group_block_keeps_fista(self):
+        gen = np.random.default_rng(5)
+        a, b = gen.normal(size=(8, 4)), gen.normal(size=8)
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(2, 2), a_blocks=(a[:, :2], a[:, 2:]), b=b,
+            h=(NonsmoothTerm.group_l2(0.1), NonsmoothTerm.l1(0.1)))
+        ref = reference_optimum(p, compute_constants(p))
+        assert np.any(ref.x_star[:2] != 0.0)
+        assert ref.certified
+        assert re.fullmatch(r"accelerated proximal gradient reference: \d+ iterations, "
+                            rf"duality gap {ref.gap:.3e}", ref.note)
+
+    def test_wrong_candidate_is_never_returned(self):
+        # the face's linear term with its signs flipped gives a candidate
+        # that is no minimizer; the gap rejects it and FISTA runs on as if
+        # no candidate had been tried
+        p, _ = make_lasso_instance(30, 20, 0.1, seed=3)
+        constants = compute_constants(p)
+        face = solvers._face
+
+        def flipped(problem, x):
+            found = face(problem, x)
+            return None if found is None else (found[0], found[1], -found[2], found[3])
+
+        evaluations = []
+
+        def counting_gap(problem, x, residual):
+            evaluations.append(x)
+            return duality_gap(problem, x, residual)
+
+        with mock.patch.object(solvers, "duality_gap", counting_gap):
+            fista = fista_only(p, constants)
+            fista_evaluations = len(evaluations)
+            with mock.patch.object(solvers, "_face", flipped):
+                ref = reference_optimum(p, constants)
+        assert len(evaluations) > 2 * fista_evaluations  # candidates were tried
+        assert_same_bits(ref.x_star, fista.x_star)
+        assert (ref.f_star, ref.gap, ref.certified, ref.note) == (
+            fista.f_star, fista.gap, fista.certified, fista.note)
+        assert "exact solve" not in ref.note
 
 
 def assert_same_bits(actual, expected):
