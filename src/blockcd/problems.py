@@ -226,6 +226,15 @@ class CompositeQuadraticProblem:
         return all(term.kind == "zero" for term in self.h)
 
     @cached_property
+    def gram(self) -> np.ndarray:
+        """A^T A, formed once on first use and read-only: the constants,
+        the smooth view, the scalar sweeps and the reference all read this
+        one product."""
+        gram = self._full.T @ self._full
+        gram.flags.writeable = False
+        return gram
+
+    @cached_property
     def _unpenalized_range(self) -> np.ndarray:
         """Orthonormal basis (rows x rank) of the range of the columns of the
         blocks whose h_k is zero, or l1/group_l2 with weight 0: a dual point
@@ -449,8 +458,7 @@ def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
     1e-8 sigma_max, too coarse for that threshold.
     """
     k_count = p.partition.block_count
-    full = p.full_matrix()
-    mu, l_global = sym_eig_extremes(full.T @ full)
+    mu, l_global = sym_eig_extremes(p.gram)
     l_k = np.empty(k_count)
     sigma_k = np.empty(k_count)
     gamma_k = np.empty(k_count)
@@ -601,12 +609,11 @@ def oracle_from_quadratic(p: CompositeQuadraticProblem,
         raise ValueError("oracle view requires all nonsmooth terms to be zero")
     if p.partition.block_size != 1:
         raise ValueError("oracle view requires scalar blocks")
-    full = p.full_matrix()
     return SmoothProblemOracle(
         dimension=p.partition.block_count,
         lipschitz_global=constants.L,
         lipschitz_coordinate=constants.L_k,
-        hessian=full.T @ full,
+        hessian=p.gram,
     )
 
 

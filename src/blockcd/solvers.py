@@ -54,6 +54,9 @@ ALGORITHMS = ("exact_bcd", "bcpg", "cgd", "gd")
 # REFERENCE_GAP_EVERY iterations, is at most this multiple of max(1, |f|).
 REFERENCE_GAP_RTOL = 1e-13
 REFERENCE_GAP_EVERY = 10
+# Newton steps on a face with curved blocks stop at the first one that does
+# not lower the gradient norm, and after this many at the latest.
+REFERENCE_NEWTON_STEPS = 50
 # A run with a gap tolerance evaluates its newest iterates every
 # GAP_CHECK_EVERY cycles, and at its last.
 GAP_CHECK_EVERY = 8
@@ -417,8 +420,8 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
 
     ``refresh()`` must run before each ``sweep(order)``: it stores the
     residual r = Ax - b, or for scalar blocks g = A^T r, in the buffer the
-    sweep starts from.  Scalar blocks take the Gram kernel, formed here
-    once per run; larger blocks of exact BCD are factored here once per
+    sweep starts from.  Scalar blocks take the Gram kernel on the
+    problem's Gram; larger blocks of exact BCD are factored here once per
     run.
     """
     if p.partition.block_size > 1:
@@ -436,7 +439,7 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
     def refresh():
         grad[:] = full.T @ p.residual(x)
 
-    sweep = partial(_scalar_sweep, p, full.T @ full, x, grad, stepsizes, exact)
+    sweep = partial(_scalar_sweep, p, p.gram, x, grad, stepsizes, exact)
     return sweep, refresh
 
 
@@ -764,7 +767,7 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     batch, cycles = len(runs), runs[0].max_cycles
     block_count = problems[0].partition.block_count
     fulls = [p.full_matrix() for p in problems]
-    grams = [full.T @ full for full in fulls]
+    grams = [p.gram for p in problems]
     stepsizes = [run.realize_stepsizes(c) for run, c in zip(runs, constants)]
     x = np.column_stack([check_start(p, x0) for p, x0 in zip(problems, x0s)])
     exact = np.array([run.algorithm == "exact_bcd" for run in runs])
@@ -899,30 +902,41 @@ class ReferenceOptimum:
     note: str
 
 
-def _face(p: CompositeQuadraticProblem, x: np.ndarray):
-    """The face of x that the prox of h marks out, as (key, free, linear,
-    fixed), or None when x has no linear face.  ``key`` is the bytes of the
-    other three, so equal faces have equal keys.
+class _ReferenceFace(NamedTuple):
+    """A face of x that the prox of h marks out (see _face)."""
+
+    key: bytes
+    free: np.ndarray
+    linear: np.ndarray
+    fixed: np.ndarray
+    curved: np.ndarray
+    weight: np.ndarray
+
+
+def _face(p: CompositeQuadraticProblem, x: np.ndarray) -> _ReferenceFace:
+    """The face of x that the prox of h marks out.  ``key`` is the bytes of
+    ``free``, ``linear`` and ``fixed``, so equal faces have equal keys.
 
     On the face the free coordinates z_F are unconstrained and h is
-    linear^T z there; every other coordinate is held at ``fixed`` (which
-    is 0 on the free ones).  Per term kind:
+    linear^T z plus w ||z_k|| on each ``curved`` block k of group weight
+    ``weight``; every other coordinate is held at ``fixed`` (which is 0 on
+    the free ones).  Per term kind:
       * zero, or l1/group_l2 of weight 0: the block is free;
       * l1 of weight w > 0: x_i != 0 is free with linear term w sign(x_i),
         x_i = 0 is fixed at 0;
       * box: x_i equal to lo or hi is fixed there, because the prox clips
         exactly; any other coordinate is free;
-      * group_l2 of weight w > 0: a zero block is fixed at 0.  A nonzero
-        one has no linear face, so the answer is None.
+      * group_l2 of weight w > 0: a zero block is fixed at 0, a nonzero one
+        is free and curved.
     """
     by_kind = p._terms_by_kind
     xb = x.reshape(p.partition.block_count, -1)
-    group = by_kind.group[by_kind.group_weight > 0.0]
-    if xb[group].any():
-        return None
+    penalized = by_kind.group_weight > 0.0
+    group, group_weight = by_kind.group[penalized], by_kind.group_weight[penalized]
+    nonzero = xb[group].any(axis=1)
     free = np.ones(xb.shape, dtype=bool)
     linear, fixed = np.zeros(xb.shape), np.zeros(xb.shape)
-    free[group] = False
+    free[group[~nonzero]] = False
     penalized = by_kind.l1_weight > 0.0
     l1, rows = by_kind.l1[penalized], xb[by_kind.l1[penalized]]
     free[l1] = rows != 0.0
@@ -932,7 +946,51 @@ def _face(p: CompositeQuadraticProblem, x: np.ndarray):
     free[by_kind.box] = ~(at_lo | at_hi)
     fixed[by_kind.box] = np.where(at_lo, by_kind.clip_lo, np.where(at_hi, by_kind.clip_hi, 0.0))
     free, linear, fixed = free.reshape(-1), linear.reshape(-1), fixed.reshape(-1)
-    return free.tobytes() + linear.tobytes() + fixed.tobytes(), free, linear, fixed
+    return _ReferenceFace(free.tobytes() + linear.tobytes() + fixed.tobytes(), free, linear,
+                          fixed, group[nonzero], group_weight[nonzero])
+
+
+def _group_curvature(rows: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient w u and Hessian (w / ||z||)(I - u u^T), u = z / ||z||, of
+    w ||z|| at each row z of ``rows``, as (m, N) and (m, N, N) arrays."""
+    norms = np.linalg.norm(rows, axis=1)
+    unit = rows / norms[:, None]
+    projector = np.eye(rows.shape[1]) - unit[:, :, None] * unit[:, None, :]
+    return weight[:, None] * unit, (weight / norms)[:, None, None] * projector
+
+
+def _newton_on_face(p: CompositeQuadraticProblem, face: _ReferenceFace,
+                    x: np.ndarray) -> np.ndarray:
+    """Newton's method on a face with curved blocks, from x: the last of
+    its points whose gradient norm each step lowered (see
+    reference_optimum)."""
+    block_count, size = p.partition.block_count, p.partition.block_size
+    free, curved = face.free, face.curved
+
+    def system(z):
+        grad = p.full_matrix().T @ p.residual(z) + face.linear
+        hessian = p.gram.copy()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope, curvature = _group_curvature(z.reshape(block_count, size)[curved],
+                                                face.weight)
+        grad.reshape(block_count, size)[curved] += slope
+        hessian.reshape(block_count, size, block_count, size)[curved, :, curved, :] += curvature
+        return grad[free], hessian[np.ix_(free, free)]
+
+    z = np.where(free, x, face.fixed)
+    grad, hessian = system(z)
+    norm = float(np.linalg.norm(grad))
+    for _ in range(REFERENCE_NEWTON_STEPS):
+        if not np.isfinite(hessian).all():  # w / ||z_k|| overflows on a subnormal block
+            break
+        trial = z.copy()
+        trial[free] -= min_norm_factors(hessian).solve(grad)
+        trial_grad, trial_hessian = system(trial)
+        trial_norm = float(np.linalg.norm(trial_grad))
+        if not trial_norm < norm:
+            break
+        z, grad, hessian, norm = trial, trial_grad, trial_hessian, trial_norm
+    return z
 
 
 def reference_optimum(p: CompositeQuadraticProblem, constants: ProblemConstants,
@@ -941,6 +999,11 @@ def reference_optimum(p: CompositeQuadraticProblem, constants: ProblemConstants,
     problems; otherwise accelerated proximal gradient over the whole x,
     finished by an exact solve on the face it identifies, and stopped once
     problems.duality_gap certifies the target.
+
+    Nonsmooth-free.  x* = A^+ b from least_squares_min_norm, with gap 0.
+    When b is all zero the minimum-norm minimizer of 1/2 ||Ax||^2 is 0
+    exactly, so x* = 0 is returned without factoring A (the SVD route
+    gives the same +0.0 entries).
 
     From x = prox_h(0), each iteration takes one proximal gradient step of
     size 1/L from the extrapolated point y (FISTA), which costs one product
@@ -953,32 +1016,52 @@ def reference_optimum(p: CompositeQuadraticProblem, constants: ProblemConstants,
 
     Finishing step.  At each gap evaluation that does not certify x, the
     face of x (_face) is compared with the face at the previous
-    evaluation.  If the two are equal and that face has not been tried,
-    its minimum-norm minimizer
-        z_F = A_F^+ (b - A_W x_W) - (A_F^T A_F)^+ c
-    is computed from one min_norm_factors(A_F), with the fixed
-    coordinates x_W and linear term c of the face.  Where A_F is
-    rank-deficient the candidate is thus the minimum-norm point of the
-    face's minimizers, which fixes the x_star that ||x0 - x*|| reads.  The
-    candidate is returned only if duality_gap certifies it, by the same
-    test as the iterates, so acceptance is sound by weak duality alone.  No
-    sign or bound test is needed: a candidate outside a box has f = inf,
-    which is never accepted, and a sign-inconsistent one does not certify.
+    evaluation.  If the two are equal and that face has not been tried, a
+    candidate on it is computed, with the fixed coordinates x_W and linear
+    term c of the face:
+      * with no curved block, the face's minimum-norm minimizer
+            z_F = A_F^+ (b - A_W x_W) - (A_F^T A_F)^+ c
+        from one min_norm_factors(A_F).  Where A_F is rank-deficient the
+        candidate is thus the minimum-norm point of the face's minimizers,
+        which fixes the x_star that ||x0 - x*|| reads;
+      * with curved blocks (nonzero group_l2 blocks of weight w > 0),
+        Newton's method from x on the face's optimality system, whose
+        gradient and Hessian are
+            A_F^T (A_F z + A_W x_W - b) + c + w z_k / ||z_k||,
+            A_F^T A_F + (w / ||z_k||)(I - u_k u_k^T),  u_k = z_k / ||z_k||,
+        the curvature terms on each curved block k.  Each step is the
+        minimum-norm solution of the Newton system (min_norm_factors of
+        the Hessian), so where A_F is rank-deficient and the Hessian
+        singular the steps leave x's component along its null space
+        unchanged, and the candidate is the minimizer that Newton reaches
+        from FISTA's iterate, not the minimum-norm one.  The steps stop at
+        the first that does not lower the gradient norm (a block reaching
+        0 makes it NaN), or after REFERENCE_NEWTON_STEPS, and the candidate
+        is the last point a step lowered it at.
+    The candidate is returned only if duality_gap certifies it, by the
+    same test as the iterates, so acceptance is sound by weak duality
+    alone, whatever the solve did: no sign, bound, norm or convergence
+    test is needed.  A candidate outside a box has f = inf, which is never
+    accepted, and a sign-inconsistent or unconverged one does not certify.
     A rejected candidate never enters the iteration, so FISTA's path, its
     cap and its L = 0 case are as without the step.
 
     Under nondegeneracy at the limit x* (|A_i^T r*| < w at each l1
-    coordinate with x*_i = 0, and a nonzero multiplier at each box
-    coordinate at a bound), the prox step identifies the face of x* after
-    finitely many iterations (Nutini, Schmidt & Hare, Optim. Lett. 2019).
-    x* minimizes the face's quadratic, so the candidate has the optimal
-    residual, and it certifies when it keeps the face's signs and bounds,
-    as it does when A_F has full column rank.  Without nondegeneracy the
-    face may never settle and FISTA runs on as before; the step then costs
-    at most one factorization per distinct settled face.
+    coordinate with x*_i = 0, ||A_k^T r*|| < w at each zero group block,
+    and a nonzero multiplier at each box coordinate at a bound), the prox
+    step identifies the face of x* after finitely many iterations (Nutini,
+    Schmidt & Hare, Optim. Lett. 2019).  x* minimizes the face's
+    objective, so a candidate at its minimizer has the optimal residual,
+    and it certifies when it keeps the face's signs and bounds, as it does
+    when A_F has full column rank: the face's objective is then strictly
+    convex, and Newton's steps converge quadratically once FISTA's iterate
+    is close enough.  Without nondegeneracy the face may never settle and
+    FISTA runs on as before; the step then costs at most one solve per
+    distinct settled face.
     """
     if p.is_smooth():
-        x_star = least_squares_min_norm(p.full_matrix(), p.b)
+        x_star = (least_squares_min_norm(p.full_matrix(), p.b) if p.b.any()
+                  else np.zeros(p.partition.dimension))
         return ReferenceOptimum(x_star, eval_objective(p, x_star), True, 0.0,
                                 "minimum-norm least squares")
     full, lipschitz = p.full_matrix(), constants.L
@@ -1001,16 +1084,17 @@ def reference_optimum(p: CompositeQuadraticProblem, constants: ProblemConstants,
         if iterations % REFERENCE_GAP_EVERY == 0 or iterations == max_iterations:
             f_value, gap = duality_gap(p, x, p.residual(x))
             previous, face = face, _face(p, x)
-            if (gap > REFERENCE_GAP_RTOL * max(1.0, abs(f_value)) and face is not None
-                    and previous is not None and face[0] == previous[0]
-                    and face[0] not in tried):
-                tried.add(face[0])
-                _, free, linear, fixed = face
-                exact = fixed.copy()
-                if free.any():
-                    factors = min_norm_factors(full[:, free])
-                    exact[free] = (factors.solve(p.b - full @ fixed) - factors.vt.T
-                                   @ (factors.vt @ linear[free] / factors.s / factors.s))
+            if (gap > REFERENCE_GAP_RTOL * max(1.0, abs(f_value))
+                    and face.key == previous.key and face.key not in tried):
+                tried.add(face.key)
+                if face.curved.size:
+                    exact = _newton_on_face(p, face, x)
+                else:
+                    free, exact = face.free, face.fixed.copy()
+                    if free.any():
+                        factors = min_norm_factors(full[:, free])
+                        exact[free] = (factors.solve(p.b - full @ face.fixed) - factors.vt.T
+                                       @ (factors.vt @ face.linear[free] / factors.s / factors.s))
                 f_exact, gap_exact = duality_gap(p, exact, p.residual(exact))
                 if (f_exact < math.inf
                         and gap_exact <= REFERENCE_GAP_RTOL * max(1.0, abs(f_exact))):

@@ -3,6 +3,8 @@
 import json
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from blockcd.problems import (
     toeplitz_matrix,
     toeplitz_start,
 )
+from blockcd import problems, solvers
 from blockcd.battery import get_instance
 from blockcd.linalg import RANK_RTOL, sym_eig_extremes
 from blockcd.rng import SplitMix64
@@ -382,6 +385,27 @@ class TestDualPoint:
         x = np.zeros(p.partition.dimension)
         x[-1] = 2.0
         assert duality_gap(p, x, p.residual(x)) == (math.inf, math.inf)
+
+
+class TestGram:
+    def test_one_read_only_product(self):
+        p, _ = make_toeplitz_instance(6)
+        full = p.full_matrix()
+        assert p.gram is p.gram
+        assert p.gram.tobytes() == (full.T @ full).tobytes()
+        assert not p.gram.flags.writeable
+        with pytest.raises(ValueError):
+            p.gram[0, 0] = 1.0
+
+    def test_constants_smooth_view_and_sweep_share_it(self):
+        p, x0 = make_toeplitz_instance(6)
+        with mock.patch.object(problems, "sym_eig_extremes",
+                               wraps=sym_eig_extremes) as eigensolve:
+            constants = compute_constants(p)
+        assert eigensolve.call_args_list[0].args[0] is p.gram
+        assert oracle_from_quadratic(p, constants).hessian is p.gram
+        sweep, _ = solvers._make_sweep(p, x0.copy(), constants.L_k)
+        assert sweep.args[1] is p.gram
 
 
 class TestConstants:

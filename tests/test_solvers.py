@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blockcd.linalg import RANK_RTOL
+from blockcd.linalg import RANK_RTOL, least_squares_min_norm
 from blockcd.problems import (
     BlockPartition,
     CompositeQuadraticProblem,
@@ -27,7 +27,7 @@ from blockcd.problems import (
     prox_blocks,
     smooth_value,
 )
-from blockcd import battery, solvers
+from blockcd import battery, linalg, solvers
 from blockcd.rng import SplitMix64
 from blockcd.solvers import (
     ORDER_KINDS,
@@ -882,10 +882,44 @@ FACE_NOTE = re.compile(r"accelerated proximal gradient reference: (\d+) iteratio
 
 
 def fista_only(problem, constants):
-    """The reference with the face helper answering that x has no face, so
-    that only accelerated proximal gradient can finish it."""
-    with mock.patch.object(solvers, "_face", lambda p, x: None):
+    """The reference with the face helper giving every face a key of its
+    own, so that no face settles and only accelerated proximal gradient
+    can finish it."""
+    face = solvers._face
+    with mock.patch.object(solvers, "_face", lambda p, x: face(p, x)._replace(key=object())):
         return reference_optimum(problem, constants)
+
+
+def group_problem():
+    """Two blocks of two Gaussian columns: group_l2 of weight 0.1, nonzero
+    at the optimum, and l1 of weight 0.1."""
+    gen = np.random.default_rng(5)
+    a, b = gen.normal(size=(8, 4)), gen.normal(size=8)
+    return CompositeQuadraticProblem(
+        partition=BlockPartition(2, 2), a_blocks=(a[:, :2], a[:, 2:]), b=b,
+        h=(NonsmoothTerm.group_l2(0.1), NonsmoothTerm.l1(0.1)))
+
+
+def assert_wrong_candidates_rejected(p, mutant):
+    """Under ``mutant`` (a context manager), candidates are evaluated and
+    rejected, and the reference is the FISTA-only one, bit for bit."""
+    constants = compute_constants(p)
+    evaluations = []
+
+    def counting_gap(problem, x, residual):
+        evaluations.append(x)
+        return duality_gap(problem, x, residual)
+
+    with mock.patch.object(solvers, "duality_gap", counting_gap):
+        fista = fista_only(p, constants)
+        fista_evaluations = len(evaluations)
+        with mutant:
+            ref = reference_optimum(p, constants)
+    assert len(evaluations) > 2 * fista_evaluations  # candidates were tried
+    assert_same_bits(ref.x_star, fista.x_star)
+    assert (ref.f_star, ref.gap, ref.certified, ref.note) == (
+        fista.f_star, fista.gap, fista.certified, fista.note)
+    assert "exact solve" not in ref.note
 
 
 class TestReferenceFaceSolve:
@@ -893,9 +927,13 @@ class TestReferenceFaceSolve:
     identifies: it finishes the battery's references in tens of
     iterations, and it is accepted only through the duality gap."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(problem=st.one_of(scalar_problems().map(lambda case: case[0]), block_problems()))
+    @settings(max_examples=300, deadline=None)
+    @given(problem=st.one_of(scalar_problems().map(lambda case: case[0]), block_problems(),
+                             block_problems(kinds=("group_l2", "l1", "box"))))
     def test_agrees_with_the_fista_path(self, problem):
+        # the last strategy gives group_l2 blocks of positive weight that
+        # stay nonzero in about a third of its problems, mixed with l1 and
+        # box terms: the face route solves them by Newton steps
         constants = compute_constants(problem)
         assume(not problem.is_smooth() and constants.L > 0)
         ref, fista = reference_optimum(problem, constants), fista_only(problem, constants)
@@ -914,46 +952,102 @@ class TestReferenceFaceSolve:
         assert match and int(match.group(1)) <= 60
         assert reference.certified and math.isfinite(reference.f_star)
 
-    def test_nonzero_group_block_keeps_fista(self):
-        gen = np.random.default_rng(5)
-        a, b = gen.normal(size=(8, 4)), gen.normal(size=8)
-        p = CompositeQuadraticProblem(
-            partition=BlockPartition(2, 2), a_blocks=(a[:, :2], a[:, 2:]), b=b,
-            h=(NonsmoothTerm.group_l2(0.1), NonsmoothTerm.l1(0.1)))
-        ref = reference_optimum(p, compute_constants(p))
+    def test_nonzero_group_block_takes_the_face_route(self):
+        p = group_problem()
+        constants = compute_constants(p)
+        ref = reference_optimum(p, constants)
         assert np.any(ref.x_star[:2] != 0.0)
         assert ref.certified
-        assert re.fullmatch(r"accelerated proximal gradient reference: \d+ iterations, "
-                            rf"duality gap {ref.gap:.3e}", ref.note)
+        assert FACE_NOTE.match(ref.note) and ref.note.endswith(f"duality gap {ref.gap:.3e}")
+        fista = fista_only(p, constants)
+        assert fista.certified and "exact solve" not in fista.note
+        assert abs(ref.f_star - fista.f_star) <= ref.gap + fista.gap
+
+    def test_group_block_reaching_zero_unsettles_the_face(self):
+        # block 2 is nonzero at the gap evaluation of iteration 10 and 0 at
+        # iteration 20: the two faces differ, so nothing is solved until the
+        # face is the same at iterations 20 and 30
+        gen = np.random.default_rng(90)
+        a, b = gen.normal(size=(6, 6)), gen.normal(size=6)
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(3, 2), a_blocks=(a[:, :2], a[:, 2:4], a[:, 4:]), b=b,
+            h=(NonsmoothTerm.group_l2(1.0), NonsmoothTerm.l1(0.3), NonsmoothTerm.group_l2(1.5)))
+        face, newton = solvers._face, solvers._newton_on_face
+        faces, solves = [], []
+
+        def spy_face(problem, x):
+            faces.append(face(problem, x))
+            return faces[-1]
+
+        def spy_newton(problem, found, x):
+            solves.append(len(faces))
+            return newton(problem, found, x)
+
+        with (mock.patch.object(solvers, "_face", spy_face),
+              mock.patch.object(solvers, "_newton_on_face", spy_newton)):
+            ref = reference_optimum(p, compute_constants(p))
+        assert [found.curved.tolist() for found in faces] == [[], [0, 2], [0], [0]]
+        assert faces[1].key != faces[2].key
+        assert solves == [4]  # one Newton solve, at iteration 30
+        assert ref.certified and FACE_NOTE.match(ref.note).group(1) == "30"
+        assert np.all(ref.x_star[4:] == 0.0) and np.all(ref.x_star[:2] != 0.0)
 
     def test_wrong_candidate_is_never_returned(self):
         # the face's linear term with its signs flipped gives a candidate
         # that is no minimizer; the gap rejects it and FISTA runs on as if
         # no candidate had been tried
-        p, _ = make_lasso_instance(30, 20, 0.1, seed=3)
-        constants = compute_constants(p)
         face = solvers._face
+        flipped = mock.patch.object(
+            solvers, "_face", lambda problem, x: face(problem, x)._replace(
+                linear=-face(problem, x).linear))
+        assert_wrong_candidates_rejected(make_lasso_instance(30, 20, 0.1, seed=3)[0], flipped)
 
-        def flipped(problem, x):
-            found = face(problem, x)
-            return None if found is None else (found[0], found[1], -found[2], found[3])
+    def test_wrong_newton_candidate_is_never_returned(self):
+        # Newton steps with the group term's curvature dropped (no slope w u,
+        # no Hessian term) reach the face's minimizer without the group
+        # penalty; the gap rejects it
+        calls = []
 
-        evaluations = []
+        def dropped(rows, weight):
+            calls.append(rows)
+            return np.zeros(rows.shape), np.zeros(rows.shape + rows.shape[1:])
 
-        def counting_gap(problem, x, residual):
-            evaluations.append(x)
-            return duality_gap(problem, x, residual)
+        assert_wrong_candidates_rejected(
+            group_problem(), mock.patch.object(solvers, "_group_curvature", dropped))
+        assert calls
 
-        with mock.patch.object(solvers, "duality_gap", counting_gap):
-            fista = fista_only(p, constants)
-            fista_evaluations = len(evaluations)
-            with mock.patch.object(solvers, "_face", flipped):
-                ref = reference_optimum(p, constants)
-        assert len(evaluations) > 2 * fista_evaluations  # candidates were tried
-        assert_same_bits(ref.x_star, fista.x_star)
-        assert (ref.f_star, ref.gap, ref.certified, ref.note) == (
-            fista.f_star, fista.gap, fista.certified, fista.note)
-        assert "exact solve" not in ref.note
+
+class TestZeroRightHandSide:
+    """A nonsmooth-free problem with b = 0 has the minimum-norm minimizer
+    x* = 0, returned without factoring A."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=st.one_of(scalar_problems(kinds=("zero",)).map(lambda case: case[0]),
+                             block_problems(kinds=("zero",))),
+           zero=st.sampled_from([0.0, -0.0]))
+    def test_no_svd_and_the_svd_bits(self, problem, zero):
+        p = replace(problem, b=np.full(problem.rows, zero))
+        expected = least_squares_min_norm(p.full_matrix(), p.b)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("min_norm_factors was called")
+
+        with (mock.patch.object(linalg, "min_norm_factors", refuse),
+              mock.patch.object(solvers, "min_norm_factors", refuse)):
+            ref = reference_optimum(p, compute_constants(p))
+        assert_same_bits(ref.x_star, expected)
+        assert_same_bits(np.float64(ref.f_star), np.float64(0.0))
+        assert (ref.certified, ref.gap, ref.note) == (True, 0.0, "minimum-norm least squares")
+
+    def test_nonzero_b_takes_the_svd(self):
+        p, _ = random_quadratic(4)
+        assert p.b.any()
+        with mock.patch.object(linalg, "min_norm_factors",
+                               wraps=linalg.min_norm_factors) as factor:
+            ref = reference_optimum(p, compute_constants(p))
+        assert factor.call_count == 1
+        assert_same_bits(ref.x_star, least_squares_min_norm(p.full_matrix(), p.b))
+        assert ref.note == "minimum-norm least squares"
 
 
 def assert_same_bits(actual, expected):
