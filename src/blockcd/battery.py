@@ -72,7 +72,8 @@ TRUNCATION_SIZES = (2, 4, 8, 16, 32, 64)
 class Instance:
     """A problem set up for solving and bounding: start point, constants,
     reference optimum, level-set radius, initial gap delta0, the smooth
-    view of a nonsmooth-free scalar-block problem, and beta of that view."""
+    view of a nonsmooth-free scalar-block problem, beta of that view, and
+    the exact norm ||strict_lower_truncate(Q)|| that beta bounds."""
 
     name: str
     problem: CompositeQuadraticProblem
@@ -83,6 +84,7 @@ class Instance:
     delta0: float
     oracle: SmoothProblemOracle | None = None
     beta: float | None = None
+    lower_norm: float | None = None
 
     def gd_radius(self) -> float:
         """||x0 - x*||: a sound radius for the gradient-descent envelope."""
@@ -109,10 +111,11 @@ def set_up(name: str, problem: CompositeQuadraticProblem, x0) -> Instance:
     oracle = None
     if problem.is_smooth() and problem.partition.block_size == 1:
         oracle = oracle_from_quadratic(problem, constants)
-    beta = None if oracle is None else beta_estimate(oracle).estimate
+    beta = None if oracle is None else beta_estimate(oracle)
     return Instance(name=name, problem=problem, x0=x0, constants=constants,
                     reference=reference, r0=r0, delta0=delta0, oracle=oracle,
-                    beta=beta)
+                    beta=None if beta is None else beta.estimate,
+                    lower_norm=None if beta is None else beta.exact)
 
 
 def run_solver(instance: Instance, run: SolverRun) -> Trajectory:

@@ -27,6 +27,15 @@ from .rng import SplitMix64, derive_seed
 _FEAS_RTOL = 1e-12
 PROBLEM_KINDS = ("lasso", "toeplitz", "table1_diag", "table1_full", "explicit")
 TERM_KINDS = ("zero", "l1", "group_l2", "box")
+SPARSE_ROW_NONZEROS = 20
+"""A Gram whose rows each have at most this many nonzeros gets a row
+structure (CompositeQuadraticProblem.gram_rows), and the scalar sweeps
+update g entry by entry at those nonzeros instead of with one numpy call
+per row.  The limit is the measured crossover: on dense K x K lasso Grams
+(2K rows, l1 weight 0.1, bcpg, 200 cycles, 15 alternating pairs on a
+2-core x86 VM, Python 3.11, numpy 2.4) the entry-by-entry form took 1.32
+against 1.47 us per visit at K = 16 (faster in 15/15 pairs), 1.42 against
+1.43 at K = 20 (12/15), and 1.58 against 1.42 at K = 24 (0/15)."""
 
 
 class FieldError(ValueError):
@@ -235,6 +244,13 @@ class CompositeQuadraticProblem:
         return gram
 
     @cached_property
+    def gram_rows(self) -> tuple | None:
+        """The nonzeros of each row of the Gram, or None when some row has
+        more than SPARSE_ROW_NONZEROS of them (sparse_rows).  Formed once
+        on first use; tuples, so read-only."""
+        return sparse_rows(self.gram, SPARSE_ROW_NONZEROS)
+
+    @cached_property
     def _unpenalized_range(self) -> np.ndarray:
         """Orthonormal basis (rows x rank) of the range of the columns of the
         blocks whose h_k is zero, or l1/group_l2 with weight 0: a dual point
@@ -244,6 +260,21 @@ class CompositeQuadraticProblem:
         if not unpenalized:
             return np.zeros((self.rows, 0))
         return min_norm_factors(np.hstack([self.a_blocks[k] for k in unpenalized])).u
+
+
+def sparse_rows(matrix: np.ndarray, limit: float) -> tuple | None:
+    """Row m of a square ``matrix`` as the tuple of its (column, value)
+    pairs with value != 0 (NaN included, -0.0 not), in column order, as
+    Python ints and floats; None when some row has more than ``limit``
+    of them, found before any index is formed.  One np.nonzero finds
+    every entry."""
+    counts = np.count_nonzero(matrix, axis=1)
+    if counts.max(initial=0) > limit:
+        return None
+    rows, columns = np.nonzero(matrix)
+    pairs = list(zip(columns.tolist(), matrix[rows, columns].tolist()))
+    ends = np.cumsum(counts).tolist()
+    return tuple(tuple(pairs[end - count:end]) for end, count in zip(ends, counts.tolist()))
 
 
 def _check_dimension(p: CompositeQuadraticProblem, x) -> np.ndarray:

@@ -340,37 +340,84 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
     )
 
 
-def _scalar_sweep(p: CompositeQuadraticProblem, gram: np.ndarray, x: np.ndarray,
-                  g: np.ndarray, stepsizes: np.ndarray, exact: bool,
-                  order) -> tuple[float, bool]:
+def _visit_table(p: CompositeQuadraticProblem, stepsizes: np.ndarray,
+                 exact: bool) -> list:
+    """One (P_k, divisor, prox step, term) entry per scalar block, built
+    once per run.  A visit steps from v = x_k - g_k / divisor with that
+    prox step: divisor P_k and step 1/P_k for bcpg (and cgd), G_kk and
+    1/G_kk for exact minimization.  On a zero column (G_kk not > 0) exact
+    minimization has divisor None and steps from v = 0 with step 1, the
+    minimum-norm choice.  term is None for a zero term, whose prox is v."""
+    table = []
+    for weight, curvature, term in zip(stepsizes.tolist(), np.diagonal(p.gram).tolist(), p.h):
+        divisor = curvature if exact else weight
+        if exact and not curvature > 0.0:
+            divisor, step = None, 1.0
+        else:
+            step = 1.0 / divisor
+        table.append((weight, divisor, step, None if term.kind == "zero" else term))
+    return table
+
+
+def _scalar_sweep(table: list, gram: np.ndarray, rows: tuple | None, x: np.ndarray,
+                  g: np.ndarray, order) -> tuple[float, bool]:
     """One cycle on scalar blocks in the covariance-update form.
 
     g = A^T r, exact at x on entry, is kept current through the Gram matrix
-    G = A^T A: a visit reads g_k, takes the prox step in plain floats, and
-    adds (x_k^new - x_k^old) G[k] to g in place.  bcpg steps from
-    x_k - g_k / P_k with step 1/P_k; exact minimization from x_k - g_k / G_kk
-    with step 1/G_kk, or from 0 with step 1 when column k is zero (the
-    minimum-norm choice).  Returns the movement and whether a visit wrote:
-    x and g change only where delta != 0.
+    G = A^T A: a visit reads g_k, takes the prox step of its ``table``
+    entry (_visit_table) in plain floats, and adds delta G[k] to g, with
+    delta = x_k^new - x_k^old.  Returns the movement and whether a visit
+    wrote: x changes only where delta != 0.  On return g is scratch, which
+    the next refresh() overwrites.
+
+    Two kernels differ only in how g is held and updated.  With ``rows``
+    None, g stays the numpy buffer and a write adds delta * G[k] in one
+    array step.  With the Gram's row structure (CompositeQuadraticProblem.
+    gram_rows), g is held as Python floats for the sweep and a write adds
+    delta * G_km at the stored nonzeros of row k alone; a NaN or infinite
+    delta takes the array step instead, so NaN and inf spread as they do
+    there.  The two give the same x, movement and write flag, bit for bit:
+
+    1. with a finite delta, a skipped entry would get delta * (+-0) = +-0
+       added, which can change only the sign of a zero g_m, and later
+       additions keep the difference to that sign;
+    2. a zero g_k of either sign gives the same x_k^new, or a delta of 0,
+       which writes nothing, under bcpg, exact minimization and every term
+       kind: x_k - (+-0) / divisor has one value unless x_k = -0.0, where
+       it is +-0, which the zero term and the box keep (a delta of +0.0)
+       and l1 and group_l2 map to 0.0; a zero column never reads g_k;
+    3. g is refreshed before every sweep, so a difference in the sign of
+       a zero never outlives its sweep;
+    4. Python float and numpy elementwise multiply and add are the same
+       IEEE binary64 operations.
     """
-    weights = stepsizes.tolist()
-    curvature = np.diagonal(gram).tolist()
+    values = x.tolist()
+    # a memoryview of g reads Python floats and sees g's in-place updates
+    grad = memoryview(g) if rows is None else g.tolist()
     move_sq = 0.0
     wrote = False
     for k in order:
-        g_k, old, p_k = float(g[k]), float(x[k]), weights[k]
-        if not exact:
-            new = prox_scalar(p.h[k], old - g_k / p_k, 1.0 / p_k)
-        elif curvature[k] > 0.0:
-            new = prox_scalar(p.h[k], old - g_k / curvature[k], 1.0 / curvature[k])
-        else:
-            new = prox_scalar(p.h[k], 0.0, 1.0)
+        weight, divisor, step, term = table[k]
+        old = values[k]
+        new = 0.0 if divisor is None else old - grad[k] / divisor
+        if term is not None:
+            new = prox_scalar(term, new, step)
         delta = new - old
         if delta != 0.0:
-            x[k] = new
-            g += delta * gram[k]
+            values[k] = new
             wrote = True
-        move_sq += p_k * (delta * delta)
+            if rows is None:
+                g += delta * gram[k]
+            elif math.isfinite(delta):
+                for m, entry in rows[k]:
+                    grad[m] += delta * entry
+            else:
+                g[:] = grad
+                g += delta * gram[k]
+                grad = g.tolist()
+        move_sq += weight * (delta * delta)
+    if wrote:
+        x[:] = values
     return math.sqrt(move_sq), wrote
 
 
@@ -420,9 +467,10 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
 
     ``refresh()`` must run before each ``sweep(order)``: it stores the
     residual r = Ax - b, or for scalar blocks g = A^T r, in the buffer the
-    sweep starts from.  Scalar blocks take the Gram kernel on the
-    problem's Gram; larger blocks of exact BCD are factored here once per
-    run.
+    sweep starts from.  Scalar blocks take the Gram kernel (_scalar_sweep)
+    with the run's visit table, entry by entry at the Gram's nonzeros when
+    the problem has a row structure (gram_rows); larger blocks of exact
+    BCD are factored here once per run.
     """
     if p.partition.block_size > 1:
         res = np.empty(p.rows)
@@ -439,8 +487,8 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
     def refresh():
         grad[:] = full.T @ p.residual(x)
 
-    sweep = partial(_scalar_sweep, p, p.gram, x, grad, stepsizes, exact)
-    return sweep, refresh
+    table = _visit_table(p, stepsizes, exact)
+    return partial(_scalar_sweep, table, p.gram, p.gram_rows, x, grad), refresh
 
 
 def _run_blocks(p: CompositeQuadraticProblem, run: SolverRun, x0,
@@ -748,7 +796,10 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     ValueError.
 
     Each element takes _scalar_sweep's IEEE operations in the same order,
-    so every trajectory is bit-identical to run_bcpg/run_bcd_exact:
+    so every recorded value (iterates, f, movements, gradient norms) is
+    bit-identical to run_bcpg/run_bcd_exact.  Only g may differ, and only
+    in the sign of a zero entry, where the per-run kernel updates g at the
+    Gram's nonzeros alone (_scalar_sweep's argument):
     v = x_k - g_k / d_k with d_k = P_k (bcpg) or G_kk (exact; v = 0 and
     d_k = 1 for a zero column); x_k^new = v - min(max(v, -t_k), t_k) with
     t_k = w_k (1 / d_k), the soft threshold's bits (for the 0 * inf of a

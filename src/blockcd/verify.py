@@ -191,7 +191,8 @@ def check_costtogo_bcd(t: Trajectory, p: CompositeQuadraticProblem,
 
 
 def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
-                      name: str = "descent_cgd") -> list[CheckReport]:
+                      name: str = "descent_cgd",
+                      lower_norm: float | None = None) -> list[CheckReport]:
     """Sufficient descent of the coordinate chain in terms of the full
     gradient, in three forms:
 
@@ -207,7 +208,10 @@ def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
     permutation-invariant (permutation_invariant).  Their two K x K SVDs
     are then taken once, from the first cycle's order.  Otherwise they
     would take two SVDs per cycle, and both are reported as skipped, with
-    the reason.
+    the reason.  ``lower_norm``, when given, is ||strict_lower_truncate(Q)||
+    as beta_estimate took it.  Under the identity order, or on a
+    permutation-invariant Q, H is that very matrix, bit for bit, so
+    ``lower_norm`` serves as ||H|| and that SVD is not taken again.
     """
     if t.algorithm != "cgd":
         raise ValueError("descent_cgd expects a cgd trajectory")
@@ -219,9 +223,11 @@ def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
                        _descent_excess(t, grad_sq / (2.0 * (p_max + beta ** 2 / p_min))),
                        LEMMA_TOL, notes=f"beta {beta:.6g}")]
     order = t.orders[0]
-    if not (all(cycle == order for cycle in t.orders)
-            or permutation_invariant(o.hessian, t.stepsizes)):
-        k = o.dimension
+    k = o.dimension
+    fixed = all(cycle == order for cycle in t.orders)
+    identity = fixed and order == list(range(k))
+    invariant = not identity and permutation_invariant(o.hessian, t.stepsizes)
+    if not (fixed or invariant):
         reason = ("the visit order changes between cycles and Q, P are not "
                   f"permutation-invariant, so this form would take two {k}x{k} SVDs "
                   f"per cycle; {name}_beta checks the relaxed form on every cycle")
@@ -229,7 +235,11 @@ def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
     h = np.tril(o.hessian[np.ix_(order, order)], k=-1)
     p_seq = t.stepsizes[order]
     v = np.diag(np.sqrt(p_seq)) + h @ np.diag(1.0 / np.sqrt(p_seq))
-    v_norm, h_norm = spectral_norm(v).value, spectral_norm(h).value
+    v_norm = spectral_norm(v).value
+    if lower_norm is not None and (identity or invariant):
+        h_norm = lower_norm
+    else:
+        h_norm = spectral_norm(h).value
     reports.append(_report(f"{name}_exact_v", _descent_excess(t, grad_sq / (2.0 * v_norm ** 2)),
                            LEMMA_TOL, notes="exact chain-matrix norm"))
     reports.append(_report(f"{name}_hbound", np.full(t.cycles, (h_norm - beta) / max(1.0, beta)),
@@ -321,7 +331,8 @@ def lemma_checks(instance: Instance, label: str, t: Trajectory) -> list[CheckRep
                                    name=f"costtogo_bcd:{label}", advisory=advisory,
                                    image_sq=image_sq)]
     if t.algorithm == "cgd":
-        return check_descent_cgd(t, instance.oracle, instance.beta, name=f"descent_cgd:{label}")
+        return check_descent_cgd(t, instance.oracle, instance.beta, name=f"descent_cgd:{label}",
+                                 lower_norm=instance.lower_norm)
     return []
 
 

@@ -26,6 +26,8 @@ from blockcd.problems import (
     make_toeplitz_instance,
     prox_blocks,
     smooth_value,
+    sparse_rows,
+    SPARSE_ROW_NONZEROS,
 )
 from blockcd import battery, linalg, solvers
 from blockcd.rng import SplitMix64
@@ -1426,3 +1428,178 @@ class TestFixedPointStop:
         x[0] = math.nan
         assert sweep([0, 1])[1]
         assert solvers._gradient_sweep(np.zeros(dim), x, 1.0, None)[1]
+
+
+# The two scalar kernels, forced on any problem: the dense one without a
+# row structure, the entry-by-entry one with every row's nonzeros.
+KERNELS = {"dense": property(lambda p: None),
+           "sparse": property(lambda p: sparse_rows(p.gram, math.inf))}
+SIGNED_CELLS = (-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5)
+
+
+@st.composite
+def sparse_scalar_problems(draw):
+    """Scalar-block problems with structurally sparse Grams: A is K x K
+    and diagonal, banded or dense, some of its columns are all zero, and
+    its entries, b and x0 include -0.0 (structural zeros keep the sign of
+    the entry they replace).  One term of any kind per block, a feasible
+    start and an order."""
+    k_count = draw(st.integers(1, 8))
+    width = draw(st.sampled_from([0, 1, 2, k_count]))
+    cells = st.sampled_from(SIGNED_CELLS)
+    a = np.array(draw(st.lists(cells, min_size=k_count * k_count,
+                               max_size=k_count * k_count))).reshape(k_count, k_count)
+    i, j = np.indices(a.shape)
+    a = np.where(np.abs(i - j) > width, np.copysign(0.0, a), a)
+    zero_columns = np.array(draw(st.lists(st.booleans(), min_size=k_count, max_size=k_count)))
+    a[:, zero_columns] = np.copysign(0.0, a[:, zero_columns])
+    b = np.array(draw(st.lists(cells, min_size=k_count, max_size=k_count)))
+    terms = []
+    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=k_count, max_size=k_count)):
+        if kind in ("l1", "group_l2"):
+            terms.append(NonsmoothTerm(kind, weight=draw(st.sampled_from([0.0, 0.1, 0.7, 2.0]))))
+        elif kind == "box":
+            lo = draw(st.sampled_from([-1.0, -0.0, 0.0, 0.5]))
+            terms.append(NonsmoothTerm.box(lo, lo + draw(st.sampled_from([0.0, 0.5, 2.0]))))
+        else:
+            terms.append(NonsmoothTerm.zero())
+    problem = CompositeQuadraticProblem(
+        partition=BlockPartition(k_count, 1),
+        a_blocks=tuple(a[:, [c]] for c in range(k_count)), b=b, h=tuple(terms))
+    x0 = np.array(draw(st.lists(cells, min_size=k_count, max_size=k_count)))
+    for k, term in enumerate(terms):
+        if term.kind == "box":
+            x0[k] = min(max(x0[k], term.lo), term.hi)
+    order = BlockOrder(draw(st.sampled_from(ORDER_KINDS)), seed=draw(st.integers(0, 2**32 - 1)))
+    return problem, x0, order
+
+
+def run_on_kernel(kernel, problem, run, x0, constants):
+    """``run`` on the scalar kernel ``kernel`` (KERNELS), and the number of
+    sweeps it took: one refresh, so one residual, per sweep, and one
+    residual for the recorded values."""
+    calls = []
+    residual = CompositeQuadraticProblem.residual
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CompositeQuadraticProblem, "gram_rows", KERNELS[kernel])
+        patch.setattr(CompositeQuadraticProblem, "residual",
+                      lambda p, x: calls.append(1) or residual(p, x))
+        t = SOLVE[run.algorithm](problem, run, x0, constants)
+    return t, len(calls) - 1
+
+
+def assert_kernels_agree(problem, run, x0, constants):
+    """The dense and the entry-by-entry kernel give the same trajectory,
+    byte for byte, and take the same number of sweeps."""
+    (dense, dense_sweeps), (sparse, sparse_sweeps) = (
+        run_on_kernel(kernel, problem, run, x0, constants) for kernel in ("dense", "sparse"))
+    for attribute in ("xs", "f", "weighted_movement", "grad_norm", "stepsizes"):
+        assert_same_bits(getattr(sparse, attribute), getattr(dense, attribute))
+    assert sparse.orders == dense.orders
+    assert sparse_sweeps == dense_sweeps
+    return dense
+
+
+class TestSparseKernel:
+    """The entry-by-entry scalar kernel against the dense one, bit for bit
+    (_scalar_sweep's argument)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sparse_scalar_problems(),
+           algorithm=st.sampled_from(["bcpg", "exact_bcd", "cgd"]),
+           policy=st.sampled_from(["block_lk", "global_l", "floor"]),
+           cycles=st.integers(1, 25))
+    def test_matches_the_dense_kernel(self, case, algorithm, policy, cycles):
+        problem, x0, order = case
+        if algorithm == "cgd":
+            problem = CompositeQuadraticProblem(problem.partition, problem.a_blocks, problem.b,
+                                                (NonsmoothTerm.zero(),) * len(problem.h))
+        constants = compute_constants(problem)
+        stepsizes = (StepsizePolicy.fixed(np.maximum(constants.L_k, 0.5)) if policy == "floor"
+                     else StepsizePolicy(policy))
+        run = SolverRun(algorithm=algorithm, order=order, stepsizes=stepsizes,
+                        max_cycles=cycles)
+        try:
+            run.realize_stepsizes(constants)
+        except ValueError:
+            assume(False)
+        assert_kernels_agree(problem, run, x0, constants)
+
+    @pytest.mark.parametrize("algorithm, kind", [
+        *((algorithm, kind) for algorithm in ("bcpg", "exact_bcd")
+          for kind in ("zero", "l1", "group_l2")), ("cgd", "zero")])
+    def test_infinite_and_nan_steps(self, algorithm, kind):
+        # g_0 = 1e-5 * 1e308 over P_0 = G_00 = 1e-10 overflows: block 0
+        # steps by -inf, block 1 by +inf, and G_02 = 0 makes g_2 NaN, as
+        # the dense step does, so block 2 steps by NaN (l1's prox maps a
+        # NaN point to 0)
+        a = np.array([[1e-5, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        problem = CompositeQuadraticProblem(
+            partition=BlockPartition(3, 1), a_blocks=tuple(a[:, [c]] for c in range(3)),
+            b=np.array([-1e308, 0.0]), h=(NonsmoothTerm(kind, weight=0.1),) * 3)
+        constants = compute_constants(problem)
+        run = SolverRun(algorithm=algorithm, max_cycles=3)
+        with np.errstate(all="ignore"):
+            t = assert_kernels_agree(problem, run, np.zeros(3), constants)
+        assert np.isinf(t.xs[1][0]) and np.isnan(t.xs[1][2]) == (kind != "l1")
+
+
+class TestKernelSelection:
+    """Which scalar kernel a problem takes, and its row structure: the
+    speed of the scalar runs rests on both."""
+
+    @staticmethod
+    def rows_taken(problem):
+        """The row structure each sweep of a two-cycle run received."""
+        seen = []
+        sweep = solvers._scalar_sweep
+
+        def spy(table, gram, rows, *rest):
+            seen.append(rows)
+            return sweep(table, gram, rows, *rest)
+
+        x0 = np.ones(problem.partition.dimension)
+        run = SolverRun(algorithm="bcpg", stepsizes=StepsizePolicy.global_l(), max_cycles=2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_scalar_sweep", spy)
+            run_bcpg(problem, run, x0, compute_constants(problem))
+        return seen
+
+    @pytest.mark.parametrize("problem", [
+        *(make_toeplitz_instance(k)[0] for k in battery.TOEPLITZ_SIZES),
+        *(make_table1_diagonal_qp(k, 2.0) for k in battery.TABLE1_SIZES),
+        make_toeplitz_instance(300)[0]], ids=lambda p: f"K{p.partition.block_count}")
+    def test_sparse_grams_take_the_row_kernel(self, problem):
+        rows = problem.gram_rows
+        assert rows is not None and rows is problem.gram_rows
+        assert all(taken is rows for taken in self.rows_taken(problem))
+        gram = problem.gram
+        for k, row in enumerate(rows):
+            assert row == tuple((m, gram[k, m]) for m in np.flatnonzero(gram[k]))
+            assert all(type(m) is int and type(v) is float for m, v in row)
+
+    def test_dense_lasso_takes_the_dense_kernel(self):
+        # the size of the dense lasso that the plan_scale benchmark runs
+        problem, _ = make_lasso_instance(200, 100, 0.5, 3)
+        assert problem.gram_rows is None
+        assert self.rows_taken(problem) == [None, None]
+
+    def test_the_limit_is_inclusive(self):
+        def all_ones(k):
+            return CompositeQuadraticProblem(
+                partition=BlockPartition(k, 1), a_blocks=(np.ones((1, 1)),) * k,
+                b=np.zeros(1), h=(NonsmoothTerm.zero(),) * k)
+
+        assert len(all_ones(SPARSE_ROW_NONZEROS).gram_rows[0]) == SPARSE_ROW_NONZEROS
+        assert all_ones(SPARSE_ROW_NONZEROS + 1).gram_rows is None
+
+    def test_row_structure_is_read_only(self):
+        problem = make_table1_diagonal_qp(4, 2.0)
+        rows = problem.gram_rows
+        with pytest.raises(TypeError):
+            rows[0] = ()
+        with pytest.raises(TypeError):
+            rows[0][0] = (0, 1.0)
+        with pytest.raises(AttributeError):
+            problem.gram_rows = None
+        assert problem.gram_rows is rows

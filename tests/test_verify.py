@@ -264,6 +264,54 @@ class TestCGDCheck:
         check_descent_cgd(t, o, beta)
         assert len(calls) == 2
 
+    @staticmethod
+    def report_bits(reports):
+        return [(r.check_name, r.cycles_checked, r.worst_violation.hex(), r.passed, r.notes,
+                 r.tolerance, r.advisory) for r in reports]
+
+    @pytest.mark.parametrize("problem, x0, order", [
+        (*make_toeplitz_instance(10), BlockOrder.cyclic()),
+        (*make_toeplitz_instance(50), BlockOrder.cyclic()),
+        (make_table1_diagonal_qp(100, 2.0), np.ones(100), BlockOrder.cyclic()),
+        (make_table1_full_qp(100, 2.0), np.ones(100), BlockOrder.cyclic()),
+        (make_table1_full_qp(8, 2.0), np.ones(8), BlockOrder.random_permutation(17))],
+        ids=["toeplitz_K10", "toeplitz_K50", "table1_diag_K100", "table1_full_K100",
+             "table1_full_K8_permuted"])
+    def test_known_lower_norm_saves_one_svd(self, monkeypatch, problem, x0, order):
+        # under the identity order, or on a permutation-invariant Q, H is
+        # strict_lower_truncate(Q) bit for bit, so beta_estimate's exact
+        # norm serves as ||H||: one SVD instead of two, the same reports
+        t, o, beta = self.cgd_run(problem, order, 20, x0)
+        lower_norm = beta_estimate(o).exact
+        calls = self.count_norms(monkeypatch)
+        plain = check_descent_cgd(t, o, beta)
+        assert len(calls) == 2
+        given_norm = check_descent_cgd(t, o, beta, lower_norm=lower_norm)
+        assert len(calls) == 3
+        assert self.report_bits(given_norm) == self.report_bits(plain)
+
+    def test_fixed_permuted_order_takes_the_svd(self, monkeypatch):
+        # the same non-identity order every cycle on the Toeplitz Hessian,
+        # which is not permutation-invariant: H is not Q's strict lower
+        # triangle, so its norm is taken whatever lower_norm says
+        p, x0 = make_toeplitz_instance(10)
+        t, o, beta = self.cgd_run(p, BlockOrder.cyclic(), 20, x0)
+        order = [1, 0] + list(range(2, 10))
+        t = replace(t, orders=[order] * t.cycles)
+        calls = self.count_norms(monkeypatch)
+        plain = check_descent_cgd(t, o, beta)
+        given_norm = check_descent_cgd(t, o, beta, lower_norm=beta_estimate(o).exact)
+        assert len(calls) == 4
+        assert self.report_bits(given_norm) == self.report_bits(plain)
+
+    def test_battery_passes_its_lower_norm(self, monkeypatch):
+        instance = battery.get_instance("toeplitz_K10")
+        assert instance.lower_norm == beta_estimate(instance.oracle).exact
+        t = battery.run_solver(instance, SolverRun(algorithm="cgd", max_cycles=20))
+        calls = self.count_norms(monkeypatch)
+        verify.lemma_checks(instance, "c", t)
+        assert len(calls) == 1
+
     def test_changing_order_skips_the_exact_forms(self, monkeypatch):
         # the Toeplitz Hessian is not permutation-invariant, so a changing
         # order would need a chain matrix per cycle: the check takes no
