@@ -181,7 +181,8 @@ class Trajectory:
     """Per-cycle record of a run.
 
     ``xs[r]`` is the iterate after r cycles; ``weighted_movement[r]`` is
-    sqrt(sum_k P_k ||x_k^(r+1) - x_k^(r)||^2) for the step r -> r+1.
+    sqrt(sum_k P_k ||x_k^(r+1) - x_k^(r)||^2) for the step r -> r+1,
+    derived from ``xs``, ``orders`` and ``stepsizes`` (weighted_movements).
     ``gap`` appears once a reference optimum is attached.
     """
 
@@ -263,6 +264,21 @@ def trajectory_values(p: CompositeQuadraticProblem,
     return f, grad_norm
 
 
+def weighted_movements(xs: np.ndarray, orders, stepsizes: np.ndarray,
+                       block_size: int) -> np.ndarray:
+    """sqrt(sum_k P_k ||x_k^(r+1) - x_k^(r)||^2) for every cycle r of the
+    iterate history ``xs``, summed in the visit order ``orders[r]`` (lists
+    or one index array).  A block's square is d_k d_k for N = 1 and
+    np.vecdot(d_k, d_k), np.dot's own loop, for N > 1, and np.add.accumulate
+    adds in sequence: the bits of a running sum in visit order."""
+    visits = np.asarray(orders, dtype=np.intp).reshape(-1, stepsizes.shape[0])
+    d = np.diff(xs, axis=0).reshape(visits.shape[0], stepsizes.shape[0], block_size)
+    squares = d[..., 0] * d[..., 0] if block_size == 1 else np.vecdot(d, d)
+    weighted = stepsizes[visits] * np.take_along_axis(squares, visits, axis=1)
+    weighted[:, :1] += 0.0  # a sum from +0.0 turns a first -0.0 (P_k = -0.0) into +0.0
+    return np.sqrt(np.add.accumulate(weighted, axis=1)[:, -1])
+
+
 def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
                    x: np.ndarray, stepsizes: np.ndarray, sweep, refresh,
                    f_star) -> Trajectory:
@@ -271,18 +287,17 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
     A cycle runs ``refresh()``, which brings what the sweep reads (the
     residual, and the gradient where the sweep uses it) up to date with x,
     draws the order, runs ``sweep(order)``, which visits the blocks of
-    ``order`` once, updating x in place, and returns
-    sqrt(sum_k P_k ||x_k^new - x_k^old||^2) and whether it wrote anything,
-    and copies x into the history.  Nothing else runs per cycle: f and the
-    gradient norm come from trajectory_values on the history.
+    ``order`` once, updating x in place, and returns whether it wrote
+    anything, and copies x into the history.  Nothing else runs per cycle:
+    f and the gradient norm come from trajectory_values on the history, the
+    movements from weighted_movements (gd's: sqrt(L) ||x^(r+1) - x^(r)||).
 
     A cycle that writes nothing is an exact fixed point: the next
     refresh() sees the same x, so every visit, in any order, reads what it
     read before and again writes nothing.  From there on a cycle only
-    draws and records its order, keeps x and records a movement of 0.0,
-    the bits a sweep would give.  A sweep that reads anything besides x
-    and the refreshed buffer must report a write on every cycle; a NaN
-    step counts as a write.
+    draws and records its order and keeps x.  A sweep that reads anything
+    besides x and the refreshed buffer must report a write on every cycle;
+    a NaN step counts as a write.
 
     With a gap tolerance and f_star, the rows added since the last
     evaluation are evaluated every GAP_CHECK_EVERY cycles and at the last
@@ -294,21 +309,18 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
     watch = f_star is not None and run.gap_tolerance > 0
     xs = np.empty((min(run.max_cycles, HISTORY_ROWS) + 1, dim))
     xs[0] = x
-    movements, orders_seen, values = [], [], []
+    orders_seen, values = [], []
     order_stream = run.order.stream(stepsizes.shape[0])
     cycle = evaluated = 0
     settled = False
     while cycle < run.max_cycles:
         if settled:
             orders_seen.append(list(next(order_stream)))
-            movements.append(0.0)
         else:
             refresh()
             order = next(order_stream)
             orders_seen.append(list(order))
-            movement, wrote = sweep(order)
-            movements.append(movement)
-            settled = not wrote
+            settled = not sweep(order)
         cycle += 1
         if cycle == xs.shape[0]:
             grow = min(cycle, run.max_cycles + 1 - cycle)
@@ -329,11 +341,18 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
     f = np.concatenate([f_part for f_part, _ in values])[:rows]
     grad_norm = (None if values[0][1] is None
                  else np.concatenate([grad_part for _, grad_part in values])[:rows])
+    xs = xs[:rows].copy() if xs.shape[0] > rows else xs
+    if algorithm == "gd":
+        d = np.diff(xs, axis=0)
+        movement = math.sqrt(stepsizes[0]) * np.sqrt(np.vecdot(d, d))
+    else:
+        movement = weighted_movements(xs, orders_seen[:cycle], stepsizes,
+                                      p.partition.block_size)
     return Trajectory(
         algorithm=algorithm,
-        xs=xs[:rows].copy() if xs.shape[0] > rows else xs,
+        xs=xs,
         f=f,
-        weighted_movement=np.array(movements[:cycle]),
+        weighted_movement=movement,
         stepsizes=stepsizes,
         orders=orders_seen[:cycle],
         grad_norm=grad_norm,
@@ -342,9 +361,9 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
 
 def _visit_table(p: CompositeQuadraticProblem, stepsizes: np.ndarray,
                  exact: bool) -> list:
-    """One (P_k, divisor, prox step, term) entry per scalar block, built
-    once per run.  A visit steps from v = x_k - g_k / divisor with that
-    prox step: divisor P_k and step 1/P_k for bcpg (and cgd), G_kk and
+    """One (divisor, prox step, term) entry per scalar block, built once
+    per run.  A visit steps from v = x_k - g_k / divisor with that prox
+    step: divisor P_k and step 1/P_k for bcpg (and cgd), G_kk and
     1/G_kk for exact minimization.  On a zero column (G_kk not > 0) exact
     minimization has divisor None and steps from v = 0 with step 1, the
     minimum-norm choice.  term is None for a zero term, whose prox is v."""
@@ -355,20 +374,20 @@ def _visit_table(p: CompositeQuadraticProblem, stepsizes: np.ndarray,
             divisor, step = None, 1.0
         else:
             step = 1.0 / divisor
-        table.append((weight, divisor, step, None if term.kind == "zero" else term))
+        table.append((divisor, step, None if term.kind == "zero" else term))
     return table
 
 
 def _scalar_sweep(table: list, gram: np.ndarray, rows: tuple | None, x: np.ndarray,
-                  g: np.ndarray, order) -> tuple[float, bool]:
+                  g: np.ndarray, order) -> bool:
     """One cycle on scalar blocks in the covariance-update form.
 
     g = A^T r, exact at x on entry, is kept current through the Gram matrix
     G = A^T A: a visit reads g_k, takes the prox step of its ``table``
     entry (_visit_table) in plain floats, and adds delta G[k] to g, with
-    delta = x_k^new - x_k^old.  Returns the movement and whether a visit
-    wrote: x changes only where delta != 0.  On return g is scratch, which
-    the next refresh() overwrites.
+    delta = x_k^new - x_k^old.  Returns whether a visit wrote: x changes
+    only where delta != 0.  On return g is scratch, which the next
+    refresh() overwrites.
 
     Two kernels differ only in how g is held and updated.  With ``rows``
     None, g stays the numpy buffer and a write adds delta * G[k] in one
@@ -376,7 +395,7 @@ def _scalar_sweep(table: list, gram: np.ndarray, rows: tuple | None, x: np.ndarr
     gram_rows), g is held as Python floats for the sweep and a write adds
     delta * G_km at the stored nonzeros of row k alone; a NaN or infinite
     delta takes the array step instead, so NaN and inf spread as they do
-    there.  The two give the same x, movement and write flag, bit for bit:
+    there.  The two give the same x and write flag, bit for bit:
 
     1. with a finite delta, a skipped entry would get delta * (+-0) = +-0
        added, which can change only the sign of a zero g_m, and later
@@ -394,10 +413,9 @@ def _scalar_sweep(table: list, gram: np.ndarray, rows: tuple | None, x: np.ndarr
     values = x.tolist()
     # a memoryview of g reads Python floats and sees g's in-place updates
     grad = memoryview(g) if rows is None else g.tolist()
-    move_sq = 0.0
     wrote = False
     for k in order:
-        weight, divisor, step, term = table[k]
+        divisor, step, term = table[k]
         old = values[k]
         new = 0.0 if divisor is None else old - grad[k] / divisor
         if term is not None:
@@ -415,18 +433,17 @@ def _scalar_sweep(table: list, gram: np.ndarray, rows: tuple | None, x: np.ndarr
                 g[:] = grad
                 g += delta * gram[k]
                 grad = g.tolist()
-        move_sq += weight * (delta * delta)
     if wrote:
         x[:] = values
-    return math.sqrt(move_sq), wrote
+    return wrote
 
 
 def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, res: np.ndarray,
-                 stepsizes: np.ndarray, blocks, order) -> tuple[float, bool]:
+                 stepsizes: np.ndarray, blocks, order) -> bool:
     """One cycle on blocks of any size from the residual ``res`` at x, which
     is left as it is: a proximal step per visit, or an exact block
     minimization when ``blocks`` holds each block's _ExactBlock.  Returns
-    the movement and whether a visit wrote.
+    whether a visit wrote.
 
     A proximal visit writes x_k and the residual only when the step has a
     nonzero entry.  An exact visit rebuilds the residual as
@@ -434,7 +451,6 @@ def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, res: np.ndarray,
     block stays, so it always counts as a write."""
     weights = stepsizes.tolist()
     size = p.partition.block_size
-    move_sq = 0.0
     wrote = blocks is not None
     for k in order:
         sl = slice(k * size, (k + 1) * size)
@@ -444,9 +460,7 @@ def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, res: np.ndarray,
             grad = a_k.T @ res
             new = prox(p.h[k], old - grad / weights[k], 1.0 / weights[k])
             step = new - old
-            square = float(step @ step)
-            # a step whose square underflows to 0 still moves x_k
-            if square != 0.0 or step.any():
+            if step.any():
                 res = res + a_k @ step
                 x[sl] = new
                 wrote = True
@@ -454,11 +468,8 @@ def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, res: np.ndarray,
             rest = res - a_k @ old
             new = _exact_block_minimize(blocks[k], rest, old)
             res = rest + a_k @ new
-            step = new - old
-            square = float(step @ step)
             x[sl] = new
-        move_sq += weights[k] * square
-    return math.sqrt(move_sq), wrote
+    return wrote
 
 
 def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarray,
@@ -805,11 +816,11 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     t_k = w_k (1 / d_k), the soft threshold's bits (for the 0 * inf of a
     subnormal d_k, inf on an l1 term, where prox_scalar returns 0, and 0 on
     a zero term, where it returns v); where the step moved, x_k takes
-    x_k^new and g gains delta G[k]; the movement sum runs in visit order.
-    Before each cycle every run refreshes g = A^T r from its own residual,
-    as the per-run refresh does, and after it the (K, B) iterate joins a
-    stacked history.  f and the gradient norm come last, from
-    trajectory_values on a contiguous copy of each run's column of that
+    x_k^new and g gains delta G[k].  Before each cycle every run refreshes
+    g = A^T r from its own residual, as the per-run refresh does, and after
+    it the (K, B) iterate joins a stacked history.  f, the gradient norm
+    and the movements come last, from trajectory_values and
+    weighted_movements on a contiguous copy of each run's column of that
     history: the same array the per-run kernel passes, so the same bits.
     A NaN proximal point, which the soft threshold maps to 0 and this form
     to NaN, raises ValueError instead.
@@ -824,8 +835,7 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     exact = np.array([run.algorithm == "exact_bcd" for run in runs])
     curvature = np.column_stack([np.diagonal(gram) for gram in grams])
     zero_column = exact & ~(curvature > 0.0)
-    weights = np.column_stack(stepsizes)
-    divisor = np.where(exact, np.where(zero_column, 1.0, curvature), weights)
+    divisor = np.where(exact, np.where(zero_column, 1.0, curvature), np.column_stack(stepsizes))
     is_l1 = np.array([[term.kind == "l1" for term in p.h] for p in problems]).T
     l1_weight = np.array([[term.weight if term.kind == "l1" else 0.0 for term in p.h]
                           for p in problems]).T
@@ -839,8 +849,7 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     g = np.empty((block_count, batch))
     xs = np.empty((cycles + 1, block_count, batch))
     xs[0] = x
-    moves = np.empty((cycles, batch))
-    v, clip, new, delta, square = (np.empty(batch) for _ in range(5))
+    v, clip, new, delta = (np.empty(batch) for _ in range(4))
     moved = np.empty(batch, dtype=bool)
     step = np.empty((block_count, batch))
     order_stream = runs[0].order.stream(block_count)
@@ -850,7 +859,6 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
             g[:, b] = fulls[b].T @ p.residual(x[:, b].copy())
         order = next(order_stream)
         orders_seen.append(list(order))
-        move_sq = np.zeros(batch)
         for k in order:
             old = x[k]
             np.divide(g[k], divisor[k], out=v)
@@ -862,22 +870,20 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
             np.subtract(v, clip, out=new)
             np.subtract(new, old, out=delta)
             np.not_equal(delta, 0.0, out=moved)
-            np.multiply(delta, delta, out=square)
-            np.multiply(weights[k], square, out=square)
-            move_sq += square
             np.copyto(old, new, where=moved)
             np.multiply(gram_rows[k], delta, out=step)
             np.add(g, step, out=g, where=moved)
         if np.isnan(x).any():
             raise ValueError("NaN proximal point in a lockstep sweep; run the solvers one at a time")
-        np.sqrt(move_sq, out=moves[cycle])
         xs[cycle + 1] = x
+    visits = np.array(orders_seen, dtype=np.intp)  # shared by every run
     trajectories = []
     for b, (p, run) in enumerate(zip(problems, runs)):
         xs_b = np.ascontiguousarray(xs[:, :, b])
         f, grad_norm = trajectory_values(p, xs_b)
         trajectories.append(Trajectory(
-            algorithm=run.algorithm, xs=xs_b, f=f, weighted_movement=moves[:, b].copy(),
+            algorithm=run.algorithm, xs=xs_b, f=f,
+            weighted_movement=weighted_movements(xs_b, visits, stepsizes[b], 1),
             stepsizes=stepsizes[b], orders=[list(order) for order in orders_seen],
             grad_norm=grad_norm))
     return trajectories
@@ -899,20 +905,16 @@ def run_cgd(p: CompositeQuadraticProblem, run: SolverRun, x0,
     return _run_blocks(p, run, x0, constants, f_star)
 
 
-def _gradient_sweep(g: np.ndarray, x: np.ndarray, lipschitz: float,
-                    order) -> tuple[float, bool]:
-    """One gd step x <- x - g / L from the gradient g at x; returns
-    sqrt(L) ||x^new - x^old|| and whether the step moved x, the only case
-    in which x is written."""
+def _gradient_sweep(g: np.ndarray, x: np.ndarray, lipschitz: float, order) -> bool:
+    """One gd step x <- x - g / L from the gradient g at x; returns whether
+    the step moved x, the only case in which x is written."""
     if not np.isfinite(g).all():
         raise ValueError("non-finite gradient")
     new = x - g / lipschitz
-    step = new - x
-    movement = math.sqrt(lipschitz) * float(np.linalg.norm(step))
-    moved = bool(step.any())
+    moved = bool((new - x).any())
     if moved:
         x[:] = new
-    return movement, moved
+    return moved
 
 
 def run_gd(p: CompositeQuadraticProblem, run: SolverRun, x0,

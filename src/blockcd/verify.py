@@ -75,8 +75,7 @@ def _skipped(name: str, notes: str) -> CheckReport:
                        passed=True, notes=f"skipped: {notes}", advisory=True)
 
 
-def check_descent_bcpg(t: Trajectory, p: CompositeQuadraticProblem,
-                       name: str = "descent_bcpg") -> CheckReport:
+def check_descent_bcpg(t: Trajectory, name: str = "descent_bcpg") -> CheckReport:
     """Per-cycle sufficient descent of the proximal sweep:
     f(x^r) - f(x^(r+1)) >= sum_k (P_k/2) ||x_k^(r+1) - x_k^(r)||^2."""
     if t.algorithm != "bcpg":
@@ -127,8 +126,7 @@ def check_descent_bcd(t: Trajectory, p: CompositeQuadraticProblem,
                    notes="normalized by max(1, |f|)")
 
 
-def check_costtogo_bcpg(t: Trajectory, p: CompositeQuadraticProblem,
-                        r0_upper: float, constants: ProblemConstants,
+def check_costtogo_bcpg(t: Trajectory, r0_upper: float, constants: ProblemConstants,
                         name: str = "costtogo_bcpg",
                         advisory: bool = False) -> CheckReport:
     """Gap bound from iterate movement after a proximal sweep:
@@ -321,8 +319,8 @@ def lemma_checks(instance: Instance, label: str, t: Trajectory) -> list[CheckRep
     p, constants = instance.problem, instance.constants
     advisory = not (instance.r0.certified and instance.reference.certified)
     if t.algorithm == "bcpg":
-        return [check_descent_bcpg(t, p, name=f"descent_bcpg:{label}"),
-                check_costtogo_bcpg(t, p, instance.r0.value, constants,
+        return [check_descent_bcpg(t, name=f"descent_bcpg:{label}"),
+                check_costtogo_bcpg(t, instance.r0.value, constants,
                                     name=f"costtogo_bcpg:{label}", advisory=advisory)]
     if t.algorithm == "exact_bcd":
         image_sq = image_movements_sq(t, p)

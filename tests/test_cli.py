@@ -240,7 +240,7 @@ class TestVerdicts:
             assert rows[f"descent_cgd:c_{form}"][1:3] == ("False", 30)
 
     def test_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
-        def failing(t, p, name="descent_bcpg"):
+        def failing(t, name="descent_bcpg"):
             return verify.CheckReport(check_name=name, cycles_checked=1,
                                       worst_violation=1.0, passed=False, tolerance=0.0)
 

@@ -88,6 +88,18 @@ class TestPolicies:
         assert t.xs[1][1] == 0.0 and t.weighted_movement[0] == pytest.approx(
             math.sqrt(c.L_k[0] * t.xs[1][0] ** 2 + c.L_k[2] * t.xs[1][2] ** 2))
 
+    def test_negative_zero_weights_move_plus_zero(self):
+        # P_k = -0.0 is accepted on zero columns; a movement sum runs from
+        # +0.0, so a cycle whose every term is -0.0 records +0.0, not -0.0
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(2, 1), a_blocks=(np.zeros((1, 1)),) * 2,
+            b=np.ones(1), h=(NonsmoothTerm.zero(),) * 2)
+        run = SolverRun(algorithm="exact_bcd", stepsizes=StepsizePolicy.fixed([-0.0, -0.0]),
+                        max_cycles=2)
+        t = run_bcd_exact(p, run, np.ones(2), compute_constants(p))
+        assert t.xs[1].tolist() == [0.0, 0.0]
+        assert t.weighted_movement.tobytes() == np.zeros(2).tobytes()
+
     def test_realized_values(self):
         p, _ = make_toeplitz_instance(6)
         c = compute_constants(p)
@@ -1125,6 +1137,8 @@ class TestLockstep:
             for attribute in ("xs", "f", "gap", "weighted_movement", "stepsizes", "grad_norm"):
                 assert_same_bits(getattr(t, attribute), getattr(expected, attribute))
             assert t.orders == expected.orders
+            assert_same_bits(t.weighted_movement, movements_from_iterates(
+                problem, run.algorithm, t.xs, t.orders, t.stepsizes))
         first, second = trajectories[:2]
         assert first.orders is not second.orders
         assert not np.shares_memory(first.xs, second.xs)
@@ -1283,10 +1297,29 @@ def sweeps_taken(t):
     return t.cycles
 
 
+def movements_from_iterates(problem, algorithm, xs, orders, stepsizes):
+    """Each cycle's movement from its two iterates alone: a Python running
+    sum of P_k ||d_k||^2 in the cycle's visit order, square-rooted, or
+    sqrt(L) ||d|| for gd.  The bits every weighted_movement must have."""
+    movements = []
+    for old, new, order in zip(xs, xs[1:], orders):
+        d = new - old
+        if algorithm == "gd":
+            movements.append(math.sqrt(stepsizes[0]) * float(np.linalg.norm(d)))
+            continue
+        move_sq = 0.0
+        for k in order:
+            d_k = d[problem.block_slice(k)]
+            move_sq += float(stepsizes[k]) * float(d_k @ d_k)
+        movements.append(math.sqrt(move_sq))
+    return np.array(movements)
+
+
 def sweep_every_cycle(problem, run, x0, constants):
     """The trajectory of ``run`` from a loop that refreshes and sweeps on
     every cycle, on the solvers' own kernels: what a run gives without its
-    stop at an exact fixed point."""
+    stop at an exact fixed point.  The movements are computed here, from
+    the iterates and orders (movements_from_iterates)."""
     x = solvers.check_start(problem, x0)
     if run.algorithm == "gd":
         stepsizes = np.full(x.shape[0], constants.L)
@@ -1303,16 +1336,16 @@ def sweep_every_cycle(problem, run, x0, constants):
                                              run.algorithm == "exact_bcd")
         order = run.order
     stream = order.stream(stepsizes.shape[0])
-    xs, movements, orders = [x.copy()], [], []
+    xs, orders = [x.copy()], []
     for _ in range(run.max_cycles):
         refresh()
         orders.append(list(next(stream)))
-        movements.append(sweep(orders[-1])[0])
+        sweep(orders[-1])
         xs.append(x.copy())
     xs = np.array(xs)
     f, grad_norm = solvers.trajectory_values(problem, xs)
-    return solvers.Trajectory(run.algorithm, xs, f, np.array(movements), stepsizes,
-                              orders, grad_norm)
+    movements = movements_from_iterates(problem, run.algorithm, xs, orders, stepsizes)
+    return solvers.Trajectory(run.algorithm, xs, f, movements, stepsizes, orders, grad_norm)
 
 
 SOLVE = {"bcpg": run_bcpg, "exact_bcd": run_bcd_exact, "cgd": run_cgd, "gd": run_gd}
@@ -1426,8 +1459,8 @@ class TestFixedPointStop:
         sweep, refresh = solvers._make_sweep(problem, x, np.ones(2))
         refresh()
         x[0] = math.nan
-        assert sweep([0, 1])[1]
-        assert solvers._gradient_sweep(np.zeros(dim), x, 1.0, None)[1]
+        assert sweep([0, 1])
+        assert solvers._gradient_sweep(np.zeros(dim), x, 1.0, None)
 
 
 # The two scalar kernels, forced on any problem: the dense one without a

@@ -145,7 +145,7 @@ class TestDescentChecks:
     def test_bcpg_descent_on_lasso(self):
         p, x0 = make_lasso_instance(12, 6, 0.2, seed=30)
         t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=100), x0, compute_constants(p))
-        report = check_descent_bcpg(t, p)
+        report = check_descent_bcpg(t)
         assert report.passed
         assert report.cycles_checked == 100
 
@@ -155,7 +155,7 @@ class TestDescentChecks:
         run = SolverRun(algorithm="bcpg", stepsizes=StepsizePolicy.global_l(),
                         max_cycles=1)
         t = run_bcpg(qp, run, np.ones(4), compute_constants(qp))
-        report = check_descent_bcpg(t, qp)
+        report = check_descent_bcpg(t)
         assert report.passed
         # f(x0) - 0 = (L/2)||x0||^2 exactly
         assert t.f[0] - t.f[1] == pytest.approx(0.5 * t.weighted_movement[0] ** 2,
@@ -165,7 +165,7 @@ class TestDescentChecks:
         qp = make_table1_diagonal_qp(3, 1.0)
         t = run_bcpg(qp, SolverRun(algorithm="bcpg", max_cycles=3), np.zeros(3),
                      compute_constants(qp))
-        report = check_descent_bcpg(t, qp)
+        report = check_descent_bcpg(t)
         assert report.passed
         assert report.worst_violation == 0.0
 
@@ -180,7 +180,7 @@ class TestDescentChecks:
         t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=1), x0,
                           compute_constants(p))
         with pytest.raises(ValueError):
-            check_descent_bcpg(t, p)
+            check_descent_bcpg(t)
 
 
 class TestCostToGoChecks:
@@ -192,7 +192,7 @@ class TestCostToGoChecks:
         assert r0.certified
         t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=150), x0, c)
         t.with_gap(ref.f_star)
-        report = check_costtogo_bcpg(t, p, r0.value, c)
+        report = check_costtogo_bcpg(t, r0.value, c)
         assert report.passed
 
     def test_tiny_problem_skipped(self):
@@ -201,7 +201,7 @@ class TestCostToGoChecks:
         ref = reference_optimum(p, c)
         t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=10), x0, c)
         t.with_gap(ref.f_star)
-        report = check_costtogo_bcpg(t, p, 10.0, c)
+        report = check_costtogo_bcpg(t, 10.0, c)
         assert report.advisory
         assert "skipped" in report.notes
 
@@ -211,7 +211,7 @@ class TestCostToGoChecks:
                         max_cycles=5)
         c = compute_constants(qp)
         t = run_bcpg(qp, run, np.ones(4), c).with_gap(0.0)
-        report = check_costtogo_bcpg(t, qp, 2.0, c)
+        report = check_costtogo_bcpg(t, 2.0, c)
         assert report.passed  # movement and gap both vanish after cycle 1
 
 
@@ -684,10 +684,9 @@ class TestArrayChecks:
 
     def test_infinite_objective_fails_descent(self):
         # f = inf at both ends of cycle 0: (rhs - (inf - inf)) / inf is NaN
-        qp = make_table1_diagonal_qp(2, 1.0)
         t = Trajectory(algorithm="bcpg", xs=np.zeros((3, 2)),
                        f=np.array([math.inf, math.inf, 0.0]),
                        weighted_movement=np.zeros(2), stepsizes=np.ones(2),
                        orders=[[0, 1]] * 2)
-        report = check_descent_bcpg(t, qp)
+        report = check_descent_bcpg(t)
         assert math.isnan(report.worst_violation) and not report.passed
