@@ -16,13 +16,12 @@ from functools import cache
 
 import numpy as np
 
-from .bounds import R0Estimate, beta_estimate, evaluate, r0_upper_estimate
+from .bounds import R0Estimate, beta_estimate, evaluate, log2nk, r0_upper_estimate
 from .problems import (
     BlockPartition,
     CompositeQuadraticProblem,
     NonsmoothTerm,
     ProblemConstants,
-    SmoothProblemOracle,
     compute_constants,
     eval_objective,
     make_lasso_instance,
@@ -71,9 +70,11 @@ TRUNCATION_SIZES = (2, 4, 8, 16, 32, 64)
 @dataclass(frozen=True)
 class Instance:
     """A problem set up for solving and bounding: start point, constants,
-    reference optimum, level-set radius, initial gap delta0, the smooth
-    view of a nonsmooth-free scalar-block problem, beta of that view, and
-    the exact norm ||strict_lower_truncate(Q)|| that beta bounds."""
+    reference optimum, level-set radius, initial gap delta0 and, for a
+    nonsmooth-free scalar-block problem, beta with the exact norm
+    ||strict_lower_truncate(Q)|| that beta bounds.  Every per-run check
+    reads its set-up values from here.  The arrays are read-only, because
+    every cached run of the instance reads them."""
 
     name: str
     problem: CompositeQuadraticProblem
@@ -82,9 +83,8 @@ class Instance:
     reference: ReferenceOptimum
     r0: R0Estimate
     delta0: float
-    oracle: SmoothProblemOracle | None = None
-    beta: float | None = None
-    lower_norm: float | None = None
+    beta: float | None
+    lower_norm: float | None
 
     def gd_radius(self) -> float:
         """||x0 - x*||: a sound radius for the gradient-descent envelope."""
@@ -93,14 +93,15 @@ class Instance:
 
 def set_up(name: str, problem: CompositeQuadraticProblem, x0) -> Instance:
     """Constants, reference optimum, radius R0 and delta0 of ``problem`` from
-    ``x0``, then, for a nonsmooth-free problem with scalar blocks, its
-    smooth view (oracle_from_quadratic) and beta of that view.
+    ``x0``, then, for a nonsmooth-free problem with scalar blocks, beta of
+    its smooth view (oracle_from_quadratic).
 
     This is the one place that computes a problem's set-up: the solvers,
     bounds and checks take these values as arguments.  x0 must pass the
     solvers' start check and have a finite objective, or nothing is
-    computed: no gap, radius or run can start from an infinite f(x0)."""
-    check_start(problem, x0)
+    computed: no gap, radius or run can start from an infinite f(x0).
+    The instance keeps the start check's copy of x0."""
+    x0 = check_start(problem, x0)
     f0 = eval_objective(problem, x0)
     if not math.isfinite(f0):
         raise ValueError(f"x0: the objective at x0 is {f0}, not a finite number")
@@ -108,14 +109,15 @@ def set_up(name: str, problem: CompositeQuadraticProblem, x0) -> Instance:
     reference = reference_optimum(problem, constants)
     r0 = r0_upper_estimate(problem, x0, f0, reference.x_star, reference.f_star, constants)
     delta0 = max(0.0, f0 - reference.f_star)
-    oracle = None
+    beta = lower_norm = None
     if problem.is_smooth() and problem.partition.block_size == 1:
-        oracle = oracle_from_quadratic(problem, constants)
-    beta = None if oracle is None else beta_estimate(oracle)
-    return Instance(name=name, problem=problem, x0=x0, constants=constants,
-                    reference=reference, r0=r0, delta0=delta0, oracle=oracle,
-                    beta=None if beta is None else beta.estimate,
-                    lower_norm=None if beta is None else beta.exact)
+        estimate = beta_estimate(oracle_from_quadratic(problem, constants))
+        beta, lower_norm = estimate.estimate, estimate.exact
+    for values in (x0, constants.L_k, constants.sigma_k, constants.gamma_k, reference.x_star):
+        if values is not None:
+            values.flags.writeable = False
+    return Instance(name=name, problem=problem, x0=x0, constants=constants, reference=reference,
+                    r0=r0, delta0=delta0, beta=beta, lower_norm=lower_norm)
 
 
 def run_solver(instance: Instance, run: SolverRun) -> Trajectory:
@@ -353,9 +355,7 @@ def prior_ratio_report() -> CheckReport:
     blockwise = bound_spec(instance, "thm1_blockwise", t)
     r = 50
     ratio = evaluate(prior, r) / evaluate(blockwise, r)
-    c = instance.constants
-    log_sq = math.log(2.0 * c.block_size * c.block_count) ** 2
-    factor = c.block_count / (6.0 * log_sq)
+    factor = instance.constants.block_count / (6.0 * log2nk(instance.constants) ** 2)
     return CheckReport(
         check_name="prior_vs_blockwise_ratio",
         cycles_checked=1,

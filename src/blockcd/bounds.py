@@ -89,7 +89,11 @@ class BoundSpec:
             raise ValueError("r0_upper and delta0 must be nonnegative")
 
 
-def _log2nk(c: ProblemConstants) -> float:
+def log2nk(c: ProblemConstants) -> float | None:
+    """log(2NK), the factor the triangular-truncation estimate brings to a
+    bound or check, or None below that estimate's regime K*N >= 3."""
+    if c.block_count * c.block_size < 3:
+        return None
     return math.log(2.0 * c.block_size * c.block_count)
 
 
@@ -119,11 +123,11 @@ def _numerator(spec: BoundSpec) -> tuple[float, int]:
     """(c, s) with bound(r) = c / (r + s) for the kind of ``spec``."""
     c = spec.constants
     r0_sq = spec.r0_upper ** 2
-    if spec.kind in _LOG_KINDS and c.block_count * c.block_size < 3:
-        raise InapplicableBound(
-            "log^2(2NK) bounds require K*N >= 3; "
-            f"got K*N = {c.block_count * c.block_size}")
-    log_sq = _log2nk(c) ** 2 if spec.kind in _LOG_KINDS else 0.0
+    log = log2nk(c)
+    if spec.kind in _LOG_KINDS and log is None:
+        raise InapplicableBound("log^2(2NK) bounds require K*N >= 3; "
+                                f"got K*N = {c.block_count * c.block_size}")
+    log_sq = log ** 2 if spec.kind in _LOG_KINDS else 0.0
 
     if spec.kind == "gd":
         return 2.0 * r0_sq * c.L, 4
@@ -206,6 +210,8 @@ def r0_upper_estimate(p: CompositeQuadraticProblem, x0, f0: float, x_star,
     * every block l1/group-l2 with positive weight: coercivity gives
       ||x|| <= f(x0) / w_min on the level set, so R0 <= 2 f(x0) / w_min.
 
+    A route certifies only a finite value: one that overflows (a box of
+    width 2e308, an l1 weight of 1e-310) passes to the next route.
     Otherwise the estimate is heuristic: 2 ||x0 - x*|| (flagged; envelope
     checks built on it are advisory).
     """
@@ -215,15 +221,18 @@ def r0_upper_estimate(p: CompositeQuadraticProblem, x0, f0: float, x_star,
     delta0 = max(0.0, f0 - float(f_star))
     mu = constants.mu
     if mu > 1e-12 * max(1.0, abs(mu)):
-        level = math.sqrt(2.0 * delta0 / mu)
-        return R0Estimate(max(base, level), True, "strong-convexity level set")
+        value = max(base, math.sqrt(2.0 * delta0 / mu))
+        if math.isfinite(value):
+            return R0Estimate(value, True, "strong-convexity level set")
     if all(term.kind == "box" for term in p.h):
         n = p.partition.block_size
-        diameter_sq = sum(n * (term.hi - term.lo) ** 2 for term in p.h)
-        return R0Estimate(math.sqrt(diameter_sq), True, "box diameter")
+        value = math.sqrt(sum(n * (term.hi - term.lo) ** 2 for term in p.h))
+        if math.isfinite(value):
+            return R0Estimate(value, True, "box diameter")
     if all(term.kind in ("l1", "group_l2") and term.weight > 0 for term in p.h):
-        w_min = min(term.weight for term in p.h)
-        return R0Estimate(2.0 * f0 / w_min, True, "l1 coercivity")
+        value = 2.0 * f0 / min(term.weight for term in p.h)
+        if math.isfinite(value):
+            return R0Estimate(value, True, "l1 coercivity")
 
     return R0Estimate(2.0 * base, False, "heuristic iterate radius")
 

@@ -43,6 +43,7 @@ from .bounds import (
     InapplicableBound,
     bound_report_csv,
     evaluate,
+    log2nk,
 )
 from .linalg import ConvergenceError
 from .problems import (
@@ -313,7 +314,7 @@ def cmd_bounds(problem_path: str, r_max: int, out_dir: str | None) -> int:
             f"L_min={constants.L_min:.12g}, L_max={constants.L_max:.12g}; the "
             "commonly stated values 4 and 9 overestimate the largest one "
             "(computed directly from the scaled column norms)")
-    if constants.block_count * constants.block_size < 3:
+    if log2nk(constants) is None:
         lines.append("notice: K*N < 3, log^2(2NK) bound columns are empty "
                      "(outside the truncation-estimate regime)")
     (out / "constants.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")

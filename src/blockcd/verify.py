@@ -3,10 +3,11 @@ envelope checks for the complexity bounds, the triangular-truncation
 constant check, and the adversarial one-pass construction with its
 closed-form recursion oracle.
 
-``checks_for`` (``lemma_checks`` plus ``envelope_checks``) is the one
-selection of checks for a set-up trajectory, and the one place that says
-when a check is advisory; ``bound_spec`` is the one place that builds a
-BoundSpec.  The battery suites and ``blockcd run`` both go through them.
+A per-run check reads the set-up ``Instance`` and the ``Trajectory``
+alone, and names its report ``<check>:<label>``.  ``checks_for``
+(``lemma_checks`` plus ``envelope_checks``) is the one selection of checks
+for a run, ``advisory`` the one rule for when a check is advisory, and
+``bound_spec`` the one place that builds a BoundSpec.
 
 Every check returns a CheckReport.  Violations are normalized so that a
 report's tolerance is a single number: ``worst_violation`` is the largest
@@ -27,9 +28,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bounds import BOUND_PAIRINGS, BoundSpec, InapplicableBound, evaluate
+from .bounds import BOUND_PAIRINGS, BoundSpec, InapplicableBound, evaluate, log2nk
 from .linalg import spectral_norm
-from .problems import CompositeQuadraticProblem, ProblemConstants, SmoothProblemOracle
+from .problems import CompositeQuadraticProblem
 from .solvers import Trajectory
 
 if TYPE_CHECKING:
@@ -59,15 +60,9 @@ def _report(name: str, violations, tolerance: float, notes: str = "",
     or iterate; NaN propagates to the worst one, which then fails."""
     values = np.asarray(violations, dtype=float)
     worst = float(values.max(initial=0.0))
-    return CheckReport(
-        check_name=name,
-        cycles_checked=values.size,
-        worst_violation=worst,
-        passed=worst <= tolerance,
-        notes=notes,
-        tolerance=tolerance,
-        advisory=advisory,
-    )
+    return CheckReport(check_name=name, cycles_checked=values.size, worst_violation=worst,
+                       passed=worst <= tolerance, notes=notes, tolerance=tolerance,
+                       advisory=advisory)
 
 
 def _skipped(name: str, notes: str) -> CheckReport:
@@ -75,13 +70,13 @@ def _skipped(name: str, notes: str) -> CheckReport:
                        passed=True, notes=f"skipped: {notes}", advisory=True)
 
 
-def check_descent_bcpg(t: Trajectory, name: str = "descent_bcpg") -> CheckReport:
+def check_descent_bcpg(label: str, t: Trajectory) -> CheckReport:
     """Per-cycle sufficient descent of the proximal sweep:
     f(x^r) - f(x^(r+1)) >= sum_k (P_k/2) ||x_k^(r+1) - x_k^(r)||^2."""
     if t.algorithm != "bcpg":
         raise ValueError("descent_bcpg expects a bcpg trajectory")
-    return _report(name, _descent_excess(t, 0.5 * t.weighted_movement ** 2), LEMMA_TOL,
-                   notes="normalized by max(1, |f|)")
+    return _report(f"descent_bcpg:{label}", _descent_excess(t, 0.5 * t.weighted_movement ** 2),
+                   LEMMA_TOL, notes="normalized by max(1, |f|)")
 
 
 def _descent_excess(t: Trajectory, rhs: np.ndarray) -> np.ndarray:
@@ -112,132 +107,111 @@ def image_movements_sq(t: Trajectory, p: CompositeQuadraticProblem) -> np.ndarra
     return np.maximum(quadratic, 0.0)
 
 
-def check_descent_bcd(t: Trajectory, p: CompositeQuadraticProblem,
-                      name: str = "descent_bcd",
-                      image_sq: np.ndarray | None = None) -> CheckReport:
+def check_descent_bcd(label: str, t: Trajectory, image_sq: np.ndarray) -> CheckReport:
     """Per-cycle sufficient descent of exact block minimization:
-    f(x^r) - f(x^(r+1)) >= 1/2 sum_k ||A_k (x_k^(r+1) - x_k^(r))||^2.
-    ``image_sq`` is image_movements_sq(t, p), computed here if not given."""
+    f(x^r) - f(x^(r+1)) >= 1/2 sum_k ||A_k (x_k^(r+1) - x_k^(r))||^2,
+    with ``image_sq`` = image_movements_sq(t, p)."""
     if t.algorithm != "exact_bcd":
         raise ValueError("descent_bcd expects an exact_bcd trajectory")
-    if image_sq is None:
-        image_sq = image_movements_sq(t, p)
-    return _report(name, _descent_excess(t, 0.5 * image_sq), LEMMA_TOL,
+    return _report(f"descent_bcd:{label}", _descent_excess(t, 0.5 * image_sq), LEMMA_TOL,
                    notes="normalized by max(1, |f|)")
 
 
-def check_costtogo_bcpg(t: Trajectory, r0_upper: float, constants: ProblemConstants,
-                        name: str = "costtogo_bcpg",
-                        advisory: bool = False) -> CheckReport:
+def check_costtogo_bcpg(instance: Instance, label: str, t: Trajectory) -> CheckReport:
     """Gap bound from iterate movement after a proximal sweep:
     gap^(r+1) <= R0 log(2NK) (L/sqrt(P_min) + sqrt(P_max)) * movement^r."""
     if t.algorithm != "bcpg":
         raise ValueError("costtogo_bcpg expects a bcpg trajectory")
     if t.gap is None:
         raise ValueError("trajectory has no gap; attach a reference optimum")
-    total = constants.block_count * constants.block_size
-    if total < 3:
-        return _skipped(name, f"K*N = {total} < 3 is outside the log^2 regime")
-    p_min = float(t.stepsizes.min())
-    p_max = float(t.stepsizes.max())
-    coefficient = (r0_upper * math.log(2.0 * constants.block_size * constants.block_count)
-                   * (constants.L / math.sqrt(p_min) + math.sqrt(p_max)))
+    name, c, log = f"costtogo_bcpg:{label}", instance.constants, log2nk(instance.constants)
+    if log is None:
+        return _skipped(name, f"K*N = {c.block_count * c.block_size} < 3 is outside the log^2 regime")
+    p_max, p_min = float(t.stepsizes.max()), float(t.stepsizes.min())
+    coefficient = instance.r0.value * log * (c.L / math.sqrt(p_min) + math.sqrt(p_max))
     violations = _costtogo_excess(t, coefficient * t.weighted_movement)
-    return _report(name, violations, LEMMA_TOL, advisory=advisory,
+    return _report(name, violations, LEMMA_TOL, advisory=advisory(instance),
                    notes=f"coefficient {coefficient:.6g}")
 
 
-def check_costtogo_bcd(t: Trajectory, p: CompositeQuadraticProblem,
-                       r0_upper: float, constants: ProblemConstants,
-                       name: str = "costtogo_bcd",
-                       advisory: bool = False,
-                       image_sq: np.ndarray | None = None) -> CheckReport:
+def check_costtogo_bcd(instance: Instance, label: str, t: Trajectory,
+                       image_sq: np.ndarray) -> CheckReport:
     """Gap bound from iterate movement after an exact sweep; the rank case
     of the blocks picks the applicable inequality (the rank-free case-3
-    form is the fallback).  ``image_sq`` is image_movements_sq(t, p); the
-    full-row and rank-free forms compute it if it is not given."""
+    form is the fallback).  ``image_sq`` is image_movements_sq(t, p), which
+    the full-row and rank-free forms read."""
     if t.algorithm != "exact_bcd":
         raise ValueError("costtogo_bcd expects an exact_bcd trajectory")
     if t.gap is None:
         raise ValueError("trajectory has no gap; attach a reference optimum")
-    n = p.partition.block_size
-    total = constants.block_count * n
-    case = constants.rank_case
-    log2nk = math.log(2.0 * n * constants.block_count) if total >= 3 else None
-    if case in ("full_column", "full_row") and log2nk is None:
-        return _skipped(name, f"K*N = {total} < 3 is outside the log^2 regime")
-
+    name, c, log = f"costtogo_bcd:{label}", instance.constants, log2nk(instance.constants)
+    r0, case = instance.r0.value, c.rank_case
+    if case in ("full_column", "full_row") and log is None:
+        return _skipped(name, f"K*N = {c.block_count * c.block_size} < 3 is outside the log^2 regime")
     if case == "full_column":
-        coefficient = (r0_upper / constants.sigma_min) * log2nk * (constants.L + constants.L_max)
+        coefficient = (r0 / c.sigma_min) * log * (c.L + c.L_max)
         block_movements = np.linalg.norm(
-            np.diff(t.xs, axis=0).reshape(t.cycles, constants.block_count, n), axis=2)
-        movements = np.sqrt(np.sum((constants.sigma_k * block_movements) ** 2, axis=1))
-        label = "full-column-rank form"
+            np.diff(t.xs, axis=0).reshape(t.cycles, c.block_count, c.block_size), axis=2)
+        movements = np.sqrt(np.sum((c.sigma_k * block_movements) ** 2, axis=1))
+        form = "full-column-rank form"
     else:
-        if image_sq is None:
-            image_sq = image_movements_sq(t, p)
         movements = np.sqrt(image_sq)
         if case == "full_row":
-            coefficient = (r0_upper / constants.gamma_min) * log2nk * (constants.L + constants.L_max)
-            label = "full-row-rank form"
+            coefficient = (r0 / c.gamma_min) * log * (c.L + c.L_max)
+            form = "full-row-rank form"
         else:
-            coefficient = r0_upper * math.sqrt(constants.L_max) * (constants.block_count + 2)
-            label = "rank-free form"
+            coefficient = r0 * math.sqrt(c.L_max) * (c.block_count + 2)
+            form = "rank-free form"
     violations = _costtogo_excess(t, coefficient * movements)
-    return _report(name, violations, LEMMA_TOL, advisory=advisory,
-                   notes=f"{label}; coefficient {coefficient:.6g}")
+    return _report(name, violations, LEMMA_TOL, advisory=advisory(instance),
+                   notes=f"{form}; coefficient {coefficient:.6g}")
 
 
-def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
-                      name: str = "descent_cgd",
-                      lower_norm: float | None = None) -> list[CheckReport]:
+def check_descent_cgd(instance: Instance, label: str, t: Trajectory) -> list[CheckReport]:
     """Sufficient descent of the coordinate chain in terms of the full
-    gradient, in three forms:
+    gradient, in three forms, named ``descent_cgd:<label>_<form>``:
 
-    * ``<name>_beta``, the relaxed form, on every cycle:
+    * ``beta``, the relaxed form, on every cycle:
       g^r - g^(r+1) >= ||grad g(x^r)||^2 / (2 (P_max + beta^2 / P_min));
-    * ``<name>_exact_v``, the exact form with ||V||^2 in that denominator,
+    * ``exact_v``, the exact form with ||V||^2 in that denominator,
       where V = D^(1/2) + H D^(-1/2), D = diag of the stepsizes in visit
-      order and H the strict lower triangle of the order-permuted Hessian;
-    * ``<name>_hbound``, ||H|| <= beta.
+      order and H the strict lower triangle of the order-permuted Gram Q;
+    * ``hbound``, ||H|| <= beta.
 
     The last two are checked when one chain matrix serves every cycle:
     every cycle visits in the same order, or Q and P are
-    permutation-invariant (permutation_invariant).  Their two K x K SVDs
-    are then taken once, from the first cycle's order.  Otherwise they
-    would take two SVDs per cycle, and both are reported as skipped, with
-    the reason.  ``lower_norm``, when given, is ||strict_lower_truncate(Q)||
-    as beta_estimate took it.  Under the identity order, or on a
-    permutation-invariant Q, H is that very matrix, bit for bit, so
-    ``lower_norm`` serves as ||H|| and that SVD is not taken again.
+    permutation-invariant (permutation_invariant); otherwise they would
+    take two K x K SVDs per cycle, and both are reported as skipped, with
+    the reason.  Under the identity order, or on a permutation-invariant
+    Q, H is strict_lower_truncate(Q) bit for bit, so the set-up's
+    ``lower_norm`` serves as ||H|| and only ||V|| is taken, once per run;
+    under any other fixed order ||H|| is taken too.
     """
     if t.algorithm != "cgd":
         raise ValueError("descent_cgd expects a cgd trajectory")
     if t.grad_norm is None:
         raise ValueError("trajectory has no gradient records")
+    name, hessian, beta = f"descent_cgd:{label}", instance.problem.gram, instance.beta
     grad_sq = t.grad_norm[:-1] ** 2
     p_max, p_min = float(t.stepsizes.max()), float(t.stepsizes.min())
     reports = [_report(f"{name}_beta",
                        _descent_excess(t, grad_sq / (2.0 * (p_max + beta ** 2 / p_min))),
                        LEMMA_TOL, notes=f"beta {beta:.6g}")]
     order = t.orders[0]
-    k = o.dimension
+    k = instance.constants.block_count
     fixed = all(cycle == order for cycle in t.orders)
     identity = fixed and order == list(range(k))
-    invariant = not identity and permutation_invariant(o.hessian, t.stepsizes)
+    invariant = not identity and permutation_invariant(hessian, t.stepsizes)
     if not (fixed or invariant):
         reason = ("the visit order changes between cycles and Q, P are not "
                   f"permutation-invariant, so this form would take two {k}x{k} SVDs "
                   f"per cycle; {name}_beta checks the relaxed form on every cycle")
         return reports + [_skipped(f"{name}_exact_v", reason), _skipped(f"{name}_hbound", reason)]
-    h = np.tril(o.hessian[np.ix_(order, order)], k=-1)
+    h = np.tril(hessian[np.ix_(order, order)], k=-1)
     p_seq = t.stepsizes[order]
     v = np.diag(np.sqrt(p_seq)) + h @ np.diag(1.0 / np.sqrt(p_seq))
     v_norm = spectral_norm(v).value
-    if lower_norm is not None and (identity or invariant):
-        h_norm = lower_norm
-    else:
-        h_norm = spectral_norm(h).value
+    h_norm = instance.lower_norm if identity or invariant else spectral_norm(h).value
     reports.append(_report(f"{name}_exact_v", _descent_excess(t, grad_sq / (2.0 * v_norm ** 2)),
                            LEMMA_TOL, notes="exact chain-matrix norm"))
     reports.append(_report(f"{name}_hbound", np.full(t.cycles, (h_norm - beta) / max(1.0, beta)),
@@ -245,23 +219,23 @@ def check_descent_cgd(t: Trajectory, o: SmoothProblemOracle, beta: float,
     return reports
 
 
-def check_envelope(t: Trajectory, spec: BoundSpec, name: str | None = None,
-                   r0_certified: bool = True) -> CheckReport:
-    """Assert gap^r <= bound(r) * (1 + 1e-8) for every recorded r >= 1.
-
-    Bound kinds are only accepted against the solver they were stated for.
-    ``r0_certified`` False, for a radius or reference value that is not
-    certified, makes the report advisory (informational, not asserted by
-    suites).
-    """
-    allowed = BOUND_PAIRINGS[spec.kind]
+def check_envelope(instance: Instance, label: str, t: Trajectory, kind: str,
+                   c_prior: float = 1.0) -> CheckReport:
+    """Assert gap^r <= bound(r) * (1 + 1e-8) for every recorded r >= 1, for
+    the bound ``kind`` on ``instance`` paired with run ``t`` (bound_spec),
+    which must be a run of the solver the bound was stated for.  The gd
+    envelope's radius is the exact ||x0 - x*|| (Instance.gd_radius), which
+    gradient descent's own argument certifies."""
+    allowed = BOUND_PAIRINGS[kind]
     if t.algorithm not in allowed:
         raise ValueError(
-            f"bound {spec.kind!r} applies to {allowed}, not {t.algorithm!r}")
+            f"bound {kind!r} applies to {allowed}, not {t.algorithm!r}")
     if t.gap is None:
         raise ValueError("trajectory has no gap; attach a reference optimum")
-    name = name or f"envelope_{spec.kind}"
-    advisory = not r0_certified
+    name = f"envelope_{kind}:{label}"
+    spec = bound_spec(instance, kind, t, c_prior)
+    if kind == "gd":
+        spec = replace(spec, r0_upper=instance.gd_radius())
     try:
         bound = evaluate(spec, np.arange(1, t.cycles + 1))
     except InapplicableBound as exc:
@@ -269,13 +243,28 @@ def check_envelope(t: Trajectory, spec: BoundSpec, name: str | None = None,
     gap = t.gap[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         violations = np.where(bound <= 0.0, gap, gap / bound - 1.0)
-    qualifier = "" if not advisory else " (informational: uncertified inputs)"
-    return _report(name, violations, 1e-8, advisory=advisory,
+    uncertified = advisory(instance, kind)
+    qualifier = " (informational: uncertified inputs)" if uncertified else ""
+    return _report(name, violations, 1e-8, advisory=uncertified,
                    notes=f"cycles 1..{t.cycles}{qualifier}")
 
 
 # ---------------------------------------------------------------------------
 # Check selection: which checks a trajectory gets, and when one is advisory
+
+def advisory(instance: Instance, kind: str | None = None) -> bool:
+    """Whether a check on ``instance`` that reads R0 and f* is advisory,
+    for a cost-to-go check (``kind`` None) or the envelope of bound
+    ``kind``: when the radius R0 or the reference optimum is uncertified.
+    The gd envelope reads only the reference, because its radius is the
+    exact ||x0 - x*||.  prior_cyclic is always advisory: its leading
+    constant is unspecified."""
+    if kind == "prior_cyclic":
+        return True
+    if kind == "gd":
+        return not instance.reference.certified
+    return not (instance.r0.certified and instance.reference.certified)
+
 
 def bound_spec(instance: Instance, kind: str, t: Trajectory | None = None,
                c_prior: float = 1.0) -> BoundSpec:
@@ -304,61 +293,28 @@ def permutation_invariant(hessian: np.ndarray, stepsizes: np.ndarray) -> bool:
 
 
 def lemma_checks(instance: Instance, label: str, t: Trajectory) -> list[CheckReport]:
-    """The per-cycle descent and cost-to-go checks of run ``t`` on the
-    set-up ``instance``, named ``<check>:<label>``.
-
-    * bcpg: descent_bcpg and costtogo_bcpg;
-    * exact_bcd: descent_bcd and costtogo_bcd, sharing one
-      image_movements_sq;
-    * cgd: descent_cgd, whose exact forms are skipped, with the reason,
-      when they would take two SVDs per cycle (check_descent_cgd);
-    * gd: none.
-
-    A cost-to-go check is advisory when the radius R0 or the reference
-    optimum is uncertified."""
-    p, constants = instance.problem, instance.constants
-    advisory = not (instance.r0.certified and instance.reference.certified)
+    """The per-cycle checks of run ``t`` on ``instance``: descent and
+    cost-to-go for bcpg, and for exact_bcd, whose two share one
+    image_movements_sq; descent_cgd for cgd; none for gd."""
     if t.algorithm == "bcpg":
-        return [check_descent_bcpg(t, name=f"descent_bcpg:{label}"),
-                check_costtogo_bcpg(t, instance.r0.value, constants,
-                                    name=f"costtogo_bcpg:{label}", advisory=advisory)]
+        return [check_descent_bcpg(label, t), check_costtogo_bcpg(instance, label, t)]
     if t.algorithm == "exact_bcd":
-        image_sq = image_movements_sq(t, p)
-        return [check_descent_bcd(t, p, name=f"descent_bcd:{label}", image_sq=image_sq),
-                check_costtogo_bcd(t, p, instance.r0.value, constants,
-                                   name=f"costtogo_bcd:{label}", advisory=advisory,
-                                   image_sq=image_sq)]
+        image_sq = image_movements_sq(t, instance.problem)
+        return [check_descent_bcd(label, t, image_sq),
+                check_costtogo_bcd(instance, label, t, image_sq)]
     if t.algorithm == "cgd":
-        return check_descent_cgd(t, instance.oracle, instance.beta, name=f"descent_cgd:{label}",
-                                 lower_norm=instance.lower_norm)
+        return check_descent_cgd(instance, label, t)
     return []
 
 
 def envelope_checks(instance: Instance, label: str, t: Trajectory, kinds,
                     c_prior: float = 1.0) -> list[CheckReport]:
-    """One envelope check per bound kind in ``kinds`` paired with run
-    ``t``, named ``envelope_<kind>:<label>``; ``c_prior`` is the leading
-    constant of the prior cyclic bound.
-
-    An envelope is advisory when the radius R0 or the reference optimum is
-    uncertified.  The gd envelope uses the exact initial distance
-    ||x0 - x*||, which gradient descent's own argument certifies, so only
-    the reference matters there.  prior_cyclic is always advisory: its
-    leading constant is unspecified."""
-    reports = []
-    for kind in kinds:
-        spec = bound_spec(instance, kind, t, c_prior)
-        certified = instance.reference.certified and kind != "prior_cyclic"
-        if kind == "gd":
-            spec = replace(spec, r0_upper=instance.gd_radius())
-        else:
-            certified = certified and instance.r0.certified
-        reports.append(check_envelope(t, spec, name=f"envelope_{kind}:{label}",
-                                      r0_certified=certified))
-    return reports
+    """One envelope check per bound kind in ``kinds`` paired with run ``t``;
+    ``c_prior`` is the leading constant of the prior cyclic bound."""
+    return [check_envelope(instance, label, t, kind, c_prior) for kind in kinds]
 
 
-def checks_for(instance: Instance, label: str, t: Trajectory, kinds=(),
+def checks_for(instance: Instance, label: str, t: Trajectory, kinds,
                c_prior: float = 1.0) -> list[CheckReport]:
     """Every check of run ``t`` on ``instance``: its lemma checks, then one
     envelope per paired bound kind."""
@@ -487,7 +443,7 @@ def truncation_ascent(n: int) -> np.ndarray:
     return np.array(ratios)
 
 
-def check_truncation_constant(sizes, name: str = "truncation_constant") -> CheckReport:
+def check_truncation_constant(sizes) -> CheckReport:
     """The triangular-truncation norm bound ||tril Z|| / ||Z|| <=
     ln n / pi + 1 + 1/pi, asserted with tolerance 0 at every iterate of
     truncation_ascent for each size n; the notes give each size's best
@@ -503,7 +459,7 @@ def check_truncation_constant(sizes, name: str = "truncation_constant") -> Check
         best = float(ratios.max())
         notes.append(f"n={n}: best ratio {best:.6f} (Hilbert start {ratios[0]:.6f}), "
                      f"{best / bound:.1%} of the bound {bound:.6f}")
-    return _report(name, violations, 0.0, notes="; ".join(notes))
+    return _report("truncation_constant", violations, 0.0, notes="; ".join(notes))
 
 
 def report_lines(reports) -> list[str]:

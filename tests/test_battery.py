@@ -77,6 +77,22 @@ class TestInstances:
             with pytest.raises(ValueError):
                 values[0] = 0.0
 
+    @pytest.mark.parametrize("name", ["lasso_00", "thm2_case2"])
+    def test_cached_instance_arrays_are_read_only(self, name):
+        # every cached run of the instance reads these; R0 and delta0 were
+        # computed from them
+        instance = battery.get_instance(name)
+        c = instance.constants
+        for values in (instance.x0, c.L_k, c.sigma_k, c.gamma_k, instance.reference.x_star):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
+    def test_set_up_keeps_its_own_start(self):
+        problem, x0 = problems.make_toeplitz_instance(5)
+        instance = battery.set_up("toeplitz", problem, x0)
+        x0[0] = 7.0
+        assert instance.x0[0] != 7.0
+
 
 class TestSuites:
     def test_lemma_suite_asserted_checks_pass(self):

@@ -237,6 +237,21 @@ class TestRadiusEstimate:
         assert est.certified
         assert est.method == "strong-convexity level set"
 
+    @pytest.mark.parametrize("term", [NonsmoothTerm.box(-1e308, 1e308), NonsmoothTerm.l1(1e-310)],
+                             ids=["box", "l1"])
+    def test_overflowing_route_certifies_nothing(self, term):
+        # the box diameter and the l1 coercivity radius overflow to inf;
+        # a certified radius is finite, so the heuristic one takes over
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(3, 1),
+            a_blocks=(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]), np.ones((2, 1))),
+            b=np.array([1.0, 2.0]), h=(term,) * 3)
+        x0 = np.zeros(3)
+        est = r0_upper_estimate(p, x0, eval_objective(p, x0), np.ones(3), 0.0,
+                                compute_constants(p))
+        assert (est.certified, est.method) == (False, "heuristic iterate radius")
+        assert est.value == 2.0 * math.sqrt(3.0)
+
     def test_heuristic_route_flagged(self):
         # smooth, rank deficient, unconstrained: nothing certifies the level set
         a = np.outer(np.ones(3), np.ones(2))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockcd import battery, cli, problems, verify
+from blockcd.bounds import beta_estimate
 from blockcd.cli import main
 from blockcd.linalg import ConvergenceError
 from blockcd.problems import ProblemConstants, compute_constants, oracle_from_quadratic
@@ -191,6 +192,40 @@ def verdict_rows(out) -> dict:
                 for row in csv.DictReader(fh)}
 
 
+OVERFLOWING_ROUTES = {
+    # a box of width 2e308 has an infinite diameter
+    "box": {"kind": "box", "lo": -1e308, "hi": 1e308},
+    # 2 f(x0) / 1e-310 overflows the l1 coercivity radius
+    "l1": {"kind": "l1", "weight": 1e-310},
+}
+
+
+@pytest.mark.parametrize("term", OVERFLOWING_ROUTES)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_certified_radius_is_finite(tmp_path, term, capsys):
+    # a route whose radius overflows certifies nothing: the heuristic
+    # radius takes over, and the verdicts that read R0 are advisory
+    plan = {"problem": {"kind": "explicit", "block_count": 3, "block_size": 1,
+                        "a_blocks": [[[1], [0]], [[0], [1]], [[1], [1]]], "b": [1, 2],
+                        "h": [OVERFLOWING_ROUTES[term]] * 3},
+            "runs": [{"label": "a", "algorithm": "bcpg"}, {"label": "b", "algorithm": "exact_bcd"}],
+            "bounds": [{"kind": "thm1_blockwise", "against": "a"},
+                       {"kind": "thm2_scalar", "against": "b"}]}
+    loaded = problems.load_problem(plan["problem"])
+    instance = battery.set_up(loaded.kind, loaded.problem, loaded.x0)
+    assert np.isfinite(instance.r0.value) and not instance.r0.certified
+    out = tmp_path / "out"
+    assert main(["run", "--plan", write_plan(tmp_path, plan), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdicts: 6 checks, 0 asserted failure(s)"
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[2].endswith(" certified=False (heuristic iterate radius)")
+    rows = verdict_rows(out)
+    for name in ("costtogo_bcpg:a", "costtogo_bcd:b", "envelope_thm1_blockwise:a",
+                 "envelope_thm2_scalar:b"):
+        assert rows[name][:2] == ("True", "True")
+    assert rows["descent_bcpg:a"][1] == rows["descent_bcd:b"][1] == "False"
+
+
 class TestVerdicts:
     """blockcd run checks each run with the selection the battery uses."""
 
@@ -240,8 +275,8 @@ class TestVerdicts:
             assert rows[f"descent_cgd:c_{form}"][1:3] == ("False", 30)
 
     def test_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
-        def failing(t, name="descent_bcpg"):
-            return verify.CheckReport(check_name=name, cycles_checked=1,
+        def failing(label, t):
+            return verify.CheckReport(check_name=f"descent_bcpg:{label}", cycles_checked=1,
                                       worst_violation=1.0, passed=False, tolerance=0.0)
 
         monkeypatch.setattr(verify, "check_descent_bcpg", failing)
@@ -558,13 +593,11 @@ class TestSharedSetUp:
         assert ours.delta0 == theirs.delta0
         assert theirs.beta is not None
         assert ours.beta == theirs.beta
-        # the view set_up builds matches one built from scratch
-        scratch = oracle_from_quadratic(theirs.problem, compute_constants(theirs.problem))
-        for view in (theirs.oracle, scratch):
-            assert view.lipschitz_global == ours.oracle.lipschitz_global
-            for attribute in ("lipschitz_coordinate", "hessian"):
-                np.testing.assert_array_equal(getattr(view, attribute),
-                                              getattr(ours.oracle, attribute))
+        # beta and the strict-lower norm are those of a smooth view built from scratch
+        scratch = beta_estimate(oracle_from_quadratic(theirs.problem,
+                                                      compute_constants(theirs.problem)))
+        assert (ours.beta, ours.lower_norm) == (theirs.beta, theirs.lower_norm) == (
+            scratch.estimate, scratch.exact)
 
     @pytest.mark.parametrize("kind", ["table1_diag", "table1_full"])
     def test_table1_beta_and_cgd_stepsizes_use_the_set_up_constants(

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blockcd import battery, verify
-from blockcd.bounds import BoundSpec, beta_estimate, evaluate, r0_upper_estimate
+from blockcd import battery, bounds, verify
+from blockcd.bounds import R0Estimate, beta_estimate, evaluate
 from blockcd.linalg import spectral_norm
 from blockcd.problems import (
     compute_constants,
-    eval_objective,
     make_lasso_instance,
     make_table1_diagonal_qp,
     make_table1_full_qp,
@@ -31,11 +30,8 @@ from blockcd.solvers import (
     SolverRun,
     StepsizePolicy,
     Trajectory,
-    reference_optimum,
     run_bcd_exact,
     run_bcpg,
-    run_cgd,
-    run_gd,
 )
 from blockcd.verify import (
     CheckReport,
@@ -145,7 +141,7 @@ class TestDescentChecks:
     def test_bcpg_descent_on_lasso(self):
         p, x0 = make_lasso_instance(12, 6, 0.2, seed=30)
         t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=100), x0, compute_constants(p))
-        report = check_descent_bcpg(t)
+        report = check_descent_bcpg("lasso", t)
         assert report.passed
         assert report.cycles_checked == 100
 
@@ -155,7 +151,7 @@ class TestDescentChecks:
         run = SolverRun(algorithm="bcpg", stepsizes=StepsizePolicy.global_l(),
                         max_cycles=1)
         t = run_bcpg(qp, run, np.ones(4), compute_constants(qp))
-        report = check_descent_bcpg(t)
+        report = check_descent_bcpg("diag", t)
         assert report.passed
         # f(x0) - 0 = (L/2)||x0||^2 exactly
         assert t.f[0] - t.f[1] == pytest.approx(0.5 * t.weighted_movement[0] ** 2,
@@ -165,7 +161,7 @@ class TestDescentChecks:
         qp = make_table1_diagonal_qp(3, 1.0)
         t = run_bcpg(qp, SolverRun(algorithm="bcpg", max_cycles=3), np.zeros(3),
                      compute_constants(qp))
-        report = check_descent_bcpg(t)
+        report = check_descent_bcpg("diag", t)
         assert report.passed
         assert report.worst_violation == 0.0
 
@@ -173,52 +169,47 @@ class TestDescentChecks:
         p, x0 = make_toeplitz_instance(10)
         t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=50), x0,
                           compute_constants(p))
-        assert check_descent_bcd(t, p).passed
+        assert check_descent_bcd("toeplitz", t, verify.image_movements_sq(t, p)).passed
 
     def test_wrong_algorithm_rejected(self):
         p, x0 = make_toeplitz_instance(5)
         t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=1), x0,
                           compute_constants(p))
         with pytest.raises(ValueError):
-            check_descent_bcpg(t)
+            check_descent_bcpg("toeplitz", t)
 
 
 class TestCostToGoChecks:
     def test_bcpg_cost_to_go_on_lasso(self):
-        p, x0 = make_lasso_instance(30, 20, 0.1, seed=31)
-        c = compute_constants(p)
-        ref = reference_optimum(p, c)
-        r0 = r0_upper_estimate(p, x0, eval_objective(p, x0), ref.x_star, ref.f_star, c)
-        assert r0.certified
-        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=150), x0, c)
-        t.with_gap(ref.f_star)
-        report = check_costtogo_bcpg(t, r0.value, c)
+        instance = battery.set_up("lasso", *make_lasso_instance(30, 20, 0.1, seed=31))
+        assert instance.r0.certified
+        t = battery.run_solver(instance, SolverRun(algorithm="bcpg", max_cycles=150))
+        report = check_costtogo_bcpg(instance, "lasso", t)
         assert report.passed
 
     def test_tiny_problem_skipped(self):
-        p, x0 = make_lasso_instance(4, 2, 0.1, seed=32)
-        c = compute_constants(p)
-        ref = reference_optimum(p, c)
-        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=10), x0, c)
-        t.with_gap(ref.f_star)
-        report = check_costtogo_bcpg(t, 10.0, c)
+        instance = battery.set_up("lasso", *make_lasso_instance(4, 2, 0.1, seed=32))
+        instance = replace(instance, r0=R0Estimate(10.0, True, "given"))
+        t = battery.run_solver(instance, SolverRun(algorithm="bcpg", max_cycles=10))
+        report = check_costtogo_bcpg(instance, "lasso", t)
         assert report.advisory
         assert "skipped" in report.notes
 
     def test_converged_tail_trivial(self):
-        qp = make_table1_diagonal_qp(4, 2.0)
+        instance = battery.set_up("diag", make_table1_diagonal_qp(4, 2.0), np.ones(4))
+        assert instance.reference.f_star == 0.0
+        instance = replace(instance, r0=R0Estimate(2.0, True, "given"))
         run = SolverRun(algorithm="bcpg", stepsizes=StepsizePolicy.global_l(),
                         max_cycles=5)
-        c = compute_constants(qp)
-        t = run_bcpg(qp, run, np.ones(4), c).with_gap(0.0)
-        report = check_costtogo_bcpg(t, 2.0, c)
+        report = check_costtogo_bcpg(instance, "diag", battery.run_solver(instance, run))
         assert report.passed  # movement and gap both vanish after cycle 1
 
 
 class TestCGDCheck:
     @staticmethod
     def count_norms(monkeypatch):
-        """The shapes of the matrices verify takes a spectral norm of."""
+        """The shapes of the matrices verify and the set-up's beta_estimate
+        take a spectral norm of."""
         calls = []
 
         def counting(m):
@@ -226,42 +217,39 @@ class TestCGDCheck:
             return spectral_norm(m)
 
         monkeypatch.setattr(verify, "spectral_norm", counting)
+        monkeypatch.setattr(bounds, "spectral_norm", counting)
         return calls
 
     @staticmethod
     def cgd_run(p, order, cycles, x0):
-        c = compute_constants(p)
-        o = oracle_from_quadratic(p, c)
-        beta = beta_estimate(o).estimate
-        t = run_cgd(p, SolverRun(algorithm="cgd", max_cycles=cycles, order=order), x0, c)
-        return t, o, beta
+        instance = battery.set_up("cgd", p, x0)
+        t = battery.run_solver(instance, SolverRun(algorithm="cgd", max_cycles=cycles,
+                                                   order=order))
+        return t, instance
 
     def test_beta_and_exact_forms(self):
-        qp = make_table1_full_qp(10, 2.0)
-        c = compute_constants(qp)
-        o = oracle_from_quadratic(qp, c)
-        beta = beta_estimate(o).estimate
-        t = run_cgd(qp, SolverRun(algorithm="cgd", max_cycles=60), np.ones(10), c)
-        reports = check_descent_cgd(t, o, beta)
+        t, instance = self.cgd_run(make_table1_full_qp(10, 2.0), BlockOrder.cyclic(), 60,
+                                   np.ones(10))
+        reports = check_descent_cgd(instance, "c", t)
         assert [r.check_name for r in reports] == [
-            "descent_cgd_beta", "descent_cgd_exact_v", "descent_cgd_hbound"]
+            "descent_cgd:c_beta", "descent_cgd:c_exact_v", "descent_cgd:c_hbound"]
         assert all(r.passed for r in reports)
 
     def test_under_permutation_order(self, monkeypatch):
         # (L/K) 11^T with equal L_k: every order gives the same chain matrix,
-        # so the two norms are computed once
-        t, o, beta = self.cgd_run(make_table1_full_qp(8, 2.0),
-                                    BlockOrder.random_permutation(17), 40, np.ones(8))
-        assert len({tuple(order) for order in t.orders}) > 1
+        # so the two norms are computed once, ||H|| by the set-up
         calls = self.count_norms(monkeypatch)
-        assert all(r.passed for r in check_descent_cgd(t, o, beta))
+        t, instance = self.cgd_run(make_table1_full_qp(8, 2.0),
+                                   BlockOrder.random_permutation(17), 40, np.ones(8))
+        assert len({tuple(order) for order in t.orders}) > 1
+        assert all(r.passed for r in check_descent_cgd(instance, "c", t))
         assert len(calls) == 2
 
     def test_cyclic_order_computes_once(self, monkeypatch):
         p, x0 = make_toeplitz_instance(10)
-        t, o, beta = self.cgd_run(p, BlockOrder.cyclic(), 30, x0)
         calls = self.count_norms(monkeypatch)
-        check_descent_cgd(t, o, beta)
+        t, instance = self.cgd_run(p, BlockOrder.cyclic(), 30, x0)
+        check_descent_cgd(instance, "c", t)
         assert len(calls) == 2
 
     @staticmethod
@@ -281,32 +269,34 @@ class TestCGDCheck:
         # under the identity order, or on a permutation-invariant Q, H is
         # strict_lower_truncate(Q) bit for bit, so beta_estimate's exact
         # norm serves as ||H||: one SVD instead of two, the same reports
-        t, o, beta = self.cgd_run(problem, order, 20, x0)
-        lower_norm = beta_estimate(o).exact
+        t, instance = self.cgd_run(problem, order, 20, x0)
         calls = self.count_norms(monkeypatch)
-        plain = check_descent_cgd(t, o, beta)
+        h = np.tril(instance.problem.gram[np.ix_(t.orders[0], t.orders[0])], k=-1)
+        taken = check_descent_cgd(replace(instance, lower_norm=verify.spectral_norm(h).value),
+                                  "c", t)
         assert len(calls) == 2
-        given_norm = check_descent_cgd(t, o, beta, lower_norm=lower_norm)
+        given_norm = check_descent_cgd(instance, "c", t)
         assert len(calls) == 3
-        assert self.report_bits(given_norm) == self.report_bits(plain)
+        assert self.report_bits(given_norm) == self.report_bits(taken)
 
     def test_fixed_permuted_order_takes_the_svd(self, monkeypatch):
         # the same non-identity order every cycle on the Toeplitz Hessian,
         # which is not permutation-invariant: H is not Q's strict lower
         # triangle, so its norm is taken whatever lower_norm says
         p, x0 = make_toeplitz_instance(10)
-        t, o, beta = self.cgd_run(p, BlockOrder.cyclic(), 20, x0)
+        t, instance = self.cgd_run(p, BlockOrder.cyclic(), 20, x0)
         order = [1, 0] + list(range(2, 10))
         t = replace(t, orders=[order] * t.cycles)
         calls = self.count_norms(monkeypatch)
-        plain = check_descent_cgd(t, o, beta)
-        given_norm = check_descent_cgd(t, o, beta, lower_norm=beta_estimate(o).exact)
+        plain = check_descent_cgd(instance, "c", t)
+        given_norm = check_descent_cgd(replace(instance, lower_norm=math.nan), "c", t)
         assert len(calls) == 4
         assert self.report_bits(given_norm) == self.report_bits(plain)
 
     def test_battery_passes_its_lower_norm(self, monkeypatch):
         instance = battery.get_instance("toeplitz_K10")
-        assert instance.lower_norm == beta_estimate(instance.oracle).exact
+        scratch = oracle_from_quadratic(instance.problem, instance.constants)
+        assert instance.lower_norm == beta_estimate(scratch).exact
         t = battery.run_solver(instance, SolverRun(algorithm="cgd", max_cycles=20))
         calls = self.count_norms(monkeypatch)
         verify.lemma_checks(instance, "c", t)
@@ -318,58 +308,48 @@ class TestCGDCheck:
         # norm, skips the exact forms with the reason, and checks the
         # relaxed beta form on every cycle
         p, x0 = make_toeplitz_instance(10)
-        t, o, beta = self.cgd_run(p, BlockOrder.random_permutation(5), 30, x0)
+        t, instance = self.cgd_run(p, BlockOrder.random_permutation(5), 30, x0)
         assert len({tuple(order) for order in t.orders}) > 1
         calls = self.count_norms(monkeypatch)
-        beta_form, *exact_forms = check_descent_cgd(t, o, beta, name="perm")
+        beta_form, *exact_forms = check_descent_cgd(instance, "perm", t)
         assert calls == []
-        assert (beta_form.check_name, beta_form.cycles_checked) == ("perm_beta", 30)
+        assert (beta_form.check_name, beta_form.cycles_checked) == ("descent_cgd:perm_beta", 30)
         assert beta_form.passed and not beta_form.advisory
         for report, form in zip(exact_forms, ("exact_v", "hbound")):
-            assert report.check_name == f"perm_{form}"
+            assert report.check_name == f"descent_cgd:perm_{form}"
             assert (report.passed, report.advisory, report.cycles_checked) == (True, True, 0)
             assert report.notes == (
                 "skipped: the visit order changes between cycles and Q, P are not "
                 "permutation-invariant, so this form would take two 10x10 SVDs per "
-                "cycle; perm_beta checks the relaxed form on every cycle")
+                "cycle; descent_cgd:perm_beta checks the relaxed form on every cycle")
 
 
 class TestEnvelopeCheck:
     def test_pairing_mismatch_rejected(self):
-        p, x0 = make_toeplitz_instance(6)
-        c = compute_constants(p)
-        t = run_bcd_exact(p, SolverRun(algorithm="exact_bcd", max_cycles=5), x0, c)
-        t.with_gap(0.0)
-        spec = BoundSpec(kind="gd", constants=c, r0_upper=1.0)
+        instance = battery.set_up("toeplitz", *make_toeplitz_instance(6))
+        t = battery.run_solver(instance, SolverRun(algorithm="exact_bcd", max_cycles=5))
         with pytest.raises(ValueError, match="applies to"):
-            check_envelope(t, spec)
+            check_envelope(instance, "t", t, "gd")
 
     def test_gd_envelope_passes(self):
-        p, x0 = make_toeplitz_instance(10)
-        c = compute_constants(p)
-        t = run_gd(p, SolverRun(algorithm="gd", max_cycles=80), x0, c).with_gap(0.0)
-        spec = BoundSpec(kind="gd", constants=c,
-                         r0_upper=float(np.linalg.norm(x0)))
-        report = check_envelope(t, spec)
+        instance = battery.set_up("toeplitz", *make_toeplitz_instance(10))
+        t = battery.run_solver(instance, SolverRun(algorithm="gd", max_cycles=80))
+        report = check_envelope(instance, "t", t, "gd")
         assert report.passed and not report.advisory
 
     def test_uncertified_inputs_are_advisory(self):
-        p, x0 = make_toeplitz_instance(10)
-        c = compute_constants(p)
-        t = run_gd(p, SolverRun(algorithm="gd", max_cycles=10), x0, c).with_gap(0.0)
-        spec = BoundSpec(kind="gd", constants=c, r0_upper=float(np.linalg.norm(x0)))
-        report = check_envelope(t, spec, r0_certified=False)
+        instance = battery.set_up("toeplitz", *make_toeplitz_instance(10))
+        instance = replace(instance, reference=replace(instance.reference, certified=False))
+        t = battery.run_solver(instance, SolverRun(algorithm="gd", max_cycles=10))
+        report = check_envelope(instance, "t", t, "gd")
         assert report.advisory
 
     def test_inapplicable_becomes_skip(self):
-        p, x0 = make_lasso_instance(4, 2, 0.1, seed=33)
-        c = compute_constants(p)
-        ref = reference_optimum(p, c)
-        t = run_bcpg(p, SolverRun(algorithm="bcpg",
-                                  stepsizes=StepsizePolicy.global_l(),
-                                  max_cycles=5), x0, c).with_gap(ref.f_star)
-        spec = BoundSpec(kind="thm1_uniform", constants=c, r0_upper=1.0, delta0=1.0)
-        report = check_envelope(t, spec)
+        instance = battery.set_up("lasso", *make_lasso_instance(4, 2, 0.1, seed=33))
+        t = battery.run_solver(instance, SolverRun(algorithm="bcpg",
+                                                   stepsizes=StepsizePolicy.global_l(),
+                                                   max_cycles=5))
+        report = check_envelope(instance, "t", t, "thm1_uniform")
         assert report.advisory and "skipped" in report.notes
 
 
@@ -452,14 +432,16 @@ class TestCheckSelection:
     """The advisory rules and bound specs stated once in verify."""
 
     def envelope_inputs(self, monkeypatch, name, algorithm, kinds):
-        """(spec, r0_certified) that envelope_checks hands check_envelope."""
-        seen = []
-        monkeypatch.setattr(verify, "check_envelope",
-                            lambda t, spec, name, r0_certified: seen.append((spec, r0_certified)))
+        """kind -> (the spec its envelope check evaluates, whether the check
+        is asserted) for the envelope checks of a battery run."""
+        specs = []
+        monkeypatch.setattr(verify, "evaluate",
+                            lambda spec, r: specs.append(spec) or evaluate(spec, r))
         instance = battery.get_instance(name)
         t = battery.get_trajectory(name, algorithm, "block_lk", cycles=5)
-        verify.envelope_checks(instance, name, t, kinds)
-        return instance, t, dict(zip(kinds, seen))
+        reports = verify.envelope_checks(instance, name, t, kinds)
+        return instance, t, {kind: (spec, not report.advisory)
+                             for kind, spec, report in zip(kinds, specs, reports)}
 
     def test_uncertified_radius_makes_envelopes_advisory_except_gd(self, monkeypatch):
         instance, _, seen = self.envelope_inputs(monkeypatch, "toeplitz_K5", "bcpg",
@@ -611,7 +593,7 @@ def loop_violations(instance, t, kinds):
         out["descent_cgd_beta"] = descent([grad[r] * grad[r] / denom for r in cycles])
         norms = []
         for order in t.orders:
-            h = np.tril(instance.oracle.hessian[np.ix_(order, order)], k=-1)
+            h = np.tril(instance.problem.gram[np.ix_(order, order)], k=-1)
             p_seq = t.stepsizes[order]
             v = np.diag(np.sqrt(p_seq)) + h @ np.diag(1.0 / np.sqrt(p_seq))
             norms.append((spectral_norm(v).value, spectral_norm(h).value))
@@ -688,5 +670,5 @@ class TestArrayChecks:
                        f=np.array([math.inf, math.inf, 0.0]),
                        weighted_movement=np.zeros(2), stepsizes=np.ones(2),
                        orders=[[0, 1]] * 2)
-        report = check_descent_bcpg(t)
+        report = check_descent_bcpg("inf", t)
         assert math.isnan(report.worst_violation) and not report.passed
