@@ -270,7 +270,7 @@ def get_trajectory(name: str, algorithm: str, policy_kind: str,
         run = SolverRun(algorithm=algorithm, order=BlockOrder(order_kind, order_seed),
                         stepsizes=StepsizePolicy(policy_kind), max_cycles=cycles)
         t = run_solver(get_instance(name), run)
-    for values in (t.xs, t.f, t.gap, t.weighted_movement, t.stepsizes, t.grad_norm):
+    for values in (t.xs, t.f, t.gap, t.weighted_movement, t.stepsizes, t.orders, t.grad_norm):
         if values is not None:
             values.flags.writeable = False
     return t

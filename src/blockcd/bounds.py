@@ -211,7 +211,8 @@ def r0_upper_estimate(p: CompositeQuadraticProblem, x0, f0: float, x_star,
       ||x|| <= f(x0) / w_min on the level set, so R0 <= 2 f(x0) / w_min.
 
     A route certifies only a finite value: one that overflows (a box of
-    width 2e308, an l1 weight of 1e-310) passes to the next route.
+    width 2e308, or of width 2e200, whose square overflows; an l1 weight of
+    1e-310) passes to the next route.
     Otherwise the estimate is heuristic: 2 ||x0 - x*|| (flagged; envelope
     checks built on it are advisory).
     """
@@ -226,7 +227,10 @@ def r0_upper_estimate(p: CompositeQuadraticProblem, x0, f0: float, x_star,
             return R0Estimate(value, True, "strong-convexity level set")
     if all(term.kind == "box" for term in p.h):
         n = p.partition.block_size
-        value = math.sqrt(sum(n * (term.hi - term.lo) ** 2 for term in p.h))
+        try:
+            value = math.sqrt(sum(n * (term.hi - term.lo) ** 2 for term in p.h))
+        except OverflowError:  # a finite width whose square is not
+            value = math.inf
         if math.isfinite(value):
             return R0Estimate(value, True, "box diameter")
     if all(term.kind in ("l1", "group_l2") and term.weight > 0 for term in p.h):

@@ -747,6 +747,38 @@ def read_field(spec: dict, path: str, key: str, rule: Rule, default=_REQUIRED):
     return default
 
 
+def _plain_numbers(value, rule: Rule) -> bool:
+    """Whether ``value`` has the lists, lengths and checks of ``rule``, a
+    list rule whose leaves are NUMBER, with every leaf of type exactly int
+    or float."""
+    if type(value) is not list or (rule.check is not None and not rule.check(value)):
+        return False
+    if rule.items is NUMBER:
+        return set(map(type, value)) <= {int, float}
+    return all(_plain_numbers(item, rule.items) for item in value)
+
+
+def read_numbers(spec: dict, path: str, key: str, rule: Rule, default=_REQUIRED):
+    """read_field for a list ``rule`` whose leaves are NUMBER, without a
+    call per number where it can: a value in the rule's shape whose leaves
+    are all plain ints and floats, and which numpy converts to one finite
+    float array, is returned as that array.  Anything else (a ragged list,
+    a bool, a string, an int too large for a double, a non-finite number)
+    is read by read_field, which reports the first broken rule at its path.
+    Callers convert the result with np.array, which gives the same bits
+    either way."""
+    value = spec.get(key)
+    if _plain_numbers(value, rule):
+        try:
+            array = np.array(value, dtype=float)
+        except (ValueError, OverflowError):  # ragged, or an int beyond a double
+            pass
+        else:
+            if np.isfinite(array).all():
+                return array
+    return read_field(spec, path, key, rule, default)
+
+
 def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
@@ -796,7 +828,7 @@ def _load_terms(spec: dict, path: str, k: int) -> tuple:
 def _load_explicit(spec: dict, path: str) -> LoadedProblem:
     k = read_field(spec, path, "block_count", POSITIVE_INTEGER)
     n = read_field(spec, path, "block_size", POSITIVE_INTEGER)
-    blocks = [np.array(block) for block in read_field(spec, path, "a_blocks", Rule(
+    blocks = [np.array(block) for block in read_numbers(spec, path, "a_blocks", Rule(
         list, f"a list of {k} blocks", lambda v: len(v) == k,
         Rule(list, "a nonempty list of rows", bool, _numbers(n))))]
     rows = blocks[0].shape[0]
@@ -804,8 +836,8 @@ def _load_explicit(spec: dict, path: str) -> LoadedProblem:
         if block.shape[0] != rows:
             raise FieldError(f"{path}.a_blocks[{i}]",
                              f"has {block.shape[0]} rows, a_blocks[0] has {rows}")
-    b = np.array(read_field(spec, path, "b", Rule(list, "a list of finite numbers",
-                                                  items=NUMBER)))
+    b = np.array(read_numbers(spec, path, "b", Rule(list, "a list of finite numbers",
+                                                    items=NUMBER)))
     if len(b) != rows:
         raise FieldError(f"{path}.b", f"has length {len(b)}, expected {rows}, "
                          "the row count of a_blocks")
@@ -816,7 +848,7 @@ def _load_explicit(spec: dict, path: str) -> LoadedProblem:
                          "zero, so the problem has nothing to minimize")
     problem = CompositeQuadraticProblem(
         partition=BlockPartition(k, n), a_blocks=tuple(blocks), b=b, h=terms)
-    x0 = read_field(spec, path, "x0", _numbers(k * n), default=None)
+    x0 = read_numbers(spec, path, "x0", _numbers(k * n), default=None)
     return LoadedProblem(kind="explicit", x0=np.zeros(k * n) if x0 is None else np.array(x0),
                          problem=problem)
 

@@ -183,7 +183,9 @@ class Trajectory:
     ``xs[r]`` is the iterate after r cycles; ``weighted_movement[r]`` is
     sqrt(sum_k P_k ||x_k^(r+1) - x_k^(r)||^2) for the step r -> r+1,
     derived from ``xs``, ``orders`` and ``stepsizes`` (weighted_movements).
-    ``gap`` appears once a reference optimum is attached.
+    ``orders`` is a read-only (cycles, K) np.intp array whose row r is the
+    visit order of cycle r; a cyclic run's rows are one arange(K) broadcast
+    to every cycle.  ``gap`` appears once a reference optimum is attached.
     """
 
     algorithm: str
@@ -191,7 +193,7 @@ class Trajectory:
     f: np.ndarray
     weighted_movement: np.ndarray
     stepsizes: np.ndarray
-    orders: list
+    orders: np.ndarray
     grad_norm: np.ndarray | None = None
     gap: np.ndarray | None = None
 
@@ -264,19 +266,30 @@ def trajectory_values(p: CompositeQuadraticProblem,
     return f, grad_norm
 
 
-def weighted_movements(xs: np.ndarray, orders, stepsizes: np.ndarray,
+def weighted_movements(xs: np.ndarray, orders: np.ndarray, stepsizes: np.ndarray,
                        block_size: int) -> np.ndarray:
     """sqrt(sum_k P_k ||x_k^(r+1) - x_k^(r)||^2) for every cycle r of the
-    iterate history ``xs``, summed in the visit order ``orders[r]`` (lists
-    or one index array).  A block's square is d_k d_k for N = 1 and
+    iterate history ``xs``, summed in the visit order ``orders[r]`` (a
+    (cycles, K) index array).  A block's square is d_k d_k for N = 1 and
     np.vecdot(d_k, d_k), np.dot's own loop, for N > 1, and np.add.accumulate
     adds in sequence: the bits of a running sum in visit order."""
-    visits = np.asarray(orders, dtype=np.intp).reshape(-1, stepsizes.shape[0])
-    d = np.diff(xs, axis=0).reshape(visits.shape[0], stepsizes.shape[0], block_size)
+    d = np.diff(xs, axis=0).reshape(orders.shape[0], stepsizes.shape[0], block_size)
     squares = d[..., 0] * d[..., 0] if block_size == 1 else np.vecdot(d, d)
-    weighted = stepsizes[visits] * np.take_along_axis(squares, visits, axis=1)
+    weighted = stepsizes[orders] * np.take_along_axis(squares, orders, axis=1)
     weighted[:, :1] += 0.0  # a sum from +0.0 turns a first -0.0 (P_k = -0.0) into +0.0
     return np.sqrt(np.add.accumulate(weighted, axis=1)[:, -1])
+
+
+def _order_array(kind: str, drawn: list, block_count: int) -> np.ndarray:
+    """The visit orders ``drawn`` from a stream of ``kind``, one per cycle,
+    as a read-only (cycles, K) np.intp array: a cyclic run's one order
+    broadcast to every cycle, a random run's lists converted once."""
+    if kind == "cyclic":
+        return np.broadcast_to(np.arange(block_count, dtype=np.intp),
+                               (len(drawn), block_count))
+    orders = np.array(drawn, dtype=np.intp).reshape(len(drawn), block_count)
+    orders.flags.writeable = False
+    return orders
 
 
 def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
@@ -284,13 +297,14 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
                    f_star) -> Trajectory:
     """Run up to run.max_cycles cycles of ``sweep`` on x and record them.
 
-    A cycle runs ``refresh()``, which brings what the sweep reads (the
-    residual, and the gradient where the sweep uses it) up to date with x,
-    draws the order, runs ``sweep(order)``, which visits the blocks of
+    A cycle draws the order, runs ``refresh()``, which brings what the
+    sweep reads (the residual, and the gradient where the sweep uses it) up
+    to date with x, runs ``sweep(order)``, which visits the blocks of
     ``order`` once, updating x in place, and returns whether it wrote
     anything, and copies x into the history.  Nothing else runs per cycle:
     f and the gradient norm come from trajectory_values on the history, the
-    movements from weighted_movements (gd's: sqrt(L) ||x^(r+1) - x^(r)||).
+    movements from weighted_movements (gd's: sqrt(L) ||x^(r+1) - x^(r)||),
+    and the drawn orders become one array after the loop (_order_array).
 
     A cycle that writes nothing is an exact fixed point: the next
     refresh() sees the same x, so every visit, in any order, reads what it
@@ -309,17 +323,15 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
     watch = f_star is not None and run.gap_tolerance > 0
     xs = np.empty((min(run.max_cycles, HISTORY_ROWS) + 1, dim))
     xs[0] = x
-    orders_seen, values = [], []
+    drawn, values = [], []
     order_stream = run.order.stream(stepsizes.shape[0])
     cycle = evaluated = 0
     settled = False
     while cycle < run.max_cycles:
-        if settled:
-            orders_seen.append(list(next(order_stream)))
-        else:
+        order = next(order_stream)
+        drawn.append(order)
+        if not settled:
             refresh()
-            order = next(order_stream)
-            orders_seen.append(list(order))
             settled = not sweep(order)
         cycle += 1
         if cycle == xs.shape[0]:
@@ -342,19 +354,19 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
     grad_norm = (None if values[0][1] is None
                  else np.concatenate([grad_part for _, grad_part in values])[:rows])
     xs = xs[:rows].copy() if xs.shape[0] > rows else xs
+    orders = _order_array(run.order.kind, drawn[:cycle], stepsizes.shape[0])
     if algorithm == "gd":
         d = np.diff(xs, axis=0)
         movement = math.sqrt(stepsizes[0]) * np.sqrt(np.vecdot(d, d))
     else:
-        movement = weighted_movements(xs, orders_seen[:cycle], stepsizes,
-                                      p.partition.block_size)
+        movement = weighted_movements(xs, orders, stepsizes, p.partition.block_size)
     return Trajectory(
         algorithm=algorithm,
         xs=xs,
         f=f,
         weighted_movement=movement,
         stepsizes=stepsizes,
-        orders=orders_seen[:cycle],
+        orders=orders,
         grad_norm=grad_norm,
     )
 
@@ -818,10 +830,12 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     a zero term, where it returns v); where the step moved, x_k takes
     x_k^new and g gains delta G[k].  Before each cycle every run refreshes
     g = A^T r from its own residual, as the per-run refresh does, and after
-    it the (K, B) iterate joins a stacked history.  f, the gradient norm
-    and the movements come last, from trajectory_values and
-    weighted_movements on a contiguous copy of each run's column of that
-    history: the same array the per-run kernel passes, so the same bits.
+    it the (K, B) iterate is written to each run's row of one run-major
+    (B, cycles + 1, K) history.  f, the gradient norm and the movements come
+    last, from trajectory_values and weighted_movements on each run's
+    history[b], a C-contiguous view laid out as the per-run kernel's
+    history, so the same calls give the same bits.  The B trajectories
+    share that history and one read-only orders array.
     A NaN proximal point, which the soft threshold maps to 0 and this form
     to NaN, raises ValueError instead.
     """
@@ -847,18 +861,18 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     gram_rows = np.stack(grams, axis=-1)
     zero_rows = {k: zero_column[k] for k in range(block_count) if zero_column[k].any()}
     g = np.empty((block_count, batch))
-    xs = np.empty((cycles + 1, block_count, batch))
-    xs[0] = x
+    history = np.empty((batch, cycles + 1, block_count))
+    history[:, 0] = x.T
     v, clip, new, delta = (np.empty(batch) for _ in range(4))
     moved = np.empty(batch, dtype=bool)
     step = np.empty((block_count, batch))
     order_stream = runs[0].order.stream(block_count)
-    orders_seen = []
+    drawn = []
     for cycle in range(cycles):
         for b, p in enumerate(problems):
             g[:, b] = fulls[b].T @ p.residual(x[:, b].copy())
         order = next(order_stream)
-        orders_seen.append(list(order))
+        drawn.append(order)
         for k in order:
             old = x[k]
             np.divide(g[k], divisor[k], out=v)
@@ -875,17 +889,15 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
             np.add(g, step, out=g, where=moved)
         if np.isnan(x).any():
             raise ValueError("NaN proximal point in a lockstep sweep; run the solvers one at a time")
-        xs[cycle + 1] = x
-    visits = np.array(orders_seen, dtype=np.intp)  # shared by every run
+        history[:, cycle + 1] = x.T
+    orders = _order_array(runs[0].order.kind, drawn, block_count)
     trajectories = []
-    for b, (p, run) in enumerate(zip(problems, runs)):
-        xs_b = np.ascontiguousarray(xs[:, :, b])
-        f, grad_norm = trajectory_values(p, xs_b)
+    for p, run, xs, p_k in zip(problems, runs, history, stepsizes):
+        f, grad_norm = trajectory_values(p, xs)
         trajectories.append(Trajectory(
-            algorithm=run.algorithm, xs=xs_b, f=f,
-            weighted_movement=weighted_movements(xs_b, visits, stepsizes[b], 1),
-            stepsizes=stepsizes[b], orders=[list(order) for order in orders_seen],
-            grad_norm=grad_norm))
+            algorithm=run.algorithm, xs=xs, f=f,
+            weighted_movement=weighted_movements(xs, orders, p_k, 1),
+            stepsizes=p_k, orders=orders, grad_norm=grad_norm))
     return trajectories
 
 

@@ -199,8 +199,8 @@ def check_descent_cgd(instance: Instance, label: str, t: Trajectory) -> list[Che
                        LEMMA_TOL, notes=f"beta {beta:.6g}")]
     order = t.orders[0]
     k = instance.constants.block_count
-    fixed = all(cycle == order for cycle in t.orders)
-    identity = fixed and order == list(range(k))
+    fixed = bool((t.orders == order).all())
+    identity = fixed and bool((order == np.arange(k)).all())
     invariant = not identity and permutation_invariant(hessian, t.stepsizes)
     if not (fixed or invariant):
         reason = ("the visit order changes between cycles and Q, P are not "

@@ -1,5 +1,6 @@
 """Tests for the built-in instance battery and suite bookkeeping."""
 
+import numpy as np
 import pytest
 
 from blockcd import battery, bounds, cli, problems, solvers, verify
@@ -141,6 +142,17 @@ class TestSuites:
         assert all(r.passed for r in others)
 
 
+@pytest.mark.parametrize("name, algorithm, cycles", [
+    ("lasso_00", "bcpg", battery.LASSO_CYCLES),  # the lockstep family's shared orders
+    ("toeplitz_K10", "cgd", 100)])
+def test_cached_orders_are_read_only(name, algorithm, cycles):
+    # every later check of a cached run reads its orders
+    t = battery.get_trajectory(name, algorithm, "block_lk", "random_permutation", 3, cycles)
+    assert t.orders.shape == (cycles, battery.get_instance(name).constants.block_count)
+    with pytest.raises(ValueError):
+        t.orders[0, 0] = 1
+
+
 class TestLockstepFamily:
     @pytest.mark.parametrize("order_kind, order_seed",
                              [("cyclic", 0), ("random_permutation", 3)])
@@ -165,5 +177,5 @@ class TestLockstepFamily:
                     assert ours.tobytes() == theirs.tobytes(), (name, algorithm, attribute)
                     assert not ours.flags.writeable
                 assert t.grad_norm is None and expected.grad_norm is None
-                assert t.orders == expected.orders
+                assert np.array_equal(t.orders, expected.orders)
                 assert t.gap.tobytes() == (t.f - instance.reference.f_star).tobytes()

@@ -195,6 +195,8 @@ def verdict_rows(out) -> dict:
 OVERFLOWING_ROUTES = {
     # a box of width 2e308 has an infinite diameter
     "box": {"kind": "box", "lo": -1e308, "hi": 1e308},
+    # a box of width 2e200 has a finite diameter whose square overflows
+    "box_square": {"kind": "box", "lo": -1e200, "hi": 1e200},
     # 2 f(x0) / 1e-310 overflows the l1 coercivity radius
     "l1": {"kind": "l1", "weight": 1e-310},
 }
@@ -459,10 +461,6 @@ class TestErrors:
         # L = 1e300, whose square the bound curves take
         {"kind": "explicit", "block_count": 2, "block_size": 1,
          "a_blocks": [[[1e150]], [[1]]], "b": [1]},
-        # singular boxes 2e200 wide: the radius squares the box diameter
-        {"kind": "explicit", "block_count": 2, "block_size": 1,
-         "a_blocks": [[[1]], [[1]]], "b": [1],
-         "h": [{"kind": "box", "lo": -1e200, "hi": 1e200}] * 2},
     ])
     def test_overflowing_float_power_is_one_line_error(self, tmp_path, capsys, problem):
         path = tmp_path / "problem.json"
@@ -472,6 +470,18 @@ class TestErrors:
         assert err.startswith("error: OverflowError: ")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    def test_box_width_whose_square_overflows_is_heuristic(self, tmp_path, capsys):
+        # singular boxes 2e200 wide: the box route's squared width overflows,
+        # so it certifies nothing and the heuristic radius 2 ||x0 - x*|| serves
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"kind": "explicit", "block_count": 2, "block_size": 1,
+                                    "a_blocks": [[[1]], [[1]]], "b": [1],
+                                    "h": [{"kind": "box", "lo": -1e200, "hi": 1e200}] * 2}))
+        assert main(["bounds", "--plan", str(path), "--out", str(tmp_path / "o")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3] == ("delta0=0.5 R0<=1.4142135623730951 "
+                            "(heuristic iterate radius, certified=False)")
 
     def test_rejected_start_writes_nothing(self, tmp_path, capsys):
         # f(x0) = (1e160)^2 / 2 overflows, so set-up rejects x0

@@ -692,6 +692,67 @@ class TestLoader:
             load_problem('{"kind": "explicit", "block_count": 2, "block_size": 1, '
                          '"a_blocks": [[[1.0]], [[2.0]]], "b": [0.0], "x0": [NaN, 0]}')
 
+    @staticmethod
+    def deep_spec():
+        """An explicit problem with 3 blocks of 5 rows x 4 columns whose
+        numbers mix ints and floats, -0.0 and ints beyond 2^63."""
+        gen = SplitMix64(8)
+        a_blocks = gen.normal_matrix(3, 20).reshape(3, 5, 4).tolist()
+        a_blocks[1][2][3], a_blocks[2][0][0], a_blocks[0][4][1] = 7, 2 ** 63 + 1, -0.0
+        a_blocks[2][4][2] = -(2 ** 70 + 1)
+        return {"kind": "explicit", "block_count": 3, "block_size": 4, "a_blocks": a_blocks,
+                "b": gen.normal_vector(5).tolist()[:4] + [3],
+                "x0": [0] * 11 + [2 ** 64 - 1]}
+
+    def test_numbers_read_at_once_have_the_walks_bits(self):
+        spec = self.deep_spec()
+        fast = load_problem(spec)
+        with mock.patch.object(problems, "_plain_numbers", return_value=False):
+            walked = load_problem(spec)
+        for ours, theirs in zip((*fast.problem.a_blocks, fast.problem.b, fast.x0),
+                                (*walked.problem.a_blocks, walked.problem.b, walked.x0)):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+        assert fast.problem.a_blocks[0][4, 1].hex() == "-0x0.0p+0"
+
+    @pytest.mark.parametrize("where, bad, message", [
+        (("a_blocks", 2, 3, 1), True, "$.a_blocks[2][3][1]: expected a finite number, got true"),
+        (("a_blocks", 2, 3, 1), "1.5",
+         '$.a_blocks[2][3][1]: expected a finite number, got "1.5"'),
+        (("a_blocks", 2, 3, 1), None, "$.a_blocks[2][3][1]: expected a finite number, got null"),
+        (("a_blocks", 2, 3, 1), [1.0],
+         "$.a_blocks[2][3][1]: expected a finite number, got a list of length 1"),
+        (("a_blocks", 2, 3, 1), 10 ** 400,
+         "$.a_blocks[2][3][1]: expected a finite number, got "
+         "1000000000000000000000000000000000000..."),
+        (("a_blocks", 2, 3, 1), math.inf,
+         "$.a_blocks[2][3][1]: expected a finite number, got Infinity"),
+        (("a_blocks", 2, 3, 1), math.nan,
+         "$.a_blocks[2][3][1]: expected a finite number, got NaN"),
+        (("a_blocks", 2, 3), [1.0, 2.0, 3.0],
+         "$.a_blocks[2][3]: expected a list of 4 finite numbers, got a list of length 3"),
+        (("a_blocks", 2), [[1.0] * 4] * 4, "$.a_blocks[2]: has 4 rows, a_blocks[0] has 5"),
+        (("b", 4), False, "$.b[4]: expected a finite number, got false"),
+        (("b", 4), -math.inf, "$.b[4]: expected a finite number, got -Infinity"),
+        (("x0", 11), 2 ** 1024, "$.x0[11]: expected a finite number, got "
+         "1797693134862315907729305190789024733..."),
+        (("x0", 11), "0", '$.x0[11]: expected a finite number, got "0"'),
+    ])
+    def test_bad_deep_number_keeps_its_error(self, where, bad, message):
+        spec = self.deep_spec()
+        *parents, last = where
+        entry = spec
+        for step in parents:
+            entry = entry[step]
+        entry[last] = bad
+        with pytest.raises(FieldError) as raised:
+            load_problem(spec)
+        assert str(raised.value) == message
+        with mock.patch.object(problems, "_plain_numbers", return_value=False):
+            with pytest.raises(FieldError) as walked:
+                load_problem(spec)
+        assert str(walked.value) == message
+
     def test_fields_are_reported_under_the_given_path(self):
         with pytest.raises(FieldError, match=r"^\$\.problem\.block_count: expected an integer "
                                              r">= 3, got 2$"):

@@ -839,7 +839,7 @@ class TestScalarKernel:
         t_bcpg.with_gap(f_star)
         for attribute in ("xs", "f", "gap", "weighted_movement", "grad_norm"):
             assert_same_bits(getattr(t_cgd, attribute), getattr(t_bcpg, attribute))
-        assert t_cgd.orders == t_bcpg.orders
+        assert np.array_equal(t_cgd.orders, t_bcpg.orders)
 
 
 @st.composite
@@ -1114,6 +1114,36 @@ def lockstep_batches(draw):
     return batch
 
 
+class TestOrders:
+    """A trajectory's visit orders are one read-only (cycles, K) np.intp
+    array, and a cyclic run stores its one order once."""
+
+    @pytest.mark.parametrize("algorithm", ["bcpg", "exact_bcd", "cgd", "gd"])
+    def test_cyclic_order_is_one_broadcast_row(self, algorithm):
+        problem, x0 = random_quadratic(3)
+        t = SOLVE[algorithm](problem, SolverRun(algorithm=algorithm, max_cycles=30), x0,
+                             compute_constants(problem))
+        assert t.orders.shape == (30, 6) and t.orders.dtype == np.intp
+        assert t.orders.strides[0] == 0
+        assert t.orders.tolist() == [list(range(6))] * 30
+        with pytest.raises(ValueError):
+            t.orders[0, 0] = 1
+
+    @pytest.mark.parametrize("algorithm", ["bcpg", "exact_bcd", "cgd"])
+    def test_random_orders_are_the_streams_draws(self, algorithm):
+        # 150 cycles cross several batches of drawn-ahead orders
+        problem, x0 = random_quadratic(5)
+        order = BlockOrder.random_permutation(23)
+        t = SOLVE[algorithm](problem, SolverRun(algorithm=algorithm, order=order,
+                                                max_cycles=150),
+                             x0, compute_constants(problem))
+        stream = order.stream(6)
+        assert t.orders.tolist() == [next(stream) for _ in range(150)]
+        assert t.orders.dtype == np.intp and t.orders.flags.c_contiguous
+        with pytest.raises(ValueError):
+            t.orders[0, 0] = 1
+
+
 def _lockstep(batch):
     problems, runs, x0s, constants = zip(*batch)
     return run_lockstep(list(problems), list(runs), list(x0s), list(constants))
@@ -1136,12 +1166,29 @@ class TestLockstep:
             assert t.algorithm == expected.algorithm
             for attribute in ("xs", "f", "gap", "weighted_movement", "stepsizes", "grad_norm"):
                 assert_same_bits(getattr(t, attribute), getattr(expected, attribute))
-            assert t.orders == expected.orders
+            assert np.array_equal(t.orders, expected.orders)
             assert_same_bits(t.weighted_movement, movements_from_iterates(
                 problem, run.algorithm, t.xs, t.orders, t.stepsizes))
         first, second = trajectories[:2]
-        assert first.orders is not second.orders
+        assert first.orders is second.orders and not first.orders.flags.writeable
         assert not np.shares_memory(first.xs, second.xs)
+
+    @pytest.mark.parametrize("order", [BlockOrder.cyclic(), BlockOrder.random_permutation(4)])
+    def test_runs_share_one_orders_array_and_history(self, order):
+        # the batch keeps one (B, cycles + 1, K) history, each run's xs a
+        # C-contiguous view of it, and one read-only orders array
+        batch = [(problem, replace(run, order=order), x0, constants)
+                 for problem, run, x0, constants in self._batch()]
+        trajectories = _lockstep(batch)
+        history = trajectories[0].xs.base
+        assert history.shape == (2, 6, 4)
+        for t in trajectories:
+            assert t.orders is trajectories[0].orders
+            assert t.xs.flags.c_contiguous and np.shares_memory(t.xs, history)
+        orders = trajectories[0].orders
+        assert orders.shape == (5, 4) and orders.dtype == np.intp
+        with pytest.raises(ValueError):
+            orders[0, 0] = 1
 
     @pytest.mark.parametrize("kind", ["l1", "zero"])
     @pytest.mark.parametrize("algorithm", ["bcpg", "exact_bcd"])
@@ -1181,7 +1228,7 @@ class TestLockstep:
             expected = solver(problem, run, x0, constants=constants)
             for attribute in ("xs", "f", "weighted_movement", "stepsizes"):
                 assert_same_bits(getattr(t, attribute), getattr(expected, attribute))
-            assert t.grad_norm is None and t.orders == expected.orders
+            assert t.grad_norm is None and np.array_equal(t.orders, expected.orders)
 
     @staticmethod
     def _batch():
@@ -1266,7 +1313,7 @@ def assert_gd_is_plain_loop(problem, x0, order, cycles):
         t.weighted_movement,
         [math.sqrt(lipschitz) * float(np.linalg.norm(new - old))
          for old, new in zip(xs, xs[1:])])
-    assert t.orders == [list(range(problem.partition.dimension))] * cycles
+    assert t.orders.tolist() == [list(range(problem.partition.dimension))] * cycles
 
 
 class TestGDIsPlainLoop:
@@ -1345,7 +1392,8 @@ def sweep_every_cycle(problem, run, x0, constants):
     xs = np.array(xs)
     f, grad_norm = solvers.trajectory_values(problem, xs)
     movements = movements_from_iterates(problem, run.algorithm, xs, orders, stepsizes)
-    return solvers.Trajectory(run.algorithm, xs, f, movements, stepsizes, orders, grad_norm)
+    return solvers.Trajectory(run.algorithm, xs, f, movements, stepsizes,
+                              np.array(orders, dtype=np.intp), grad_norm)
 
 
 SOLVE = {"bcpg": run_bcpg, "exact_bcd": run_bcd_exact, "cgd": run_cgd, "gd": run_gd}
@@ -1357,7 +1405,7 @@ def assert_stop_is_exact(problem, run, x0, constants):
     expected = sweep_every_cycle(problem, run, x0, constants)
     for attribute in ("xs", "f", "grad_norm", "weighted_movement", "stepsizes"):
         assert_same_bits(getattr(t, attribute), getattr(expected, attribute))
-    assert t.orders == expected.orders
+    assert np.array_equal(t.orders, expected.orders)
     return t
 
 
@@ -1528,7 +1576,7 @@ def assert_kernels_agree(problem, run, x0, constants):
         run_on_kernel(kernel, problem, run, x0, constants) for kernel in ("dense", "sparse"))
     for attribute in ("xs", "f", "weighted_movement", "grad_norm", "stepsizes"):
         assert_same_bits(getattr(sparse, attribute), getattr(dense, attribute))
-    assert sparse.orders == dense.orders
+    assert np.array_equal(sparse.orders, dense.orders)
     assert sparse_sweeps == dense_sweeps
     return dense
 

@@ -286,7 +286,7 @@ class TestCGDCheck:
         p, x0 = make_toeplitz_instance(10)
         t, instance = self.cgd_run(p, BlockOrder.cyclic(), 20, x0)
         order = [1, 0] + list(range(2, 10))
-        t = replace(t, orders=[order] * t.cycles)
+        t = replace(t, orders=np.array([order] * t.cycles, dtype=np.intp))
         calls = self.count_norms(monkeypatch)
         plain = check_descent_cgd(instance, "c", t)
         given_norm = check_descent_cgd(replace(instance, lower_norm=math.nan), "c", t)
@@ -542,7 +542,7 @@ class TestGeneratedProblems:
         t_bcpg, t_bcd = (battery.run_solver(instance, SolverRun(
             algorithm=algorithm, order=order, max_cycles=cycles))
             for algorithm in ("bcpg", "exact_bcd"))
-        assert t_bcpg.orders == t_bcd.orders
+        assert np.array_equal(t_bcpg.orders, t_bcd.orders)
         assert_close(t_bcpg.xs, t_bcd.xs)
         assert_close(t_bcpg.f, t_bcd.f)
 
@@ -669,6 +669,6 @@ class TestArrayChecks:
         t = Trajectory(algorithm="bcpg", xs=np.zeros((3, 2)),
                        f=np.array([math.inf, math.inf, 0.0]),
                        weighted_movement=np.zeros(2), stepsizes=np.ones(2),
-                       orders=[[0, 1]] * 2)
+                       orders=np.array([[0, 1]] * 2, dtype=np.intp))
         report = check_descent_bcpg("inf", t)
         assert math.isnan(report.worst_violation) and not report.passed
