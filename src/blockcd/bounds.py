@@ -204,8 +204,13 @@ def r0_upper_estimate(p: CompositeQuadraticProblem, x0, f0: float, x_star,
 
     Certified routes, tried in order:
 
-    * strong convexity: smooth-part minimum curvature mu = constants.mu > 0
-      gives R0 <= sqrt(2 (f(x0) - f*) / mu);
+    * strong convexity: mu = constants.mu gives
+      R0 <= sqrt(2 (f(x0) - f*) / mu) when mu > (m + n) n u L, for A of m
+      rows and n columns and u = 2^-53.  Forming A^T A moves it by up to
+      about m u ||A||_F^2 <= m n u L (Higham, Accuracy and Stability of
+      Numerical Algorithms, sec. 3.1), and a backward-stable eigensolver
+      an eigenvalue by about n u L (Weyl), so a smaller mu may belong to a
+      singular A^T A, whose level set is unbounded;
     * all blocks box-constrained: the box diameter bounds R0 outright;
     * every block l1/group-l2 with positive weight: coercivity gives
       ||x|| <= f(x0) / w_min on the level set, so R0 <= 2 f(x0) / w_min.
@@ -220,8 +225,8 @@ def r0_upper_estimate(p: CompositeQuadraticProblem, x0, f0: float, x_star,
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     base = float(np.linalg.norm(x0 - x_star))
     delta0 = max(0.0, f0 - float(f_star))
-    mu = constants.mu
-    if mu > 1e-12 * max(1.0, abs(mu)):
+    mu, dim = constants.mu, p.partition.dimension
+    if mu > (p.rows + dim) * dim * 2.0 ** -53 * constants.L:
         value = max(base, math.sqrt(2.0 * delta0 / mu))
         if math.isfinite(value):
             return R0Estimate(value, True, "strong-convexity level set")

@@ -60,9 +60,9 @@ REFERENCE_NEWTON_STEPS = 50
 # A run with a gap tolerance evaluates its newest iterates every
 # GAP_CHECK_EVERY cycles, and at its last.
 GAP_CHECK_EVERY = 8
-# A run's iterate history first holds x^0 and HISTORY_ROWS cycles, and
-# grows geometrically from there, so max_cycles bounds the work, not the
-# memory.
+# The iterate history of a run that watches its gap first holds x^0 and
+# HISTORY_ROWS cycles, and grows geometrically from there, so max_cycles
+# bounds the work, not the memory; any other history has its final size.
 HISTORY_ROWS = 64
 
 
@@ -259,7 +259,7 @@ def trajectory_values(p: CompositeQuadraticProblem,
     ||grad f|| at every row when p is smooth (else None), in one array
     pass: one product of the history with A^T gives every residual, and
     nonsmooth_rows every h total, +inf on a row outside a box.  Equal
-    histories give equal bits; run_lockstep relies on that."""
+    histories give equal bits, whether recorded alone or in a batch."""
     res = p.residual(xs)
     f = 0.5 * np.einsum("ij,ij->i", res, res) + nonsmooth_rows(p, xs)
     grad_norm = np.linalg.norm(res @ p.full_matrix(), axis=1) if p.is_smooth() else None
@@ -292,19 +292,23 @@ def _order_array(kind: str, drawn: list, block_count: int) -> np.ndarray:
     return orders
 
 
-def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
-                   x: np.ndarray, stepsizes: np.ndarray, sweep, refresh,
-                   f_star) -> Trajectory:
-    """Run up to run.max_cycles cycles of ``sweep`` on x and record them.
+def _record_cycles(problems, runs, x: np.ndarray, stepsizes, sweep, refresh,
+                   f_star=None) -> list[Trajectory]:
+    """Run up to max_cycles cycles of ``sweep`` on the B runs whose live
+    iterates are the rows of the (B, dimension) view x, and record them.
+    A single run passes x[None] and takes element [0]; a batch shares
+    runs[0]'s order and max_cycles.
 
     A cycle draws the order, runs ``refresh()``, which brings what the
     sweep reads (the residual, and the gradient where the sweep uses it) up
     to date with x, runs ``sweep(order)``, which visits the blocks of
     ``order`` once, updating x in place, and returns whether it wrote
-    anything, and copies x into the history.  Nothing else runs per cycle:
-    f and the gradient norm come from trajectory_values on the history, the
-    movements from weighted_movements (gd's: sqrt(L) ||x^(r+1) - x^(r)||),
-    and the drawn orders become one array after the loop (_order_array).
+    anything, and copies x into one run-major (B, cycles + 1, dimension)
+    history, whose row b is run b's ``xs``.  Nothing else runs per cycle:
+    f and the gradient norm come from trajectory_values on each run's
+    history, the movements from weighted_movements (gd's:
+    sqrt(L) ||x^(r+1) - x^(r)||), and the drawn orders become one array
+    after the loop (_order_array), which the B trajectories share.
 
     A cycle that writes nothing is an exact fixed point: the next
     refresh() sees the same x, so every visit, in any order, reads what it
@@ -313,18 +317,20 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
     besides x and the refreshed buffer must report a write on every cycle;
     a NaN step counts as a write.
 
-    With a gap tolerance and f_star, the rows added since the last
-    evaluation are evaluated every GAP_CHECK_EVERY cycles and at the last
-    one, and the trajectory ends at the first cycle r >= 1 with
-    f(x^r) - f_star <= run.gap_tolerance, read on those recorded values;
-    the sweeps past it are discarded.
+    Only a single run watches a gap.  With run.gap_tolerance > 0 and
+    f_star, the rows added since the last evaluation are evaluated every
+    GAP_CHECK_EVERY cycles and at the last one, and the trajectory ends at
+    the first cycle r >= 1 with f(x^r) - f_star <= run.gap_tolerance, read
+    on those recorded values; the sweeps past it are discarded.
     """
-    dim = x.shape[0]
+    run, block_count = runs[0], stepsizes[0].shape[0]
+    batch, dim = x.shape
     watch = f_star is not None and run.gap_tolerance > 0
-    xs = np.empty((min(run.max_cycles, HISTORY_ROWS) + 1, dim))
-    xs[0] = x
+    start = min(run.max_cycles, HISTORY_ROWS) if watch else run.max_cycles
+    history = np.empty((batch, start + 1, dim))
+    history[:, 0] = x
     drawn, values = [], []
-    order_stream = run.order.stream(stepsizes.shape[0])
+    order_stream = run.order.stream(block_count)
     cycle = evaluated = 0
     settled = False
     while cycle < run.max_cycles:
@@ -334,41 +340,38 @@ def _record_cycles(p: CompositeQuadraticProblem, algorithm: str, run: SolverRun,
             refresh()
             settled = not sweep(order)
         cycle += 1
-        if cycle == xs.shape[0]:
+        if cycle == history.shape[1]:
             grow = min(cycle, run.max_cycles + 1 - cycle)
-            xs = np.concatenate([xs, np.empty((grow, dim))])
-        xs[cycle] = x
+            history = np.concatenate([history, np.empty((batch, grow, dim))], axis=1)
+        history[:, cycle] = x
         if watch and (cycle % GAP_CHECK_EVERY == 0 or cycle == run.max_cycles):
             first, evaluated = evaluated, cycle + 1
-            values.append(trajectory_values(p, xs[first:evaluated]))
+            values.append(trajectory_values(problems[0], history[0, first:evaluated]))
             within = values[-1][0] - f_star <= run.gap_tolerance
             if first == 0:
                 within[0] = False  # the start is no stopping point
             if within.any():
                 cycle = first + int(within.argmax())
                 break
-    if evaluated <= cycle:
-        values.append(trajectory_values(p, xs[evaluated:cycle + 1]))
     rows = cycle + 1
-    f = np.concatenate([f_part for f_part, _ in values])[:rows]
-    grad_norm = (None if values[0][1] is None
-                 else np.concatenate([grad_part for _, grad_part in values])[:rows])
-    xs = xs[:rows].copy() if xs.shape[0] > rows else xs
-    orders = _order_array(run.order.kind, drawn[:cycle], stepsizes.shape[0])
-    if algorithm == "gd":
-        d = np.diff(xs, axis=0)
-        movement = math.sqrt(stepsizes[0]) * np.sqrt(np.vecdot(d, d))
-    else:
-        movement = weighted_movements(xs, orders, stepsizes, p.partition.block_size)
-    return Trajectory(
-        algorithm=algorithm,
-        xs=xs,
-        f=f,
-        weighted_movement=movement,
-        stepsizes=stepsizes,
-        orders=orders,
-        grad_norm=grad_norm,
-    )
+    if history.shape[1] > rows:
+        history = history[:, :rows].copy()
+    orders = _order_array(run.order.kind, drawn[:cycle], block_count)
+    trajectories = []
+    for p, run_b, xs, p_k in zip(problems, runs, history, stepsizes):
+        parts = values if evaluated > cycle else values + [trajectory_values(p, xs[evaluated:])]
+        f = np.concatenate([f_part for f_part, _ in parts])[:rows]
+        grad_norm = (None if parts[0][1] is None
+                     else np.concatenate([grad_part for _, grad_part in parts])[:rows])
+        if run_b.algorithm == "gd":
+            d = np.diff(xs, axis=0)
+            movement = math.sqrt(p_k[0]) * np.sqrt(np.vecdot(d, d))
+        else:
+            movement = weighted_movements(xs, orders, p_k, p.partition.block_size)
+        trajectories.append(Trajectory(algorithm=run_b.algorithm, xs=xs, f=f,
+                                       weighted_movement=movement, stepsizes=p_k,
+                                       orders=orders, grad_norm=grad_norm))
+    return trajectories
 
 
 def _visit_table(p: CompositeQuadraticProblem, stepsizes: np.ndarray,
@@ -522,7 +525,7 @@ def _run_blocks(p: CompositeQuadraticProblem, run: SolverRun, x0,
     stepsizes = run.realize_stepsizes(constants)
     x = check_start(p, x0)
     sweep, refresh = _make_sweep(p, x, stepsizes, run.algorithm == "exact_bcd")
-    return _record_cycles(p, run.algorithm, run, x, stepsizes, sweep, refresh, f_star)
+    return _record_cycles([p], [run], x[None], [stepsizes], sweep, refresh, f_star)[0]
 
 
 def run_bcpg(p: CompositeQuadraticProblem, run: SolverRun, x0,
@@ -807,72 +810,61 @@ def _check_lockstep(problems, runs, x0s, constants) -> None:
             raise ValueError("lockstep runs take l1 and zero terms only")
 
 
+def _stacked_visits(problems, runs, stepsizes) -> tuple[np.ndarray, ...]:
+    """The divisors, zero-column mask and soft thresholds of the runs'
+    _visit_table entries as (K, B) arrays: a zero column's divisor reads 1,
+    and the threshold is w s on an l1 term, inf where that is 0 * inf,
+    and 0 on a zero term."""
+    tables = [_visit_table(p, p_k, run.algorithm == "exact_bcd")
+              for p, p_k, run in zip(problems, stepsizes, runs)]
+    divisor = np.array([[1.0 if d is None else d for d, _, _ in table] for table in tables]).T
+    zero_column = np.array([[d is None for d, _, _ in table] for table in tables]).T
+    threshold = np.array([[0.0 if term is None else term.weight * s for _, s, term in table]
+                          for table in tables]).T
+    threshold[np.isnan(threshold)] = math.inf
+    return divisor, zero_column, threshold
+
+
 def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
-    """bcpg and exact_bcd runs on scalar blocks, swept in lockstep.
+    """bcpg and exact_bcd runs on scalar blocks, swept in lockstep: a
+    stacked sweep and refresh on _record_cycles.  The B runs share K, the
+    BlockOrder and max_cycles, every term is l1 or zero, and
+    gap_tolerance is 0; anything else raises ValueError.
 
-    The B runs share the block count K, the BlockOrder and max_cycles, so
-    every cycle visits the same blocks in the same order in all of them.
-    Iterates, gradients g = A^T r, divisors, thresholds and stepsizes are
-    stacked as (K, B) arrays, the Grams as (K, K, B), and each visit is one
-    array step across the B runs.  Every term must be l1 or zero (an l1
-    term with threshold 0) and gap_tolerance 0; anything else raises
-    ValueError.
-
-    Each element takes _scalar_sweep's IEEE operations in the same order,
-    so every recorded value (iterates, f, movements, gradient norms) is
+    A visit is _scalar_sweep's, as one array step across the runs on
+    (K, B) iterates and gradients g = A^T r and (K, K, B) Grams, with each
+    run's divisor d_k, zero column and threshold t_k from _stacked_visits.
+    Each element takes _scalar_sweep's IEEE operations in the same order:
+    v = x_k - g_k / d_k (0 on a zero column) and
+    x_k^new = v - min(max(v, -t_k), t_k), the soft threshold's bits (a
+    t_k of inf, from 0 * inf, gives prox_scalar's 0, and t_k = 0 on a
+    zero term its v); where the step moved, x_k takes x_k^new and g gains
+    delta G[k].  So the iterates, and all that is recorded from them, are
     bit-identical to run_bcpg/run_bcd_exact.  Only g may differ, and only
     in the sign of a zero entry, where the per-run kernel updates g at the
-    Gram's nonzeros alone (_scalar_sweep's argument):
-    v = x_k - g_k / d_k with d_k = P_k (bcpg) or G_kk (exact; v = 0 and
-    d_k = 1 for a zero column); x_k^new = v - min(max(v, -t_k), t_k) with
-    t_k = w_k (1 / d_k), the soft threshold's bits (for the 0 * inf of a
-    subnormal d_k, inf on an l1 term, where prox_scalar returns 0, and 0 on
-    a zero term, where it returns v); where the step moved, x_k takes
-    x_k^new and g gains delta G[k].  Before each cycle every run refreshes
-    g = A^T r from its own residual, as the per-run refresh does, and after
-    it the (K, B) iterate is written to each run's row of one run-major
-    (B, cycles + 1, K) history.  f, the gradient norm and the movements come
-    last, from trajectory_values and weighted_movements on each run's
-    history[b], a C-contiguous view laid out as the per-run kernel's
-    history, so the same calls give the same bits.  The B trajectories
-    share that history and one read-only orders array.
-    A NaN proximal point, which the soft threshold maps to 0 and this form
-    to NaN, raises ValueError instead.
+    Gram's nonzeros alone (_scalar_sweep's argument).  Each run's refresh
+    computes g from its own residual, as the per-run refresh does, and the
+    sweep reports a write on every cycle.  A NaN proximal point, which the
+    soft threshold maps to 0 and this form to NaN, raises ValueError
+    instead.
     """
     _check_lockstep(problems, runs, x0s, constants)
-    batch, cycles = len(runs), runs[0].max_cycles
-    block_count = problems[0].partition.block_count
     fulls = [p.full_matrix() for p in problems]
-    grams = [p.gram for p in problems]
     stepsizes = [run.realize_stepsizes(c) for run, c in zip(runs, constants)]
     x = np.column_stack([check_start(p, x0) for p, x0 in zip(problems, x0s)])
-    exact = np.array([run.algorithm == "exact_bcd" for run in runs])
-    curvature = np.column_stack([np.diagonal(gram) for gram in grams])
-    zero_column = exact & ~(curvature > 0.0)
-    divisor = np.where(exact, np.where(zero_column, 1.0, curvature), np.column_stack(stepsizes))
-    is_l1 = np.array([[term.kind == "l1" for term in p.h] for p in problems]).T
-    l1_weight = np.array([[term.weight if term.kind == "l1" else 0.0 for term in p.h]
-                          for p in problems]).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        threshold = l1_weight * (1.0 / divisor)
-    overflowed = np.isnan(threshold)
-    threshold[overflowed] = np.where(is_l1[overflowed], np.inf, 0.0)
+    divisor, zero_column, threshold = _stacked_visits(problems, runs, stepsizes)
+    zero_rows = {k: column for k, column in enumerate(zero_column) if column.any()}
     lower = -threshold
-    gram_rows = np.stack(grams, axis=-1)
-    zero_rows = {k: zero_column[k] for k in range(block_count) if zero_column[k].any()}
-    g = np.empty((block_count, batch))
-    history = np.empty((batch, cycles + 1, block_count))
-    history[:, 0] = x.T
-    v, clip, new, delta = (np.empty(batch) for _ in range(4))
-    moved = np.empty(batch, dtype=bool)
-    step = np.empty((block_count, batch))
-    order_stream = runs[0].order.stream(block_count)
-    drawn = []
-    for cycle in range(cycles):
+    grams = np.stack([p.gram for p in problems], axis=-1)
+    g, step = np.empty(x.shape), np.empty(x.shape)
+    v, clip, new, delta = (np.empty(len(runs)) for _ in range(4))
+    moved = np.empty(len(runs), dtype=bool)
+
+    def refresh():
         for b, p in enumerate(problems):
             g[:, b] = fulls[b].T @ p.residual(x[:, b].copy())
-        order = next(order_stream)
-        drawn.append(order)
+
+    def sweep(order):
         for k in order:
             old = x[k]
             np.divide(g[k], divisor[k], out=v)
@@ -885,20 +877,13 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
             np.subtract(new, old, out=delta)
             np.not_equal(delta, 0.0, out=moved)
             np.copyto(old, new, where=moved)
-            np.multiply(gram_rows[k], delta, out=step)
+            np.multiply(grams[k], delta, out=step)
             np.add(g, step, out=g, where=moved)
         if np.isnan(x).any():
             raise ValueError("NaN proximal point in a lockstep sweep; run the solvers one at a time")
-        history[:, cycle + 1] = x.T
-    orders = _order_array(runs[0].order.kind, drawn, block_count)
-    trajectories = []
-    for p, run, xs, p_k in zip(problems, runs, history, stepsizes):
-        f, grad_norm = trajectory_values(p, xs)
-        trajectories.append(Trajectory(
-            algorithm=run.algorithm, xs=xs, f=f,
-            weighted_movement=weighted_movements(xs, orders, p_k, 1),
-            stepsizes=p_k, orders=orders, grad_norm=grad_norm))
-    return trajectories
+        return True
+
+    return _record_cycles(problems, runs, x.T, stepsizes, sweep, refresh)
 
 
 def run_cgd(p: CompositeQuadraticProblem, run: SolverRun, x0,
@@ -947,7 +932,8 @@ def run_gd(p: CompositeQuadraticProblem, run: SolverRun, x0,
 
     run = replace(run, order=BlockOrder.cyclic())
     sweep = partial(_gradient_sweep, grad, x, constants.L)
-    return _record_cycles(p, "gd", run, x, np.full(dim, constants.L), sweep, refresh, f_star)
+    return _record_cycles([p], [run], x[None], [np.full(dim, constants.L)], sweep, refresh,
+                          f_star)[0]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Tests for the complexity-envelope evaluators and radius estimates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,6 +264,26 @@ class TestRadiusEstimate:
                                 np.zeros(2), 0.0, c)
         assert not est.certified
         assert est.value == pytest.approx(2.0 * math.sqrt(2.0))
+
+    def test_roundoff_curvature_certifies_nothing(self):
+        # column 4 = column 1 + column 2, so A^T A is singular and the level
+        # set unbounded; its computed mu is eigensolver roundoff of either
+        # sign, far below (m + n) n u L, and so is a positive 3.3e-9
+        rng = np.random.default_rng(5)
+        a = 1e3 * rng.standard_normal((6, 4))
+        a[:, 3] = a[:, 0] + a[:, 1]
+        p = CompositeQuadraticProblem(
+            partition=BlockPartition(4, 1), a_blocks=tuple(a[:, [k]] for k in range(4)),
+            b=rng.standard_normal(6), h=(NonsmoothTerm.zero(),) * 4)
+        c = compute_constants(p)
+        assert abs(c.mu) < 1e-8 and c.L > 1e7
+        ref = reference_optimum(p, c)
+        x0 = np.zeros(4)
+        for mu in (c.mu, 3.3e-9):
+            est = r0_upper_estimate(p, x0, eval_objective(p, x0), ref.x_star, ref.f_star,
+                                    replace(c, mu=mu))
+            assert (est.certified, est.method) == (False, "heuristic iterate radius")
+            assert est.value == 2.0 * float(np.linalg.norm(ref.x_star))
 
     def test_mu_is_the_gram_minimum_eigenvalue(self):
         # the radius reads mu from the constants' one eigensolve of A^T A,

@@ -228,6 +228,31 @@ def test_certified_radius_is_finite(tmp_path, term, capsys):
     assert rows["descent_bcpg:a"][1] == rows["descent_bcd:b"][1] == "False"
 
 
+# three box blocks of N = 2 whose second column is the first plus 1e-8
+# noise: an SVD finds full column rank, while the eigenvalue roundoff of
+# sigma_k^2 is clipped to 0
+NEARLY_DEPENDENT = {
+    "kind": "explicit", "block_count": 3, "block_size": 2,
+    "a_blocks": [[[c, c + 1e-8 * d] for c, d in zip(column, noise)] for column, noise in (
+        ([1, -2, 3, 1, -1, 2, 2, -1], [1, -1, 1, -1, 1, -1, 1, -1]),
+        ([2, 1, -1, 3, 1, -2, 1, 1], [1, 1, -1, -1, 1, 1, -1, -1]),
+        ([-1, 3, 1, -2, 2, 1, -3, 1], [1, -1, -1, 1, -1, 1, 1, -1]))],
+    "b": [1, 0, -1, 2, 0, 1, -2, 1], "h": [{"kind": "box", "lo": -1, "hi": 1}] * 3}
+
+
+def test_rank_case_without_its_constant_takes_the_rank_free_form(tmp_path, capsys):
+    # the full-column form divides by sigma_min, which is 0 here
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(NEARLY_DEPENDENT))
+    assert main(["bounds", "--plan", str(problem), "--out", str(tmp_path / "bounds")]) == 0
+    assert "rank_case=full_column sigma_min=0 " in capsys.readouterr().out
+    plan = write_plan(tmp_path, {"problem": str(problem),
+                                 "runs": [{"label": "bcd", "algorithm": "exact_bcd"}]})
+    out = tmp_path / "run"
+    assert main(["run", "--plan", plan, "--out", str(out)]) == 0
+    assert verdict_rows(out)["costtogo_bcd:bcd"][3].startswith("rank-free form; ")
+
+
 class TestVerdicts:
     """blockcd run checks each run with the selection the battery uses."""
 

@@ -1215,17 +1215,29 @@ class TestLockstep:
 
     def test_lasso_batch_matches_per_run_kernel(self):
         # one order stream, mixed algorithms and policies, as in the battery
-        order = BlockOrder.random_permutation(11)
+        self._assert_lasso_batch_matches(BlockOrder.random_permutation(11), 40)
+
+    @pytest.mark.parametrize("order", [BlockOrder.cyclic(), BlockOrder.random_permutation(17)])
+    def test_batch_past_the_first_history_and_order_blocks(self, order):
+        # 150 cycles cross HISTORY_ROWS and two ORDER_BATCH draws; the cyclic
+        # exact_bcd run settles at cycle 63, where the per-run kernel stops
+        # sweeping and the batch does not
+        assert 150 > max(solvers.HISTORY_ROWS, 2 * solvers.ORDER_BATCH)
+        self._assert_lasso_batch_matches(order, 150)
+
+    @staticmethod
+    def _assert_lasso_batch_matches(order, cycles):
         batch = []
         for seed, (algorithm, policy) in enumerate([("bcpg", "block_lk"), ("bcpg", "global_l"),
                                                     ("exact_bcd", "block_lk")]):
             problem, x0 = make_lasso_instance(12, 6, 0.1, seed)
             run = SolverRun(algorithm=algorithm, order=order,
-                            stepsizes=StepsizePolicy(policy), max_cycles=40)
+                            stepsizes=StepsizePolicy(policy), max_cycles=cycles)
             batch.append((problem, run, x0, compute_constants(problem)))
         for t, (problem, run, x0, constants) in zip(_lockstep(batch), batch):
             solver = run_bcpg if run.algorithm == "bcpg" else run_bcd_exact
             expected = solver(problem, run, x0, constants=constants)
+            assert t.cycles == cycles
             for attribute in ("xs", "f", "weighted_movement", "stepsizes"):
                 assert_same_bits(getattr(t, attribute), getattr(expected, attribute))
             assert t.grad_norm is None and np.array_equal(t.orders, expected.orders)
