@@ -348,11 +348,12 @@ def suite_gd() -> list[CheckReport]:
 
 def prior_ratio_report() -> CheckReport:
     """Informational ratio of the prior cyclic bound (leading constant 1)
-    to the blockwise bound on the fully coupled scenario."""
+    to the blockwise bound on the fully coupled scenario, with the
+    block_lk stepsizes, whose extremes are L_max and L_min (bound_spec
+    with no run)."""
     instance = get_instance("table1_full_K100")
-    t = get_trajectory(instance.name, "bcpg", "block_lk", "cyclic", 0, 100)
-    prior = bound_spec(instance, "prior_cyclic", t)
-    blockwise = bound_spec(instance, "thm1_blockwise", t)
+    prior = bound_spec(instance, "prior_cyclic")
+    blockwise = bound_spec(instance, "thm1_blockwise")
     r = 50
     ratio = evaluate(prior, r) / evaluate(blockwise, r)
     factor = instance.constants.block_count / (6.0 * log2nk(instance.constants) ** 2)

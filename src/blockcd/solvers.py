@@ -64,6 +64,10 @@ GAP_CHECK_EVERY = 8
 # HISTORY_ROWS cycles, and grows geometrically from there, so max_cycles
 # bounds the work, not the memory; any other history has its final size.
 HISTORY_ROWS = 64
+# np.clip's ufunc: np.clip on a float array with two bounds calls it and
+# nothing else, so it gives np.clip's bits, NaN and signed zeros included,
+# without the Python wrapper
+_clip = np._core.umath.clip
 
 
 @dataclass(frozen=True)
@@ -310,12 +314,18 @@ def _record_cycles(problems, runs, x: np.ndarray, stepsizes, sweep, refresh,
     sqrt(L) ||x^(r+1) - x^(r)||), and the drawn orders become one array
     after the loop (_order_array), which the B trajectories share.
 
-    A cycle that writes nothing is an exact fixed point: the next
+    A sweep reads only x, the buffers refresh() fills from x and what is
+    fixed for the run (the visit table, the factors, the exact blocks'
+    cache of faces).  So under a fixed order a cycle is one function of x,
+    and once x equals an earlier row of the history byte for byte (-0.0
+    and NaN payloads included), every later row equals the row one period
+    back: the loop copies it from there and sweeps no more.  The repeat is
+    found by comparing x with one checkpoint row, which moves to the
+    current row whenever the distance to it reaches a power of two that
+    then doubles (Brent, BIT 1980), so it costs no memory per cycle.  A
+    cycle that writes nothing is period 1 under any order: the next
     refresh() sees the same x, so every visit, in any order, reads what it
-    read before and again writes nothing.  From there on a cycle only
-    draws and records its order and keeps x.  A sweep that reads anything
-    besides x and the refreshed buffer must report a write on every cycle;
-    a NaN step counts as a write.
+    read before and again writes nothing.  A NaN step counts as a write.
 
     Only a single run watches a gap.  With run.gap_tolerance > 0 and
     f_star, the rows added since the last evaluation are evaluated every
@@ -331,19 +341,27 @@ def _record_cycles(problems, runs, x: np.ndarray, stepsizes, sweep, refresh,
     history[:, 0] = x
     drawn, values = [], []
     order_stream = run.order.stream(block_count)
-    cycle = evaluated = 0
-    settled = False
+    fixed = run.order.kind == "cyclic"
+    cycle = evaluated = period = 0
+    checkpoint, reach, mark = 0, 1, x.tobytes()
     while cycle < run.max_cycles:
         order = next(order_stream)
         drawn.append(order)
-        if not settled:
+        if not period:
             refresh()
-            settled = not sweep(order)
+            if not sweep(order):
+                period = 1
         cycle += 1
         if cycle == history.shape[1]:
             grow = min(cycle, run.max_cycles + 1 - cycle)
             history = np.concatenate([history, np.empty((batch, grow, dim))], axis=1)
-        history[:, cycle] = x
+        history[:, cycle] = history[:, cycle - period] if period else x
+        if fixed and not period:
+            current = x.tobytes()
+            if current == mark:
+                period = cycle - checkpoint
+            elif cycle - checkpoint == reach:
+                checkpoint, reach, mark = cycle, 2 * reach, current
         if watch and (cycle % GAP_CHECK_EVERY == 0 or cycle == run.max_cycles):
             first, evaluated = evaluated, cycle + 1
             values.append(trajectory_values(problems[0], history[0, first:evaluated]))
@@ -453,37 +471,54 @@ def _scalar_sweep(table: list, gram: np.ndarray, rows: tuple | None, x: np.ndarr
     return wrote
 
 
-def _block_sweep(p: CompositeQuadraticProblem, x: np.ndarray, res: np.ndarray,
-                 stepsizes: np.ndarray, blocks, order) -> bool:
+def _block_visits(p: CompositeQuadraticProblem, stepsizes: np.ndarray,
+                  exact: bool) -> list:
+    """One (slice, A_k, visit data) entry per block of any size, built once
+    per run, as _visit_table does for scalar blocks.  The visit data of
+    exact minimization is the block's _ExactBlock; that of a proximal step
+    is (A_k^T, P_k, 1/P_k, term), with term None for a zero term, whose
+    prox is the point itself."""
+    size = p.partition.block_size
+    visits = []
+    for k, (a_k, term, weight) in enumerate(zip(p.a_blocks, p.h, stepsizes.tolist())):
+        data = (_ExactBlock.of(a_k, term) if exact
+                else (a_k.T, weight, 1.0 / weight, None if term.kind == "zero" else term))
+        visits.append((slice(k * size, (k + 1) * size), a_k, data))
+    return visits
+
+
+def _block_sweep(visits: list, exact: bool, x: np.ndarray, res: np.ndarray, order) -> bool:
     """One cycle on blocks of any size from the residual ``res`` at x, which
     is left as it is: a proximal step per visit, or an exact block
-    minimization when ``blocks`` holds each block's _ExactBlock.  Returns
-    whether a visit wrote.
+    minimization when ``exact``, with each block's entry of ``visits``
+    (_block_visits).  Returns whether a visit wrote.
 
-    A proximal visit writes x_k and the residual only when the step has a
-    nonzero entry.  An exact visit rebuilds the residual as
-    (res - A_k x_k) + A_k x_k^new, which rounding can change even when the
-    block stays, so it always counts as a write."""
-    weights = stepsizes.tolist()
-    size = p.partition.block_size
-    wrote = blocks is not None
+    A proximal visit steps to prox(h_k, x_k - A_k^T res / P_k, 1/P_k), the
+    box's prox being np.clip's ufunc alone (_clip), and writes x_k and the
+    residual only when the step has a nonzero entry.  An exact visit
+    rebuilds the residual as (res - A_k x_k) + A_k x_k^new, which rounding
+    can change even when the block stays, so it always counts as a
+    write."""
+    wrote = exact
     for k in order:
-        sl = slice(k * size, (k + 1) * size)
-        a_k = p.a_blocks[k]
+        sl, a_k, data = visits[k]
         old = x[sl]  # a view: every use comes before x_k is written
-        if blocks is None:
-            grad = a_k.T @ res
-            new = prox(p.h[k], old - grad / weights[k], 1.0 / weights[k])
-            step = new - old
-            if step.any():
-                res = res + a_k @ step
-                x[sl] = new
-                wrote = True
-        else:
+        if exact:
             rest = res - a_k @ old
-            new = _exact_block_minimize(blocks[k], rest, old)
+            new = _exact_block_minimize(data, rest, old)
             res = rest + a_k @ new
             x[sl] = new
+            continue
+        a_k_t, weight, step_size, term = data
+        new = old - (a_k_t @ res) / weight
+        if term is not None:
+            new = (_clip(new, term.lo, term.hi) if term.kind == "box"
+                   else prox(term, new, step_size))
+        step = new - old
+        if np.count_nonzero(step):
+            res = res + a_k @ step
+            x[sl] = new
+            wrote = True
     return wrote
 
 
@@ -495,8 +530,9 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
     residual r = Ax - b, or for scalar blocks g = A^T r, in the buffer the
     sweep starts from.  Scalar blocks take the Gram kernel (_scalar_sweep)
     with the run's visit table, entry by entry at the Gram's nonzeros when
-    the problem has a row structure (gram_rows); larger blocks of exact
-    BCD are factored here once per run.
+    the problem has a row structure (gram_rows); larger blocks take
+    _block_sweep with the run's _block_visits, where exact BCD factors each
+    block once per run.
     """
     if p.partition.block_size > 1:
         res = np.empty(p.rows)
@@ -504,9 +540,7 @@ def _make_sweep(p: CompositeQuadraticProblem, x: np.ndarray, stepsizes: np.ndarr
         def refresh():
             res[:] = p.residual(x)
 
-        blocks = ([_ExactBlock.of(a_k, term) for a_k, term in zip(p.a_blocks, p.h)]
-                  if exact else None)
-        return partial(_block_sweep, p, x, res, stepsizes, blocks), refresh
+        return partial(_block_sweep, _block_visits(p, stepsizes, exact), exact, x, res), refresh
     full = p.full_matrix()
     grad = np.empty(p.partition.dimension)
 
@@ -644,7 +678,7 @@ def _exact_block_minimize(block: _ExactBlock, rest: np.ndarray,
         if term.lo <= z.min() and z.max() <= term.hi:
             return z
         return _bounded_least_squares(block, rest, 0.0, term.lo, term.hi,
-                                      np.clip(current, term.lo, term.hi))
+                                      _clip(current, term.lo, term.hi))
     split = np.concatenate([np.maximum(current, 0.0), np.maximum(-current, 0.0)])
     split = _bounded_least_squares(block, rest, weight, 0.0, math.inf, split)
     return split[:n] - split[n:]
@@ -773,7 +807,7 @@ def _bounded_least_squares(block: _ExactBlock, rest: np.ndarray, weight: float,
             barred.append(index)
             at_minimum, released = True, -1
             continue
-        z[free] = np.clip(z_free + alpha * step, lo, hi)
+        z[free] = _clip(z_free + alpha * step, lo, hi)
         z[index] = lo if step[stop] < 0.0 else hi
         at_minimum, released = False, -1
     raise ConvergenceError(f"exact block active set took more than {cap} steps")
@@ -825,59 +859,85 @@ def _stacked_visits(problems, runs, stepsizes) -> tuple[np.ndarray, ...]:
     return divisor, zero_column, threshold
 
 
+def _stacked_products(problems) -> list[tuple]:
+    """The runs grouped by row count, each group as (its run indices, the
+    stack of its matrices A (G, rows, K), their transposes, the stack of
+    its b (G, rows, 1), and a C-contiguous (G, K, 1) buffer for x): numpy
+    runs a stacked matmul as one BLAS call per item with the item's own
+    strides, so with each A C-contiguous, its transpose the F-contiguous
+    view and the vectors contiguous, every item is the per-run product
+    A x or A^T r itself, bit for bit.  Runs whose row counts differ cannot
+    share a stack."""
+    groups = {}
+    for b, p in enumerate(problems):
+        groups.setdefault(p.rows, []).append(b)
+    block_count = problems[0].partition.block_count
+    stacks = []
+    for members in groups.values():
+        matrices = np.stack([problems[b].full_matrix() for b in members])
+        offsets = np.stack([problems[b].b for b in members])[:, :, None]
+        stacks.append((np.array(members, dtype=np.intp), matrices, matrices.transpose(0, 2, 1),
+                       offsets, np.empty((len(members), block_count, 1))))
+    return stacks
+
+
 def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     """bcpg and exact_bcd runs on scalar blocks, swept in lockstep: a
     stacked sweep and refresh on _record_cycles.  The B runs share K, the
     BlockOrder and max_cycles, every term is l1 or zero, and
     gap_tolerance is 0; anything else raises ValueError.
 
-    A visit is _scalar_sweep's, as one array step across the runs on
-    (K, B) iterates and gradients g = A^T r and (K, K, B) Grams, with each
-    run's divisor d_k, zero column and threshold t_k from _stacked_visits.
-    Each element takes _scalar_sweep's IEEE operations in the same order:
-    v = x_k - g_k / d_k (0 on a zero column) and
-    x_k^new = v - min(max(v, -t_k), t_k), the soft threshold's bits (a
+    The refresh is one stacked product pair per group of runs with equal
+    row counts (_stacked_products): r = A x - b and g = A^T r for all of
+    them, with each item the per-run product's own BLAS call.  A visit is
+    _scalar_sweep's, as one array step across the runs on (K, B) iterates
+    and gradients g = A^T r and (K, K, B) Grams, with each run's divisor
+    d_k, zero column and threshold t_k from _stacked_visits, read from row
+    views built once per batch.  Each element takes _scalar_sweep's IEEE
+    operations in the same order: v = x_k - g_k / d_k (0 on a zero column)
+    and x_k^new = v - min(max(v, -t_k), t_k), the soft threshold's bits (a
     t_k of inf, from 0 * inf, gives prox_scalar's 0, and t_k = 0 on a
     zero term its v); where the step moved, x_k takes x_k^new and g gains
     delta G[k].  So the iterates, and all that is recorded from them, are
     bit-identical to run_bcpg/run_bcd_exact.  Only g may differ, and only
     in the sign of a zero entry, where the per-run kernel updates g at the
-    Gram's nonzeros alone (_scalar_sweep's argument).  Each run's refresh
-    computes g from its own residual, as the per-run refresh does, and the
-    sweep reports a write on every cycle.  A NaN proximal point, which the
-    soft threshold maps to 0 and this form to NaN, raises ValueError
-    instead.
+    Gram's nonzeros alone (_scalar_sweep's argument).  Each cycle's
+    refresh computes g from the runs' own residuals, as the per-run
+    refresh does, and the sweep reports a write on every cycle.  A NaN
+    proximal point, which the soft threshold maps to 0 and this form to
+    NaN, raises ValueError instead.
     """
     _check_lockstep(problems, runs, x0s, constants)
-    fulls = [p.full_matrix() for p in problems]
     stepsizes = [run.realize_stepsizes(c) for run, c in zip(runs, constants)]
     x = np.column_stack([check_start(p, x0) for p, x0 in zip(problems, x0s)])
     divisor, zero_column, threshold = _stacked_visits(problems, runs, stepsizes)
-    zero_rows = {k: column for k, column in enumerate(zero_column) if column.any()}
-    lower = -threshold
     grams = np.stack([p.gram for p in problems], axis=-1)
     g, step = np.empty(x.shape), np.empty(x.shape)
+    visits = [(x[k], g[k], divisor[k], -threshold[k], threshold[k], grams[k],
+               zero_column[k] if zero_column[k].any() else None) for k in range(x.shape[0])]
+    stacks = _stacked_products(problems)
     v, clip, new, delta = (np.empty(len(runs)) for _ in range(4))
     moved = np.empty(len(runs), dtype=bool)
 
     def refresh():
-        for b, p in enumerate(problems):
-            g[:, b] = fulls[b].T @ p.residual(x[:, b].copy())
+        for members, matrices, transposes, offsets, xs in stacks:
+            xs[:, :, 0] = x.T[members]
+            g.T[members] = np.matmul(transposes, np.matmul(matrices, xs) - offsets)[:, :, 0]
 
     def sweep(order):
         for k in order:
-            old = x[k]
-            np.divide(g[k], divisor[k], out=v)
+            old, g_k, divisor_k, lower_k, threshold_k, gram_k, zero_k = visits[k]
+            np.divide(g_k, divisor_k, out=v)
             np.subtract(old, v, out=v)
-            if k in zero_rows:
-                v[zero_rows[k]] = 0.0
-            np.maximum(v, lower[k], out=clip)
-            np.minimum(clip, threshold[k], out=clip)
+            if zero_k is not None:
+                v[zero_k] = 0.0
+            np.maximum(v, lower_k, out=clip)
+            np.minimum(clip, threshold_k, out=clip)
             np.subtract(v, clip, out=new)
             np.subtract(new, old, out=delta)
             np.not_equal(delta, 0.0, out=moved)
             np.copyto(old, new, where=moved)
-            np.multiply(grams[k], delta, out=step)
+            np.multiply(gram_k, delta, out=step)
             np.add(g, step, out=g, where=moved)
         if np.isnan(x).any():
             raise ValueError("NaN proximal point in a lockstep sweep; run the solvers one at a time")
@@ -908,7 +968,7 @@ def _gradient_sweep(g: np.ndarray, x: np.ndarray, lipschitz: float, order) -> bo
     if not np.isfinite(g).all():
         raise ValueError("non-finite gradient")
     new = x - g / lipschitz
-    moved = bool((new - x).any())
+    moved = bool(np.count_nonzero(new - x))
     if moved:
         x[:] = new
     return moved

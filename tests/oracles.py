@@ -321,3 +321,24 @@ def splitmix64_unmix(output):
     z = unshift(z, 27)
     z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
     return unshift(z, 30)
+
+
+def replay_block_sweeps(problem, orders, x0, weights):
+    """bcpg's iterates on blocks of any size, written out: each cycle
+    takes the residual at x, and each visit of ``orders[r]`` steps to the
+    textbook prox of x_k - A_k^T r / P_k and, when the step has a nonzero
+    entry, writes x_k and moves r by A_k times the step."""
+    x = np.array(x0, dtype=float)
+    xs = [x.copy()]
+    for order in orders:
+        res = problem.residual(x)
+        for k in order:
+            sl, a_k = problem.block_slice(k), problem.a_blocks[k]
+            old = x[sl].copy()
+            new = _block_prox(problem.h[k], old - (a_k.T @ res) / weights[k], 1.0 / weights[k])
+            step = new - old
+            if step.any():
+                res = res + a_k @ step
+                x[sl] = new
+        xs.append(x.copy())
+    return np.array(xs)

@@ -57,13 +57,13 @@ def scalar_over_relaxed(table, gram, rows, x, g, order):
     return wrote
 
 
-def block_skip_last(p, x, res, stepsizes, blocks, order):
-    return BLOCK(p, x, res, stepsizes, blocks, list(order)[:-1])
+def block_skip_last(visits, exact, x, res, order):
+    return BLOCK(visits, exact, x, res, list(order)[:-1])
 
 
-def block_jacobi(p, x, res, stepsizes, blocks, order):
+def block_jacobi(visits, exact, x, res, order):
     # the sweep rebinds its residual, so each visit reads the one at the start
-    return any([BLOCK(p, x, res, stepsizes, blocks, [k]) for k in order])
+    return any([BLOCK(visits, exact, x, res, [k]) for k in order])
 
 
 def gradient_double_step(g, x, lipschitz, order):

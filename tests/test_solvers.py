@@ -50,6 +50,7 @@ from oracles import (
     nonsmooth_value,
     piecewise_quadratic_argmin,
     recorded_visits,
+    replay_block_sweeps,
     replay_coordinate_sweeps,
     replay_scalar_sweeps,
 )
@@ -1225,12 +1226,18 @@ class TestLockstep:
         assert 150 > max(solvers.HISTORY_ROWS, 2 * solvers.ORDER_BATCH)
         self._assert_lasso_batch_matches(order, 150)
 
+    @pytest.mark.parametrize("order", [BlockOrder.cyclic(), BlockOrder.random_permutation(5)])
+    def test_mixed_row_counts_match_per_run_kernel(self, order):
+        # runs with 12, 8 and 12 rows: the refresh stacks the products of
+        # each row count apart
+        self._assert_lasso_batch_matches(order, 40, rows=(12, 8, 12))
+
     @staticmethod
-    def _assert_lasso_batch_matches(order, cycles):
+    def _assert_lasso_batch_matches(order, cycles, rows=(12, 12, 12)):
         batch = []
         for seed, (algorithm, policy) in enumerate([("bcpg", "block_lk"), ("bcpg", "global_l"),
                                                     ("exact_bcd", "block_lk")]):
-            problem, x0 = make_lasso_instance(12, 6, 0.1, seed)
+            problem, x0 = make_lasso_instance(rows[seed], 6, 0.1, seed)
             run = SolverRun(algorithm=algorithm, order=order,
                             stepsizes=StepsizePolicy(policy), max_cycles=cycles)
             batch.append((problem, run, x0, compute_constants(problem)))
@@ -1421,6 +1428,18 @@ def assert_stop_is_exact(problem, run, x0, constants):
     return t
 
 
+def sweeps_run(problem, run, x0, constants):
+    """The sweeps ``run`` takes: one residual per sweep, and one for the
+    recorded values."""
+    calls = []
+    residual = CompositeQuadraticProblem.residual
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CompositeQuadraticProblem, "residual",
+                      lambda p, x: calls.append(1) or residual(p, x))
+        SOLVE[run.algorithm](problem, run, x0, constants)
+    return len(calls) - 1
+
+
 class TestFixedPointStop:
     """A run stops sweeping after a cycle that writes nothing; its
     trajectory is that of sweeping every cycle, bit for bit."""
@@ -1430,11 +1449,18 @@ class TestFixedPointStop:
                scalar_problems(),
                st.tuples(block_problems().filter(lambda p: p.partition.block_size == 2),
                          st.builds(BlockOrder, st.sampled_from(ORDER_KINDS),
-                                   st.integers(0, 2**32 - 1)))),
+                                   st.integers(0, 2**32 - 1))),
+               # exact blocks of 2 or 3 under the cyclic order, whose iterates
+               # can repeat with any period
+               st.tuples(block_problems(), st.just(BlockOrder.cyclic()),
+                         st.just("exact_bcd"))),
            algorithm=st.sampled_from(sorted(SOLVE)), cycles=st.integers(1, 25),
            data=st.data())
     def test_matches_sweeping_every_cycle(self, case, algorithm, cycles, data):
         problem, *rest = case
+        if isinstance(rest[-1], str):
+            *rest, algorithm = rest
+            cycles = data.draw(st.integers(1, 60))
         order = rest[-1]
         x0 = rest[0] if len(rest) == 2 else data.draw(st.lists(
             st.integers(-3, 3).map(lambda v: v / 2.0),
@@ -1472,23 +1498,41 @@ class TestFixedPointStop:
         assert (t.weighted_movement[1:] == 0.0).all()
         assert_stop_is_exact(qp, run, np.ones(6), constants)
 
-    def test_exact_blocks_always_sweep(self, monkeypatch):
-        # an exact block visit rebuilds the residual, which rounding can
-        # change, so exact BCD on blocks of two sweeps every cycle even once
-        # its iterate stays
+    @staticmethod
+    def _exact_blocks_of_two(order):
+        """The sweeps of exact_bcd on table1's diagonal problem in blocks
+        of two, 6 cycles, whose run equals sweeping every cycle."""
         qp = make_table1_diagonal_qp(6, 2.0)
         blocks = CompositeQuadraticProblem(
             partition=BlockPartition(3, 2), b=qp.b, h=(NonsmoothTerm.zero(),) * 3,
             a_blocks=tuple(qp.full_matrix()[:, 2 * k:2 * k + 2] for k in range(3)))
-        run = SolverRun(algorithm="exact_bcd", max_cycles=6)
-        calls = []
-        residual = CompositeQuadraticProblem.residual
-        with monkeypatch.context() as patch:
-            patch.setattr(CompositeQuadraticProblem, "residual",
-                          lambda p, x: calls.append(1) or residual(p, x))
-            t = run_bcd_exact(blocks, run, np.ones(6), compute_constants(blocks))
-        assert len(calls) == 6 + 1
+        run = SolverRun(algorithm="exact_bcd", order=order, max_cycles=6)
+        constants = compute_constants(blocks)
+        t = assert_stop_is_exact(blocks, run, np.ones(6), constants)
         assert t.xs[-1].tobytes() == t.xs[-2].tobytes()
+        return sweeps_run(blocks, run, np.ones(6), constants)
+
+    def test_exact_blocks_stop_once_x_repeats(self):
+        # under the cyclic order a cycle is a function of x: x^2 = x^1, so
+        # the run stops sweeping after its second cycle
+        assert self._exact_blocks_of_two(BlockOrder.cyclic()) == 2
+
+    def test_exact_blocks_sweep_every_cycle_under_random_orders(self):
+        # an exact block visit rebuilds the residual, which rounding can
+        # change, so it counts as a write: with the order changing every
+        # cycle, exact BCD on blocks of two sweeps every cycle even once its
+        # iterate stays
+        assert self._exact_blocks_of_two(BlockOrder.random_permutation(3)) == 6
+
+    def test_periodic_orbit_is_replayed(self):
+        # exact_bcd on thm2_case3_box under the cyclic order: x^54 = x^51,
+        # and the 3-cycle orbit repeats to cycle 300 with 66 cycles swept
+        instance = battery.get_instance("thm2_case3_box")
+        run = SolverRun(algorithm="exact_bcd", max_cycles=300)
+        assert sweeps_run(instance.problem, run, instance.x0, instance.constants) == 66
+        t = assert_stop_is_exact(instance.problem, run, instance.x0, instance.constants)
+        assert t.xs[54].tobytes() == t.xs[51].tobytes()
+        assert all(t.xs[r].tobytes() != t.xs[r - 1].tobytes() for r in range(52, 301))
 
     @pytest.mark.parametrize("block_size", [1, 2])
     def test_step_with_underflowing_square_moves(self, block_size):
@@ -1521,6 +1565,39 @@ class TestFixedPointStop:
         x[0] = math.nan
         assert sweep([0, 1])
         assert solvers._gradient_sweep(np.zeros(dim), x, 1.0, None)
+
+
+class TestBlockVisits:
+    """The proximal block visit, from visit data built once per run and
+    np.clip's ufunc for the box, against a textbook replay, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=block_problems(), cycles=st.integers(1, 20),
+           order=st.builds(BlockOrder, st.sampled_from(ORDER_KINDS), st.integers(0, 2**32 - 1)),
+           data=st.data())
+    def test_matches_textbook_replay(self, problem, cycles, order, data):
+        constants = compute_constants(problem)
+        assume(np.all(constants.L_k > 0))
+        x0 = np.array(data.draw(st.lists(
+            st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5]),
+            min_size=problem.partition.dimension, max_size=problem.partition.dimension)))
+        for k, term in enumerate(problem.h):
+            if term.kind == "box":
+                sl = problem.block_slice(k)
+                x0[sl] = np.clip(x0[sl], term.lo, term.hi)
+        t = run_bcpg(problem, SolverRun(algorithm="bcpg", order=order, max_cycles=cycles), x0,
+                     constants)
+        assert_same_bits(t.xs, replay_block_sweeps(problem, t.orders, x0, t.stepsizes))
+
+    def test_box_prox_has_np_clips_bits(self):
+        # NaN payloads, infinities and signed zeros, against bounds of
+        # either zero sign
+        payload = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+        v = np.array([-math.inf, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, math.inf,
+                      math.nan, -math.nan, payload])
+        for lo, hi in [(-1.0, 1.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (0.0, math.inf),
+                       (-math.inf, math.inf), (0.5, 0.5), (-0.5, -0.0)]:
+            assert_same_bits(solvers._clip(v, lo, hi), np.clip(v, lo, hi))
 
 
 # The two scalar kernels, forced on any problem: the dense one without a
