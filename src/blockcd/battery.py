@@ -24,10 +24,7 @@ from .problems import (
     ProblemConstants,
     compute_constants,
     eval_objective,
-    make_lasso_instance,
-    make_table1_diagonal_qp,
-    make_table1_full_qp,
-    make_toeplitz_instance,
+    load_problem,
     oracle_from_quadratic,
 )
 from .rng import SplitMix64, derive_seed
@@ -65,6 +62,23 @@ LASSO_RUNS = (("bcpg", "block_lk"), ("bcpg", "global_l"), ("exact_bcd", "block_l
 TOEPLITZ_SIZES = (5, 10, 25, 50)
 TABLE1_SIZES = (10, 100)
 TRUNCATION_SIZES = (2, 4, 8, 16, 32, 64)
+# name -> problem document of every generated battery instance, read by load_problem
+PROBLEMS = {
+    **{f"lasso_{i:02d}": {"kind": "lasso", "rows": LASSO_ROWS, "block_count": LASSO_BLOCKS,
+                          "weight": LASSO_WEIGHT, "seed": LASSO_BASE_SEED + i}
+       for i in range(LASSO_COUNT)},
+    **{f"toeplitz_K{k}": {"kind": "toeplitz", "block_count": k} for k in TOEPLITZ_SIZES},
+    **{f"table1_{flavor}_K{k}": {"kind": f"table1_{flavor}", "block_count": k, "lipschitz": 2.0}
+       for flavor in ("diag", "full") for k in TABLE1_SIZES},
+}
+# name -> (case seed, K, N, rows, rank-one blocks, box terms, expected rank case)
+# of the Theorem 2 instances, each built by _thm2_instance
+THM2_CASES = {
+    "thm2_case1": (1, 5, 2, 16, False, False, "full_column"),
+    "thm2_case2": (2, 5, 3, 2, False, True, "full_row"),
+    "thm2_case3_box": (3, 5, 2, 3, True, True, "neither"),
+    "thm2_case3_free": (3, 5, 2, 3, True, False, "neither"),
+}
 
 
 @dataclass(frozen=True)
@@ -138,93 +152,56 @@ def run_solver(instance: Instance, run: SolverRun) -> Trajectory:
     return t.with_gap(f_star)
 
 
+def _thm2_instance(name: str, case: int, k: int, n: int, m: int, rank_one: bool, box: bool,
+                   rank_case: str) -> Instance:
+    """A Theorem 2 instance: K blocks of m x n normal draws (or rank-one
+    outer products), then b, then a normal start, or 0 for a box instance.
+    Its seed must give the expected rank case."""
+    gen = SplitMix64(derive_seed(0xCA5E, case))
+    blocks = tuple(np.outer(gen.normal_vector(m), gen.normal_vector(n)) if rank_one
+                   else gen.normal_matrix(m, n) for _ in range(k))
+    b = gen.normal_vector(m)
+    x0 = np.zeros(k * n) if box else gen.normal_vector(k * n)
+    term = NonsmoothTerm.box(-1.0, 1.0) if box else NonsmoothTerm.zero()
+    problem = CompositeQuadraticProblem(partition=BlockPartition(k, n), a_blocks=blocks, b=b,
+                                        h=(term,) * k)
+    instance = set_up(name, problem, x0)
+    if instance.constants.rank_case != rank_case:
+        raise RuntimeError(f"{name}: its seed gave the rank case "
+                           f"{instance.constants.rank_case!r}, not {rank_case!r}")
+    return instance
+
+
 @cache
 def get_instance(name: str) -> Instance:
-    if name.startswith("lasso_"):
-        index = int(name.split("_")[1])
-        problem, x0 = make_lasso_instance(LASSO_ROWS, LASSO_BLOCKS, LASSO_WEIGHT,
-                                          LASSO_BASE_SEED + index)
-        return set_up(name, problem, x0)
+    """The battery instance ``name``, set up once per process: a thm2 one
+    from its THM2_CASES row, any other from its problem document."""
+    if name in THM2_CASES:
+        return _thm2_instance(name, *THM2_CASES[name])
+    if name not in PROBLEMS:
+        raise KeyError(f"unknown battery instance {name!r}")
+    loaded = load_problem(PROBLEMS[name])
+    return set_up(name, loaded.problem, loaded.x0)
 
-    if name.startswith("toeplitz_K"):
-        k = int(name.split("K")[1])
-        problem, x0 = make_toeplitz_instance(k)
-        return set_up(name, problem, x0)
 
-    if name.startswith("table1_"):
-        _, flavor, ksuffix = name.split("_")
-        k = int(ksuffix[1:])
-        make = make_table1_diagonal_qp if flavor == "diag" else make_table1_full_qp
-        return set_up(name, make(k, 2.0), np.ones(k))
-
-    if name == "thm2_case1":
-        gen = SplitMix64(derive_seed(0xCA5E, 1))
-        k, n, m = 5, 2, 16
-        blocks = tuple(gen.normal_matrix(m, n) for _ in range(k))
-        problem = CompositeQuadraticProblem(
-            partition=BlockPartition(k, n), a_blocks=blocks,
-            b=gen.normal_vector(m),
-            h=tuple(NonsmoothTerm.zero() for _ in range(k)))
-        x0 = gen.normal_vector(k * n)
-        instance = set_up(name, problem, x0)
-        if instance.constants.rank_case != "full_column":
-            raise RuntimeError("case1 seed failed to produce full column rank")
-        return instance
-
-    if name == "thm2_case2":
-        gen = SplitMix64(derive_seed(0xCA5E, 2))
-        k, n, m = 5, 3, 2
-        blocks = tuple(gen.normal_matrix(m, n) for _ in range(k))
-        problem = CompositeQuadraticProblem(
-            partition=BlockPartition(k, n), a_blocks=blocks,
-            b=gen.normal_vector(m),
-            h=tuple(NonsmoothTerm.box(-1.0, 1.0) for _ in range(k)))
-        x0 = np.zeros(k * n)
-        instance = set_up(name, problem, x0)
-        if instance.constants.rank_case != "full_row":
-            raise RuntimeError("case2 seed failed to produce full row rank")
-        return instance
-
-    if name in ("thm2_case3_box", "thm2_case3_free"):
-        gen = SplitMix64(derive_seed(0xCA5E, 3))
-        k, n, m = 5, 2, 3
-        blocks = tuple(np.outer(gen.normal_vector(m), gen.normal_vector(n))
-                       for _ in range(k))
-        b = gen.normal_vector(m)
-        free_x0 = gen.normal_vector(k * n)
-        if name.endswith("box"):
-            problem = CompositeQuadraticProblem(
-                partition=BlockPartition(k, n), a_blocks=blocks, b=b,
-                h=tuple(NonsmoothTerm.box(-1.0, 1.0) for _ in range(k)))
-            x0 = np.zeros(k * n)
-        else:
-            problem = CompositeQuadraticProblem(
-                partition=BlockPartition(k, n), a_blocks=blocks, b=b,
-                h=tuple(NonsmoothTerm.zero() for _ in range(k)))
-            x0 = free_x0
-        instance = set_up(name, problem, x0)
-        if instance.constants.rank_case != "neither":
-            raise RuntimeError("case3 seed failed to produce rank deficiency")
-        return instance
-
-    raise KeyError(f"unknown battery instance {name!r}")
+def _names(prefix: str) -> list[str]:
+    return [name for name in PROBLEMS if name.startswith(prefix)]
 
 
 def lasso_names() -> list[str]:
-    return [f"lasso_{i:02d}" for i in range(LASSO_COUNT)]
+    return _names("lasso_")
 
 
 def toeplitz_names() -> list[str]:
-    return [f"toeplitz_K{k}" for k in TOEPLITZ_SIZES]
+    return _names("toeplitz_")
 
 
 def table1_names() -> list[str]:
-    return [f"table1_{flavor}_K{k}" for flavor in ("diag", "full")
-            for k in TABLE1_SIZES]
+    return _names("table1_")
 
 
 def thm2_names() -> list[str]:
-    return ["thm2_case1", "thm2_case2", "thm2_case3_box", "thm2_case3_free"]
+    return list(THM2_CASES)
 
 
 def qp_battery_names() -> list[str]:

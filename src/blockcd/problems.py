@@ -1,7 +1,8 @@
 """Problem definitions: composite quadratics with block structure, the
 smooth view of a nonsmooth-free scalar-block quadratic (its Hessian and
-Lipschitz data), proximal operators, and the named instance generators
-used by the experiment battery.
+Lipschitz data), proximal operators, the instance generators, and the
+problem-file loader with its table of generated kinds (FAMILIES), which
+plans and the experiment battery read too.
 
 The canonical composite objective is
 
@@ -25,7 +26,6 @@ from .linalg import RANK_RTOL, as_matrix, min_norm_factors, sym_eig_extremes
 from .rng import SplitMix64, derive_seed
 
 _FEAS_RTOL = 1e-12
-PROBLEM_KINDS = ("lasso", "toeplitz", "table1_diag", "table1_full", "explicit")
 TERM_KINDS = ("zero", "l1", "group_l2", "box")
 SPARSE_ROW_NONZEROS = 20
 """A Gram whose rows each have at most this many nonzeros gets a row
@@ -853,28 +853,45 @@ def _load_explicit(spec: dict, path: str) -> LoadedProblem:
                          problem=problem)
 
 
+class Family(NamedTuple):
+    """A generated problem kind: its fields as (key, Rule) pairs, in read
+    order, and ``make(seed, *values)``, which returns (problem, x0)."""
+
+    fields: tuple
+    make: Callable
+
+
+_TABLE1_FIELDS = (("block_count", POSITIVE_INTEGER), ("lipschitz", POSITIVE_NUMBER))
+FAMILIES = {
+    "lasso": Family(
+        (("rows", POSITIVE_INTEGER), ("block_count", POSITIVE_INTEGER),
+         ("weight", NONNEGATIVE_NUMBER)),
+        lambda seed, rows, k, weight: make_lasso_instance(rows, k, weight, seed)),
+    "toeplitz": Family((("block_count", Rule(int, "an integer >= 3", lambda v: v >= 3)),),
+                       lambda seed, k: make_toeplitz_instance(k)),
+    "table1_diag": Family(_TABLE1_FIELDS,
+                          lambda seed, k, lip: (make_table1_diagonal_qp(k, lip), np.ones(k))),
+    "table1_full": Family(_TABLE1_FIELDS,
+                          lambda seed, k, lip: (make_table1_full_qp(k, lip), np.ones(k))),
+}
+"""The generated problem kinds, the one place that builds them: problem
+files, plans and the battery's generated instances are all read by
+load_problem.  The remaining kind, ``explicit``, gives its numbers."""
+
+
 def load_problem(source, path: str = "$") -> LoadedProblem:
     """Build a problem from a JSON file path, JSON text, or a plain dict.
 
-    The kinds are PROBLEM_KINDS.  The first broken rule is reported at the
-    offending field, under ``path``: a plan passes ``$.problem``.
+    The kinds are those of FAMILIES and ``explicit``.  Every kind reads
+    ``seed``, then its own fields.  The first broken rule is reported at
+    the offending field, under ``path``: a plan passes ``$.problem``.
     """
     spec = read_document(source, path)
-    kind = read_field(spec, path, "kind", one_of(PROBLEM_KINDS))
+    kind = read_field(spec, path, "kind", one_of((*FAMILIES, "explicit")))
     seed = read_field(spec, path, "seed", INTEGER, default=0)
-    if kind == "lasso":
-        rows = read_field(spec, path, "rows", POSITIVE_INTEGER)
-        k = read_field(spec, path, "block_count", POSITIVE_INTEGER)
-        weight = read_field(spec, path, "weight", NONNEGATIVE_NUMBER)
-        problem, x0 = make_lasso_instance(rows, k, weight, seed)
-        return LoadedProblem(kind=kind, x0=x0, problem=problem)
-    if kind == "toeplitz":
-        k = read_field(spec, path, "block_count", Rule(int, "an integer >= 3", lambda v: v >= 3))
-        problem, x0 = make_toeplitz_instance(k)
-        return LoadedProblem(kind=kind, x0=x0, problem=problem)
-    if kind in ("table1_diag", "table1_full"):
-        k = read_field(spec, path, "block_count", POSITIVE_INTEGER)
-        lip = read_field(spec, path, "lipschitz", POSITIVE_NUMBER)
-        make = make_table1_diagonal_qp if kind == "table1_diag" else make_table1_full_qp
-        return LoadedProblem(kind=kind, x0=np.ones(k), problem=make(k, lip))
-    return _load_explicit(spec, path)
+    if kind == "explicit":
+        return _load_explicit(spec, path)
+    family = FAMILIES[kind]
+    problem, x0 = family.make(seed, *(read_field(spec, path, key, rule)
+                                      for key, rule in family.fields))
+    return LoadedProblem(kind=kind, x0=x0, problem=problem)

@@ -17,8 +17,20 @@ class TestInstances:
             assert instance.r0.value >= 0.0
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(KeyError):
-            battery.get_instance("mystery_instance")
+        # only the declared names are instances, not every name of their pattern
+        for name in ("mystery_instance", "toeplitz_K7", "lasso_10"):
+            with pytest.raises(KeyError, match=name):
+                battery.get_instance(name)
+
+    def test_thm2_seed_of_the_wrong_rank_case_is_named(self, monkeypatch):
+        monkeypatch.setitem(battery.THM2_CASES, "thm2_case1",
+                            battery.THM2_CASES["thm2_case1"][:-1] + ("full_row",))
+        battery.get_instance.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="thm2_case1.*'full_column', not 'full_row'"):
+                battery.get_instance("thm2_case1")
+        finally:
+            battery.get_instance.cache_clear()
 
     def test_lasso_instances_certified(self):
         for name in battery.lasso_names():

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -610,10 +611,10 @@ class TestZeroColumn:
 
 
 class TestSharedSetUp:
+    # one generated instance per family, set up from its battery document
     @pytest.mark.parametrize("name, spec", [
-        ("toeplitz_K10", {"kind": "toeplitz", "block_count": 10}),
-        ("table1_full_K10", {"kind": "table1_full", "block_count": 10, "lipschitz": 2.0}),
-    ])
+        (name, battery.PROBLEMS[name])
+        for name in ("toeplitz_K10", "table1_full_K10", "lasso_00", "table1_diag_K10")])
     def test_cli_instance_equals_battery_instance(self, tmp_path, monkeypatch, name, spec):
         made = record_set_up(monkeypatch)
         assert cli.cmd_bounds(json.dumps(spec), 3, str(tmp_path)) == 0
@@ -626,6 +627,9 @@ class TestSharedSetUp:
         np.testing.assert_array_equal(ours.x0, theirs.x0)
         assert ours.r0 == theirs.r0
         assert ours.delta0 == theirs.delta0
+        if not theirs.problem.is_smooth():  # the lasso has no beta
+            assert ours.beta is theirs.beta is None
+            return
         assert theirs.beta is not None
         assert ours.beta == theirs.beta
         # beta and the strict-lower norm are those of a smooth view built from scratch
@@ -757,12 +761,38 @@ def test_parser_and_schema_agree(tmp_path, field, value_text):
     assert (error is None) == schema_verdict(document, error)
 
 
+# explicit's required fields: the rest of an explicit problem is optional
+EXPLICIT_REQUIRED = ("block_count", "block_size", "a_blocks", "b")
+
+
+def _problem_schema(kind: str) -> dict:
+    """The then-branch of the schema's if/then block for ``kind``."""
+    blocks = SCHEMA["properties"]["problem"]["allOf"]
+    [then] = [block["then"] for block in blocks
+              if block["if"] == {"required": ["kind"], "properties": {"kind": {"const": kind}}}]
+    return then
+
+
+def test_schema_kinds_are_the_families_and_explicit():
+    kinds = SCHEMA["properties"]["problem"]["properties"]["kind"]["enum"]
+    assert kinds == [*problems.FAMILIES, "explicit"]
+
+
+@pytest.mark.parametrize("kind", [*problems.FAMILIES, "explicit"])
+def test_schema_requires_each_kinds_fields(kind):
+    family = problems.FAMILIES.get(kind)
+    keys = EXPLICIT_REQUIRED if family is None else tuple(key for key, _ in family.fields)
+    assert tuple(_problem_schema(kind)["required"]) == keys
+
+
 # problem objects and, per case, the field set to a JSON text: integral
 # floats are integers, null is no default, and numbers beyond a double
 # (1e400 parses to inf) are not finite
 PROBLEM_BASES = {
     "lasso": {"kind": "lasso", "rows": 4, "block_count": 3, "weight": 0.5, "seed": 1},
+    "toeplitz": {"kind": "toeplitz", "block_count": 3},
     "table1_diag": {"kind": "table1_diag", "block_count": 3, "lipschitz": 2.0},
+    "table1_full": {"kind": "table1_full", "block_count": 3, "lipschitz": 2.0},
     "explicit": {"kind": "explicit", "block_count": 2, "block_size": 1,
                  "a_blocks": [[[1.0]], [[2.0]]], "b": [1.0], "x0": [0.0, 0.0],
                  "h": [{"kind": "l1", "weight": 0.5}, {"kind": "box", "lo": -1.0, "hi": 1.0}]},
@@ -784,19 +814,30 @@ PROBLEM_FIELD_CASES = (
                     "1e308", "-3")]
     # a matrix, each of its blocks and each row hold at least one entry
     + [("explicit", where, "[]") for where in (("a_blocks",), ("a_blocks", 0),
-                                               ("a_blocks", 0, 0))])
+                                               ("a_blocks", 0, 0))]
+    # each kind's required fields, each removed (a text of None), and a
+    # Toeplitz K below 3
+    + [(kind, (key,), None) for kind, family in problems.FAMILIES.items()
+       for key, _ in family.fields]
+    + [("explicit", (key,), None) for key in EXPLICIT_REQUIRED]
+    + [("toeplitz", ("block_count",), "2")])
 
 
 @pytest.mark.parametrize("kind, where, value_text", PROBLEM_FIELD_CASES,
-                         ids=[f"{kind}.{'.'.join(map(str, where))}={text}"
+                         ids=[f"{kind}.{'.'.join(map(str, where))}"
+                              + ("-removed" if text is None else f"={text}")
                               for kind, where, text in PROBLEM_FIELD_CASES])
 def test_problem_fields_schema_and_loader_agree(kind, where, value_text):
     problem = json.loads(json.dumps(PROBLEM_BASES[kind]))
     holder = problem
     for step in where[:-1]:
         holder = holder[step]
-    holder[where[-1]] = "@VALUE@"
-    text = json.dumps(problem).replace('"@VALUE@"', value_text)
+    if value_text is None:
+        del holder[where[-1]]
+        text = json.dumps(problem)
+    else:
+        holder[where[-1]] = "@VALUE@"
+        text = json.dumps(problem).replace('"@VALUE@"', value_text)
     plan = {"problem": json.loads(text), "runs": [{"algorithm": "bcpg"}]}
     error = reader_error(problems.load_problem, text, "$.problem")
     assert (error is None) == schema_verdict(plan, error)
@@ -853,7 +894,21 @@ PLAN_FIELDS = {
     "bounds.against": (("bounds", 0), "against", _json_values().filter(
         lambda value: not isinstance(value, str)) | st.just("a")),
     "bounds.c_prior": (("bounds", 0), "c_prior", _json_values()),
+    "problem.kind": (("problem",), "kind", _json_values(*problems.FAMILIES, "explicit")),
+    "problem.block_count": (("problem",), "block_count", _json_values()),
 }
+
+
+def read_plan_and_problem(plan: dict) -> None:
+    """cli.read_plan, then load_problem on the plan's problem, as cmd_run
+    reads them, with every family's maker stubbed out: a block_count may
+    be valid and still far too large to build."""
+    def unbuilt(*values):
+        return None, None
+
+    stubs = {kind: family._replace(make=unbuilt) for kind, family in problems.FAMILIES.items()}
+    with mock.patch.dict(problems.FAMILIES, stubs):
+        problems.load_problem(cli.read_plan(plan).problem, "$.problem")
 
 
 def _valid_plan(field: str) -> dict:
@@ -876,11 +931,14 @@ def test_parser_and_schema_agree_on_generated_plans(field, data):
     """Change one field of a valid plan (or remove it) and check that the
     schema and the parser agree on the result.
 
+    The problem's kind and block_count are read by load_problem, as
+    cmd_run reads them, and the schema requires each kind's own fields, so
+    a kind change that leaves a required field out is rejected by both,
+    and so is a Toeplitz K below 3.
+
     Left out, because they are not field-by-field rules: unique run
     labels, ``against`` naming an existing run (so the only string tried
-    there is the run's label), the bound/algorithm pairing check, and the
-    problem's own fields, which load_problem validates (toeplitz K >= 3,
-    for one, against the schema's minimum of 1).
+    there is the run's label), and the bound/algorithm pairing check.
     """
     holder_path, key, values = PLAN_FIELDS[field]
     plan = _valid_plan(field)
@@ -893,7 +951,7 @@ def test_parser_and_schema_agree_on_generated_plans(field, data):
     else:
         holder[key] = value
     plan = json.loads(json.dumps(plan))
-    error = reader_error(cli.read_plan, plan)
+    error = reader_error(read_plan_and_problem, plan)
     assert (error is None) == schema_verdict(plan, error)
 
 
