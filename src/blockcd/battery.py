@@ -128,8 +128,7 @@ def set_up(name: str, problem: CompositeQuadraticProblem, x0) -> Instance:
         estimate = beta_estimate(oracle_from_quadratic(problem, constants))
         beta, lower_norm = estimate.estimate, estimate.exact
     for values in (x0, constants.L_k, constants.sigma_k, constants.gamma_k, reference.x_star):
-        if values is not None:
-            values.flags.writeable = False
+        values.flags.writeable = False
     return Instance(name=name, problem=problem, x0=x0, constants=constants, reference=reference,
                     r0=r0, delta0=delta0, beta=beta, lower_norm=lower_norm)
 

@@ -149,14 +149,14 @@ def _numerator(spec: BoundSpec) -> tuple[float, int]:
         return (3.0 * max(c.L * r0_sq,
                           2.0 * log_sq * (c.L_max + c.L ** 2 / c.L_min) * r0_sq)), 1
     if spec.kind == "thm2_case1":
-        if c.sigma_k is None or c.sigma_min <= 0:
+        if c.sigma_min <= 0:
             raise InapplicableBound(
                 "full-column-rank bound requires sigma_min > 0")
         return (3.0 * max(spec.delta0,
                           2.0 * r0_sq * log_sq * (c.L ** 2 + c.L_max ** 2)
                           / c.sigma_min ** 2)), 1
     if spec.kind == "thm2_case2":
-        if c.gamma_k is None or c.gamma_min <= 0:
+        if c.gamma_min <= 0:
             raise InapplicableBound(
                 "full-row-rank bound requires gamma_min > 0")
         return (3.0 * max(spec.delta0,

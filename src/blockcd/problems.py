@@ -463,73 +463,57 @@ class ProblemConstants:
     block_size: int
     L: float
     L_k: np.ndarray
-    L_max: float
-    L_min: float
-    sigma_k: np.ndarray | None = None
-    gamma_k: np.ndarray | None = None
-    sigma_min: float = 0.0
-    gamma_min: float = 0.0
-    rank_case: str = "unknown"
-    mu: float = 0.0  # lambda_min(A^T A)
+    sigma_k: np.ndarray
+    gamma_k: np.ndarray
+    rank_case: str
+    mu: float  # lambda_min(A^T A)
+
+    @property
+    def L_max(self) -> float:
+        return float(self.L_k.max())
+
+    @property
+    def L_min(self) -> float:
+        return float(self.L_k.min())
+
+    @property
+    def sigma_min(self) -> float:
+        return float(self.sigma_k.min())
+
+    @property
+    def gamma_min(self) -> float:
+        return float(self.gamma_k.min())
 
 
 def compute_constants(p: CompositeQuadraticProblem) -> ProblemConstants:
-    """Extreme-eigenvalue constants of the quadratic part.
+    """Extreme-eigenvalue and rank constants of the quadratic part.
 
-    L = lambda_max(A^T A) and mu = lambda_min(A^T A), from one eigensolve;
-    per block L_k = lambda_max(A_k^T A_k), sigma_k^2 = lambda_min(A_k^T A_k),
-    gamma_k^2 = lambda_min(A_k A_k^T).
-    Structural zeros are written exactly: when A_k has more rows m than
-    columns N its m x m row Gram has rank at most N < m, so gamma_k = 0 and
-    that Gram is never formed; when m < N, sigma_k = 0 likewise.  (An
-    eigensolver returns roundoff of either sign for such an eigenvalue, and
-    sqrt(1e-16 L_k) would look positive.)  The rank case counts the
-    singular values of each A_k above RANK_RTOL times the largest, as
-    least_squares_min_norm does; sigma_k and gamma_k carry roundoff near
-    1e-8 sigma_max, too coarse for that threshold.
+    L = lambda_max(A^T A) and mu = lambda_min(A^T A), from one eigensolve
+    of the full Gram.  L_k = lambda_max(A_k^T A_k), from one batched
+    eigensolve of the stacked block Grams: numpy runs the same product and
+    LAPACK routine on each item of a stack as on one matrix, so each L_k has
+    the bits of its block's own solve.  One batched SVD of the blocks gives
+    the rank, sigma_k and gamma_k with one cutoff: a singular value at or
+    below RANK_RTOL times the block's largest counts as 0, as in
+    least_squares_min_norm.  sigma_k is the smallest singular value when
+    the block has at least as many rows m as columns N, gamma_k when m <= N,
+    and each is 0 otherwise.  So sigma_min > 0 exactly when every block has
+    full column rank, gamma_min > 0 exactly when every block has full row
+    rank, and the rank case names the first of the two that holds.
     """
-    k_count = p.partition.block_count
     mu, l_global = sym_eig_extremes(p.gram)
-    l_k = np.empty(k_count)
-    sigma_k = np.empty(k_count)
-    gamma_k = np.empty(k_count)
-    for k in range(k_count):
-        a = p.a_blocks[k]
-        rows, cols = a.shape
-        if cols == 1:
-            # a 1 x 1 Gram (equal to A_k A_k^T when rows = 1) is its own
-            # eigenvalue: eigvalsh returns the entry unchanged
-            low_c = high = low_r = float((a.T @ a)[0, 0])
-        else:
-            low_c, high = sym_eig_extremes(a.T @ a)
-            low_r = None if rows > cols else sym_eig_extremes(a @ a.T)[0]
-        l_k[k] = high
-        sigma_k[k] = 0.0 if rows < cols else math.sqrt(max(low_c, 0.0))
-        gamma_k[k] = 0.0 if rows > cols else math.sqrt(max(low_r, 0.0))
-    singular = np.linalg.svd(np.array(p.a_blocks), compute_uv=False)
-    ranks = np.count_nonzero(singular > RANK_RTOL * singular[:, :1], axis=1)
-    if np.all(ranks == p.partition.block_size):
-        rank_case = "full_column"
-    elif np.all(ranks == p.rows):
-        rank_case = "full_row"
-    else:
-        rank_case = "neither"
-    l_max = float(l_k.max())
-    l_min = float(l_k.min())
-    return ProblemConstants(
-        block_count=k_count,
-        block_size=p.partition.block_size,
-        L=max(float(l_global), l_max),
-        L_k=l_k,
-        L_max=l_max,
-        L_min=l_min,
-        sigma_k=sigma_k,
-        gamma_k=gamma_k,
-        sigma_min=float(sigma_k.min()),
-        gamma_min=float(gamma_k.min()),
-        rank_case=rank_case,
-        mu=mu,
-    )
+    blocks = np.array(p.a_blocks)
+    rows, cols = blocks.shape[1:]
+    l_k = np.linalg.eigvalsh(np.matmul(blocks.transpose(0, 2, 1), blocks))[:, -1]
+    singular = np.linalg.svd(blocks, compute_uv=False)
+    smallest = np.where(singular[:, -1] > RANK_RTOL * singular[:, 0], singular[:, -1], 0.0)
+    sigma_k = smallest if rows >= cols else np.zeros_like(smallest)
+    gamma_k = smallest if rows <= cols else np.zeros_like(smallest)
+    rank_case = ("full_column" if sigma_k.min() > 0
+                 else "full_row" if gamma_k.min() > 0 else "neither")
+    return ProblemConstants(block_count=p.partition.block_count, block_size=cols,
+                            L=max(float(l_global), float(l_k.max())), L_k=l_k,
+                            sigma_k=sigma_k, gamma_k=gamma_k, rank_case=rank_case, mu=mu)
 
 
 # ---------------------------------------------------------------------------

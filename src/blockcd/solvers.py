@@ -478,12 +478,11 @@ def _block_visits(p: CompositeQuadraticProblem, stepsizes: np.ndarray,
     exact minimization is the block's _ExactBlock; that of a proximal step
     is (A_k^T, P_k, 1/P_k, term), with term None for a zero term, whose
     prox is the point itself."""
-    size = p.partition.block_size
     visits = []
     for k, (a_k, term, weight) in enumerate(zip(p.a_blocks, p.h, stepsizes.tolist())):
         data = (_ExactBlock.of(a_k, term) if exact
                 else (a_k.T, weight, 1.0 / weight, None if term.kind == "zero" else term))
-        visits.append((slice(k * size, (k + 1) * size), a_k, data))
+        visits.append((p.block_slice(k), a_k, data))
     return visits
 
 

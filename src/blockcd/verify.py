@@ -137,18 +137,16 @@ def check_costtogo_bcpg(instance: Instance, label: str, t: Trajectory) -> CheckR
 def check_costtogo_bcd(instance: Instance, label: str, t: Trajectory,
                        image_sq: np.ndarray) -> CheckReport:
     """Gap bound from iterate movement after an exact sweep; the rank case
-    of the blocks (from an SVD) picks the applicable inequality when its
-    sigma_min or gamma_min (eigenvalues, which roundoff can clip to 0) is
-    positive, else the rank-free case-3 form applies.  ``image_sq`` is
-    image_movements_sq(t, p), which the full-row and rank-free forms read."""
+    of the blocks alone picks the inequality: the full-column-rank form
+    (sigma_min > 0), the full-row-rank form (gamma_min > 0), or else the
+    rank-free case-3 form.  ``image_sq`` is image_movements_sq(t, p), which
+    the full-row and rank-free forms read."""
     if t.algorithm != "exact_bcd":
         raise ValueError("costtogo_bcd expects an exact_bcd trajectory")
     if t.gap is None:
         raise ValueError("trajectory has no gap; attach a reference optimum")
     name, c, log = f"costtogo_bcd:{label}", instance.constants, log2nk(instance.constants)
     r0, case = instance.r0.value, c.rank_case
-    if not (case == "full_column" and c.sigma_min > 0 or case == "full_row" and c.gamma_min > 0):
-        case = "neither"
     if case in ("full_column", "full_row") and log is None:
         return _skipped(name, f"K*N = {c.block_count * c.block_size} < 3 is outside the log^2 regime")
     if case == "full_column":

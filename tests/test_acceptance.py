@@ -207,7 +207,8 @@ class TestCriterion7BoundIdentity:
             for k in (2, 10, 100):
                 # table1_full's constants with L = K, so that L_k = L/K = 1 exactly
                 constants = ProblemConstants(block_count=k, block_size=1, L=float(k),
-                                             L_k=np.ones(k), L_max=1.0, L_min=1.0)
+                                             L_k=np.ones(k), sigma_k=np.ones(k),
+                                             gamma_k=np.ones(k), rank_case="full_column", mu=0.0)
                 common = dict(constants=constants, r0_upper=1.0,
                               p_max=float(k), p_min=float(k))
                 beck = BoundSpec(kind="prior_beck", **common)

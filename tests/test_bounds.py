@@ -38,9 +38,7 @@ def simple_constants(k=4, n=1, L=10.0, lk=None, sigma=1.0, gamma=1.0):
     lk = np.full(k, L / 2 if lk is None else lk, dtype=float) if not isinstance(lk, np.ndarray) else lk
     return ProblemConstants(
         block_count=k, block_size=n, L=L, L_k=lk,
-        L_max=float(lk.max()), L_min=float(lk.min()),
-        sigma_k=np.full(k, sigma), gamma_k=np.full(k, gamma),
-        sigma_min=sigma, gamma_min=gamma, rank_case="full_column")
+        sigma_k=np.full(k, sigma), gamma_k=np.full(k, gamma), rank_case="full_column", mu=0.0)
 
 
 class TestEvaluate:
@@ -67,7 +65,8 @@ class TestEvaluate:
         # P_k = L and L_k = L/K: the prior bound is exactly (1+K) times the
         # new one.  L = K keeps every float operation exact.
         c = ProblemConstants(block_count=k, block_size=1, L=float(k), L_k=np.ones(k),
-                             L_max=1.0, L_min=1.0)
+                             sigma_k=np.ones(k), gamma_k=np.ones(k), rank_case="full_column",
+                             mu=0.0)
         common = dict(constants=c, r0_upper=1.0, p_max=float(k), p_min=float(k))
         coro = BoundSpec(kind="coro1", **common)
         beck = BoundSpec(kind="prior_beck", **common)
@@ -97,8 +96,9 @@ class TestEvaluate:
         c = simple_constants(sigma=0.0)
         with pytest.raises(InapplicableBound, match="sigma_min"):
             evaluate(BoundSpec(kind="thm2_case1", constants=c, r0_upper=1.0), 1)
-        c_small = ProblemConstants(block_count=2, block_size=1, L=1.0,
-                                   L_k=np.ones(2), L_max=1.0, L_min=1.0)
+        c_small = ProblemConstants(block_count=2, block_size=1, L=1.0, L_k=np.ones(2),
+                                   sigma_k=np.zeros(2), gamma_k=np.zeros(2),
+                                   rank_case="neither", mu=0.0)
         with pytest.raises(InapplicableBound, match="K\\*N"):
             evaluate(BoundSpec(kind="thm1_uniform", constants=c_small,
                                r0_upper=1.0), 1)
@@ -137,9 +137,9 @@ class TestEvaluate:
         constants = ProblemConstants(
             block_count=k, block_size=data.draw(st.integers(1, 4)),
             L=max(data.draw(positive), float(lk.max())), L_k=lk,
-            L_max=float(lk.max()), L_min=float(lk.min()),
             sigma_k=np.full(k, sigma), gamma_k=np.full(k, gamma),
-            sigma_min=sigma, gamma_min=gamma)
+            rank_case=("full_column" if sigma > 0 else "full_row" if gamma > 0 else "neither"),
+            mu=0.0)
         spec = BoundSpec(kind=kind, constants=constants, r0_upper=data.draw(nonnegative),
                          delta0=data.draw(nonnegative),
                          beta=data.draw(st.none() | nonnegative),
@@ -298,8 +298,9 @@ class TestRadiusEstimate:
 
 class TestBoundReportCSV:
     def test_small_problem_emits_empty_log_columns(self, tmp_path):
-        c = ProblemConstants(block_count=2, block_size=1, L=1.0,
-                             L_k=np.ones(2), L_max=1.0, L_min=1.0)
+        c = ProblemConstants(block_count=2, block_size=1, L=1.0, L_k=np.ones(2),
+                             sigma_k=np.zeros(2), gamma_k=np.zeros(2), rank_case="neither",
+                             mu=0.0)
         specs = [("gd", BoundSpec(kind="gd", constants=c, r0_upper=1.0)),
                  ("thm1_uniform", BoundSpec(kind="thm1_uniform", constants=c,
                                             r0_upper=1.0))]

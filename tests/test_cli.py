@@ -230,8 +230,8 @@ def test_certified_radius_is_finite(tmp_path, term, capsys):
 
 
 # three box blocks of N = 2 whose second column is the first plus 1e-8
-# noise: an SVD finds full column rank, while the eigenvalue roundoff of
-# sigma_k^2 is clipped to 0
+# noise: full column rank, with sigma_min near 1e-8, which the eigenvalues
+# of A_k^T A_k would lose to roundoff
 NEARLY_DEPENDENT = {
     "kind": "explicit", "block_count": 3, "block_size": 2,
     "a_blocks": [[[c, c + 1e-8 * d] for c, d in zip(column, noise)] for column, noise in (
@@ -241,17 +241,18 @@ NEARLY_DEPENDENT = {
     "b": [1, 0, -1, 2, 0, 1, -2, 1], "h": [{"kind": "box", "lo": -1, "hi": 1}] * 3}
 
 
-def test_rank_case_without_its_constant_takes_the_rank_free_form(tmp_path, capsys):
-    # the full-column form divides by sigma_min, which is 0 here
+def test_nearly_dependent_blocks_take_the_full_column_form(tmp_path, capsys):
+    # the rank case and sigma_min come from one SVD, so the full-column
+    # form has the positive sigma_min it divides by
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(NEARLY_DEPENDENT))
     assert main(["bounds", "--plan", str(problem), "--out", str(tmp_path / "bounds")]) == 0
-    assert "rank_case=full_column sigma_min=0 " in capsys.readouterr().out
+    assert "rank_case=full_column sigma_min=1.2649110466023813e-08 " in capsys.readouterr().out
     plan = write_plan(tmp_path, {"problem": str(problem),
                                  "runs": [{"label": "bcd", "algorithm": "exact_bcd"}]})
     out = tmp_path / "run"
     assert main(["run", "--plan", plan, "--out", str(out)]) == 0
-    assert verdict_rows(out)["costtogo_bcd:bcd"][3].startswith("rank-free form; ")
+    assert verdict_rows(out)["costtogo_bcd:bcd"][3].startswith("full-column-rank form; ")
 
 
 class TestVerdicts:

@@ -34,6 +34,7 @@ from blockcd.problems import (
     toeplitz_start,
 )
 from blockcd import problems, solvers
+from blockcd.bounds import BoundSpec, InapplicableBound, evaluate, log2nk
 from blockcd.battery import get_instance
 from blockcd.linalg import RANK_RTOL, sym_eig_extremes
 from blockcd.rng import SplitMix64
@@ -461,19 +462,20 @@ class TestConstants:
             assert np.all(c.gamma_k == 0.0)
             assert c.gamma_min == 0.0
 
-    def test_gamma_from_row_gram_when_rows_at_most_block_size(self):
+    def test_gamma_is_the_smallest_singular_value_when_rows_at_most_block_size(self):
         for p in (get_instance("thm2_case2").problem, make_table1_full_qp(7, 2.0)):
             assert p.rows <= p.partition.block_size
             c = compute_constants(p)
             for k, a in enumerate(p.a_blocks):
-                low, _ = sym_eig_extremes(a @ a.T)
-                assert c.gamma_k[k] == math.sqrt(max(low, 0.0))
+                assert c.gamma_k[k] == np.linalg.svd(a, compute_uv=False)[-1] > 0.0
 
     @settings(max_examples=150, deadline=None)
     @given(block_count=st.integers(1, 6), rows=st.integers(1, 8),
            seed=st.integers(0, 2**32 - 1))
     def test_scalar_blocks_read_their_gram_entry(self, block_count, rows, seed):
-        # a 1 x 1 Gram skips the eigensolve, with the eigensolver's values
+        # only the full Gram goes through sym_eig_extremes; each L_k has the
+        # bits that call gives on the column's 1 x 1 Gram, and a column's
+        # sigma and gamma are its one singular value
         gen = SplitMix64(seed)
         a = gen.normal_matrix(rows, block_count) * np.exp(3.0 * gen.normal_vector(block_count))
         p = CompositeQuadraticProblem(
@@ -487,57 +489,69 @@ class TestConstants:
             c = compute_constants(p)
         assert calls == [(block_count, block_count)]
         for k, column in enumerate(p.a_blocks):
-            low, high = sym_eig_extremes(column.T @ column)
-            assert c.L_k[k] == high and c.sigma_k[k] == math.sqrt(max(low, 0.0))
-            assert c.gamma_k[k] == (math.sqrt(max(low, 0.0)) if rows == 1 else 0.0)
+            _, high = sym_eig_extremes(column.T @ column)
+            (s,) = np.linalg.svd(column, compute_uv=False)
+            assert c.L_k[k] == high and c.sigma_k[k] == s
+            assert c.gamma_k[k] == (s if rows == 1 else 0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(block_count=st.integers(1, 6), block_size=st.integers(1, 4),
-           rows=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_constants_match_svd_definitions(self, block_count, block_size,
-                                             rows, seed):
+           rows=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           spread=st.sampled_from([0.0, 9.0]), dependence=st.sampled_from([None, 1e-8, 0.0]))
+    def test_constants_match_svd_definitions(self, block_count, block_size, rows, seed,
+                                             spread, dependence):
+        # column scales up to e^(+-spread); with a ``dependence``, each
+        # block's last column is its first plus that much noise
         rng = np.random.default_rng(seed)
-        blocks = tuple(rng.normal(size=(rows, block_size))
-                       for _ in range(block_count))
+        blocks = (rng.normal(size=(block_count, rows, block_size))
+                  * np.exp(rng.uniform(-spread, spread, size=(block_count, 1, block_size))))
+        if dependence is not None and block_size > 1:
+            blocks[:, :, -1] = blocks[:, :, 0] + dependence * rng.normal(size=(block_count, rows))
         p = CompositeQuadraticProblem(
-            partition=BlockPartition(block_count, block_size), a_blocks=blocks,
+            partition=BlockPartition(block_count, block_size), a_blocks=tuple(blocks),
             b=np.zeros(rows), h=(NonsmoothTerm.zero(),) * block_count)
-        c = compute_constants(p)
+        with mock.patch.object(problems, "sym_eig_extremes", wraps=sym_eig_extremes) as eigensolve:
+            c = compute_constants(p)
+        assert [call.args[0] for call in eigensolve.call_args_list] == [p.gram]
         top = np.linalg.svd(p.full_matrix(), compute_uv=False)[0]
         assert c.L == pytest.approx(top ** 2, rel=1e-10)
         column_full = row_full = True
-        for k, a in enumerate(blocks):
+        for k, a in enumerate(p.a_blocks):
+            # every block_lk trajectory steps by L_k: it keeps the per-block
+            # eigensolve's bits
+            assert c.L_k[k] == sym_eig_extremes(a.T @ a)[1]
+            # sigma_k and gamma_k are the smallest singular value, or 0 at
+            # or below the rank cutoff, or 0 beyond min(m, N)
             s = np.linalg.svd(a, compute_uv=False)
-            assert c.L_k[k] == pytest.approx(s[0] ** 2, rel=1e-10)
-            # sigma_k^2 and gamma_k^2 are the smallest eigenvalues of the
-            # N x N and m x m Grams; the ones beyond min(m, N) are zero.
-            # Square roots of roundoff-sized eigenvalues carry sqrt(eps)
-            # error, so they compare as squares on the scale of L_k.
-            sigma_sq = s[-1] ** 2 if rows >= block_size else 0.0
-            gamma_sq = s[-1] ** 2 if rows <= block_size else 0.0
-            scale = 1e-10 * c.L_k[k]
-            assert c.sigma_k[k] ** 2 == pytest.approx(sigma_sq, rel=1e-10, abs=scale)
-            assert c.gamma_k[k] ** 2 == pytest.approx(gamma_sq, rel=1e-10, abs=scale)
-            if rows < block_size:
-                assert c.sigma_k[k] == 0.0
-            if rows > block_size:
-                assert c.gamma_k[k] == 0.0
-            column_full &= rows >= block_size and s[-1] > RANK_RTOL * s[0]
-            row_full &= rows <= block_size and s[-1] > RANK_RTOL * s[0]
+            full = bool(s[-1] > RANK_RTOL * s[0])
+            kept = s[-1] if full else 0.0
+            assert c.sigma_k[k] == (kept if rows >= block_size else 0.0)
+            assert c.gamma_k[k] == (kept if rows <= block_size else 0.0)
+            column_full &= rows >= block_size and full
+            row_full &= rows <= block_size and full
+        assert (c.sigma_min > 0) == column_full
+        assert (c.gamma_min > 0) == row_full
         expected = ("full_column" if column_full
                     else "full_row" if row_full else "neither")
         assert c.rank_case == expected
+        try:
+            evaluate(BoundSpec(kind="thm2_case1", constants=c, r0_upper=1.0), 1)
+            evaluated = True
+        except InapplicableBound:
+            evaluated = False
+        assert evaluated == (c.rank_case == "full_column" and log2nk(c) is not None)
 
     def test_rank_one_blocks_are_rank_deficient(self):
-        # the square root of a Gram eigenvalue that is zero in exact
-        # arithmetic carries roundoff near 1e-8 sigma_max, above RANK_RTOL
+        # an outer product's second singular value is roundoff, below the
+        # RANK_RTOL cutoff, so sigma_k counts as 0
         rng = np.random.default_rng(11)
         for _ in range(400):
             a = np.outer(rng.normal(size=3), rng.normal(size=2))
             p = CompositeQuadraticProblem(
                 partition=BlockPartition(1, 2), a_blocks=(a,), b=np.zeros(3),
                 h=(NonsmoothTerm.zero(),))
-            assert compute_constants(p).rank_case == "neither"
+            c = compute_constants(p)
+            assert c.rank_case == "neither" and c.sigma_min == 0.0
 
 
 class TestGenerators:
