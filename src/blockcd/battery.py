@@ -135,7 +135,12 @@ def set_up(name: str, problem: CompositeQuadraticProblem, x0) -> Instance:
 
 def run_solver(instance: Instance, run: SolverRun) -> Trajectory:
     """``run`` from the instance's start point with the instance's
-    constants, and with its gap to the reference optimum attached."""
+    constants, and with its gap to the reference optimum attached.
+
+    The runner is looked up by its name in this module at each call, not
+    through a table of functions built at import: a wrapper rebound over
+    ``battery.run_bcpg`` and the others after import, as the benchmark's
+    span tracer (bench/tracing.py) does, then sees every run."""
     if run.algorithm == "bcpg":
         solve = run_bcpg
     elif run.algorithm == "exact_bcd":
@@ -146,9 +151,8 @@ def run_solver(instance: Instance, run: SolverRun) -> Trajectory:
         solve = run_gd
     else:
         raise ValueError(f"unknown algorithm {run.algorithm!r}")
-    f_star = instance.reference.f_star
-    t = solve(instance.problem, run, instance.x0, instance.constants, f_star)
-    return t.with_gap(f_star)
+    return solve(instance.problem, run, instance.x0, instance.constants,
+                 instance.reference.f_star)
 
 
 def _thm2_instance(name: str, case: int, k: int, n: int, m: int, rank_one: bool, box: bool,
@@ -219,7 +223,7 @@ def smooth_battery_names() -> list[str]:
 def _lasso_family(order_kind: str, order_seed: int) -> dict:
     """The suites' LASSO_RUNS on every lasso instance, LASSO_CYCLES cycles
     each, run as one lockstep batch (bit-identical to run_solver); keyed
-    by (name, algorithm, policy kind), with gaps attached."""
+    by (name, algorithm, policy kind), with gaps to each instance's f*."""
     keys = [(name, algorithm, policy) for name in lasso_names()
             for algorithm, policy in LASSO_RUNS]
     instances = [get_instance(name) for name, _, _ in keys]
@@ -227,29 +231,24 @@ def _lasso_family(order_kind: str, order_seed: int) -> dict:
     runs = [SolverRun(algorithm=algorithm, order=order, stepsizes=StepsizePolicy(policy),
                       max_cycles=LASSO_CYCLES) for _, algorithm, policy in keys]
     trajectories = run_lockstep([i.problem for i in instances], runs,
-                                [i.x0 for i in instances], [i.constants for i in instances])
-    return {key: t.with_gap(i.reference.f_star)
-            for key, i, t in zip(keys, instances, trajectories)}
+                                [i.x0 for i in instances], [i.constants for i in instances],
+                                [i.reference.f_star for i in instances])
+    return dict(zip(keys, trajectories))
 
 
 @cache
 def get_trajectory(name: str, algorithm: str, policy_kind: str,
                    order_kind: str = "cyclic", order_seed: int = 0,
                    cycles: int = 100) -> Trajectory:
-    """Cached trajectory of a battery instance, with its gap attached; the
-    arrays are read-only because every caller shares them.  The lasso
+    """Cached trajectory of a battery instance, with its gap attached; every
+    caller shares it, which its frozen, read-only arrays allow.  The lasso
     family's suite runs come from one lockstep batch per order."""
     key = (name, algorithm, policy_kind)
     if name in lasso_names() and cycles == LASSO_CYCLES and key[1:] in LASSO_RUNS:
-        t = _lasso_family(order_kind, order_seed)[key]
-    else:
-        run = SolverRun(algorithm=algorithm, order=BlockOrder(order_kind, order_seed),
-                        stepsizes=StepsizePolicy(policy_kind), max_cycles=cycles)
-        t = run_solver(get_instance(name), run)
-    for values in (t.xs, t.f, t.gap, t.weighted_movement, t.stepsizes, t.orders, t.grad_norm):
-        if values is not None:
-            values.flags.writeable = False
-    return t
+        return _lasso_family(order_kind, order_seed)[key]
+    run = SolverRun(algorithm=algorithm, order=BlockOrder(order_kind, order_seed),
+                    stepsizes=StepsizePolicy(policy_kind), max_cycles=cycles)
+    return run_solver(get_instance(name), run)
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,8 @@ def prox_scalar(term: NonsmoothTerm, v: float, step: float) -> float:
 
 class _TermsByKind(NamedTuple):
     """Block indices and parameters of the nonsmooth terms grouped by kind,
-    so that nonsmooth_total, nonsmooth_rows, prox_blocks and duality_gap
-    evaluate each kind with one array expression.  box_lo and box_hi
+    so that nonsmooth_rows, prox_blocks and duality_gap evaluate each kind
+    with one array expression.  box_lo and box_hi
     include the feasibility slack _FEAS_RTOL * max(1, |lo|, |hi|); clip_lo
     and clip_hi are the box limits themselves."""
 
@@ -292,19 +292,9 @@ def smooth_value(p: CompositeQuadraticProblem, x) -> float:
 
 
 def nonsmooth_total(p: CompositeQuadraticProblem, x) -> float:
-    """sum_k h_k(x_k); +inf outside a box, with _FEAS_RTOL's slack."""
-    x = _check_dimension(p, x).reshape(p.partition.block_count, -1)
-    by_kind = p._terms_by_kind
-    if by_kind.box.size:
-        v = x[by_kind.box]
-        if not ((v >= by_kind.box_lo).all() and (v <= by_kind.box_hi).all()):
-            return math.inf
-    total = 0.0
-    if by_kind.l1.size:
-        total += float(by_kind.l1_weight @ np.abs(x[by_kind.l1]).sum(axis=1))
-    if by_kind.group.size:
-        total += float(by_kind.group_weight @ np.linalg.norm(x[by_kind.group], axis=1))
-    return total
+    """sum_k h_k(x_k); +inf outside a box, with _FEAS_RTOL's slack: the
+    one-row case of nonsmooth_rows."""
+    return float(nonsmooth_rows(p, _check_dimension(p, x)[None])[0])
 
 
 def nonsmooth_rows(p: CompositeQuadraticProblem, xs) -> np.ndarray:

@@ -180,16 +180,20 @@ class SolverRun:
         return self.stepsizes.realize(constants, positive=self.algorithm != "exact_bcd")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Per-cycle record of a run.
+    """Per-cycle record of a finished run, built by _record_cycles: a
+    frozen value whose arrays are all read-only, so a run shared between
+    callers (a cached one, or a lockstep batch's orders) cannot be changed
+    by any of them.
 
     ``xs[r]`` is the iterate after r cycles; ``weighted_movement[r]`` is
     sqrt(sum_k P_k ||x_k^(r+1) - x_k^(r)||^2) for the step r -> r+1,
     derived from ``xs``, ``orders`` and ``stepsizes`` (weighted_movements).
-    ``orders`` is a read-only (cycles, K) np.intp array whose row r is the
-    visit order of cycle r; a cyclic run's rows are one arange(K) broadcast
-    to every cycle.  ``gap`` appears once a reference optimum is attached.
+    ``orders`` is a (cycles, K) np.intp array whose row r is the visit
+    order of cycle r; a cyclic run's rows are one arange(K) broadcast to
+    every cycle.  ``gap`` is f - f_star, present exactly when the run was
+    given a reference value f_star, and None otherwise.
     """
 
     algorithm: str
@@ -204,10 +208,6 @@ class Trajectory:
     @property
     def cycles(self) -> int:
         return self.xs.shape[0] - 1
-
-    def with_gap(self, f_star: float) -> "Trajectory":
-        self.gap = self.f - float(f_star)
-        return self
 
 
 def _format_cell(value) -> str:
@@ -286,22 +286,21 @@ def weighted_movements(xs: np.ndarray, orders: np.ndarray, stepsizes: np.ndarray
 
 def _order_array(kind: str, drawn: list, block_count: int) -> np.ndarray:
     """The visit orders ``drawn`` from a stream of ``kind``, one per cycle,
-    as a read-only (cycles, K) np.intp array: a cyclic run's one order
-    broadcast to every cycle, a random run's lists converted once."""
+    as a (cycles, K) np.intp array: a cyclic run's one order broadcast to
+    every cycle, a random run's lists converted once."""
     if kind == "cyclic":
         return np.broadcast_to(np.arange(block_count, dtype=np.intp),
                                (len(drawn), block_count))
-    orders = np.array(drawn, dtype=np.intp).reshape(len(drawn), block_count)
-    orders.flags.writeable = False
-    return orders
+    return np.array(drawn, dtype=np.intp).reshape(len(drawn), block_count)
 
 
 def _record_cycles(problems, runs, x: np.ndarray, stepsizes, sweep, refresh,
-                   f_star=None) -> list[Trajectory]:
+                   f_stars) -> list[Trajectory]:
     """Run up to max_cycles cycles of ``sweep`` on the B runs whose live
-    iterates are the rows of the (B, dimension) view x, and record them.
-    A single run passes x[None] and takes element [0]; a batch shares
-    runs[0]'s order and max_cycles.
+    iterates are the rows of the (B, dimension) view x, and record them as
+    finished trajectories.  A single run passes x[None] and takes element
+    [0]; a batch shares runs[0]'s order and max_cycles.  ``f_stars`` holds
+    one reference value f* per run, None for a run without one.
 
     A cycle draws the order, runs ``refresh()``, which brings what the
     sweep reads (the residual, and the gradient where the sweep uses it) up
@@ -312,7 +311,9 @@ def _record_cycles(problems, runs, x: np.ndarray, stepsizes, sweep, refresh,
     f and the gradient norm come from trajectory_values on each run's
     history, the movements from weighted_movements (gd's:
     sqrt(L) ||x^(r+1) - x^(r)||), and the drawn orders become one array
-    after the loop (_order_array), which the B trajectories share.
+    after the loop (_order_array), which the B trajectories share.  A run
+    with an f* gets its gap f - f*; every array of every trajectory, the
+    history that holds the runs' ``xs`` included, is then made read-only.
 
     A sweep reads only x, the buffers refresh() fills from x and what is
     fixed for the run (the visit table, the factors, the exact blocks'
@@ -327,13 +328,13 @@ def _record_cycles(problems, runs, x: np.ndarray, stepsizes, sweep, refresh,
     refresh() sees the same x, so every visit, in any order, reads what it
     read before and again writes nothing.  A NaN step counts as a write.
 
-    Only a single run watches a gap.  With run.gap_tolerance > 0 and
-    f_star, the rows added since the last evaluation are evaluated every
+    Only a single run watches a gap.  With run.gap_tolerance > 0 and an
+    f*, the rows added since the last evaluation are evaluated every
     GAP_CHECK_EVERY cycles and at the last one, and the trajectory ends at
-    the first cycle r >= 1 with f(x^r) - f_star <= run.gap_tolerance, read
+    the first cycle r >= 1 with f(x^r) - f* <= run.gap_tolerance, read
     on those recorded values; the sweeps past it are discarded.
     """
-    run, block_count = runs[0], stepsizes[0].shape[0]
+    run, f_star, block_count = runs[0], f_stars[0], stepsizes[0].shape[0]
     batch, dim = x.shape
     watch = f_star is not None and run.gap_tolerance > 0
     start = min(run.max_cycles, HISTORY_ROWS) if watch else run.max_cycles
@@ -375,8 +376,10 @@ def _record_cycles(problems, runs, x: np.ndarray, stepsizes, sweep, refresh,
     if history.shape[1] > rows:
         history = history[:, :rows].copy()
     orders = _order_array(run.order.kind, drawn[:cycle], block_count)
+    # the history's flag holds for every run's xs, a view of it made below
+    history.flags.writeable = orders.flags.writeable = False
     trajectories = []
-    for p, run_b, xs, p_k in zip(problems, runs, history, stepsizes):
+    for p, run_b, xs, p_k, f_star_b in zip(problems, runs, history, stepsizes, f_stars):
         parts = values if evaluated > cycle else values + [trajectory_values(p, xs[evaluated:])]
         f = np.concatenate([f_part for f_part, _ in parts])[:rows]
         grad_norm = (None if parts[0][1] is None
@@ -386,9 +389,12 @@ def _record_cycles(problems, runs, x: np.ndarray, stepsizes, sweep, refresh,
             movement = math.sqrt(p_k[0]) * np.sqrt(np.vecdot(d, d))
         else:
             movement = weighted_movements(xs, orders, p_k, p.partition.block_size)
-        trajectories.append(Trajectory(algorithm=run_b.algorithm, xs=xs, f=f,
-                                       weighted_movement=movement, stepsizes=p_k,
-                                       orders=orders, grad_norm=grad_norm))
+        gap = None if f_star_b is None else f - float(f_star_b)
+        for array in (f, gap, movement, p_k, grad_norm):
+            if array is not None:
+                array.flags.writeable = False
+        trajectories.append(Trajectory(run_b.algorithm, xs, f, movement, p_k, orders,
+                                       grad_norm, gap))
     return trajectories
 
 
@@ -554,11 +560,12 @@ def _run_blocks(p: CompositeQuadraticProblem, run: SolverRun, x0,
                 constants: ProblemConstants, f_star) -> Trajectory:
     """Trajectory of run.algorithm, bcpg, cgd or exact_bcd, on p: each
     cycle refreshes the residual the sweep starts from, sweeps and keeps
-    the iterate (_record_cycles)."""
+    the iterate (_record_cycles), which attaches the gap to f_star when
+    one is given."""
     stepsizes = run.realize_stepsizes(constants)
     x = check_start(p, x0)
     sweep, refresh = _make_sweep(p, x, stepsizes, run.algorithm == "exact_bcd")
-    return _record_cycles([p], [run], x[None], [stepsizes], sweep, refresh, f_star)[0]
+    return _record_cycles([p], [run], x[None], [stepsizes], sweep, refresh, [f_star])[0]
 
 
 def run_bcpg(p: CompositeQuadraticProblem, run: SolverRun, x0,
@@ -824,11 +831,11 @@ def run_bcd_exact(p: CompositeQuadraticProblem, run: SolverRun, x0,
     return _run_blocks(p, run, x0, constants, f_star)
 
 
-def _check_lockstep(problems, runs, x0s, constants) -> None:
+def _check_lockstep(problems, runs, x0s, constants, f_stars) -> None:
     """Raise ValueError unless the runs can share one stacked sweep."""
-    if not runs or not len(problems) == len(x0s) == len(constants) == len(runs):
+    if not runs or len({len(problems), len(runs), len(x0s), len(constants), len(f_stars)}) > 1:
         raise ValueError("lockstep needs at least one run, each with its problem, "
-                         "start and constants")
+                         "start, constants and f*")
     block_count = problems[0].partition.block_count
     for p, run in zip(problems, runs):
         if p.partition.block_size != 1 or p.partition.block_count != block_count:
@@ -880,11 +887,14 @@ def _stacked_products(problems) -> list[tuple]:
     return stacks
 
 
-def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
+def run_lockstep(problems, runs, x0s, constants, f_stars) -> list[Trajectory]:
     """bcpg and exact_bcd runs on scalar blocks, swept in lockstep: a
     stacked sweep and refresh on _record_cycles.  The B runs share K, the
     BlockOrder and max_cycles, every term is l1 or zero, and
-    gap_tolerance is 0; anything else raises ValueError.
+    gap_tolerance is 0; anything else raises ValueError.  ``f_stars``
+    gives each run's f*, or None, as the f_star of a per-run runner does:
+    the trajectories are finished as theirs are, gaps attached and arrays
+    read-only.
 
     The refresh is one stacked product pair per group of runs with equal
     row counts (_stacked_products): r = A x - b and g = A^T r for all of
@@ -906,7 +916,7 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
     proximal point, which the soft threshold maps to 0 and this form to
     NaN, raises ValueError instead.
     """
-    _check_lockstep(problems, runs, x0s, constants)
+    _check_lockstep(problems, runs, x0s, constants, f_stars)
     stepsizes = [run.realize_stepsizes(c) for run, c in zip(runs, constants)]
     x = np.column_stack([check_start(p, x0) for p, x0 in zip(problems, x0s)])
     divisor, zero_column, threshold = _stacked_visits(problems, runs, stepsizes)
@@ -942,7 +952,7 @@ def run_lockstep(problems, runs, x0s, constants) -> list[Trajectory]:
             raise ValueError("NaN proximal point in a lockstep sweep; run the solvers one at a time")
         return True
 
-    return _record_cycles(problems, runs, x.T, stepsizes, sweep, refresh)
+    return _record_cycles(problems, runs, x.T, stepsizes, sweep, refresh, f_stars)
 
 
 def run_cgd(p: CompositeQuadraticProblem, run: SolverRun, x0,
@@ -992,7 +1002,7 @@ def run_gd(p: CompositeQuadraticProblem, run: SolverRun, x0,
     run = replace(run, order=BlockOrder.cyclic())
     sweep = partial(_gradient_sweep, grad, x, constants.L)
     return _record_cycles([p], [run], x[None], [np.full(dim, constants.L)], sweep, refresh,
-                          f_star)[0]
+                          [f_star])[0]
 
 
 @dataclass(frozen=True)

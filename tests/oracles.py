@@ -4,13 +4,16 @@ These deliberately avoid the library's own formulas: minimizers come from
 bracketing plus local quadratic fits or from long proximal-gradient runs,
 derivatives from finite differences, solver trajectories from plain
 per-visit replays that recompute every gradient from scratch, and the
-splitmix64 stream from a per-draw replay.
+splitmix64 stream from a per-draw replay.  assert_finished states what
+every trajectory a runner returns must be.
 """
 
+import dataclasses
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 
 def golden_section_min(fun, lo, hi, width=1e-10):
@@ -342,3 +345,23 @@ def replay_block_sweeps(problem, orders, x0, weights):
                 x[sl] = new
         xs.append(x.copy())
     return np.array(xs)
+
+
+def assert_finished(t, f_star):
+    """t is a finished trajectory: its fields cannot be assigned, an
+    in-place write to any of its arrays (or to the history its xs views)
+    raises ValueError, and its gap is f - f_star bit for bit when f_star
+    is given and None otherwise."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.gap = t.f
+    arrays = [getattr(t, field.name) for field in dataclasses.fields(t)]
+    arrays = [values for values in arrays + [t.xs.base] if isinstance(values, np.ndarray)]
+    assert len(arrays) >= 5
+    for values in arrays:
+        with pytest.raises(ValueError):
+            values[...] = 0.0
+    if f_star is None:
+        assert t.gap is None
+    else:
+        expected = t.f - float(f_star)
+        assert t.gap.dtype == expected.dtype and t.gap.tobytes() == expected.tobytes()

@@ -5,6 +5,9 @@ import pytest
 
 from blockcd import battery, bounds, cli, problems, solvers, verify
 from blockcd.solvers import BlockOrder, SolverRun, StepsizePolicy
+from oracles import assert_finished
+
+RUNNERS = {"bcpg": "run_bcpg", "exact_bcd": "run_bcd_exact", "cgd": "run_cgd", "gd": "run_gd"}
 
 
 class TestInstances:
@@ -152,6 +155,34 @@ class TestSuites:
         assert all(not r.passed for r in objective)  # known inconsistency
         others = [r for r in reports if "objective" not in r.check_name]
         assert all(r.passed for r in others)
+
+
+class TestRunSolver:
+    """battery.run_solver, the dispatch behind every run of the command
+    line and of the battery."""
+
+    @pytest.mark.parametrize("algorithm", RUNNERS)
+    def test_returns_a_finished_trajectory(self, algorithm):
+        # blockcd run writes what this returns, gap and all, read-only
+        instance = battery.get_instance("toeplitz_K5")
+        t = battery.run_solver(instance, SolverRun(algorithm=algorithm, max_cycles=5))
+        assert t.algorithm == algorithm and t.cycles == 5
+        assert_finished(t, instance.reference.f_star)
+
+    def test_calls_each_runner_by_its_module_name(self, monkeypatch):
+        # a wrapper rebound over the module's runner names after import, as
+        # the benchmark's span tracer rebinds them, sees every run
+        instance = battery.get_instance("toeplitz_K5")
+        seen = []
+        for name in RUNNERS.values():
+            def spy(*args, _name=name, _runner=getattr(battery, name)):
+                seen.append(_name)
+                return _runner(*args)
+
+            monkeypatch.setattr(battery, name, spy)
+        for algorithm in RUNNERS:
+            battery.run_solver(instance, SolverRun(algorithm=algorithm, max_cycles=2))
+        assert seen == list(RUNNERS.values())
 
 
 @pytest.mark.parametrize("name, algorithm, cycles", [

@@ -96,11 +96,11 @@ MUTANTS = {
 }
 
 
-def per_run_lockstep(problems, runs, x0s, constants):
+def per_run_lockstep(problems, runs, x0s, constants, f_stars):
     """run_lockstep's trajectories from the per-run runners."""
     runners = {"bcpg": solvers.run_bcpg, "exact_bcd": solvers.run_bcd_exact}
-    return [runners[run.algorithm](p, run, x0, c)
-            for p, run, x0, c in zip(problems, runs, x0s, constants)]
+    return [runners[run.algorithm](p, run, x0, c, f_star)
+            for p, run, x0, c, f_star in zip(problems, runs, x0s, constants, f_stars)]
 
 
 def check_kind(name: str) -> str:

@@ -24,6 +24,7 @@ from blockcd.problems import (
     make_table1_diagonal_qp,
     make_table1_full_qp,
     make_toeplitz_instance,
+    nonsmooth_rows,
     nonsmooth_total,
     oracle_from_quadratic,
     prox,
@@ -46,6 +47,14 @@ TERMS = st.one_of(
     st.builds(NonsmoothTerm.group_l2, st.floats(0.0, 5.0)),
     st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 4.0)).map(
         lambda pair: NonsmoothTerm.box(pair[0], pair[0] + pair[1])))
+# weights and boxes at the ends of the range of doubles, and signed zeros
+EXTREME_WEIGHTS = st.sampled_from([-0.0, 5e-324, 1e-300, 1e300])
+EXTREME_TERMS = st.one_of(
+    TERMS,
+    st.builds(NonsmoothTerm.l1, EXTREME_WEIGHTS),
+    st.builds(NonsmoothTerm.group_l2, EXTREME_WEIGHTS),
+    st.sampled_from([NonsmoothTerm.box(-1e300, 1e300), NonsmoothTerm.box(0.0, 1e300),
+                     NonsmoothTerm.box(-0.0, 0.0)]))
 
 
 def identity_problem(k, h=None):
@@ -141,13 +150,15 @@ class TestObjective:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), block_count=st.integers(1, 5), block_size=st.integers(1, 3))
     def test_nonsmooth_total_matches_per_block_sum(self, data, block_count, block_size):
-        terms = data.draw(st.lists(TERMS, min_size=block_count, max_size=block_count))
+        # nonsmooth_total is the one-row case of nonsmooth_rows, bit for bit
+        terms = data.draw(st.lists(EXTREME_TERMS, min_size=block_count, max_size=block_count))
         n = block_count * block_size
         p = CompositeQuadraticProblem(
             partition=BlockPartition(block_count, block_size),
             a_blocks=(np.zeros((1, block_size)),) * block_count, b=np.zeros(1),
             h=tuple(terms))
-        x = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)))
+        entries = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+        x = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
         # points just inside and just outside the feasibility slack of a box
         for k, term in enumerate(terms):
             if term.kind == "box" and data.draw(st.booleans()):
@@ -157,6 +168,8 @@ class TestObjective:
         for k, term in enumerate(terms):
             expected += nonsmooth_value(term, x[k * block_size:(k + 1) * block_size])
         total = nonsmooth_total(p, x)
+        assert type(total) is float
+        assert np.float64(total).tobytes() == nonsmooth_rows(p, x[None])[0].tobytes()
         if expected == math.inf:
             assert total == math.inf
         else:

@@ -45,6 +45,7 @@ from blockcd.solvers import (
     trajectory_to_csv,
 )
 from oracles import (
+    assert_finished,
     block_objective,
     block_prox_gradient_min,
     nonsmooth_value,
@@ -228,7 +229,7 @@ class TestBCPG:
         f_star = reference_optimum(p, c).f_star
         solve = {"bcpg": run_bcpg, "exact_bcd": run_bcd_exact, "cgd": run_cgd, "gd": run_gd}
         run = SolverRun(algorithm=algorithm, max_cycles=1000, gap_tolerance=tolerance)
-        t = solve[algorithm](p, run, x0, c, f_star=f_star).with_gap(f_star)
+        t = solve[algorithm](p, run, x0, c, f_star=f_star)
         assert t.cycles % solvers.GAP_CHECK_EVERY != 0
         assert t.gap[-1] <= tolerance and (t.gap[1:-1] > tolerance).all()
         assert t.xs.shape[0] == t.f.shape[0] == t.grad_norm.shape[0] == t.cycles + 1
@@ -719,8 +720,8 @@ class TestTrajectoryCSV:
     def test_round_trip_is_exact(self, tmp_path):
         p, x0 = make_lasso_instance(10, 5, 0.2, seed=14)
         c = compute_constants(p)
-        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=7), x0, c)
-        t.with_gap(reference_optimum(p, c).f_star)
+        t = run_bcpg(p, SolverRun(algorithm="bcpg", max_cycles=7), x0, c,
+                     reference_optimum(p, c).f_star)
         path = tmp_path / "t.csv"
         trajectory_to_csv(t, path)
         lines = path.read_text(encoding="utf-8").strip().split("\n")
@@ -831,13 +832,11 @@ class TestScalarKernel:
         problem, x0, order = case
         constants = compute_constants(problem)
         assume(np.all(constants.L_k > 0) if policy == "block_lk" else constants.L > 0)
+        f_star = reference_optimum(problem, constants).f_star
         t_cgd, t_bcpg = (
             solve(problem, SolverRun(algorithm=algorithm, order=order, max_cycles=cycles,
-                                     stepsizes=StepsizePolicy(policy)), x0, constants)
+                                     stepsizes=StepsizePolicy(policy)), x0, constants, f_star)
             for solve, algorithm in ((run_cgd, "cgd"), (run_bcpg, "bcpg")))
-        f_star = reference_optimum(problem, constants).f_star
-        t_cgd.with_gap(f_star)
-        t_bcpg.with_gap(f_star)
         for attribute in ("xs", "f", "gap", "weighted_movement", "grad_norm"):
             assert_same_bits(getattr(t_cgd, attribute), getattr(t_bcpg, attribute))
         assert np.array_equal(t_cgd.orders, t_bcpg.orders)
@@ -1121,14 +1120,19 @@ class TestOrders:
 
     @pytest.mark.parametrize("algorithm", ["bcpg", "exact_bcd", "cgd", "gd"])
     def test_cyclic_order_is_one_broadcast_row(self, algorithm):
+        # every runner returns a finished trajectory, its gap attached
+        # exactly when it is given an f* (-0.0 included)
         problem, x0 = random_quadratic(3)
-        t = SOLVE[algorithm](problem, SolverRun(algorithm=algorithm, max_cycles=30), x0,
-                             compute_constants(problem))
-        assert t.orders.shape == (30, 6) and t.orders.dtype == np.intp
-        assert t.orders.strides[0] == 0
-        assert t.orders.tolist() == [list(range(6))] * 30
-        with pytest.raises(ValueError):
-            t.orders[0, 0] = 1
+        constants = compute_constants(problem)
+        for f_star in (None, -0.0, 0.125):
+            t = SOLVE[algorithm](problem, SolverRun(algorithm=algorithm, max_cycles=30), x0,
+                                 constants, f_star)
+            assert t.orders.shape == (30, 6) and t.orders.dtype == np.intp
+            assert t.orders.strides[0] == 0
+            assert t.orders.tolist() == [list(range(6))] * 30
+            with pytest.raises(ValueError):
+                t.orders[0, 0] = 1
+            assert_finished(t, f_star)
 
     @pytest.mark.parametrize("algorithm", ["bcpg", "exact_bcd", "cgd"])
     def test_random_orders_are_the_streams_draws(self, algorithm):
@@ -1145,9 +1149,10 @@ class TestOrders:
             t.orders[0, 0] = 1
 
 
-def _lockstep(batch):
+def _lockstep(batch, f_stars=None):
     problems, runs, x0s, constants = zip(*batch)
-    return run_lockstep(list(problems), list(runs), list(x0s), list(constants))
+    return run_lockstep(list(problems), list(runs), list(x0s), list(constants),
+                        f_stars or [None] * len(batch))
 
 
 class TestLockstep:
@@ -1156,14 +1161,13 @@ class TestLockstep:
     @settings(max_examples=150, deadline=None)
     @given(batch=lockstep_batches())
     def test_matches_per_run_kernel(self, batch):
-        trajectories = _lockstep(batch)
+        # each run's f* is fixed before the run: half its f(x0)
+        f_stars = [0.5 * eval_objective(problem, x0) for problem, _, x0, _ in batch]
+        trajectories = _lockstep(batch, f_stars)
         assert len(trajectories) == len(batch)
-        for t, (problem, run, x0, constants) in zip(trajectories, batch):
+        for t, (problem, run, x0, constants), f_star in zip(trajectories, batch, f_stars):
             solver = run_bcpg if run.algorithm == "bcpg" else run_bcd_exact
-            expected = solver(problem, run, x0, constants=constants)
-            f_star = float(expected.f.min())
-            t.with_gap(f_star)
-            expected.with_gap(f_star)
+            expected = solver(problem, run, x0, constants, f_star)
             assert t.algorithm == expected.algorithm
             for attribute in ("xs", "f", "gap", "weighted_movement", "stepsizes", "grad_norm"):
                 assert_same_bits(getattr(t, attribute), getattr(expected, attribute))
@@ -1177,15 +1181,18 @@ class TestLockstep:
     @pytest.mark.parametrize("order", [BlockOrder.cyclic(), BlockOrder.random_permutation(4)])
     def test_runs_share_one_orders_array_and_history(self, order):
         # the batch keeps one (B, cycles + 1, K) history, each run's xs a
-        # C-contiguous view of it, and one read-only orders array
+        # C-contiguous view of it, and one read-only orders array; each run
+        # is finished with its own f*, or none
         batch = [(problem, replace(run, order=order), x0, constants)
                  for problem, run, x0, constants in self._batch()]
-        trajectories = _lockstep(batch)
+        f_stars = [0.25, None]
+        trajectories = _lockstep(batch, f_stars)
         history = trajectories[0].xs.base
         assert history.shape == (2, 6, 4)
-        for t in trajectories:
+        for t, f_star in zip(trajectories, f_stars):
             assert t.orders is trajectories[0].orders
             assert t.xs.flags.c_contiguous and np.shares_memory(t.xs, history)
+            assert_finished(t, f_star)
         orders = trajectories[0].orders
         assert orders.shape == (5, 4) and orders.dtype == np.intp
         with pytest.raises(ValueError):
@@ -1260,7 +1267,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("change", [
         "box", "group_l2", "block_size", "block_count", "order", "max_cycles",
-        "gap_tolerance", "cgd", "empty", "lengths"])
+        "gap_tolerance", "cgd", "empty", "lengths", "f_stars"])
     def test_rejects_runs_outside_its_scope(self, change):
         batch = self._batch()
         problem, run, x0, constants = batch[1]
@@ -1286,12 +1293,15 @@ class TestLockstep:
         constants = compute_constants(problem)
         batch[1] = (problem, run, x0, constants)
         problems, runs, x0s, constant_list = (list(column) for column in zip(*batch))
+        f_stars = [None] * len(batch)
         if change == "empty":
-            problems, runs, x0s, constant_list = [], [], [], []
+            problems, runs, x0s, constant_list, f_stars = [], [], [], [], []
         elif change == "lengths":
             x0s = x0s[:1]
+        elif change == "f_stars":
+            f_stars = f_stars[:1]
         with pytest.raises(ValueError):
-            run_lockstep(problems, runs, x0s, constant_list)
+            run_lockstep(problems, runs, x0s, constant_list, f_stars)
 
     def test_nan_proximal_point_raises(self, monkeypatch):
         # the soft threshold maps a NaN point to 0 and the stacked form to
