@@ -15,8 +15,9 @@ Subcommands:
   for a problem file;
 * ``tightness`` — alias for ``verify --suite tightness``.
 
-Plan files are JSON; the shape is documented in plan_schema.json shipped
-next to this module.  ``problems.read_field`` checks each field, and an
+Plan files are JSON, read under the field tables of ``PLAN``; their shape
+is plan_schema.json, shipped next to this module and generated from those
+tables by ``plan_schema``.  ``problems.read_field`` checks each field, and an
 error names it as a schema validator does (``$.problem.block_count``,
 ``$.runs[1].stepsizes.values[1]``).  Identical plan and seed produce
 byte-identical output files.
@@ -29,7 +30,6 @@ one fails (advisory checks never gate); every command exits 2 with one
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -49,15 +49,17 @@ from .linalg import ConvergenceError
 from .problems import (
     INTEGER,
     NONNEGATIVE_NUMBER,
-    OBJECT,
     POSITIVE_INTEGER,
     POSITIVE_NUMBER,
+    PROBLEM,
+    Field,
     FieldError,
     Rule,
     load_problem,
     one_of,
     read_document,
-    read_field,
+    read_fields,
+    read_kind,
     read_value,
 )
 # battery.set_up computes the constants; this binding stays because
@@ -79,10 +81,55 @@ from .verify import bound_spec, checks_for, report_lines, reports_to_csv
 
 # Run labels name output files inside --out: no path separators, no
 # leading dot (so neither "." nor ".." nor hidden files), and not the stem
-# of another file run writes.  plan_schema.json carries the same rules.
+# of another file run writes.  The lookahead stops "$" from matching
+# before a final newline, as Python's "$" does.
 LABEL = Rule(str, "letters, digits, '_', '-' or '.', not starting with '.'",
-             re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*").fullmatch)
-RESERVED_LABELS = {"bounds": "the bound table", "verdicts": "the verdict table"}
+             pattern=r"^[A-Za-z0-9_-][A-Za-z0-9_.-]*$(?!\n)",
+             reserved={"bounds": "the bound table", "verdicts": "the verdict table"})
+# every order kind reads seed; a random permutation without one derives it
+# from the plan's seed
+ORDER = Rule(dict, "an object", fields=(Field("seed", INTEGER, None),),
+             kinds=dict.fromkeys(ORDER_KINDS, ()))
+_NO_VALUES = Field("values", Rule((), "only a fixed policy takes values"), None)
+_VALUES = Rule(list, "a nonempty list of finite positive numbers", min_items=1,
+               items=POSITIVE_NUMBER)
+STEPSIZES = Rule(dict, "an object", kinds=dict.fromkeys(STEPSIZE_KINDS, (_NO_VALUES,))
+                 | {"fixed": (Field("values", _VALUES),)})
+# a run without a label is labeled run<i>_<algorithm>
+RUN = Rule(dict, "an object", fields=(
+    Field("algorithm", one_of(ALGORITHMS)),
+    Field("max_cycles", POSITIVE_INTEGER, 100),
+    Field("gap_tolerance", NONNEGATIVE_NUMBER, 0.0),
+    Field("label", LABEL, None),
+    Field("order", ORDER, {"kind": "cyclic"}),
+    Field("stepsizes", STEPSIZES, {"kind": "block_lk"}),
+))
+BOUND_KIND = one_of(BOUND_KINDS)
+BOUND = Rule(dict, "an object", fields=(
+    Field("kind", BOUND_KIND),
+    Field("against", Rule(str, "a run label"), None),
+    Field("c_prior", POSITIVE_NUMBER, 1.0),
+))
+# a plan: its fields, each run's and each bound's, and, through PROBLEM,
+# the problem's.  The reader checks these and the rules that span fields;
+# plan_schema states these.
+PLAN = Rule(dict, "an object", fields=(
+    Field("seed", INTEGER, 0),
+    Field("output", Rule(str, "a directory path"), "out"),
+    Field("problem", PROBLEM._replace(types=(dict, str),
+                                      expected="a problem object or a problem-file path")),
+    Field("runs", Rule(list, "a nonempty list of run objects", min_items=1, items=RUN)),
+    Field("bounds", Rule(list, "a list", items=Rule(
+        (str, dict), "a bound kind or a bound object", any_of=(BOUND_KIND, BOUND))), []),
+))
+
+
+def plan_schema() -> dict:
+    """The plan's JSON Schema (draft 7), built from PLAN and so from the
+    tables the reader reads, FAMILIES as it is now among them.
+    plan_schema.json is ``json.dumps(plan_schema(), indent=2) + "\\n"``."""
+    return {"$schema": "http://json-schema.org/draft-07/schema#",
+            "title": "blockcd experiment plan", **PLAN.schema()}
 
 
 class Plan(NamedTuple):
@@ -100,56 +147,40 @@ class Plan(NamedTuple):
 def read_plan(source, seed: int | None = None) -> Plan:
     """The plan ``source`` (a file path, JSON text or a dict), with every
     field checked and the rules that span fields: unique run labels and
-    bound entries, reserved labels, ``against`` naming a run whose
-    algorithm pairs with the bound, and ``values`` only on a ``fixed``
-    policy.  ``seed`` overrides the plan's seed."""
+    bound entries, and ``against`` naming a run whose algorithm pairs with
+    the bound.  ``seed`` overrides the plan's seed."""
     plan = read_document(source)
-    plan_seed = read_field(plan, "$", "seed", INTEGER, default=0)
-    output = read_field(plan, "$", "output", Rule(str, "a directory path"), default="out")
-    problem = read_field(plan, "$", "problem",
-                         Rule((dict, str), "a problem object or a problem-file path"))
-    runs = _parse_runs(plan, plan_seed if seed is None else seed)
-    return Plan(problem, output, runs, _parse_bounds(plan, runs))
+    # each run is read before the bounds, whose against names a run
+    plan_seed, output, problem, raw_runs = read_fields(plan, "$", PLAN.fields[:4])
+    runs = _parse_runs(raw_runs, plan_seed if seed is None else seed)
+    raw_bounds, = read_fields(plan, "$", PLAN.fields[4:])
+    return Plan(problem, output, runs, _parse_bounds(raw_bounds, runs))
 
 
 def _parse_order(raw: dict, path: str, global_seed: int) -> BlockOrder:
-    kind = read_field(raw, path, "kind", one_of(ORDER_KINDS))
-    seed = read_field(raw, path, "seed", INTEGER, default=None)
+    kind, seed = read_kind(raw, path, ORDER)
     if kind == "cyclic":
         return BlockOrder.cyclic()
     return BlockOrder.random_permutation(derive_seed(global_seed, 1) if seed is None else seed)
 
 
 def _parse_stepsizes(raw: dict, path: str) -> StepsizePolicy:
-    kind = read_field(raw, path, "kind", one_of(STEPSIZE_KINDS))
-    if kind != "fixed":
-        if "values" in raw:
-            raise FieldError(f"{path}.values", "only a fixed policy takes values")
-        return StepsizePolicy(kind)
-    return StepsizePolicy.fixed(read_field(raw, path, "values", Rule(
-        list, "a nonempty list of finite positive numbers", bool, POSITIVE_NUMBER)))
+    kind, values = read_kind(raw, path, STEPSIZES)
+    return StepsizePolicy.fixed(values) if kind == "fixed" else StepsizePolicy(kind)
 
 
-def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
-    raw_runs = read_field(plan, "$", "runs",
-                          Rule(list, "a nonempty list of run objects", bool, OBJECT))
+def _parse_runs(raw_runs: list, global_seed: int) -> list[tuple[str, SolverRun]]:
     runs = []
     labels = set()
     for i, raw in enumerate(raw_runs):
         path = f"$.runs[{i}]"
-        algorithm = read_field(raw, path, "algorithm", one_of(ALGORITHMS))
-        max_cycles = read_field(raw, path, "max_cycles", POSITIVE_INTEGER, default=100)
-        gap_tolerance = read_field(raw, path, "gap_tolerance", NONNEGATIVE_NUMBER,
-                                   default=0.0)
-        label = read_field(raw, path, "label", LABEL, default=f"run{i}_{algorithm}")
-        if label in RESERVED_LABELS:
-            raise FieldError(f"{path}.label",
-                             f"{label!r} is reserved for {RESERVED_LABELS[label]}")
+        # a duplicate label is reported before the order and stepsizes are read
+        algorithm, max_cycles, gap_tolerance, label = read_fields(raw, path, RUN.fields[:4])
+        label = f"run{i}_{algorithm}" if label is None else label
         if label in labels:
             raise FieldError(f"{path}.label", f"duplicate label {label!r}")
         labels.add(label)
-        order = read_field(raw, path, "order", OBJECT, default={"kind": "cyclic"})
-        stepsizes = read_field(raw, path, "stepsizes", OBJECT, default={"kind": "block_lk"})
+        order, stepsizes = read_fields(raw, path, RUN.fields[4:])
         run = SolverRun(
             algorithm=algorithm,
             order=_parse_order(order, f"{path}.order", global_seed),
@@ -161,20 +192,15 @@ def _parse_runs(plan: dict, global_seed: int) -> list[tuple[str, SolverRun]]:
     return runs
 
 
-def _parse_bounds(plan: dict, runs) -> list[tuple[str, str, str | None, float]]:
+def _parse_bounds(raw_bounds: list, runs) -> list[tuple[str, str, str | None, float]]:
     """(label, kind, against, c_prior) tuples with pairing validation."""
-    raw_bounds = read_field(plan, "$", "bounds", Rule(
-        list, "a list", items=Rule((str, dict), "a bound kind or a bound object")), default=[])
     run_algorithms = {label: run.algorithm for label, run in runs}
     out = []
     for i, raw in enumerate(raw_bounds):
         path = f"$.bounds[{i}]"
-        if isinstance(raw, str):
-            kind, against, c_prior = read_value(raw, path, one_of(BOUND_KINDS)), None, 1.0
-        else:
-            kind = read_field(raw, path, "kind", one_of(BOUND_KINDS))
-            against = read_field(raw, path, "against", Rule(str, "a run label"), default=None)
-            c_prior = read_field(raw, path, "c_prior", POSITIVE_NUMBER, default=1.0)
+        if isinstance(raw, str):  # a bound kind alone
+            raw = {"kind": read_value(raw, path, BOUND_KIND)}
+        kind, against, c_prior = read_fields(raw, path, BOUND.fields)
         if against is not None:
             if against not in run_algorithms:
                 raise FieldError(f"{path}.against", f"no run labeled {against!r}")

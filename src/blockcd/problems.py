@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -26,7 +29,6 @@ from .linalg import RANK_RTOL, as_matrix, min_norm_factors, sym_eig_extremes
 from .rng import SplitMix64, derive_seed
 
 _FEAS_RTOL = 1e-12
-TERM_KINDS = ("zero", "l1", "group_l2", "box")
 SPARSE_ROW_NONZEROS = 20
 """A Gram whose rows each have at most this many nonzeros gets a row
 structure (CompositeQuadraticProblem.gram_rows), and the scalar sweeps
@@ -74,7 +76,7 @@ class NonsmoothTerm:
     hi: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in TERM_KINDS:
+        if self.kind not in TERM.kinds:
             raise ValueError(f"unknown nonsmooth kind {self.kind!r}")
         if self.kind in ("l1", "group_l2") and self.weight < 0:
             raise ValueError("weight must be nonnegative")
@@ -657,33 +659,108 @@ def json_number(value) -> float | None:
 
 
 class Rule(NamedTuple):
-    """What a JSON value must be: of ``types`` (``int`` means a
-    json_integer and ``float`` a json_number), passing ``check``, and, for a
-    list, holding entries that each follow ``items``.  ``expected`` names
-    the rule in errors."""
+    """What a JSON value must be, declared once: read_value checks it and
+    ``schema`` states it in JSON Schema.  The value is of ``types`` (``int``
+    means a json_integer and ``float`` a json_number, so finite), at least
+    ``minimum`` or above ``exclusive_minimum``, among ``enum``, matched by
+    ``pattern`` (searched for, as JSON Schema does) but not a key of
+    ``reserved`` (which maps it to what it is reserved for), and, for a
+    list, at least ``min_items`` long, with entries that each follow
+    ``items``.  ``length`` is an exact list length, a cross-field rule: a
+    reader sets it from a field it has read, and the schema cannot state
+    it.  An object's ``fields`` (a table of Field) and, when its ``kind``
+    picks more fields, ``kinds`` (each kind's own table) are read by
+    read_fields and read_kind, not by read_value.  A rule of no types takes
+    no value.  ``any_of`` states, for the schema, the rule of each type of
+    a union whose entries the reader reads by type.  ``expected`` names the
+    rule in errors."""
 
     types: type | tuple
     expected: str
-    check: Callable | None = None
+    minimum: float | None = None
+    exclusive_minimum: float | None = None
+    enum: tuple | None = None
+    pattern: str | None = None
+    reserved: dict | None = None
+    min_items: int | None = None
+    length: int | None = None
     items: Rule | None = None
+    fields: tuple = ()
+    kinds: Mapping | None = None
+    any_of: tuple = ()
+
+    def schema(self) -> dict:
+        """This rule as a JSON Schema (draft 7) fragment."""
+        if not self.types:
+            return {"not": {}, "description": self.expected}
+        if self.any_of:
+            return {"anyOf": [rule.schema() for rule in self.any_of]}
+        types = self.types if isinstance(self.types, tuple) else (self.types,)
+        names = [_JSON_TYPES[t] for t in types]
+        minimum = self.minimum
+        if float in types and minimum is None and self.exclusive_minimum is None:
+            minimum = -_DOUBLE_MAX  # with the maximum, the number is a finite double
+        keywords = {
+            "type": names if len(names) > 1 else names[0],
+            "minimum": minimum,
+            "exclusiveMinimum": self.exclusive_minimum,
+            "maximum": _DOUBLE_MAX if float in types else None,
+            "enum": None if self.enum is None else list(self.enum),
+            "pattern": self.pattern,
+            "not": None if self.reserved is None else {"enum": list(self.reserved)},
+            "minItems": self.min_items,
+            "items": None if self.items is None else self.items.schema(),
+            **_object_schema(self.fields, self.kinds),
+            "description": self.expected,
+        }
+        return {key: value for key, value in keywords.items() if value is not None}
+
+
+_REQUIRED = object()
+_DOUBLE_MAX = sys.float_info.max
+_JSON_TYPES = {int: "integer", float: "number", str: "string", list: "array", dict: "object"}
+
+
+class Field(NamedTuple):
+    """A field of an object: its key, its Rule, and the value it takes
+    when absent (none when it is required)."""
+
+    key: str
+    rule: Rule
+    default: object = _REQUIRED
+
+
+def _object_schema(fields, kinds) -> dict:
+    """The JSON Schema keywords of an object with ``fields``: with
+    ``kinds``, its ``kind`` first and an if/then block of each kind's own
+    fields."""
+    if kinds:
+        fields = (Field("kind", one_of(kinds)), *fields)
+    keywords = {"required": [field.key for field in fields if field.default is _REQUIRED],
+                "properties": {field.key: field.rule.schema() for field in fields}}
+    if kinds:
+        keywords["allOf"] = [
+            {"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+             "then": _object_schema(own, None)} for kind, own in kinds.items()]
+    return {key: value for key, value in keywords.items() if value}
 
 
 INTEGER = Rule(int, "an integer")
-POSITIVE_INTEGER = Rule(int, "a positive integer", lambda v: v >= 1)
+POSITIVE_INTEGER = Rule(int, "a positive integer", minimum=1)
 NUMBER = Rule(float, "a finite number")
-NONNEGATIVE_NUMBER = Rule(float, "a finite nonnegative number", lambda v: v >= 0)
-POSITIVE_NUMBER = Rule(float, "a finite positive number", lambda v: v > 0)
+NONNEGATIVE_NUMBER = Rule(float, "a finite nonnegative number", minimum=0)
+POSITIVE_NUMBER = Rule(float, "a finite positive number", exclusive_minimum=0)
 OBJECT = Rule(dict, "an object")
-_REQUIRED = object()
 
 
 def one_of(choices) -> Rule:
     """A string among ``choices``."""
-    return Rule(str, "one of " + "/".join(choices), lambda v: v in choices)
+    return Rule(str, "one of " + "/".join(choices), enum=tuple(choices))
 
 
-def _numbers(length: int) -> Rule:
-    return Rule(list, f"a list of {length} finite numbers", lambda v: len(v) == length, NUMBER)
+def _sized(rule: Rule, length: int, entries: str) -> Rule:
+    """The list ``rule`` with the exact length ``length``, of ``entries``."""
+    return rule._replace(expected=f"a list of {length} {entries}", length=length)
 
 
 def _shown(value) -> str:
@@ -697,14 +774,28 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
+def _holds(read, rule: Rule) -> bool:
+    """Whether ``read``, of one of the rule's types, meets its bounds."""
+    return ((rule.minimum is None or read >= rule.minimum)
+            and (rule.exclusive_minimum is None or read > rule.exclusive_minimum)
+            and (rule.enum is None or read in rule.enum)
+            and (rule.pattern is None or re.search(rule.pattern, read) is not None)
+            and (rule.min_items is None or len(read) >= rule.min_items)
+            and (rule.length is None or len(read) == rule.length))
+
+
 def read_value(value, path: str, rule: Rule):
     """``value`` read under ``rule``: an int or a float for ``int`` and
     ``float``, and a list of read entries for a rule with ``items``.  A
     violation is a FieldError at ``path``, or at ``path[j]`` for entry j."""
+    if not rule.types:
+        raise FieldError(path, rule.expected)
     read = (json_integer(value) if rule.types is int
             else json_number(value) if rule.types is float else value)
-    if not isinstance(read, rule.types) or (rule.check is not None and not rule.check(read)):
+    if not isinstance(read, rule.types) or not _holds(read, rule):
         raise FieldError(path, f"expected {rule.expected}, got {_shown(value)}")
+    if rule.reserved is not None and read in rule.reserved:
+        raise FieldError(path, f"{read!r} is reserved for {rule.reserved[read]}")
     if rule.items is not None:
         return [read_value(item, f"{path}[{j}]", rule.items) for j, item in enumerate(read)]
     return read
@@ -721,11 +812,23 @@ def read_field(spec: dict, path: str, key: str, rule: Rule, default=_REQUIRED):
     return default
 
 
+def read_fields(spec: dict, path: str, fields) -> list:
+    """The values of the Field table ``fields`` in ``spec``, read in order."""
+    return [read_field(spec, path, *field) for field in fields]
+
+
+def read_kind(spec: dict, path: str, rule: Rule) -> list:
+    """The object ``spec`` under an object rule with kinds: its ``kind``,
+    then the fields every kind has, then its kind's own."""
+    kind = read_field(spec, path, "kind", one_of(rule.kinds))
+    return [kind, *read_fields(spec, path, rule.fields + rule.kinds[kind])]
+
+
 def _plain_numbers(value, rule: Rule) -> bool:
-    """Whether ``value`` has the lists, lengths and checks of ``rule``, a
-    list rule whose leaves are NUMBER, with every leaf of type exactly int
-    or float."""
-    if type(value) is not list or (rule.check is not None and not rule.check(value)):
+    """Whether ``value`` has the lists and lengths of ``rule``, a list rule
+    whose leaves are NUMBER, with every leaf of type exactly int or
+    float."""
+    if type(value) is not list or not _holds(value, rule):
         return False
     if rule.items is NUMBER:
         return set(map(type, value)) <= {int, float}
@@ -776,72 +879,90 @@ def read_document(source, path: str = "$") -> dict:
     return read_value(document, path, OBJECT)
 
 
-def _load_terms(spec: dict, path: str, k: int) -> tuple:
+# a nonsmooth term: each kind's own fields are NonsmoothTerm's
+TERM = Rule(dict, "an object", kinds={
+    "zero": (),
+    "l1": (Field("weight", NONNEGATIVE_NUMBER),),
+    "group_l2": (Field("weight", NONNEGATIVE_NUMBER),),
+    "box": (Field("lo", NUMBER), Field("hi", NUMBER)),
+})
+
+
+def _load_terms(spec: dict, path: str, rule: Rule, k: int) -> tuple:
     """The K nonsmooth terms of ``spec["h"]``, all zero when it is absent."""
-    raw = read_field(spec, path, "h", Rule(list, f"a list of {k} term objects",
-                                           lambda v: len(v) == k, OBJECT), default=None)
+    raw = read_field(spec, path, "h", rule, default=None)
     if raw is None:
         return (NonsmoothTerm.zero(),) * k
     terms = []
     for i, entry in enumerate(raw):
         where = f"{path}.h[{i}]"
-        kind = read_field(entry, where, "kind", one_of(TERM_KINDS))
-        if kind == "zero":
-            terms.append(NonsmoothTerm.zero())
-        elif kind == "box":
-            lo, hi = (read_field(entry, where, key, NUMBER) for key in ("lo", "hi"))
-            if lo > hi:
-                raise FieldError(where, f"expected lo <= hi, got lo {lo!r} and hi {hi!r}")
-            terms.append(NonsmoothTerm.box(lo, hi))
-        else:
-            terms.append(NonsmoothTerm(kind, weight=read_field(entry, where, "weight",
-                                                               NONNEGATIVE_NUMBER)))
+        kind, *values = read_kind(entry, where, TERM)
+        own = dict(zip((field.key for field in TERM.kinds[kind]), values))
+        if kind == "box" and own["lo"] > own["hi"]:
+            raise FieldError(where, "expected lo <= hi, got lo {lo!r} and hi {hi!r}".format(**own))
+        terms.append(NonsmoothTerm(kind, **own))
     return tuple(terms)
 
 
+_ROW = Rule(list, "a nonempty list of finite numbers", min_items=1, items=NUMBER)
+_NUMBERS = Rule(list, "a list of finite numbers", items=NUMBER)
+# explicit's own fields, in read order.  Their lengths are cross-field
+# rules, which _load_explicit sets once it has read K and N: K blocks of
+# rows of N numbers, K terms and K*N start entries.
+EXPLICIT_FIELDS = (
+    Field("block_count", POSITIVE_INTEGER),
+    Field("block_size", POSITIVE_INTEGER),
+    Field("a_blocks", Rule(list, "a nonempty list of blocks", min_items=1, items=Rule(
+        list, "a nonempty list of rows", min_items=1, items=_ROW))),
+    Field("b", _NUMBERS),
+    Field("h", Rule(list, "a list of term objects", items=TERM), None),
+    Field("x0", _NUMBERS, None),
+)
+
+
 def _load_explicit(spec: dict, path: str) -> LoadedProblem:
-    k = read_field(spec, path, "block_count", POSITIVE_INTEGER)
-    n = read_field(spec, path, "block_size", POSITIVE_INTEGER)
-    blocks = [np.array(block) for block in read_numbers(spec, path, "a_blocks", Rule(
-        list, f"a list of {k} blocks", lambda v: len(v) == k,
-        Rule(list, "a nonempty list of rows", bool, _numbers(n))))]
+    k_field, n_field, a_field, b_field, h_field, x0_field = EXPLICIT_FIELDS
+    k, n = read_fields(spec, path, (k_field, n_field))
+    rows_of_n = a_field.rule.items._replace(items=_sized(_ROW, n, "finite numbers"))
+    blocks = [np.array(block) for block in read_numbers(
+        spec, path, a_field.key, _sized(a_field.rule, k, "blocks")._replace(items=rows_of_n))]
     rows = blocks[0].shape[0]
     for i, block in enumerate(blocks):
         if block.shape[0] != rows:
             raise FieldError(f"{path}.a_blocks[{i}]",
                              f"has {block.shape[0]} rows, a_blocks[0] has {rows}")
-    b = np.array(read_numbers(spec, path, "b", Rule(list, "a list of finite numbers",
-                                                    items=NUMBER)))
+    b = np.array(read_numbers(spec, path, *b_field))
     if len(b) != rows:
         raise FieldError(f"{path}.b", f"has length {len(b)}, expected {rows}, "
                          "the row count of a_blocks")
-    terms = _load_terms(spec, path, k)
+    terms = _load_terms(spec, path, _sized(h_field.rule, k, "term objects"), k)
     if all(term.kind == "zero" for term in terms) and not any(a.any() for a in blocks):
         # f is the constant 1/2 ||b||^2: no Lipschitz constant is positive
         raise FieldError(f"{path}.a_blocks", "every entry is zero and every term is "
                          "zero, so the problem has nothing to minimize")
     problem = CompositeQuadraticProblem(
         partition=BlockPartition(k, n), a_blocks=tuple(blocks), b=b, h=terms)
-    x0 = read_numbers(spec, path, "x0", _numbers(k * n), default=None)
+    x0 = read_numbers(spec, path, x0_field.key, _sized(x0_field.rule, k * n, "finite numbers"),
+                      x0_field.default)
     return LoadedProblem(kind="explicit", x0=np.zeros(k * n) if x0 is None else np.array(x0),
                          problem=problem)
 
 
 class Family(NamedTuple):
-    """A generated problem kind: its fields as (key, Rule) pairs, in read
+    """A generated problem kind: its fields as a table of Field, in read
     order, and ``make(seed, *values)``, which returns (problem, x0)."""
 
     fields: tuple
     make: Callable
 
 
-_TABLE1_FIELDS = (("block_count", POSITIVE_INTEGER), ("lipschitz", POSITIVE_NUMBER))
+_TABLE1_FIELDS = (Field("block_count", POSITIVE_INTEGER), Field("lipschitz", POSITIVE_NUMBER))
 FAMILIES = {
     "lasso": Family(
-        (("rows", POSITIVE_INTEGER), ("block_count", POSITIVE_INTEGER),
-         ("weight", NONNEGATIVE_NUMBER)),
+        (Field("rows", POSITIVE_INTEGER), Field("block_count", POSITIVE_INTEGER),
+         Field("weight", NONNEGATIVE_NUMBER)),
         lambda seed, rows, k, weight: make_lasso_instance(rows, k, weight, seed)),
-    "toeplitz": Family((("block_count", Rule(int, "an integer >= 3", lambda v: v >= 3)),),
+    "toeplitz": Family((Field("block_count", Rule(int, "an integer >= 3", minimum=3)),),
                        lambda seed, k: make_toeplitz_instance(k)),
     "table1_diag": Family(_TABLE1_FIELDS,
                           lambda seed, k, lip: (make_table1_diagonal_qp(k, lip), np.ones(k))),
@@ -853,19 +974,37 @@ files, plans and the battery's generated instances are all read by
 load_problem.  The remaining kind, ``explicit``, gives its numbers."""
 
 
+class _ProblemKinds(Mapping):
+    """Each problem kind's own fields: those of FAMILIES, as it is when
+    read, then explicit's."""
+
+    def __getitem__(self, kind):
+        return EXPLICIT_FIELDS if kind == "explicit" else FAMILIES[kind].fields
+
+    def __iter__(self):
+        return iter((*FAMILIES, "explicit"))
+
+    def __len__(self):
+        return len(FAMILIES) + 1
+
+
+# a problem document: its kind, seed, which every kind reads, then its
+# kind's own fields
+PROBLEM = Rule(dict, "an object", fields=(Field("seed", INTEGER, 0),), kinds=_ProblemKinds())
+
+
 def load_problem(source, path: str = "$") -> LoadedProblem:
     """Build a problem from a JSON file path, JSON text, or a plain dict.
 
-    The kinds are those of FAMILIES and ``explicit``.  Every kind reads
-    ``seed``, then its own fields.  The first broken rule is reported at
-    the offending field, under ``path``: a plan passes ``$.problem``.
+    The document is read under PROBLEM: its kind, ``seed``, then its own
+    fields, whose cross-field rules only ``explicit`` has.  The first
+    broken rule is reported at the offending field, under ``path``: a plan
+    passes ``$.problem``.
     """
     spec = read_document(source, path)
-    kind = read_field(spec, path, "kind", one_of((*FAMILIES, "explicit")))
-    seed = read_field(spec, path, "seed", INTEGER, default=0)
+    kind = read_field(spec, path, "kind", one_of(PROBLEM.kinds))
+    seed, = read_fields(spec, path, PROBLEM.fields)
     if kind == "explicit":
         return _load_explicit(spec, path)
-    family = FAMILIES[kind]
-    problem, x0 = family.make(seed, *(read_field(spec, path, key, rule)
-                                      for key, rule in family.fields))
+    problem, x0 = FAMILIES[kind].make(seed, *read_fields(spec, path, PROBLEM.kinds[kind]))
     return LoadedProblem(kind=kind, x0=x0, problem=problem)

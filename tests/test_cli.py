@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -766,24 +767,32 @@ def test_parser_and_schema_agree(tmp_path, field, value_text):
 EXPLICIT_REQUIRED = ("block_count", "block_size", "a_blocks", "b")
 
 
-def _problem_schema(kind: str) -> dict:
-    """The then-branch of the schema's if/then block for ``kind``."""
-    blocks = SCHEMA["properties"]["problem"]["allOf"]
-    [then] = [block["then"] for block in blocks
-              if block["if"] == {"required": ["kind"], "properties": {"kind": {"const": kind}}}]
-    return then
+def test_schema_file_is_the_generated_schema():
+    text = Path(cli.__file__).with_name("plan_schema.json").read_text(encoding="utf-8")
+    assert text == json.dumps(cli.plan_schema(), indent=2) + "\n"
 
 
-def test_schema_kinds_are_the_families_and_explicit():
-    kinds = SCHEMA["properties"]["problem"]["properties"]["kind"]["enum"]
-    assert kinds == [*problems.FAMILIES, "explicit"]
-
-
-@pytest.mark.parametrize("kind", [*problems.FAMILIES, "explicit"])
-def test_schema_requires_each_kinds_fields(kind):
-    family = problems.FAMILIES.get(kind)
-    keys = EXPLICIT_REQUIRED if family is None else tuple(key for key, _ in family.fields)
-    assert tuple(_problem_schema(kind)["required"]) == keys
+def test_a_family_is_one_edit_to_reader_and_schema():
+    """A family added to problems.FAMILIES alone is a problem kind of the
+    reader and of the generated schema, whose own if/then block holds its
+    fields, their rules and its required list."""
+    width = problems.Field("width", problems.POSITIVE_NUMBER)
+    depth = problems.Field("depth", problems.INTEGER, 2)
+    stub = problems.Family((width, depth), lambda seed, *values: (values, None))
+    with mock.patch.dict(problems.FAMILIES, {"stub": stub}):
+        problem = cli.plan_schema()["properties"]["problem"]
+        assert problems.load_problem({"kind": "stub", "width": 0.5}).problem == (0.5, 2)
+        error = reader_error(problems.load_problem, {"kind": "stub", "depth": 3})
+    assert error.path == "$.width"
+    assert problem["properties"]["kind"]["enum"] == [*problems.FAMILIES, "stub", "explicit"]
+    [then] = [block["then"] for block in problem["allOf"]
+              if block["if"] == {"required": ["kind"], "properties": {"kind": {"const": "stub"}}}]
+    assert then == {"required": ["width"],
+                    "properties": {"width": {"type": "number", "exclusiveMinimum": 0,
+                                             "maximum": sys.float_info.max,
+                                             "description": "a finite positive number"},
+                                   "depth": {"type": "integer", "description": "an integer"}}}
+    assert "stub" not in cli.plan_schema()["properties"]["problem"]["properties"]["kind"]["enum"]
 
 
 # problem objects and, per case, the field set to a JSON text: integral
@@ -819,9 +828,17 @@ PROBLEM_FIELD_CASES = (
     # each kind's required fields, each removed (a text of None), and a
     # Toeplitz K below 3
     + [(kind, (key,), None) for kind, family in problems.FAMILIES.items()
-       for key, _ in family.fields]
+       for key, *_ in family.fields]
     + [("explicit", (key,), None) for key in EXPLICIT_REQUIRED]
-    + [("toeplitz", ("block_count",), "2")])
+    + [("toeplitz", ("block_count",), "2")]
+    # each term kind's own fields are required: l1's and group_l2's weight,
+    # box's lo and hi
+    + [("explicit", ("h", 0, "weight"), None), ("explicit", ("h", 0), '{"kind": "group_l2"}'),
+       ("explicit", ("h", 1, "lo"), None), ("explicit", ("h", 1, "hi"), None)]
+    # a field of another kind is not read, so any value passes
+    + [("toeplitz", ("b",), '"x"'), ("toeplitz", ("weight",), "-1"),
+       ("lasso", ("lipschitz",), "-1"), ("explicit", ("h", 0), '{"kind": "zero", "weight": -1}'),
+       ("explicit", ("h", 0, "lo"), '"x"')])
 
 
 @pytest.mark.parametrize("kind, where, value_text", PROBLEM_FIELD_CASES,
@@ -846,6 +863,7 @@ def test_problem_fields_schema_and_loader_agree(kind, where, value_text):
 
 MISSING = object()
 STEPSIZE_KINDS = ["global_l", "block_lk", "fixed"]
+TERM_KINDS = ["zero", "l1", "group_l2", "box"]
 
 
 def _json_values(*strings):
@@ -897,6 +915,10 @@ PLAN_FIELDS = {
     "bounds.c_prior": (("bounds", 0), "c_prior", _json_values()),
     "problem.kind": (("problem",), "kind", _json_values(*problems.FAMILIES, "explicit")),
     "problem.block_count": (("problem",), "block_count", _json_values()),
+    "problem.h[0].kind": (("problem", "h", 0), "kind", _json_values(*TERM_KINDS, "L1")),
+    "problem.h[0].weight": (("problem", "h", 0), "weight", _json_values()),
+    "problem.h[0].lo": (("problem", "h", 0), "lo", _json_values()),
+    "problem.h[0].hi": (("problem", "h", 0), "hi", _json_values()),
 }
 
 
@@ -919,7 +941,14 @@ def _valid_plan(field: str) -> dict:
     bound = {"kind": "thm1_blockwise", "c_prior": 2.0}
     if field in ("bounds.against", "bounds.c_prior"):
         bound["against"] = "a"
-    return {"seed": 3, "output": "out", "problem": {"kind": "toeplitz", "block_count": 5},
+    problem = {"kind": "toeplitz", "block_count": 5}
+    if field.startswith("problem.h"):
+        # a box as wide as the doubles, so that no finite lo or hi crosses
+        # the other; its weight belongs to the other term kinds
+        problem = {"kind": "explicit", "block_count": 1, "block_size": 1, "a_blocks": [[[1.0]]],
+                   "b": [1.0], "h": [{"kind": "box", "lo": -sys.float_info.max,
+                                      "hi": sys.float_info.max, "weight": 0.5}]}
+    return {"seed": 3, "output": "out", "problem": problem,
             "runs": [{"label": "a", "algorithm": "bcpg", "max_cycles": 5, "gap_tolerance": 0.0,
                       "order": {"kind": "random_permutation", "seed": 1},
                       "stepsizes": {"kind": "fixed", "values": [6.0] * 5}}],
@@ -932,10 +961,13 @@ def test_parser_and_schema_agree_on_generated_plans(field, data):
     """Change one field of a valid plan (or remove it) and check that the
     schema and the parser agree on the result.
 
-    The problem's kind and block_count are read by load_problem, as
-    cmd_run reads them, and the schema requires each kind's own fields, so
-    a kind change that leaves a required field out is rejected by both,
-    and so is a Toeplitz K below 3.
+    The problem's kind and block_count, and the kind, weight, lo and hi of
+    an explicit problem's first term, are read by load_problem, as cmd_run
+    reads them.  The schema requires each problem and term kind's own
+    fields and checks no field of another kind, as the reader does, so a
+    kind change that leaves a required field out is rejected by both, a
+    weight on a box is ignored by both, and a Toeplitz K below 3 is
+    rejected by both.
 
     Left out, because they are not field-by-field rules: unique run
     labels, ``against`` naming an existing run (so the only string tried
