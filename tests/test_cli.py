@@ -767,6 +767,26 @@ def test_parser_and_schema_agree(tmp_path, field, value_text):
 EXPLICIT_REQUIRED = ("block_count", "block_size", "a_blocks", "b")
 
 
+def _problem_schema(kind: str) -> dict:
+    """The then-branch of the schema's if/then block for ``kind``."""
+    blocks = SCHEMA["properties"]["problem"]["allOf"]
+    [then] = [block["then"] for block in blocks
+              if block["if"] == {"required": ["kind"], "properties": {"kind": {"const": kind}}}]
+    return then
+
+
+def test_schema_kinds_are_the_families_and_explicit():
+    kinds = SCHEMA["properties"]["problem"]["properties"]["kind"]["enum"]
+    assert kinds == [*problems.FAMILIES, "explicit"]
+
+
+@pytest.mark.parametrize("kind", [*problems.FAMILIES, "explicit"])
+def test_schema_requires_each_kinds_fields(kind):
+    family = problems.FAMILIES.get(kind)
+    keys = EXPLICIT_REQUIRED if family is None else tuple(field.key for field in family.fields)
+    assert tuple(_problem_schema(kind)["required"]) == keys
+
+
 def test_schema_file_is_the_generated_schema():
     text = Path(cli.__file__).with_name("plan_schema.json").read_text(encoding="utf-8")
     assert text == json.dumps(cli.plan_schema(), indent=2) + "\n"
